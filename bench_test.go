@@ -13,6 +13,7 @@ package darkvec_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -20,9 +21,12 @@ import (
 	"github.com/darkvec/darkvec"
 	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/corpus"
+	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/experiments"
 	"github.com/darkvec/darkvec/internal/graphx"
+	"github.com/darkvec/darkvec/internal/knn"
 	"github.com/darkvec/darkvec/internal/louvain"
+	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/services"
 	"github.com/darkvec/darkvec/internal/w2v"
@@ -242,6 +246,78 @@ func BenchmarkClassifyLOO(b *testing.B) {
 		preds = len(p)
 	}
 	b.ReportMetric(float64(preds)*float64(b.N)/b.Elapsed().Seconds(), "preds/s")
+}
+
+// BenchmarkClassifyOne measures one /v1/classify-shaped question — the k-NN
+// vote for a single sender through a default-calibrated IVF index, every
+// sender labeled as in a daemon generation — asked the two ways the API
+// allows: percall hands knn.ClassifyOneIndexed a label map, which resolves
+// the whole table per question; classifier asks a knn.Classifier resolved
+// once, outside the timed region, the way apiserver holds one per
+// generation. B/op is the figure to read: percall grows with the space,
+// classifier does not.
+func BenchmarkClassifyOne(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"4k", 4000}, {"100k", 100000}} {
+		var (
+			once   sync.Once
+			space  *embed.Space
+			labels map[string]string
+		)
+		setup := func(b *testing.B) {
+			once.Do(func() {
+				r := netutil.NewRand(11)
+				const dim, cohorts = 24, 64
+				centers := make([][]float64, cohorts)
+				for c := range centers {
+					centers[c] = make([]float64, dim)
+					for d := range centers[c] {
+						centers[c][d] = r.NormFloat64()
+					}
+				}
+				words := make([]string, size.n)
+				vecs := make([][]float32, size.n)
+				labels = make(map[string]string, size.n)
+				for i := range vecs {
+					words[i] = fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
+					vecs[i] = make([]float32, dim)
+					for d := range vecs[i] {
+						vecs[i][d] = float32(centers[i%cohorts][d] + 0.25*r.NormFloat64())
+					}
+					labels[words[i]] = fmt.Sprintf("class%d", i%cohorts%9)
+				}
+				var err error
+				if space, err = embed.New(words, vecs); err != nil {
+					b.Fatal(err)
+				}
+				if _, err = space.BuildIVF(embed.IVFOptions{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+		run := func(b *testing.B, one func(word string) (knn.Prediction, bool)) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p, ok := one(space.Words[i*7919%space.Len()]); !ok || p.Support <= 0 {
+					b.Fatalf("prediction %+v, %v", p, ok)
+				}
+			}
+		}
+		b.Run("percall/"+size.name, func(b *testing.B) {
+			setup(b)
+			run(b, func(w string) (knn.Prediction, bool) {
+				return knn.ClassifyOneIndexed(space, space.ANN(), labels, w, 7)
+			})
+		})
+		b.Run("classifier/"+size.name, func(b *testing.B) {
+			setup(b)
+			c := knn.NewClassifier(space, space.ANN(), labels)
+			run(b, func(w string) (knn.Prediction, bool) { return c.One(w, 7) })
+		})
+	}
 }
 
 // BenchmarkSilhouetteParallel measures the row-parallel silhouette and

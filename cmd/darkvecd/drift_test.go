@@ -93,11 +93,12 @@ func TestDriftGateRejectsSybilFlood(t *testing.T) {
 		t.Fatal("seeded live daemon never became ready")
 	}
 
-	// The boot generation armed the gate.
-	db := driftBody(t, base)
-	if db["enabled"] != true || db["baseline"] == nil {
-		t.Fatalf("gate not armed after boot: %v", db)
-	}
+	// The boot generation arms the gate — just after it starts serving, so
+	// readiness alone does not mean the baseline is captured yet.
+	waitFor(t, "the boot generation to arm the gate", func() bool {
+		db := driftBody(t, base)
+		return db["enabled"] == true && db["baseline"] != nil
+	})
 
 	// The flood: fresh coordinated senders, each just above the active
 	// filter, starting where the base trace ends so window age bounds
@@ -130,7 +131,7 @@ func TestDriftGateRejectsSybilFlood(t *testing.T) {
 
 	// The serving generation is exactly the gate's baseline, and it
 	// holds steady while rejections continue.
-	db = driftBody(t, base)
+	db := driftBody(t, base)
 	baseline, _ := db["baseline"].(map[string]any)
 	want, _ := baseline["version"].(string)
 	if want == "" {

@@ -50,7 +50,7 @@
 // when the space reaches -annmin senders, -ann on forces it, -ann off pins
 // exact search. The index is rebuilt for every generation inside the
 // retrain cycle before the atomic swap; -annprobe 0 auto-calibrates the
-// probed cell count to a 0.95 sampled recall. A failed index build serves
+// probed cell count to a 0.99 sampled recall. A failed index build serves
 // the generation exactly instead (degradation visible on /v1/model and
 // /healthz/ready), never refusing traffic.
 package main
@@ -126,7 +126,7 @@ type options struct {
 	ann      string // auto | on | off: when the index is built
 	annMin   int    // auto mode builds the index only at >= this many senders
 	annCells int    // coarse cells (0 = sqrt of the space size)
-	annProbe int    // cells probed per query (0 = calibrate to 0.95 recall)
+	annProbe int    // cells probed per query (0 = calibrate to 0.99 recall)
 	annQuant bool   // scan members through the int8-quantized sidecar
 
 	// Live ingestion (see ingest.go). Either source makes the daemon
@@ -204,7 +204,7 @@ func main() {
 	flag.StringVar(&o.ann, "ann", "auto", "approximate k-NN index: auto (build at >= -annmin senders), on, or off")
 	flag.IntVar(&o.annMin, "annmin", 16384, "auto ANN threshold: build the index when the space holds at least this many senders")
 	flag.IntVar(&o.annCells, "anncells", 0, "ANN coarse cells (0 = sqrt of the space size)")
-	flag.IntVar(&o.annProbe, "annprobe", 0, "ANN cells probed per query (0 = calibrate to 0.95 sampled recall)")
+	flag.IntVar(&o.annProbe, "annprobe", 0, "ANN cells probed per query (0 = calibrate to 0.99 sampled recall)")
 	flag.BoolVar(&o.annQuant, "annquant", false, "ANN scans through the int8-quantized vector sidecar (4x less memory traffic)")
 	flag.StringVar(&o.ingest, "ingest", "", "live-feed listener (host:port or unix:/path) speaking the CSV line protocol")
 	flag.StringVar(&o.follow, "follow", "", "tail-follow this file as a live event source")

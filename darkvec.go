@@ -98,7 +98,7 @@ type (
 	// ANNIndex is an inverted-file approximate k-NN index over a Space.
 	ANNIndex = embed.IVF
 	// ANNOptions parameterises index construction; the zero value picks
-	// ~√N cells and calibrates nprobe to recall@10 ≥ 0.95.
+	// ~√N cells and calibrates nprobe to recall@10 ≥ 0.99.
 	ANNOptions = embed.IVFOptions
 	// ANNStats describes a built index: cell geometry, calibrated recall
 	// and the memory footprint of both vector representations.

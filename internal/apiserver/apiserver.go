@@ -34,7 +34,7 @@ const (
 // Server wires a trained model and its context into an http.Handler.
 type Server struct {
 	space    *embed.Space
-	labels   map[string]string
+	cls      *knn.Classifier // the generation's label table, resolved once
 	profiles []cluster.Profile
 	assign   []int
 	stats    trace.Stats
@@ -120,8 +120,9 @@ func StaleHeader(h http.Handler, stale func() (bool, string)) http.Handler {
 	})
 }
 
-// New builds the server, running one clustering pass up front so /clusters
-// is a cheap read.
+// New builds the server, resolving everything a request reads — the label
+// table and one clustering pass — up front, so no handler does work that
+// grows with the space beyond its neighbour search.
 func New(cfg Config) *Server {
 	lbl := make(map[string]string, cfg.Space.Len())
 	for _, w := range cfg.Space.Words {
@@ -135,7 +136,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		space:   cfg.Space,
-		labels:  lbl,
+		cls:     knn.NewClassifier(cfg.Space, cfg.Space.ANN(), lbl),
 		stats:   cfg.Trace.Summary(3),
 		version: cfg.ModelVersion,
 		annErr:  cfg.ANNError,
@@ -206,23 +207,25 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.stats)
 }
 
-// kParam parses ?k= with a default and sane bounds.
-func kParam(r *http.Request, def int) int {
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k <= 0 || k > 100 {
-		return def
-	}
-	return k
-}
-
-// ipParam validates ?ip=.
-func ipParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	ipStr := r.URL.Query().Get("ip")
-	if _, err := netutil.ParseIPv4(ipStr); err != nil {
+// senderParams parses the query string once: ?ip= validated and resolved
+// to its row (400 and 404 are written here), ?k= with a default and sane
+// bounds.
+func (s *Server) senderParams(w http.ResponseWriter, r *http.Request, defK int) (ip string, row, k int, ok bool) {
+	q := r.URL.Query()
+	ip = q.Get("ip")
+	if _, err := netutil.ParseIPv4(ip); err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid or missing ip parameter: %v", err)
-		return "", false
+		return "", 0, 0, false
 	}
-	return ipStr, true
+	if row, ok = s.space.Index(ip); !ok {
+		writeErr(w, http.StatusNotFound, "sender %s not in the embedding", ip)
+		return "", 0, 0, false
+	}
+	k, err := strconv.Atoi(q.Get("k"))
+	if err != nil || k <= 0 || k > 100 {
+		k = defK
+	}
+	return ip, row, k, true
 }
 
 // SimilarResponse is the /v1/similar payload.
@@ -239,22 +242,16 @@ type SimilarEntry struct {
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	ip, ok := ipParam(w, r)
+	ip, row, k, ok := s.senderParams(w, r, 10)
 	if !ok {
 		return
 	}
 	// Rides the approximate index when one is attached to the space; falls
 	// back to the exact engine transparently otherwise.
-	sims, found := s.space.MostSimilarApprox(ip, kParam(r, 10))
-	if !found {
-		writeErr(w, http.StatusNotFound, "sender %s not in the embedding", ip)
-		return
-	}
-	resp := SimilarResponse{IP: ip}
-	for _, sim := range sims {
-		resp.Neighbors = append(resp.Neighbors, SimilarEntry{
-			IP: sim.Word, Sim: sim.Sim, Class: s.labels[sim.Word],
-		})
+	nn := s.space.KNNApprox(row, k)
+	resp := SimilarResponse{IP: ip, Neighbors: make([]SimilarEntry, len(nn))}
+	for i, n := range nn {
+		resp.Neighbors[i] = SimilarEntry{IP: s.space.Words[n.Row], Sim: n.Sim, Class: s.cls.Class(n.Row)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -269,15 +266,11 @@ type ClassifyResponse struct {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	ip, ok := ipParam(w, r)
+	ip, _, k, ok := s.senderParams(w, r, 7)
 	if !ok {
 		return
 	}
-	pred, found := knn.ClassifyOneIndexed(s.space, s.space.ANN(), s.labels, ip, kParam(r, 7))
-	if !found {
-		writeErr(w, http.StatusNotFound, "sender %s not in the embedding", ip)
-		return
-	}
+	pred, _ := s.cls.One(ip, k)
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		IP: ip, Class: pred.Label, Known: pred.Truth,
 		Support: pred.Support, AvgSim: pred.AvgSim,
@@ -297,7 +290,7 @@ type ClusterEntry struct {
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	minSize, _ := strconv.Atoi(r.URL.Query().Get("min"))
-	var out []ClusterEntry
+	out := []ClusterEntry{} // encodes as [], never null
 	for _, p := range s.profiles {
 		if len(p.Senders) < minSize {
 			continue
@@ -325,6 +318,9 @@ type ModelResponse struct {
 	ANNError    string          `json:"ann_error,omitempty"`
 	VectorBytes int64           `json:"vector_bytes"`
 	Retrain     *RetrainInfo    `json:"retrain,omitempty"`
+	// ClassifyExactFallbacks counts /v1/classify requests of this generation
+	// whose index probe held no labeled sender and were answered exactly.
+	ClassifyExactFallbacks int64 `json:"classify_exact_fallbacks,omitempty"`
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
@@ -336,6 +332,8 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 		ANNError:    s.annErr,
 		VectorBytes: s.space.VectorBytes(),
 		Retrain:     s.retrain,
+
+		ClassifyExactFallbacks: s.cls.ExactFallbacks(),
 	}
 	if ix := s.space.ANN(); ix != nil {
 		st := ix.Stats()
@@ -353,16 +351,11 @@ type SenderResponse struct {
 }
 
 func (s *Server) handleSender(w http.ResponseWriter, r *http.Request) {
-	ip, ok := ipParam(w, r)
+	ip, row, _, ok := s.senderParams(w, r, 0)
 	if !ok {
 		return
 	}
-	row, found := s.space.Index(ip)
-	if !found {
-		writeErr(w, http.StatusNotFound, "sender %s not in the embedding", ip)
-		return
-	}
-	resp := SenderResponse{IP: ip, Class: s.labels[ip], Cluster: -1}
+	resp := SenderResponse{IP: ip, Class: s.cls.Class(row), Cluster: -1}
 	if row < len(s.assign) {
 		resp.Cluster = s.assign[row]
 	}

@@ -131,12 +131,19 @@ type Neighbor struct {
 // KNN returns the k rows most cosine-similar to row i, excluding i itself,
 // ordered by decreasing similarity. Ties break toward the lower row index
 // for determinism.
-func (s *Space) KNN(i, k int) []Neighbor {
+func (s *Space) KNN(i, k int) []Neighbor { return s.KNNMasked(i, k, nil) }
+
+// KNNMasked is KNN drawn only from the rows mask marks (len(mask) == Len();
+// nil admits every row): the single-query form of KNNSubset, for callers
+// that resolve their candidate set once and query it many times. It runs
+// the same blocked scan as KNN on pooled scratch, so a call allocates only
+// the neighbour list it returns.
+func (s *Space) KNNMasked(i, k int, mask []bool) []Neighbor {
 	if k <= 0 || s.Len() <= 1 {
 		return nil
 	}
 	sc := getScratch(s.Len())
-	nn := s.knnScan(s.Row(i), i, k, sc)
+	nn := s.knnScan(s.Row(i), i, k, sc, mask)
 	putScratch(sc)
 	return nn
 }
@@ -186,7 +193,7 @@ func (s *Space) Analogy(a, b, c string, k int) ([]Similar, bool) {
 	// Over-select by the three excluded inputs, then drop them: removing at
 	// most three rows from the top-(k+3) leaves the exact top-k of the rest.
 	sc := getScratch(s.Len())
-	nn := s.knnScan(q, -1, k+3, sc)
+	nn := s.knnScan(q, -1, k+3, sc, nil)
 	putScratch(sc)
 	out := make([]Similar, 0, k)
 	for _, n := range nn {

@@ -92,10 +92,10 @@ func TestIVFDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestIVFCalibratedRecallFloor builds with auto-calibration (target 0.95)
-// on a clustered space and checks the measured whole-space recall@10 — not
-// just the calibration sample — holds the floor the acceptance criteria
-// pin.
+// TestIVFCalibratedRecallFloor builds with auto-calibration at the default
+// target on a clustered space and checks the measured whole-space recall@10
+// — not just the calibration sample — holds the floor the acceptance
+// criteria pin.
 func TestIVFCalibratedRecallFloor(t *testing.T) {
 	n := 5000
 	if testing.Short() {
@@ -107,6 +107,9 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ix.Stats()
+	if st.TargetRecall != 0.99 {
+		t.Fatalf("default target recall = %v, want 0.99", st.TargetRecall)
+	}
 	if st.CalibratedRecall < st.TargetRecall {
 		t.Fatalf("calibrated recall %.3f below target %.3f", st.CalibratedRecall, st.TargetRecall)
 	}
@@ -116,11 +119,12 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 	}
 	exact := s.KNNBatch(rows, 10)
 	approx := s.KNNBatchApprox(rows, 10)
-	if r := recallAtK(exact, approx); r < 0.90 {
-		// The calibration sample guarantees >= 0.95 on the sample; the full
-		// space tracks it closely but is not bound by it — 0.90 catches a
-		// broken index without flaking on sampling variance.
-		t.Fatalf("whole-space recall@10 = %.3f, want >= 0.90 (calibrated %.3f at nprobe %d of %d cells)",
+	if r := recallAtK(exact, approx); r < 0.95 {
+		// The calibration sample guarantees >= 0.99 on the sample; the full
+		// space tracks it closely but is not bound by it — 0.95 is the
+		// figure the default exists to deliver on queries it did not
+		// sample, with room for sampling variance.
+		t.Fatalf("whole-space recall@10 = %.3f, want >= 0.95 (calibrated %.3f at nprobe %d of %d cells)",
 			r, st.CalibratedRecall, st.NProbe, st.Cells)
 	}
 	if st.NProbe >= st.Cells && st.Cells > 4 {
@@ -281,6 +285,57 @@ func TestIVFSubsetEach(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKNNMaskedMatchesBatchEngines pins the single-query masked entry points
+// to the batch engines: unmasked they are a one-row KNNBatch, masked they
+// are the one-query subset pass, on the exact engine and through a
+// float32 and an int8 index — including duplicated vectors, where only the
+// (similarity desc, row asc) order separates candidates, and spaces too
+// small to have a neighbour.
+func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
+	spaces := map[string]*Space{
+		"clustered": clusteredSpace(t, 700, 12, 8, 0.2, 29),
+		"ties":      tieSpace(t, 90, 6, 7),
+		"one-row":   tieSpace(t, 1, 4, 5),
+		"two-rows":  tieSpace(t, 2, 4, 5),
+	}
+	for name, s := range spaces {
+		var labeled []int
+		mask := make([]bool, s.Len())
+		for i := range mask {
+			if i%7 != 0 {
+				mask[i] = true
+				labeled = append(labeled, i)
+			}
+		}
+		for _, k := range []int{0, 1, 7} {
+			for i := 0; i < s.Len(); i++ {
+				neighborsEqual(t, fmt.Sprintf("%s exact unmasked row %d k=%d", name, i, k),
+					s.KNNBatch([]int{i}, k), [][]Neighbor{s.KNNMasked(i, k, nil)})
+				neighborsEqual(t, fmt.Sprintf("%s exact masked row %d k=%d", name, i, k),
+					s.KNNSubset([]int{i}, labeled, k), [][]Neighbor{s.KNNMasked(i, k, mask)})
+			}
+		}
+		for _, quant := range []bool{false, true} {
+			ix, err := s.BuildIVF(IVFOptions{Seed: 3, NProbe: 2, Quantized: quant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{0, 1, 7} {
+				for i := 0; i < s.Len(); i++ {
+					neighborsEqual(t, fmt.Sprintf("%s ivf quant=%v unmasked row %d k=%d", name, quant, i, k),
+						ix.KNNBatch([]int{i}, k), [][]Neighbor{ix.KNNMasked(i, k, nil)})
+					want := make([][]Neighbor, 1)
+					ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []Neighbor) {
+						want[0] = append([]Neighbor(nil), nn...)
+					})
+					neighborsEqual(t, fmt.Sprintf("%s ivf quant=%v masked row %d k=%d", name, quant, i, k),
+						want, [][]Neighbor{ix.KNNMasked(i, k, mask)})
+				}
+			}
+		}
+	}
 }
 
 // TestIVFBuildErrors pins the failure modes darkvecd degrades on.

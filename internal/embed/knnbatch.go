@@ -186,11 +186,12 @@ func getScratch(n int) *knnScratch {
 func putScratch(sc *knnScratch) { scratchPool.Put(sc) }
 
 // knnScan selects the k rows most cosine-similar to the query vector q,
-// excluding row self (pass self < 0 to exclude nothing). The scan is blocked:
+// excluding row self (pass self < 0 to exclude nothing) and, when mask is
+// non-nil, every row it does not mark. The scan is blocked:
 // similarities land in the scratch buffer block by block while the selection
 // heap consumes them in the same pass — the heap's inlined fast-reject keeps
 // the per-candidate cost at one compare once the heap is full.
-func (s *Space) knnScan(q []float32, self, k int, sc *knnScratch) []Neighbor {
+func (s *Space) knnScan(q []float32, self, k int, sc *knnScratch, mask []bool) []Neighbor {
 	n := s.Len()
 	sc.top.reset(k)
 	dim := s.Dim
@@ -202,8 +203,12 @@ func (s *Space) knnScan(q []float32, self, k int, sc *knnScratch) []Neighbor {
 		sims := sc.sims[:b1-b0]
 		block := s.rows[b0*dim : b1*dim]
 		for j := range sims {
+			row := b0 + j
+			if mask != nil && !mask[row] {
+				continue
+			}
 			sims[j] = float64(vecmath.Dot(q, block[j*dim:]))
-			if row := b0 + j; row != self {
+			if row != self {
 				sc.top.push(row, sims[j])
 			}
 		}
@@ -230,7 +235,7 @@ func (s *Space) knnBatch(rows []int, k int, workers int) [][]Neighbor {
 	if workers <= 1 {
 		sc := newKNNScratch(s.Len())
 		for i, r := range rows {
-			out[i] = s.knnScan(s.Row(r), r, k, sc)
+			out[i] = s.knnScan(s.Row(r), r, k, sc, nil)
 		}
 		return out
 	}
@@ -246,7 +251,7 @@ func (s *Space) knnBatch(rows []int, k int, workers int) [][]Neighbor {
 				if i >= len(rows) {
 					return
 				}
-				out[i] = s.knnScan(s.Row(rows[i]), rows[i], k, sc)
+				out[i] = s.knnScan(s.Row(rows[i]), rows[i], k, sc, nil)
 			}
 		}()
 	}

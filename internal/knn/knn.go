@@ -3,17 +3,24 @@
 // similarity, majority voting, and the Leave-One-Out evaluation protocol the
 // paper uses for Tables 3, 4 and 6 and Figures 6–8.
 //
-// Classification rides the embed package's batched k-NN engine: one
-// labeled-neighbour-aware selection pass over the space (top-k labeled
-// neighbours selected directly, no rescan-and-filter), with per-row LOO
-// voting fanned out across the space's Parallelism() workers. Setting
-// Space.MaxProcs = 1 pins the serial path; parallel output is
-// byte-identical to it.
+// The one implementation is Classifier: a label table resolved against one
+// space (and, optionally, its approximate index) once, then asked as often
+// as needed. All is the Leave-One-Out pass — one labeled-neighbour-aware
+// selection over the space (top-k labeled neighbours selected directly, no
+// rescan-and-filter), voting fanned out across the space's Parallelism()
+// workers, byte-identical at any worker count. One is the serving question,
+// a single sender, and costs its neighbour search and nothing that grows
+// with the space. Both share the vote, the (similarity desc, row asc)
+// tie-break, and the rule that a query the index could find no labeled
+// neighbour for is answered by the exact engine. Classify and
+// ClassifyOneIndexed are adapters for callers that hold a label map and ask
+// once.
 package knn
 
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/metrics"
@@ -28,135 +35,140 @@ type Prediction struct {
 	Support int     // votes received by the winning class
 }
 
-// labelRows resolves labels against the space: the per-row label slice
-// ("" for unlabeled) and the ascending list of labeled row indices.
-func labelRows(s *embed.Space, labels map[string]string) ([]string, []int) {
-	rowLabel := make([]string, s.Len())
-	labeled := make([]int, 0, s.Len())
+// Classifier is a label table resolved against one space once: row → class,
+// the ascending labeled rows, and their bitmap. It is immutable after
+// NewClassifier and safe for concurrent use, so a server builds one per
+// model generation and a query costs the neighbour search alone — nothing
+// that grows with the space is rebuilt or allocated per call.
+type Classifier struct {
+	s        *embed.Space
+	ix       *embed.IVF // nil: exact search
+	rowLabel []string   // "" for an unlabeled row
+	labeled  []int      // ascending
+	mask     []bool     // labeled-row bitmap; nil when every row is labeled
+
+	fallbacks atomic.Int64
+}
+
+// NewClassifier resolves labels (word → class, including the catch-all
+// Unknown class, which votes like any other) against s. Words in the space
+// but absent from labels neither vote nor get classified by All. A non-nil
+// ix routes the neighbour search through the approximate index; a query
+// whose probed cells hold no labeled row is re-run through the exact engine,
+// so the index never costs a word its vote.
+func NewClassifier(s *embed.Space, ix *embed.IVF, labels map[string]string) *Classifier {
+	c := &Classifier{
+		s: s, ix: ix,
+		rowLabel: make([]string, s.Len()),
+		labeled:  make([]int, 0, s.Len()),
+	}
 	for i, w := range s.Words {
 		if l := labels[w]; l != "" {
-			rowLabel[i] = l
-			labeled = append(labeled, i)
+			c.rowLabel[i] = l
+			c.labeled = append(c.labeled, i)
 		}
 	}
-	return rowLabel, labeled
-}
-
-// Classify predicts the class of every labeled word by majority vote over
-// its k nearest labeled neighbours in the space, Leave-One-Out style: the
-// word itself never votes. labels maps word → class for every word that has
-// a label (including the catch-all Unknown class, which votes like any
-// other). Words present in the space but absent from labels do not vote and
-// are not classified.
-func Classify(s *embed.Space, labels map[string]string, k int) []Prediction {
-	rowLabel, labeled := labelRows(s, labels)
-	if len(labeled) == 0 || k <= 0 {
-		return nil
+	if len(c.labeled) < s.Len() {
+		c.mask = make([]bool, s.Len())
+		for _, r := range c.labeled {
+			c.mask[r] = true
+		}
 	}
-	preds := make([]Prediction, len(labeled))
-	// KNNSubsetEach never invokes fn twice for the same qi, and each call
-	// only writes preds[qi], so the concurrent voting is race-free. Tally
-	// scratch is pooled because the callback has no worker identity.
-	s.KNNSubsetEach(labeled, labeled, k, func(qi int, nn []embed.Neighbor) {
-		t := tallyPool.Get().(*tally)
-		preds[qi] = vote(s.Words[labeled[qi]], rowLabel[labeled[qi]], nn, rowLabel, t)
-		tallyPool.Put(t)
-	})
-	return preds
+	return c
 }
 
-// ClassifyOne predicts the class of a single word by majority vote over its
-// k nearest labeled neighbours (the word itself never votes, so the result
-// is Leave-One-Out-consistent with Classify). ok is false when the word is
-// not in the space.
-func ClassifyOne(s *embed.Space, labels map[string]string, word string, k int) (Prediction, bool) {
-	i, ok := s.Index(word)
+// Class returns the label of a row, "" when it has none.
+func (c *Classifier) Class(row int) string { return c.rowLabel[row] }
+
+// ExactFallbacks counts the One calls whose index probe found no labeled
+// row and were answered by the exact engine instead.
+func (c *Classifier) ExactFallbacks() int64 { return c.fallbacks.Load() }
+
+// One predicts the class of a single word by majority vote over its k
+// nearest labeled neighbours. The word itself never votes, so the result is
+// Leave-One-Out-consistent with All. ok is false when the word is not in
+// the space; with k <= 0 or nothing labeled the prediction carries no votes
+// (Support -1).
+func (c *Classifier) One(word string, k int) (Prediction, bool) {
+	i, ok := c.s.Index(word)
 	if !ok {
 		return Prediction{}, false
 	}
-	rowLabel, labeled := labelRows(s, labels)
-	var t tally
-	p := vote(word, labels[word], nil, rowLabel, &t)
-	s.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
-		p = vote(word, labels[word], nn, rowLabel, &t)
-	})
-	return p, true
+	var nn []embed.Neighbor
+	if k > 0 && len(c.labeled) > 0 {
+		if c.ix != nil {
+			if nn = c.ix.KNNMasked(i, k, c.mask); len(nn) == 0 {
+				c.fallbacks.Add(1)
+			}
+		}
+		if len(nn) == 0 {
+			nn = c.s.KNNMasked(i, k, c.mask)
+		}
+	}
+	return c.vote(i, nn), true
 }
 
-// ClassifyIndexed is Classify through an approximate index: the
-// labeled-subset selection runs over only the probed IVF cells, cutting the
-// LOO pass from |labeled|² row scans to |labeled|·(cells + nprobe·cell)
-// while keeping the vote and tie-break machinery identical. A query whose
-// probed cells hold no labeled rows would otherwise get an empty vote set
-// and a degenerate prediction — those queries are collected and re-run
-// through the exact subset engine, so every word Classify would label gets
-// a real vote here too. ix == nil degrades to the exact Classify.
-func ClassifyIndexed(s *embed.Space, ix *embed.IVF, labels map[string]string, k int) []Prediction {
-	if ix == nil {
-		return Classify(s, labels, k)
-	}
-	rowLabel, labeled := labelRows(s, labels)
-	if len(labeled) == 0 || k <= 0 {
+// All predicts the class of every labeled word, Leave-One-Out style, in
+// ascending row order. The search fans out across the space's
+// Parallelism() workers; output is byte-identical for any worker count.
+func (c *Classifier) All(k int) []Prediction {
+	if len(c.labeled) == 0 || k <= 0 {
 		return nil
 	}
-	preds := make([]Prediction, len(labeled))
-	missed := make([]bool, len(labeled))
-	ix.KNNSubsetEach(labeled, labeled, k, func(qi int, nn []embed.Neighbor) {
+	preds := make([]Prediction, len(c.labeled))
+	// KNNSubsetEach never invokes fn twice for the same qi, and each call
+	// only writes preds[qi], so the concurrent voting is race-free.
+	if c.ix == nil {
+		c.s.KNNSubsetEach(c.labeled, c.labeled, k, func(qi int, nn []embed.Neighbor) {
+			preds[qi] = c.vote(c.labeled[qi], nn)
+		})
+		return preds
+	}
+	missed := make([]bool, len(c.labeled))
+	c.ix.KNNSubsetEach(c.labeled, c.labeled, k, func(qi int, nn []embed.Neighbor) {
 		if len(nn) == 0 {
 			missed[qi] = true
 			return
 		}
-		t := tallyPool.Get().(*tally)
-		preds[qi] = vote(s.Words[labeled[qi]], rowLabel[labeled[qi]], nn, rowLabel, t)
-		tallyPool.Put(t)
+		preds[qi] = c.vote(c.labeled[qi], nn)
 	})
-	var rerun []int   // row indices needing the exact pass
-	var rerunQI []int // their positions in labeled/preds
+	var rerun, rerunQI []int // rows needing the exact pass, and their positions in preds
 	for qi, m := range missed {
 		if m {
-			rerun = append(rerun, labeled[qi])
+			rerun = append(rerun, c.labeled[qi])
 			rerunQI = append(rerunQI, qi)
 		}
 	}
-	if len(rerun) > 0 {
-		s.KNNSubsetEach(rerun, labeled, k, func(ri int, nn []embed.Neighbor) {
-			qi := rerunQI[ri]
-			t := tallyPool.Get().(*tally)
-			preds[qi] = vote(s.Words[labeled[qi]], rowLabel[labeled[qi]], nn, rowLabel, t)
-			tallyPool.Put(t)
-		})
-	}
+	c.s.KNNSubsetEach(rerun, c.labeled, k, func(ri int, nn []embed.Neighbor) {
+		preds[rerunQI[ri]] = c.vote(rerun[ri], nn)
+	})
 	return preds
 }
 
-// ClassifyOneIndexed is ClassifyOne through an approximate index, with the
-// same empty-vote exact fallback as ClassifyIndexed and the same nil-index
-// degradation.
+// vote tallies on pooled scratch: All's callbacks have no worker identity
+// and One must not allocate per call.
+func (c *Classifier) vote(row int, nn []embed.Neighbor) Prediction {
+	t := tallyPool.Get().(*tally)
+	p := vote(c.s.Words[row], c.rowLabel[row], nn, c.rowLabel, t)
+	tallyPool.Put(t)
+	return p
+}
+
+// Classify is NewClassifier(s, nil, labels).All(k): the exact Leave-One-Out
+// pass the paper's tables and figures are computed with.
+func Classify(s *embed.Space, labels map[string]string, k int) []Prediction {
+	return NewClassifier(s, nil, labels).All(k)
+}
+
+// ClassifyOneIndexed is NewClassifier(s, ix, labels).One(word, k) for
+// callers holding a label map and a single question. It resolves the whole
+// table per call — anything asking more than once per space should keep the
+// Classifier.
 func ClassifyOneIndexed(s *embed.Space, ix *embed.IVF, labels map[string]string, word string, k int) (Prediction, bool) {
-	if ix == nil {
-		return ClassifyOne(s, labels, word, k)
-	}
-	i, ok := s.Index(word)
-	if !ok {
+	if _, ok := s.Index(word); !ok {
 		return Prediction{}, false
 	}
-	rowLabel, labeled := labelRows(s, labels)
-	var t tally
-	p := vote(word, labels[word], nil, rowLabel, &t)
-	voted := false
-	ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
-		if len(nn) == 0 {
-			return
-		}
-		p = vote(word, labels[word], nn, rowLabel, &t)
-		voted = true
-	})
-	if !voted {
-		s.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
-			p = vote(word, labels[word], nn, rowLabel, &t)
-		})
-	}
-	return p, true
+	return NewClassifier(s, ix, labels).One(word, k)
 }
 
 // tally is the reusable slice-based vote accumulator: distinct classes in a

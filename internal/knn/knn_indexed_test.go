@@ -59,9 +59,9 @@ func TestClassifyIndexedMatchesExactOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ClassifyIndexed(s, ix, labels, 5)
+	got := NewClassifier(s, ix, labels).All(5)
 	if !reflect.DeepEqual(oracle, got) {
-		t.Fatal("exhaustive-probe ClassifyIndexed diverged from the exact oracle")
+		t.Fatal("exhaustive-probe indexed All diverged from the exact oracle")
 	}
 
 	// Calibrated partial probe: near-total label agreement.
@@ -69,7 +69,7 @@ func TestClassifyIndexedMatchesExactOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := ClassifyIndexed(s, ix2, labels, 5)
+	got2 := NewClassifier(s, ix2, labels).All(5)
 	if len(got2) != len(oracle) {
 		t.Fatalf("prediction count %d vs %d", len(got2), len(oracle))
 	}
@@ -87,19 +87,6 @@ func TestClassifyIndexedMatchesExactOracle(t *testing.T) {
 	}
 	if frac := float64(agree) / float64(len(oracle)); frac < 0.98 {
 		t.Fatalf("label agreement %.3f below 0.98", frac)
-	}
-}
-
-// TestClassifyIndexedNilIndexIsExact: nil index degrades to the exact path.
-func TestClassifyIndexedNilIndexIsExact(t *testing.T) {
-	s, labels := clusteredSpace(t)
-	if !reflect.DeepEqual(Classify(s, labels, 2), ClassifyIndexed(s, nil, labels, 2)) {
-		t.Fatal("nil-index ClassifyIndexed diverged from Classify")
-	}
-	w, ok1 := ClassifyOne(s, labels, "a1", 2)
-	g, ok2 := ClassifyOneIndexed(s, nil, labels, "a1", 2)
-	if !ok1 || !ok2 || w != g {
-		t.Fatalf("nil-index ClassifyOneIndexed diverged: %+v vs %+v", w, g)
 	}
 }
 
@@ -122,7 +109,7 @@ func TestClassifyIndexedEmptyVoteFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := ClassifyIndexed(s, ix, sparse, 3)
+	preds := NewClassifier(s, ix, sparse).All(3)
 	if len(preds) != kept {
 		t.Fatalf("predictions = %d, want %d", len(preds), kept)
 	}
@@ -152,7 +139,7 @@ func TestClassifyOneIndexedMatchesIndexedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := ClassifyIndexed(s, ix, labels, 5)
+	preds := NewClassifier(s, ix, labels).All(5)
 	for _, want := range preds[:25] {
 		got, ok := ClassifyOneIndexed(s, ix, labels, want.Word, 5)
 		if !ok {

@@ -166,20 +166,20 @@ func TestExtendGroundTruthOrdering(t *testing.T) {
 
 func TestClassifyOne(t *testing.T) {
 	s, labels := clusteredSpace(t)
-	p, ok := ClassifyOne(s, labels, "a1", 2)
+	p, ok := NewClassifier(s, nil, labels).One("a1", 2)
 	if !ok {
 		t.Fatal("a1 must be classifiable")
 	}
 	if p.Label != "alpha" || p.Truth != "alpha" {
 		t.Fatalf("prediction = %+v", p)
 	}
-	if _, ok := ClassifyOne(s, labels, "nope", 2); ok {
+	if _, ok := NewClassifier(s, nil, labels).One("nope", 2); ok {
 		t.Fatal("unknown word must report absence")
 	}
 	// Consistency with the batch path.
 	batch := Classify(s, labels, 2)
 	for _, bp := range batch {
-		one, ok := ClassifyOne(s, labels, bp.Word, 2)
+		one, ok := NewClassifier(s, nil, labels).One(bp.Word, 2)
 		if !ok || one.Label != bp.Label {
 			t.Fatalf("batch/one mismatch for %s: %s vs %s", bp.Word, bp.Label, one.Label)
 		}
@@ -189,7 +189,7 @@ func TestClassifyOne(t *testing.T) {
 func TestClassifyOneSkipsUnlabeledNeighbours(t *testing.T) {
 	s, labels := clusteredSpace(t)
 	delete(labels, "a2") // unlabeled neighbour must not vote
-	p, ok := ClassifyOne(s, labels, "a1", 2)
+	p, ok := NewClassifier(s, nil, labels).One("a1", 2)
 	if !ok || p.Label != "alpha" {
 		t.Fatalf("prediction = %+v (ok=%v)", p, ok)
 	}

@@ -139,7 +139,7 @@ func TestClassifyOneMatchesBatchOnTies(t *testing.T) {
 	s, labels := tieHeavySpace(t, 40, 4, 63)
 	batch := Classify(s, labels, 5)
 	for _, bp := range batch {
-		one, ok := ClassifyOne(s, labels, bp.Word, 5)
+		one, ok := NewClassifier(s, nil, labels).One(bp.Word, 5)
 		if !ok || one != bp {
 			t.Fatalf("%s: one=%+v batch=%+v", bp.Word, one, bp)
 		}
