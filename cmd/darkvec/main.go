@@ -117,17 +117,13 @@ func runVerify(w io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	integrity := "no checksum (legacy pre-footer file)"
-	if info.Checksummed {
-		integrity = "checksum OK"
-	}
 	switch info.Kind {
 	case "checkpoint":
-		fmt.Fprintf(w, "%s: checkpoint, %d words, dim %d, epoch %d, %s\n",
-			path, info.Words, info.Dim, info.Epoch, integrity)
+		fmt.Fprintf(w, "%s: checkpoint, %d words, dim %d, epoch %d, checksum OK\n",
+			path, info.Words, info.Dim, info.Epoch)
 	default:
-		fmt.Fprintf(w, "%s: model, %d words, dim %d, %s\n",
-			path, info.Words, info.Dim, integrity)
+		fmt.Fprintf(w, "%s: model, %d words, dim %d, checksum OK\n",
+			path, info.Words, info.Dim)
 	}
 	return nil
 }

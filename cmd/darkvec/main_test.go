@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/darkvec/darkvec/internal/darksim"
 	"github.com/darkvec/darkvec/internal/labels"
+	"github.com/darkvec/darkvec/internal/robust"
 	"github.com/darkvec/darkvec/internal/w2v"
 )
 
@@ -214,6 +216,15 @@ func TestVerifyCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cut exactly at the footer boundary: where a torn save stops.
+	torn := filepath.Join(dir, "torn.bin")
+	if err := os.WriteFile(torn, b[:len(b)-robust.FooterSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runVerify(&report, torn); !errors.Is(err, robust.ErrChecksum) {
+		t.Fatalf("verify of a footer-less model = %v, want ErrChecksum", err)
+	}
+
 	b[len(b)/2] ^= 0x20
 	flipped := filepath.Join(dir, "flipped.bin")
 	if err := os.WriteFile(flipped, b, 0o644); err != nil {

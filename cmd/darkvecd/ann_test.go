@@ -62,9 +62,9 @@ func servedIP(t *testing.T, base string, tr *trace.Trace) string {
 // TestANNValidation pins the flag validation for the ANN knobs.
 func TestANNValidation(t *testing.T) {
 	o := baseOpts("trace.csv")
-	o.ann = "sometimes"
+	o.annMin = -1
 	if err := o.validate(); err == nil {
-		t.Fatal("bad -ann mode must fail validation")
+		t.Fatal("negative -annmin must fail validation")
 	}
 	o = baseOpts("trace.csv")
 	o.annCells = -1
@@ -76,44 +76,40 @@ func TestANNValidation(t *testing.T) {
 	if err := o.validate(); err == nil {
 		t.Fatal("negative -annprobe must fail validation")
 	}
-	for _, mode := range []string{"", "auto", "on", "off"} {
+	for _, min := range []int{0, 1, 16384} {
 		o = baseOpts("trace.csv")
-		o.ann = mode
+		o.annMin = min
 		if err := o.validate(); err != nil {
-			t.Fatalf("-ann %q should validate: %v", mode, err)
+			t.Fatalf("-annmin %d should validate: %v", min, err)
 		}
 	}
 }
 
-// TestANNAutoSelection pins annWanted: auto rides the -annmin threshold,
-// on/off override it in both directions.
+// TestANNAutoSelection pins annWanted: the index rides the -annmin
+// threshold, 1 builds at any size and 0 never builds.
 func TestANNAutoSelection(t *testing.T) {
 	o := baseOpts("t")
-	o.ann, o.annMin = "auto", 1000
+	o.annMin = 1000
 	if o.annWanted(999) || !o.annWanted(1000) {
-		t.Fatal("auto mode must flip exactly at -annmin")
+		t.Fatal("selection must flip exactly at -annmin")
 	}
-	o.ann = "on"
+	o.annMin = 1
 	if !o.annWanted(1) {
-		t.Fatal("-ann on must build at any size")
+		t.Fatal("-annmin 1 must build at any size")
 	}
-	o.ann = "off"
+	o.annMin = 0
 	if o.annWanted(1 << 20) {
-		t.Fatal("-ann off must never build")
-	}
-	o.ann, o.annMin = "auto", 0
-	if o.annWanted(1 << 20) {
-		t.Fatal("auto with -annmin 0 must never build (0 disables the threshold)")
+		t.Fatal("-annmin 0 must never build")
 	}
 }
 
-// TestDaemonServesANN boots a daemon with -ann on and checks the serving
+// TestDaemonServesANN boots a daemon with -annmin 1 and checks the serving
 // contract end to end: /v1/model reports mode ivf with index stats, and
 // similarity + classification answer through the index.
 func TestDaemonServesANN(t *testing.T) {
 	tracePath, tr := writeTestTrace(t, t.TempDir())
 	o := baseOpts(tracePath)
-	o.ann = "on"
+	o.annMin = 1
 	o.annQuant = true
 	base, shutdown := annDaemon(t, o)
 	defer shutdown()
@@ -168,7 +164,7 @@ func TestDaemonServesANN(t *testing.T) {
 func TestDaemonANNBuildFailureDegrades(t *testing.T) {
 	tracePath, tr := writeTestTrace(t, t.TempDir())
 	o := baseOpts(tracePath)
-	o.ann = "on"
+	o.annMin = 1
 	o.annBuild = func(*embed.Space, embed.IVFOptions) (*embed.IVF, error) {
 		return nil, errors.New("synthetic index failure")
 	}
@@ -216,12 +212,12 @@ func TestDaemonANNBuildFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestDaemonANNOffStaysExact: the default auto mode below threshold (and
-// explicit off) serve exact with no index block and no degradation.
+// TestDaemonANNOffStaysExact: -annmin 0 serves exact with no index block
+// and no degradation.
 func TestDaemonANNOffStaysExact(t *testing.T) {
 	tracePath, _ := writeTestTrace(t, t.TempDir())
 	o := baseOpts(tracePath)
-	o.ann = "off"
+	o.annMin = 0
 	base, shutdown := annDaemon(t, o)
 	defer shutdown()
 

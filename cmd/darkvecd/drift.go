@@ -11,10 +11,10 @@ import (
 
 	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/drift"
+	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/labels"
 	"github.com/darkvec/darkvec/internal/modelstore"
 	"github.com/darkvec/darkvec/internal/netutil"
-	"github.com/darkvec/darkvec/internal/trace"
 )
 
 // auxDrift is the modelstore sidecar slot holding the gate history.
@@ -75,11 +75,11 @@ func (d *daemon) initDrift() {
 }
 
 // captureGeneration freezes a candidate (or freshly booted) generation
-// for comparison: the eval-window space, its clustering, ground-truth
-// classes for the per-class shift table, and interner ids as stable
-// matching keys so the same sender is recognised across retrains.
-func (d *daemon) captureGeneration(emb *core.Embedding, tr *trace.Trace, gt *labels.Set, version string) (*drift.Snapshot, error) {
-	space, _ := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+// for comparison: its eval-window space — the one serve() swaps in — its
+// clustering, ground-truth classes for the per-class shift table, and
+// interner ids as stable matching keys so the same sender is recognised
+// across retrains.
+func (d *daemon) captureGeneration(space *embed.Space, gt *labels.Set, version string) (*drift.Snapshot, error) {
 	cl := core.Cluster(space, d.o.kPrime, d.o.seed)
 	in := d.trainInterner()
 	classFn := func(word string) string {
@@ -205,15 +205,15 @@ func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, versi
 // driftBootstrap captures the boot-time generation (trained or loaded
 // from the store) as the gate's first baseline. Best effort: a capture
 // failure leaves the gate waiting for the first retrain to seed it.
-func (d *daemon) driftBootstrap(emb *core.Embedding, tr *trace.Trace, gt *labels.Set, v modelstore.Version) {
-	if emb == nil || !d.driftEnabled() {
+func (d *daemon) driftBootstrap(space *embed.Space, gt *labels.Set, v modelstore.Version) {
+	if !d.driftEnabled() {
 		return
 	}
 	name := d.nextCandidateName()
 	if v != 0 {
 		name = v.String()
 	}
-	snap, err := d.captureGeneration(emb, tr, gt, name)
+	snap, err := d.captureGeneration(space, gt, name)
 	if err != nil {
 		d.o.logf("drift: baseline capture: %v", err)
 		return

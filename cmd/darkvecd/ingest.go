@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -44,9 +43,10 @@ func listenIngest(addr string) (net.Listener, error) {
 	return net.Listen("tcp", addr)
 }
 
-// startIngest builds the ingestor, seeds its window, and starts the
-// configured sources. The returned ingestor is live immediately; events
-// buffer in the window until the retrain loop picks them up.
+// startIngest builds the ingestor, rebuilds its window (-in seed, then WAL
+// replay), and starts the configured sources. The ingestor is live
+// immediately; events buffer in the window until the retrain loop picks
+// them up.
 func (d *daemon) startIngest() error {
 	o := d.o
 	policy, err := parsePolicy(o.ingestPolicy)
@@ -106,11 +106,24 @@ func (d *daemon) startIngest() error {
 	}
 	d.ing = stream.New(cfg)
 
-	// Rebuild the window from the WAL first: it holds everything accepted
-	// up to the crash (per fsync policy), a strict superset of what a
-	// clean shutdown would have flushed. Replayed events are accounted as
-	// parsed records so /v1/ingest shows parsed = replayed + quarantined
-	// exactly after a recovery boot.
+	// Rebuild the window in the order it was built: the -in base trace
+	// first, then the WAL on top of it — the same order as the first boot,
+	// so the head-only age eviction expires the same seed events it had
+	// expired in the running window. Seeds bypass the wire pipeline and the
+	// WAL: the log holds live-accepted events only, so replay never doubles
+	// a seed.
+	if o.in != "" {
+		tr, rep, err := trace.ReadFile(o.in, o.maxErr)
+		if err != nil {
+			return fmt.Errorf("seed from -in: %w", err)
+		}
+		d.ing.Window().AddBatch(tr.Events)
+		o.logf("seeded window with %d events from %s (%s)", tr.Len(), o.in, rep)
+	}
+
+	// The WAL holds everything accepted up to the stop (per fsync policy).
+	// Replayed events are accounted as parsed records so /v1/ingest shows
+	// parsed = replayed + quarantined exactly after a recovery boot.
 	if d.walLog != nil {
 		win, rep := d.ing.Window(), d.ing.Report()
 		if err := d.walLog.Replay(func(e trace.Event) error {
@@ -126,31 +139,6 @@ func (d *daemon) startIngest() error {
 		if d.walReplayed > 0 || d.walQuarantined > 0 {
 			o.logf("wal: rebuilt window from %s: %d events replayed, %d quarantined", o.wal, d.walReplayed, d.walQuarantined)
 		}
-	}
-
-	// Seed the window so a restart (or a static -in base corpus) does not
-	// begin from an empty model horizon: the previous run's flushed window
-	// — unless the WAL already rebuilt it, which supersedes the flush (the
-	// flush is at best a clean-shutdown subset of the log) — then the -in
-	// trace. Seeds bypass the wire pipeline and the WAL: the log holds
-	// live-accepted events only, so replay never doubles a seed.
-	if o.flush != "" && d.walReplayed == 0 {
-		if st, err := os.Stat(o.flush); err == nil && st.Size() > 0 {
-			tr, rep, err := trace.ReadFile(o.flush, o.maxErr)
-			if err != nil {
-				return fmt.Errorf("seed from -flush: %w", err)
-			}
-			d.ing.Window().AddBatch(tr.Events)
-			o.logf("seeded window with %d events from %s (%s)", tr.Len(), o.flush, rep)
-		}
-	}
-	if o.in != "" {
-		tr, rep, err := trace.ReadFile(o.in, o.maxErr)
-		if err != nil {
-			return fmt.Errorf("seed from -in: %w", err)
-		}
-		d.ing.Window().AddBatch(tr.Events)
-		o.logf("seeded window with %d events from %s (%s)", tr.Len(), o.in, rep)
 	}
 
 	if o.ingest != "" {
@@ -251,34 +239,4 @@ func (d *daemon) stale() (bool, string) {
 		details[i] = c.detail
 	}
 	return true, strings.Join(details, "; ")
-}
-
-// flushWindow drains the rolling window to -flush atomically (tmp +
-// rename), so the next boot re-seeds from exactly what was buffered and a
-// crash mid-flush never leaves a torn file where a good seed used to be.
-func (d *daemon) flushWindow() error {
-	if d.o.flush == "" || d.ing == nil {
-		return nil
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(d.o.flush), ".flush-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := d.ing.Window().WriteCSV(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), d.o.flush); err != nil {
-		return err
-	}
-	d.o.logf("flushed %d window events to %s", d.ing.Window().Len(), d.o.flush)
-	return nil
 }

@@ -10,13 +10,11 @@
 // before training starts, so liveness probes answer immediately while the
 // readiness probe flips only once the model is servable. Dirty inputs can
 // be tolerated with -maxerr (skip-and-count under an error budget; the
-// ingest report is printed). Long training runs checkpoint after every
-// epoch with -checkpoint, and -resume continues an interrupted run from
-// the last completed epoch with byte-identical results. SIGINT/SIGTERM
-// trigger a graceful shutdown: training is cancelled (leaving a resumable
-// checkpoint) or in-flight requests are drained before exit. Every request
-// runs behind panic recovery, a per-request timeout (-timeout) and an
-// in-flight concurrency cap (-maxinflight).
+// ingest report is printed). SIGINT/SIGTERM trigger a graceful shutdown:
+// a boot-time training run is cancelled (the next boot trains again, or
+// boots from the store) or in-flight requests are drained before exit.
+// Every request runs behind panic recovery, a per-request timeout
+// (-timeout) and an in-flight concurrency cap (-maxinflight).
 //
 // With -store, trained models are published into a versioned, checksummed
 // model store: on boot the daemon serves the newest intact generation
@@ -32,12 +30,14 @@
 // churn. Every response from a store-managed daemon carries
 // X-DarkVec-Model-Version.
 //
+// The model store and the write-ahead log (-wal, which rebuilds the live
+// window on boot) are the only state a restart reads.
+//
 // Endpoints:
 //
 //	GET /healthz/live   — process is up (200 even while training)
 //	GET /healthz/ready  — model trained and serving (503 until then;
 //	                      "degraded" + last_error when retraining fails)
-//	GET /healthz        — legacy readiness alias
 //	GET /v1/stats
 //	GET /v1/similar?ip=1.2.3.4&k=10
 //	GET /v1/classify?ip=1.2.3.4&k=7
@@ -46,13 +46,13 @@
 //	GET /v1/model      — serving generation, space size, exact-vs-IVF mode
 //
 // At scale, similarity and classification queries can ride an IVF
-// cell-probe index instead of the exact scan: -ann auto (default) builds it
-// when the space reaches -annmin senders, -ann on forces it, -ann off pins
-// exact search. The index is rebuilt for every generation inside the
-// retrain cycle before the atomic swap; -annprobe 0 auto-calibrates the
-// probed cell count to a 0.99 sampled recall. A failed index build serves
-// the generation exactly instead (degradation visible on /v1/model and
-// /healthz/ready), never refusing traffic.
+// cell-probe index instead of the exact scan: it is built when the space
+// reaches -annmin senders (1 = always, 0 = never: exact search only). The
+// index is rebuilt for every generation inside the retrain cycle before
+// the atomic swap; -annprobe 0 auto-calibrates the probed cell count to a
+// 0.99 sampled recall. A failed index build serves the generation exactly
+// instead (degradation visible on /v1/model and /healthz/ready), never
+// refusing traffic.
 package main
 
 import (
@@ -106,8 +106,6 @@ type options struct {
 	evalDays    int
 	seed        uint64
 	maxErr      int64
-	checkpoint  string
-	resume      bool
 	pprofAddr   string // loopback-only pprof listener ("" = off)
 	reqTimeout  time.Duration
 	maxInFlight int
@@ -123,17 +121,15 @@ type options struct {
 	// The index is rebuilt for every generation inside the retrain cycle,
 	// before the atomic gate swap; a failed build degrades to exact search,
 	// it never blocks serving.
-	ann      string // auto | on | off: when the index is built
-	annMin   int    // auto mode builds the index only at >= this many senders
-	annCells int    // coarse cells (0 = sqrt of the space size)
-	annProbe int    // cells probed per query (0 = calibrate to 0.99 recall)
-	annQuant bool   // scan members through the int8-quantized sidecar
+	annMin   int  // build the index at >= this many senders (1 = always, 0 = never)
+	annCells int  // coarse cells (0 = sqrt of the space size)
+	annProbe int  // cells probed per query (0 = calibrate to 0.99 recall)
+	annQuant bool // scan members through the int8-quantized sidecar
 
 	// Live ingestion (see ingest.go). Either source makes the daemon
 	// retrain on the rolling window instead of re-reading -in.
 	ingest        string        // live-feed listener: host:port or unix:/path ("" = off)
 	follow        string        // tail-follow this file as a live source ("" = off)
-	flush         string        // window drain/seed file for restarts ("" = off)
 	ingestRate    float64       // per-source admission rate, events/sec (0 = unlimited)
 	ingestIdle    time.Duration // per-connection read deadline
 	ingestStall   time.Duration // silence before the feed counts as stalled
@@ -147,7 +143,7 @@ type options struct {
 	// Durable ingestion (see ingest.go): every event the queue accepts is
 	// appended to a crash-consistent write-ahead log before it enters the
 	// window, and boot replays the log to rebuild the window.
-	wal      string // WAL directory ("" = window is memory-only between flushes)
+	wal      string // WAL directory ("" = the live window does not survive a restart)
 	walFsync string // fsync policy: always | interval | off
 	walSeg   int64  // segment rotation size, bytes (0 = default 64 MiB)
 
@@ -177,58 +173,59 @@ type options struct {
 	annBuild       func(*embed.Space, embed.IVFOptions) (*embed.IVF, error) // test hook: fault injection on index builds
 }
 
+// register declares every daemon flag on fs, bound to o's fields.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.in, "in", "", "input trace (.csv or .pcap)")
+	fs.StringVar(&o.feedsDir, "feeds", "", "directory of <class>.txt IP feeds")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8080", "HTTP listen address")
+	fs.IntVar(&o.dim, "dim", 50, "embedding dimension V")
+	fs.IntVar(&o.window, "window", 25, "context window c")
+	fs.IntVar(&o.epochs, "epochs", 10, "training epochs")
+	fs.IntVar(&o.kPrime, "kprime", 3, "clustering graph out-degree")
+	fs.IntVar(&o.evalDays, "evaldays", 1, "serve the senders of the final N days")
+	fs.Uint64Var(&o.seed, "seed", 1, "training seed")
+	fs.Int64Var(&o.maxErr, "maxerr", 0, "tolerate up to N malformed input records (0 = strict)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = off)")
+	fs.DurationVar(&o.reqTimeout, "timeout", apiserver.DefaultRequestTimeout, "per-request timeout (0 = none)")
+	fs.IntVar(&o.maxInFlight, "maxinflight", apiserver.DefaultMaxInFlight, "max concurrent requests before shedding (0 = unlimited)")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
+	fs.StringVar(&o.store, "store", "", "model store directory (versioned, checksummed artifacts)")
+	fs.DurationVar(&o.retrain, "retrain", 0, "background retrain interval (0 = never; requires -store)")
+	fs.BoolVar(&o.warm, "warm", false, "warm-start retrains: seed from the previous generation's vectors and train only the window delta (falls back to cold on any mismatch)")
+	fs.IntVar(&o.keep, "keep", 3, "model store generations kept after each publish")
+	fs.IntVar(&o.retrainFail, "retrainfail", 5, "consecutive retrain failures before the circuit breaker gives up")
+	fs.StringVar(&o.vantage, "vantage", "", "vantage point name: tags untagged live events and the /v1/intern export")
+	fs.IntVar(&o.annMin, "annmin", 16384, "build the approximate k-NN index when the space holds at least this many senders (1 = always, 0 = never)")
+	fs.IntVar(&o.annCells, "anncells", 0, "ANN coarse cells (0 = sqrt of the space size)")
+	fs.IntVar(&o.annProbe, "annprobe", 0, "ANN cells probed per query (0 = calibrate to 0.99 sampled recall)")
+	fs.BoolVar(&o.annQuant, "annquant", false, "ANN scans through the int8-quantized vector sidecar (4x less memory traffic)")
+	fs.StringVar(&o.ingest, "ingest", "", "live-feed listener (host:port or unix:/path) speaking the CSV line protocol")
+	fs.StringVar(&o.follow, "follow", "", "tail-follow this file as a live event source")
+	fs.Float64Var(&o.ingestRate, "ingestrate", 0, "per-source ingest rate limit, events/sec (0 = unlimited)")
+	fs.DurationVar(&o.ingestIdle, "ingestidle", stream.DefaultIdleTimeout, "cut a live connection after this long without a line")
+	fs.DurationVar(&o.ingestStall, "ingeststall", stream.DefaultStallAfter, "report degraded after this long without any live event")
+	fs.IntVar(&o.ingestCap, "ingestcap", 1<<20, "live window hard cap, events")
+	fs.DurationVar(&o.ingestAge, "ingestage", 24*time.Hour, "live window event-time horizon")
+	fs.IntVar(&o.ingestQueue, "ingestqueue", stream.DefaultQueueSize, "live ingest queue capacity")
+	fs.StringVar(&o.ingestPolicy, "ingestpolicy", "shed-newest", "full-queue drop policy: shed-newest or drop-oldest")
+	fs.IntVar(&o.ingestMin, "ingestmin", 100, "window events required before a retrain cycle runs")
+	fs.IntVar(&o.ingestMinPkts, "ingestminpkts", 1, "senders need >= P buffered packets to enter a retrain (the paper's active-sender filter)")
+	fs.StringVar(&o.wal, "wal", "", "write-ahead log directory: accepted live events are durable before entering the window, and boot replays them")
+	fs.StringVar(&o.walFsync, "walfsync", "always", "WAL fsync policy: always (zero loss), interval (bounded loss) or off (OS-decided)")
+	fs.Int64Var(&o.walSeg, "walseg", 0, "WAL segment rotation size in bytes (0 = 64 MiB)")
+	fs.Float64Var(&o.driftMax, "driftmax", 0, "reject a retrain whose composite drift score exceeds this (0 = off)")
+	fs.Float64Var(&o.driftChurn, "driftchurn", 0, "reject a retrain whose vocabulary churn exceeds this (0 = off)")
+	fs.Float64Var(&o.driftOverlap, "driftoverlap", 0, "reject a retrain whose k-NN neighbourhood overlap falls below this (0 = off)")
+	fs.Float64Var(&o.driftSilDrop, "driftsildrop", 0, "reject a retrain whose mean silhouette drops by more than this (0 = off)")
+	fs.Float64Var(&o.driftShift, "driftshift", 0, "reject a retrain with a per-class centroid shift above this (0 = off)")
+	fs.Float64Var(&o.driftNew, "driftnew", 0, "reject a retrain where a larger fraction of senders lives in majority-new clusters (0 = off)")
+	fs.IntVar(&o.driftK, "driftk", 10, "neighbourhood size for the drift overlap metric")
+	fs.IntVar(&o.driftHist, "drifthist", drift.DefaultHistorySize, "drift gate decisions retained (persisted with -store)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.in, "in", "", "input trace (.csv or .pcap)")
-	flag.StringVar(&o.feedsDir, "feeds", "", "directory of <class>.txt IP feeds")
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8080", "HTTP listen address")
-	flag.IntVar(&o.dim, "dim", 50, "embedding dimension V")
-	flag.IntVar(&o.window, "window", 25, "context window c")
-	flag.IntVar(&o.epochs, "epochs", 10, "training epochs")
-	flag.IntVar(&o.kPrime, "kprime", 3, "clustering graph out-degree")
-	flag.IntVar(&o.evalDays, "evaldays", 1, "serve the senders of the final N days")
-	flag.Uint64Var(&o.seed, "seed", 1, "training seed")
-	flag.Int64Var(&o.maxErr, "maxerr", 0, "tolerate up to N malformed input records (0 = strict)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file written after every training epoch")
-	flag.BoolVar(&o.resume, "resume", false, "resume training from -checkpoint if it exists")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = off)")
-	flag.DurationVar(&o.reqTimeout, "timeout", apiserver.DefaultRequestTimeout, "per-request timeout (0 = none)")
-	flag.IntVar(&o.maxInFlight, "maxinflight", apiserver.DefaultMaxInFlight, "max concurrent requests before shedding (0 = unlimited)")
-	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
-	flag.StringVar(&o.store, "store", "", "model store directory (versioned, checksummed artifacts)")
-	flag.DurationVar(&o.retrain, "retrain", 0, "background retrain interval (0 = never; requires -store)")
-	flag.BoolVar(&o.warm, "warm", false, "warm-start retrains: seed from the previous generation's vectors and train only the window delta (falls back to cold on any mismatch)")
-	flag.IntVar(&o.keep, "keep", 3, "model store generations kept after each publish")
-	flag.IntVar(&o.retrainFail, "retrainfail", 5, "consecutive retrain failures before the circuit breaker gives up")
-	flag.StringVar(&o.vantage, "vantage", "", "vantage point name: tags untagged live events and the /v1/intern export")
-	flag.StringVar(&o.ann, "ann", "auto", "approximate k-NN index: auto (build at >= -annmin senders), on, or off")
-	flag.IntVar(&o.annMin, "annmin", 16384, "auto ANN threshold: build the index when the space holds at least this many senders")
-	flag.IntVar(&o.annCells, "anncells", 0, "ANN coarse cells (0 = sqrt of the space size)")
-	flag.IntVar(&o.annProbe, "annprobe", 0, "ANN cells probed per query (0 = calibrate to 0.99 sampled recall)")
-	flag.BoolVar(&o.annQuant, "annquant", false, "ANN scans through the int8-quantized vector sidecar (4x less memory traffic)")
-	flag.StringVar(&o.ingest, "ingest", "", "live-feed listener (host:port or unix:/path) speaking the CSV line protocol")
-	flag.StringVar(&o.follow, "follow", "", "tail-follow this file as a live event source")
-	flag.StringVar(&o.flush, "flush", "", "drain the live window to this CSV on shutdown and re-seed from it on boot")
-	flag.Float64Var(&o.ingestRate, "ingestrate", 0, "per-source ingest rate limit, events/sec (0 = unlimited)")
-	flag.DurationVar(&o.ingestIdle, "ingestidle", stream.DefaultIdleTimeout, "cut a live connection after this long without a line")
-	flag.DurationVar(&o.ingestStall, "ingeststall", stream.DefaultStallAfter, "report degraded after this long without any live event")
-	flag.IntVar(&o.ingestCap, "ingestcap", 1<<20, "live window hard cap, events")
-	flag.DurationVar(&o.ingestAge, "ingestage", 24*time.Hour, "live window event-time horizon")
-	flag.IntVar(&o.ingestQueue, "ingestqueue", stream.DefaultQueueSize, "live ingest queue capacity")
-	flag.StringVar(&o.ingestPolicy, "ingestpolicy", "shed-newest", "full-queue drop policy: shed-newest or drop-oldest")
-	flag.IntVar(&o.ingestMin, "ingestmin", 100, "window events required before a retrain cycle runs")
-	flag.IntVar(&o.ingestMinPkts, "ingestminpkts", 1, "senders need >= P buffered packets to enter a retrain (the paper's active-sender filter)")
-	flag.StringVar(&o.wal, "wal", "", "write-ahead log directory: accepted live events are durable before entering the window, and boot replays them")
-	flag.StringVar(&o.walFsync, "walfsync", "always", "WAL fsync policy: always (zero loss), interval (bounded loss) or off (OS-decided)")
-	flag.Int64Var(&o.walSeg, "walseg", 0, "WAL segment rotation size in bytes (0 = 64 MiB)")
-	flag.Float64Var(&o.driftMax, "driftmax", 0, "reject a retrain whose composite drift score exceeds this (0 = off)")
-	flag.Float64Var(&o.driftChurn, "driftchurn", 0, "reject a retrain whose vocabulary churn exceeds this (0 = off)")
-	flag.Float64Var(&o.driftOverlap, "driftoverlap", 0, "reject a retrain whose k-NN neighbourhood overlap falls below this (0 = off)")
-	flag.Float64Var(&o.driftSilDrop, "driftsildrop", 0, "reject a retrain whose mean silhouette drops by more than this (0 = off)")
-	flag.Float64Var(&o.driftShift, "driftshift", 0, "reject a retrain with a per-class centroid shift above this (0 = off)")
-	flag.Float64Var(&o.driftNew, "driftnew", 0, "reject a retrain where a larger fraction of senders lives in majority-new clusters (0 = off)")
-	flag.IntVar(&o.driftK, "driftk", 10, "neighbourhood size for the drift overlap metric")
-	flag.IntVar(&o.driftHist, "drifthist", drift.DefaultHistorySize, "drift gate decisions retained (persisted with -store)")
+	o.register(flag.CommandLine)
 	flag.Parse()
 	if o.in == "" && !o.live() {
 		flag.Usage()
@@ -266,9 +263,6 @@ func (o *options) validate() error {
 	}
 	if o.maxErr < 0 {
 		return fmt.Errorf("invalid -maxerr %d: must be >= 0", o.maxErr)
-	}
-	if o.resume && o.checkpoint == "" {
-		return errors.New("-resume requires -checkpoint")
 	}
 	if o.pprofAddr != "" {
 		host, _, err := net.SplitHostPort(o.pprofAddr)
@@ -358,11 +352,6 @@ func (o *options) validate() error {
 	}
 	if o.retrainFail < 0 {
 		return fmt.Errorf("invalid -retrainfail %d: must be >= 0", o.retrainFail)
-	}
-	switch o.ann {
-	case "", "auto", "on", "off":
-	default:
-		return fmt.Errorf("invalid -ann %q: must be auto, on or off", o.ann)
 	}
 	if o.annMin < 0 {
 		return fmt.Errorf("invalid -annmin %d: must be >= 0", o.annMin)
@@ -465,18 +454,20 @@ func run(ctx context.Context, o options) error {
 	}
 	d.initDrift()
 
-	// The boot corpus: live mode seeds the rolling window (previous flush
-	// + optional -in base trace) and snapshots it; static mode reads -in.
+	// The boot corpus: live mode rebuilds the rolling window (optional -in
+	// base trace, then the WAL) and snapshots it through the same
+	// active-sender filter every retrain uses; static mode reads -in.
 	var tr *trace.Trace
 	if o.live() {
 		if err := d.startIngest(); err != nil {
 			return err
 		}
-		// LIFO: the ingestor closes (draining the queue through the WAL)
-		// before the WAL itself is flushed and closed.
+		// The shutdown sequence, run after the HTTP drain so /v1/ingest
+		// answers to the last. LIFO: the ingestor closes first (draining
+		// the queue through the WAL), then the WAL is flushed and closed.
 		defer d.closeWAL()
-		defer d.ing.Close() // idempotent; the drain path closes earlier, explicitly
-		tr = d.ing.Window().Snapshot()
+		defer d.ing.Close()
+		tr = d.ing.Window().SnapshotActive(o.ingestMinPkts)
 	} else {
 		var rep *robust.IngestReport
 		tr, rep, err = trace.ReadFile(o.in, o.maxErr)
@@ -564,27 +555,20 @@ func run(ctx context.Context, o options) error {
 			// Nothing to train on yet. Serve 503s until the live window
 			// reaches -ingestmin and the retrain loop trains the first
 			// model; the ingest endpoints answer meanwhile.
-			o.logf("live window holds %d events (training needs %d); first model deferred to the retrain loop", tr.Len(), o.ingestMin)
+			o.logf("live window holds %d trainable events (training needs %d); first model deferred to the retrain loop", tr.Len(), o.ingestMin)
 		} else {
 			o.logf("training on %d events (%d days)...", tr.Len(), tr.Days())
 			emb, err = core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{
-				Context:        ctx,
-				CheckpointPath: o.checkpoint,
-				Resume:         o.resume,
-				Interner:       d.trainInterner(),
+				Context:  ctx,
+				Interner: d.trainInterner(),
 			})
 			if err != nil {
 				httpSrv.Close()
 				<-serveErr
 				if errors.Is(err, context.Canceled) {
-					// Interrupted by SIGINT/SIGTERM: a graceful exit. With
-					// -checkpoint set, the last completed epoch is on disk and
-					// -resume picks it up next start.
-					if o.checkpoint != "" {
-						o.logf("training interrupted; resumable checkpoint at %s", o.checkpoint)
-					} else {
-						o.logf("training interrupted")
-					}
+					// Interrupted by SIGINT/SIGTERM: a graceful exit. Nothing
+					// is left behind; the next boot trains again.
+					o.logf("training interrupted")
 					return nil
 				}
 				return err
@@ -603,10 +587,11 @@ func run(ctx context.Context, o options) error {
 		}
 	}
 	if emb != nil {
-		d.serve(emb, tr, gt, version)
+		space, cov := emb.EvalSpace(tr.LastDays(o.evalDays), nil)
+		d.serve(emb, space, cov, tr, gt, version)
 		// The boot-time generation seeds the gate's baseline, so the very
 		// first retrain is already judged against it.
-		d.driftBootstrap(emb, tr, gt, version)
+		d.driftBootstrap(space, gt, version)
 	}
 	var retrainDone chan struct{}
 	if o.retrain > 0 && (d.st != nil || o.live()) {
@@ -633,16 +618,6 @@ func run(ctx context.Context, o options) error {
 			// canceled context, and nothing may touch the store or window
 			// after run returns.
 			<-retrainDone
-		}
-		if d.ing != nil {
-			// Stop the feed after the HTTP drain (so /v1/ingest answered
-			// to the last), apply everything still queued to the window,
-			// then flush the window for the next boot's seed.
-			d.ing.Close()
-			if err := d.flushWindow(); err != nil {
-				return fmt.Errorf("window flush: %w", err)
-			}
-			d.closeWAL()
 		}
 		return nil
 	}
@@ -867,16 +842,9 @@ func (d *daemon) publishVerified(emb *core.Embedding) (modelstore.Version, error
 }
 
 // annWanted reports whether the approximate index should be built for a
-// space of n senders under the -ann mode.
+// space of n senders: at -annmin and above, never when -annmin is 0.
 func (o *options) annWanted(n int) bool {
-	switch o.ann {
-	case "on":
-		return true
-	case "off":
-		return false
-	default: // auto ("" when constructed in code)
-		return n >= o.annMin && o.annMin > 0
-	}
+	return n >= o.annMin && o.annMin > 0
 }
 
 // buildANN builds the IVF index for a freshly evaluated space, before the
@@ -914,11 +882,11 @@ func (d *daemon) buildANN(space *embed.Space) string {
 	return ""
 }
 
-// serve swaps a model into the gate. The swap is atomic: in-flight
-// requests finish on the generation they started with, new ones land on
-// the fresh model, nothing is dropped.
-func (d *daemon) serve(emb *core.Embedding, tr *trace.Trace, gt *labels.Set, v modelstore.Version) {
-	space, cov := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+// serve swaps a model into the gate over its eval space — the one the
+// drift gate judged. The swap is atomic: in-flight requests finish on the
+// generation they started with, new ones land on the fresh model, nothing
+// is dropped.
+func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr *trace.Trace, gt *labels.Set, v modelstore.Version) {
 	ver := ""
 	if v != 0 {
 		ver = v.String()
@@ -1018,6 +986,10 @@ func (d *daemon) retrainOnce(ctx context.Context) error {
 			ws.Seeded, ws.Fresh, ws.Retired, ws.DeltaFrac*100, ws.Epochs, d.o.epochs, trainDur.Round(time.Millisecond))
 	}
 
+	// One eval space per generation: the gate judges exactly the space
+	// that is served.
+	space, cov := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+
 	// The quality gate runs before publish: a drifted candidate is never
 	// persisted, never swapped in, and fails the cycle exactly like a
 	// corrupt artifact — same degraded markers, same backoff, same breaker.
@@ -1026,7 +998,7 @@ func (d *daemon) retrainOnce(ctx context.Context) error {
 	if d.driftEnabled() {
 		var reasons []string
 		rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "drift-check"), func(context.Context) {
-			snap, err = d.captureGeneration(emb, tr, gt, d.nextCandidateName())
+			snap, err = d.captureGeneration(space, gt, d.nextCandidateName())
 			if err != nil {
 				err = fmt.Errorf("drift capture: %w", err)
 				return
@@ -1054,7 +1026,7 @@ func (d *daemon) retrainOnce(ctx context.Context) error {
 		}
 	}
 	d.setRetrainInfo(mode, trainDur, emb.Epochs, warmFallback)
-	d.serve(emb, tr, gt, v)
+	d.serve(emb, space, cov, tr, gt, v)
 	ver := ""
 	if v != 0 {
 		ver = v.String()

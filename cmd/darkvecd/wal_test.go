@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/darkvec/darkvec/internal/darksim"
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/robust/faultio"
@@ -159,54 +160,48 @@ func TestWALCrashReplayStorm(t *testing.T) {
 	}
 }
 
-// TestWALPrecedenceOverFlush: when both a -flush seed and a WAL exist, the
-// WAL wins — it is a superset of any clean-shutdown flush, and seeding
-// both would double-count.
-func TestWALPrecedenceOverFlush(t *testing.T) {
+// TestLiveRestartKeepsWindowOnce: clean restarts leave the window exactly
+// as it was. A 2-day -in seed, then a 3-day live feed through a
+// -walfsync off log whose newest events expire the seed's oldest under
+// the default 24 h horizon; three SIGTERM reboots with no traffic in
+// between must each rebuild the events and senders the running window
+// held — nothing doubled, nothing expired re-admitted.
+func TestLiveRestartKeepsWindowOnce(t *testing.T) {
 	dir := t.TempDir()
 	o := walOpts(dir)
-
-	// A flush file with 5 events...
-	o.flush = filepath.Join(dir, "flush.csv")
-	ff, err := os.Create(o.flush)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := walTrace(5, 1).WriteCSV(ff); err != nil {
-		t.Fatal(err)
-	}
-	ff.Close()
-
-	// ...and a WAL with 3 different ones.
-	log, err := wal.Open(o.wal, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range walTrace(3, 7).Events {
-		if err := log.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	o.walFsync = "off"
+	o.in, _ = writeTestTrace(t, dir)
+	live := darksim.Generate(darksim.Config{Seed: 9, Days: 3, Scale: 0.005, Rate: 0.05}).Trace
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	httpAddr, _, _, runErr := startLive(t, ctx, o)
-	st := getIngestWAL(t, "http://"+httpAddr)
-	if st.WAL == nil || st.WAL.Replayed != 3 {
-		t.Fatalf("replayed = %+v, want 3", st.WAL)
-	}
-	if st.Window.Events != 3 {
-		t.Errorf("window holds %d events, want 3 (WAL must supersede the flush seed)", st.Window.Events)
+	httpAddr, ingestAddr, _, runErr := startLive(t, ctx, o)
+	base := "http://" + httpAddr
+	streamTrace(t, ingestAddr, live)
+	waitFor(t, "live feed applied", func() bool {
+		st := getIngestStats(t, base)
+		return st.Accepted+st.DroppedNewest+st.DroppedOldest == int64(live.Len())
+	})
+	want := getIngestStats(t, base).Window
+	if want.EvictedAge == 0 || want.Events == 0 {
+		t.Fatalf("test premise: the live feed must expire seed events and leave a window: %+v", want)
 	}
 	cancel()
 	if err := <-runErr; err != nil {
-		t.Fatal(err)
+		t.Fatalf("first run: %v", err)
+	}
+
+	for boot := 1; boot <= 3; boot++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		httpAddr, _, _, runErr := startLive(t, ctx, o)
+		got := getIngestStats(t, "http://"+httpAddr).Window
+		if got.Events != want.Events || got.Senders != want.Senders {
+			t.Errorf("reboot %d: window holds %d events from %d senders, want %d from %d",
+				boot, got.Events, got.Senders, want.Events, want.Senders)
+		}
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Fatalf("reboot %d: %v", boot, err)
+		}
 	}
 }
 

@@ -345,7 +345,7 @@ func OpenModelStore(dir string, opts ModelStoreOptions) (*ModelStore, error) {
 }
 
 // VerifyArtifact inspects a saved model or checkpoint stream: kind, shape,
-// and whether its trailing checksum (if present) holds.
+// and whether its trailing checksum holds (a missing one is ErrChecksum).
 func VerifyArtifact(r io.Reader) (ArtifactInfo, error) { return w2v.Verify(r) }
 
 // Live ingestion types (the darkvecd -ingest pipeline: bounded sources

@@ -172,7 +172,6 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/similar", s.handleSimilar)
 	s.mux.HandleFunc("GET /v1/classify", s.handleClassify)
@@ -197,10 +196,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "senders": s.space.Len()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

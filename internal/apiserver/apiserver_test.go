@@ -54,16 +54,12 @@ func getJSON(t *testing.T, url string, wantStatus int, into any) {
 	}
 }
 
+// TestHealthz: a model generation has no health route of its own — health
+// is the daemon's /healthz/live and /healthz/ready, which can say
+// "degraded"; a bare /healthz must not answer "ok" behind their back.
 func TestHealthz(t *testing.T) {
 	srv, _ := server(t)
-	var out map[string]any
-	getJSON(t, srv.URL+"/healthz", http.StatusOK, &out)
-	if out["status"] != "ok" {
-		t.Fatalf("health = %v", out)
-	}
-	if out["senders"].(float64) <= 0 {
-		t.Fatal("no senders reported")
-	}
+	getJSON(t, srv.URL+"/healthz", http.StatusNotFound, nil)
 }
 
 func TestStats(t *testing.T) {
@@ -197,7 +193,7 @@ func TestModelVersionHeader(t *testing.T) {
 	s := New(Config{Space: space, GT: gt, Trace: out.Trace, Seed: 1, ModelVersion: "v000007"})
 
 	rr := httptest.NewRecorder()
-	s.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	s.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/stats", nil))
 	if got := rr.Header().Get("X-DarkVec-Model-Version"); got != "v000007" {
 		t.Fatalf("X-DarkVec-Model-Version = %q", got)
 	}
@@ -205,7 +201,7 @@ func TestModelVersionHeader(t *testing.T) {
 	// Unmanaged servers (no store) must not emit an empty header.
 	s2 := New(Config{Space: space, GT: gt, Trace: out.Trace, Seed: 1})
 	rr = httptest.NewRecorder()
-	s2.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	s2.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/stats", nil))
 	if _, present := rr.Header()["X-Darkvec-Model-Version"]; present {
 		t.Fatal("version header present on unmanaged server")
 	}

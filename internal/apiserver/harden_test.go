@@ -116,12 +116,12 @@ func TestServerDefaultsHardened(t *testing.T) {
 	srv, _ := server(t)
 	// The shared test server uses defaults; just confirm normal routes still
 	// pass through the wrapped chain.
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz through hardened chain = %d", resp.StatusCode)
+		t.Fatalf("stats through hardened chain = %d", resp.StatusCode)
 	}
 }

@@ -535,15 +535,6 @@ func (s *Space) KNNApprox(i, k int) []Neighbor {
 	return s.ann.KNN(i, k)
 }
 
-// KNNBatchApprox is the batched form of KNNApprox, with the exact engine as
-// the no-index fallback.
-func (s *Space) KNNBatchApprox(rows []int, k int) [][]Neighbor {
-	if s.ann == nil {
-		return s.KNNBatch(rows, k)
-	}
-	return s.ann.KNNBatch(rows, k)
-}
-
 // MostSimilarApprox is MostSimilar through the attached index (exact when
 // none), resolving neighbours to words.
 func (s *Space) MostSimilarApprox(word string, k int) ([]Similar, bool) {
@@ -560,33 +551,4 @@ func (s *Space) MostSimilarApprox(word string, k int) ([]Similar, bool) {
 		out[j] = Similar{Word: s.Words[n.Row], Sim: n.Sim}
 	}
 	return out, true
-}
-
-// KNNQuantized is the quantized exact path: a full scan like KNN, but
-// through the int8 sidecar (4x less memory traffic). Builds the sidecar on
-// first use if needed; ordering follows the reconstructed similarities,
-// deterministic like every other path.
-func (s *Space) KNNQuantized(i, k int) []Neighbor {
-	if k <= 0 || s.Len() <= 1 {
-		return nil
-	}
-	s.Quantize()
-	sc := getScratch(s.Len())
-	defer putScratch(sc)
-	dim := s.Dim
-	if cap(sc.qq) < dim {
-		sc.qq = make([]int8, dim)
-	}
-	sc.qq = sc.qq[:dim]
-	qscale := float64(vecmath.Quantize(sc.qq, s.Row(i)))
-	sc.top.reset(k)
-	for row := 0; row < s.Len(); row++ {
-		if row == i {
-			continue
-		}
-		sim := qscale * float64(s.qscales[row]) *
-			float64(vecmath.DotInt8(sc.qq, s.qrows[row*dim:(row+1)*dim]))
-		sc.top.push(row, sim)
-	}
-	return sc.top.sorted()
 }

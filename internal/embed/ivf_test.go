@@ -69,26 +69,28 @@ func TestIVFDeterminismAcrossWorkers(t *testing.T) {
 	for _, quant := range []bool{false, true} {
 		s := clusteredSpace(t, 600, 16, 12, 0.15, 11)
 		s.MaxProcs = 1
-		if _, err := s.BuildIVF(IVFOptions{Seed: 7, Quantized: quant}); err != nil {
+		ix, err := s.BuildIVF(IVFOptions{Seed: 7, Quantized: quant})
+		if err != nil {
 			t.Fatal(err)
 		}
 		rows := make([]int, s.Len())
 		for i := range rows {
 			rows[i] = i
 		}
-		want := s.KNNBatchApprox(rows, 10)
+		want := ix.KNNBatch(rows, 10)
 		for _, workers := range []int{2, 4, 7} {
 			s.MaxProcs = workers
-			got := s.KNNBatchApprox(rows, 10)
+			got := ix.KNNBatch(rows, 10)
 			neighborsEqual(t, fmt.Sprintf("quant=%v workers=%d", quant, workers), want, got)
 		}
 		// A rebuilt index over the same inputs reproduces the same answers.
 		s2 := clusteredSpace(t, 600, 16, 12, 0.15, 11)
 		s2.MaxProcs = 3
-		if _, err := s2.BuildIVF(IVFOptions{Seed: 7, Quantized: quant}); err != nil {
+		ix2, err := s2.BuildIVF(IVFOptions{Seed: 7, Quantized: quant})
+		if err != nil {
 			t.Fatal(err)
 		}
-		neighborsEqual(t, fmt.Sprintf("quant=%v rebuild", quant), want, s2.KNNBatchApprox(rows, 10))
+		neighborsEqual(t, fmt.Sprintf("quant=%v rebuild", quant), want, ix2.KNNBatch(rows, 10))
 	}
 }
 
@@ -118,7 +120,7 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 		rows[i] = i
 	}
 	exact := s.KNNBatch(rows, 10)
-	approx := s.KNNBatchApprox(rows, 10)
+	approx := ix.KNNBatch(rows, 10)
 	if r := recallAtK(exact, approx); r < 0.95 {
 		// The calibration sample guarantees >= 0.99 on the sample; the full
 		// space tracks it closely but is not bound by it — 0.95 is the
@@ -175,7 +177,7 @@ func TestIVFQuantizedRecall(t *testing.T) {
 		rows = append(rows, i)
 	}
 	exact := s.KNNBatch(rows, 10)
-	approx := s.KNNBatchApprox(rows, 10)
+	approx := ix.KNNBatch(rows, 10)
 	simLossAtK(t, s, rows, exact, approx, 0.03)
 	if !ix.Stats().Quantized {
 		t.Fatal("stats should report quantized")
@@ -196,7 +198,6 @@ func TestIVFApproxFallsBackToExact(t *testing.T) {
 		t.Fatal("fresh space should have no index")
 	}
 	rows := []int{0, 5, 44, 89}
-	neighborsEqual(t, "no-index batch", s.KNNBatch(rows, 7), s.KNNBatchApprox(rows, 7))
 	for _, r := range rows {
 		a, b := s.KNN(r, 7), s.KNNApprox(r, 7)
 		neighborsEqual(t, "no-index single", [][]Neighbor{a}, [][]Neighbor{b})
@@ -222,7 +223,9 @@ func TestIVFApproxFallsBackToExact(t *testing.T) {
 		t.Fatal("BuildIVF should attach")
 	}
 	s.SetANN(nil)
-	neighborsEqual(t, "detached batch", s.KNNBatch(rows, 7), s.KNNBatchApprox(rows, 7))
+	for _, r := range rows {
+		neighborsEqual(t, "detached single", [][]Neighbor{s.KNN(r, 7)}, [][]Neighbor{s.KNNApprox(r, 7)})
+	}
 }
 
 // TestIVFExhaustiveProbeMatchesExact: probing every cell scans every row,
@@ -231,14 +234,15 @@ func TestIVFApproxFallsBackToExact(t *testing.T) {
 // consistency check available.
 func TestIVFExhaustiveProbeMatchesExact(t *testing.T) {
 	s := clusteredSpace(t, 400, 12, 8, 0.2, 9)
-	if _, err := s.BuildIVF(IVFOptions{Cells: 10, NProbe: 10, Seed: 4}); err != nil {
+	ix, err := s.BuildIVF(IVFOptions{Cells: 10, NProbe: 10, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	rows := make([]int, s.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	neighborsEqual(t, "exhaustive probe", s.KNNBatch(rows, 9), s.KNNBatchApprox(rows, 9))
+	neighborsEqual(t, "exhaustive probe", s.KNNBatch(rows, 9), ix.KNNBatch(rows, 9))
 }
 
 // TestIVFSubsetEach checks the candidate-restricted scan: hits only within
@@ -426,23 +430,6 @@ func TestIVFStatsShape(t *testing.T) {
 			t.Fatalf("row %d missing from the index", i)
 		}
 	}
-}
-
-// TestKNNQuantizedNearExact: the quantized exact scan tracks the float32
-// engine — full recall cannot be demanded (quantization legitimately
-// reorders near-ties) but the per-rank similarity loss stays within the
-// int8 error bound.
-func TestKNNQuantizedNearExact(t *testing.T) {
-	s := clusteredSpace(t, 800, 24, 10, 0.2, 17)
-	var rows []int
-	exact := make([][]Neighbor, 0, 80)
-	quant := make([][]Neighbor, 0, 80)
-	for i := 0; i < s.Len(); i += 10 {
-		rows = append(rows, i)
-		exact = append(exact, s.KNN(i, 10))
-		quant = append(quant, s.KNNQuantized(i, 10))
-	}
-	simLossAtK(t, s, rows, exact, quant, 0.03)
 }
 
 // TestClusterKMeansUnchanged guards the delegation refactor: the wrapper in

@@ -92,8 +92,7 @@ func (c *ChecksumWriter) WriteFooter() error {
 // ChecksumReader passes reads through from r while accumulating the CRC32C
 // and byte count of everything read. Once the caller has consumed exactly
 // the payload (formats framed with ChecksumWriter are self-delimiting),
-// VerifyFooter checks the trailer — or accepts its absence, for artifacts
-// written before checksum framing existed.
+// VerifyFooter checks the trailer.
 type ChecksumReader struct {
 	r   io.Reader
 	crc uint32
@@ -115,28 +114,23 @@ func (c *ChecksumReader) Sum() (length uint64, crc uint32) { return c.n, c.crc }
 
 // VerifyFooter consumes the checksum footer that must be the next (and
 // last) bytes of the underlying stream and checks it against everything
-// read through the wrapper. It returns found = false (and no error) when
-// the stream ends cleanly with no footer at all — a legacy artifact —
-// and an ErrChecksum-wrapping error for a partial footer, trailing
-// garbage, or a length/CRC mismatch.
-func (c *ChecksumReader) VerifyFooter() (found bool, err error) {
+// read through the wrapper. A missing or partial footer — where a torn
+// write stops — a malformed one, or a length/CRC mismatch returns an
+// ErrChecksum-wrapping error.
+func (c *ChecksumReader) VerifyFooter() error {
 	var buf [FooterSize]byte
-	n, err := io.ReadFull(c.r, buf[:])
-	if n == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-		return false, nil // legacy: payload ends exactly at EOF
-	}
-	if err != nil {
-		return false, fmt.Errorf("%w: truncated footer (%d of %d bytes)", ErrChecksum, n, FooterSize)
+	if n, err := io.ReadFull(c.r, buf[:]); err != nil {
+		return fmt.Errorf("%w: truncated footer (%d of %d bytes)", ErrChecksum, n, FooterSize)
 	}
 	length, crc, err := ParseFooter(buf[:])
 	if err != nil {
-		return false, err
+		return err
 	}
 	if length != c.n {
-		return true, fmt.Errorf("%w: footer declares %d payload bytes, read %d", ErrChecksum, length, c.n)
+		return fmt.Errorf("%w: footer declares %d payload bytes, read %d", ErrChecksum, length, c.n)
 	}
 	if crc != c.crc {
-		return true, fmt.Errorf("%w: CRC32C %08x, footer declares %08x", ErrChecksum, c.crc, crc)
+		return fmt.Errorf("%w: CRC32C %08x, footer declares %08x", ErrChecksum, c.crc, crc)
 	}
-	return true, nil
+	return nil
 }

@@ -36,24 +36,21 @@ func TestChecksumRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload mangled in transit")
 	}
-	found, err := cr.VerifyFooter()
-	if err != nil || !found {
-		t.Fatalf("VerifyFooter = %v, %v; want found, nil", found, err)
+	if err := cr.VerifyFooter(); err != nil {
+		t.Fatalf("VerifyFooter = %v, want nil", err)
 	}
 }
 
+// A stream that ends exactly where the footer should start is where a torn
+// write (payload flushed, footer not yet) stops: it must not verify.
 func TestChecksumLegacyStreamHasNoFooter(t *testing.T) {
-	payload := []byte("pre-footer artifact")
+	payload := []byte("payload flushed, footer not yet")
 	cr := NewChecksumReader(bytes.NewReader(payload))
 	if _, err := io.Copy(io.Discard, cr); err != nil {
 		t.Fatal(err)
 	}
-	found, err := cr.VerifyFooter()
-	if err != nil {
-		t.Fatalf("legacy stream must verify clean, got %v", err)
-	}
-	if found {
-		t.Fatal("legacy stream reported a footer")
+	if err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("footer-less stream verified: %v", err)
 	}
 }
 
@@ -66,7 +63,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 	if _, err := io.CopyN(io.Discard, cr, int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
+	if err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("bit flip not detected: %v", err)
 	}
 }
@@ -80,7 +77,7 @@ func TestChecksumDetectsTruncatedFooter(t *testing.T) {
 		if _, err := io.CopyN(io.Discard, cr, int64(len(payload))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
+		if err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("cut %d: truncated footer not detected: %v", cut, err)
 		}
 	}
@@ -97,7 +94,7 @@ func TestChecksumDetectsLengthMismatch(t *testing.T) {
 	if _, err := io.CopyN(io.Discard, cr, int64(len(long)-FooterSize)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
+	if err := cr.VerifyFooter(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("length mismatch not detected: %v", err)
 	}
 }

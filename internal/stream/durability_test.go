@@ -35,7 +35,7 @@ func TestReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer
-	if err := in.Window().WriteCSV(&before); err != nil {
+	if err := in.Window().Snapshot().WriteCSV(&before); err != nil {
 		t.Fatal(err)
 	}
 	if st := in.Stats(); st.Accepted != 500 || st.LogFailed != 0 {
@@ -56,7 +56,7 @@ func TestReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer
-	if err := rebuilt.WriteCSV(&after); err != nil {
+	if err := rebuilt.Snapshot().WriteCSV(&after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {

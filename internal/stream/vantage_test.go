@@ -61,10 +61,9 @@ func TestIngestorVantageNoDefault(t *testing.T) {
 	}
 }
 
-// TestWindowVantageFlushRebootSeed is the restart invariant: vantage tags
-// survive the window snapshot, the CSV flush file, and the reboot re-seed
-// into a fresh window — the exact path darkvecd's -flush takes across a
-// SIGTERM restart.
+// TestWindowVantageFlushRebootSeed: vantage tags survive the window
+// snapshot, its CSV form, and a re-seed into a fresh window — the path a
+// captured window takes when it comes back as a daemon's -in base trace.
 func TestWindowVantageFlushRebootSeed(t *testing.T) {
 	w := NewWindow(WindowConfig{})
 	mk := func(ts int64, src, vantage string) trace.Event {
@@ -79,12 +78,11 @@ func TestWindowVantageFlushRebootSeed(t *testing.T) {
 	w.Add(mk(2, "2.2.2.2", "south"))
 	w.Add(mk(3, "3.3.3.3", ""))
 
-	// Flush: the drain-to-CSV path.
 	var buf bytes.Buffer
-	if err := w.WriteCSV(&buf); err != nil {
+	if err := w.Snapshot().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Reboot: seed a fresh window from the flush file, as startIngest does.
+	// Reboot: seed a fresh window from the file, as startIngest does with -in.
 	seed, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"io"
 	"sync"
 
 	"github.com/darkvec/darkvec/internal/corpus"
@@ -220,13 +219,6 @@ func (w *Window) SnapshotActive(minPackets int) *trace.Trace {
 	}
 	w.mu.Unlock()
 	return trace.New(events)
-}
-
-// WriteCSV flushes the window contents (time-sorted) in the CSV
-// interchange format — the SIGTERM drain path, so a restart can re-seed
-// from exactly what was buffered.
-func (w *Window) WriteCSV(out io.Writer) error {
-	return w.Snapshot().WriteCSV(out)
 }
 
 // Stats returns a point-in-time summary.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -116,22 +115,5 @@ func TestWindowSnapshotSortedAndIndependent(t *testing.T) {
 	}
 	if tr.Len() != 3 {
 		t.Errorf("snapshot changed under window mutation")
-	}
-}
-
-func TestWindowWriteCSV(t *testing.T) {
-	w := NewWindow(WindowConfig{MaxEvents: 10, MaxAge: -1})
-	w.Add(ev(1, "1.1.1.1"))
-	w.Add(ev(2, "2.2.2.2"))
-	var sb strings.Builder
-	if err := w.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.HasPrefix(got, trace.CSVHeaderLine) {
-		t.Errorf("flush missing header: %q", got)
-	}
-	if strings.Count(got, "\n") != 3 {
-		t.Errorf("flush line count = %d, want 3 (header + 2 events)", strings.Count(got, "\n"))
 	}
 }

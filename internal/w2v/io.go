@@ -16,10 +16,9 @@ import (
 //
 // Both the model and checkpoint containers are sealed with a CRC32C
 // checksum footer (robust.ChecksumWriter): a torn write, truncation or bit
-// flip fails loudly at load time instead of serving garbage vectors.
-// Files written before the footer existed load unchanged — the containers
-// are self-delimiting, so a stream ending cleanly right after the payload
-// is accepted as a legacy artifact.
+// flip fails loudly at load time instead of serving garbage vectors. The
+// footer is mandatory: a stream ending right after the payload is what a
+// torn Save leaves behind, and fails with robust.ErrChecksum.
 var fileMagic = [4]byte{'D', 'V', '2', 'V'}
 
 const fileVersion = uint32(1)
@@ -69,34 +68,28 @@ func (m *Model) savePayload(w io.Writer) error {
 	return nil
 }
 
-// Load reads a model written by Save, verifying the checksum footer when
-// one is present (legacy footer-less files are accepted). The returned
-// model can serve vectors but not resume training.
+// Load reads a model written by Save and verifies its checksum footer. The
+// returned model can serve vectors but not resume training.
 func Load(r io.Reader) (*Model, error) {
-	m, _, err := loadModel(bufio.NewReader(r))
-	return m, err
-}
-
-func loadModel(br *bufio.Reader) (*Model, bool, error) {
-	cr := robust.NewChecksumReader(br)
+	cr := robust.NewChecksumReader(bufio.NewReader(r))
 	var magic [4]byte
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, false, fmt.Errorf("w2v: reading magic: %w", err)
+		return nil, fmt.Errorf("w2v: reading magic: %w", err)
 	}
 	if magic != fileMagic {
-		return nil, false, fmt.Errorf("w2v: bad magic %q", magic[:])
+		return nil, fmt.Errorf("w2v: bad magic %q", magic[:])
 	}
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(cr, hdr); err != nil {
-		return nil, false, fmt.Errorf("w2v: truncated model header: %w", err)
+		return nil, fmt.Errorf("w2v: truncated model header: %w", err)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != fileVersion {
-		return nil, false, fmt.Errorf("w2v: unsupported version %d", v)
+		return nil, fmt.Errorf("w2v: unsupported version %d", v)
 	}
 	size := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	dim := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	if size < 0 || dim <= 0 || dim > 1<<16 {
-		return nil, false, fmt.Errorf("w2v: implausible header size=%d dim=%d", size, dim)
+		return nil, fmt.Errorf("w2v: implausible header size=%d dim=%d", size, dim)
 	}
 	v := &Vocabulary{
 		ids:    make(map[string]int32, size),
@@ -107,14 +100,14 @@ func loadModel(br *bufio.Reader) (*Model, bool, error) {
 	var c [8]byte
 	for i := 0; i < size; i++ {
 		if _, err := io.ReadFull(cr, l[:]); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
+			return nil, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
 		}
 		wb := make([]byte, binary.LittleEndian.Uint16(l[:]))
 		if _, err := io.ReadFull(cr, wb); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
+			return nil, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
 		}
 		if _, err := io.ReadFull(cr, c[:]); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
+			return nil, fmt.Errorf("w2v: truncated model (read %d of %d words): %w", i, size, err)
 		}
 		word := string(wb)
 		v.ids[word] = int32(i)
@@ -127,15 +120,14 @@ func loadModel(br *bufio.Reader) (*Model, bool, error) {
 	buf := make([]byte, 4)
 	for i := range m.Syn0 {
 		if _, err := io.ReadFull(cr, buf); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated model (read %d of %d vector values): %w", i, len(m.Syn0), err)
+			return nil, fmt.Errorf("w2v: truncated model (read %d of %d vector values): %w", i, len(m.Syn0), err)
 		}
 		m.Syn0[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
 	}
-	found, err := cr.VerifyFooter()
-	if err != nil {
-		return nil, found, fmt.Errorf("w2v: model integrity: %w", err)
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, fmt.Errorf("w2v: model integrity: %w", err)
 	}
-	return m, found, nil
+	return m, nil
 }
 
 // Checkpoint container ("DVCK" magic): unlike the model export, it carries
@@ -226,30 +218,24 @@ func saveCheckpointPayload(w io.Writer, ck *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint, verifying
-// the checksum footer when one is present (legacy footer-less files are
-// accepted). The contained model carries full training state and can be
-// handed to TrainOptions.Resume.
+// LoadCheckpoint reads a checkpoint written by SaveCheckpoint and verifies
+// its checksum footer. The contained model carries full training state and
+// can be handed to TrainOptions.Resume.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	ck, _, err := loadCheckpoint(bufio.NewReader(r))
-	return ck, err
-}
-
-func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
-	cr := robust.NewChecksumReader(br)
+	cr := robust.NewChecksumReader(bufio.NewReader(r))
 	var magic [4]byte
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, false, fmt.Errorf("w2v: reading checkpoint magic: %w", err)
+		return nil, fmt.Errorf("w2v: reading checkpoint magic: %w", err)
 	}
 	if magic != ckMagic {
-		return nil, false, fmt.Errorf("w2v: bad checkpoint magic %q", magic[:])
+		return nil, fmt.Errorf("w2v: bad checkpoint magic %q", magic[:])
 	}
 	hdr := make([]byte, 4+6*4+8*8)
 	if _, err := io.ReadFull(cr, hdr); err != nil {
-		return nil, false, fmt.Errorf("w2v: truncated checkpoint header: %w", err)
+		return nil, fmt.Errorf("w2v: truncated checkpoint header: %w", err)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != ckVersion {
-		return nil, false, fmt.Errorf("w2v: unsupported checkpoint version %d", v)
+		return nil, fmt.Errorf("w2v: unsupported checkpoint version %d", v)
 	}
 	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(hdr[4+4*i:]) }
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[4+6*4+8*i:]) }
@@ -275,16 +261,16 @@ func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
 		Pairs:     int64(u64(7)),
 	}
 	if cfg.Dim <= 0 || cfg.Dim > 1<<16 {
-		return nil, false, fmt.Errorf("w2v: implausible checkpoint dim %d", cfg.Dim)
+		return nil, fmt.Errorf("w2v: implausible checkpoint dim %d", cfg.Dim)
 	}
 	pad, err := readString(cr)
 	if err != nil {
-		return nil, false, fmt.Errorf("w2v: truncated checkpoint (pad token): %w", err)
+		return nil, fmt.Errorf("w2v: truncated checkpoint (pad token): %w", err)
 	}
 	cfg.PadToken = pad
 	var n [4]byte
 	if _, err := io.ReadFull(cr, n[:]); err != nil {
-		return nil, false, fmt.Errorf("w2v: truncated checkpoint (vocabulary size): %w", err)
+		return nil, fmt.Errorf("w2v: truncated checkpoint (vocabulary size): %w", err)
 	}
 	size := int(binary.LittleEndian.Uint32(n[:]))
 	v := &Vocabulary{
@@ -296,10 +282,10 @@ func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
 	for i := 0; i < size; i++ {
 		word, err := readString(cr)
 		if err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated checkpoint (read %d of %d words): %w", i, size, err)
+			return nil, fmt.Errorf("w2v: truncated checkpoint (read %d of %d words): %w", i, size, err)
 		}
 		if _, err := io.ReadFull(cr, c[:]); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated checkpoint (read %d of %d words): %w", i, size, err)
+			return nil, fmt.Errorf("w2v: truncated checkpoint (read %d of %d words): %w", i, size, err)
 		}
 		v.ids[word] = int32(i)
 		v.words[i] = word
@@ -311,11 +297,11 @@ func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
 	for mi := range mats {
 		var l [8]byte
 		if _, err := io.ReadFull(cr, l[:]); err != nil {
-			return nil, false, fmt.Errorf("w2v: truncated checkpoint (read %d of 3 matrices): %w", mi, err)
+			return nil, fmt.Errorf("w2v: truncated checkpoint (read %d of 3 matrices): %w", mi, err)
 		}
 		length := binary.LittleEndian.Uint64(l[:])
 		if length > uint64(size+1)*uint64(cfg.Dim) {
-			return nil, false, fmt.Errorf("w2v: implausible checkpoint matrix length %d", length)
+			return nil, fmt.Errorf("w2v: implausible checkpoint matrix length %d", length)
 		}
 		if length == 0 {
 			continue
@@ -324,7 +310,7 @@ func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
 		buf := make([]byte, 4)
 		for i := range mat {
 			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, false, fmt.Errorf("w2v: truncated checkpoint (matrix %d, read %d of %d values): %w", mi, i, len(mat), err)
+				return nil, fmt.Errorf("w2v: truncated checkpoint (matrix %d, read %d of %d values): %w", mi, i, len(mat), err)
 			}
 			mat[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
 		}
@@ -335,27 +321,24 @@ func loadCheckpoint(br *bufio.Reader) (*Checkpoint, bool, error) {
 		m.huff = buildHuffman(v.counts)
 	}
 	ck.Model = m
-	found, err := cr.VerifyFooter()
-	if err != nil {
-		return nil, found, fmt.Errorf("w2v: checkpoint integrity: %w", err)
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, fmt.Errorf("w2v: checkpoint integrity: %w", err)
 	}
-	return ck, found, nil
+	return ck, nil
 }
 
 // ArtifactInfo is Verify's report on a serialised model or checkpoint.
 type ArtifactInfo struct {
-	Kind        string // "model" or "checkpoint"
-	Words       int    // vocabulary size
-	Dim         int    // embedding dimension
-	Epoch       int    // completed epochs (checkpoints only)
-	Checksummed bool   // a checksum footer was present and verified
+	Kind  string // "model" or "checkpoint"
+	Words int    // vocabulary size
+	Dim   int    // embedding dimension
+	Epoch int    // completed epochs (checkpoints only)
 }
 
 // Verify reads a serialised artifact to completion, detecting its kind
-// from the magic bytes and checking the checksum footer when present. It
-// is the integrity probe behind `darkvec -verify`: a nil error means the
-// artifact parses fully and, if footered, hashes clean; Checksummed=false
-// flags a legacy file whose integrity cannot be vouched for.
+// from the magic bytes and checking the checksum footer. It is the
+// integrity probe behind `darkvec -verify`: a nil error means the artifact
+// parses fully and hashes clean.
 func Verify(r io.Reader) (ArtifactInfo, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
@@ -364,20 +347,17 @@ func Verify(r io.Reader) (ArtifactInfo, error) {
 	}
 	switch [4]byte(magic) {
 	case fileMagic:
-		m, found, err := loadModel(br)
+		m, err := Load(br)
 		if err != nil {
 			return ArtifactInfo{Kind: "model"}, err
 		}
-		return ArtifactInfo{Kind: "model", Words: m.Vocab.Size(), Dim: m.Cfg.Dim, Checksummed: found}, nil
+		return ArtifactInfo{Kind: "model", Words: m.Vocab.Size(), Dim: m.Cfg.Dim}, nil
 	case ckMagic:
-		ck, found, err := loadCheckpoint(br)
+		ck, err := LoadCheckpoint(br)
 		if err != nil {
 			return ArtifactInfo{Kind: "checkpoint"}, err
 		}
-		return ArtifactInfo{
-			Kind: "checkpoint", Words: ck.Model.Vocab.Size(), Dim: ck.Model.Cfg.Dim,
-			Epoch: ck.Epoch, Checksummed: found,
-		}, nil
+		return ArtifactInfo{Kind: "checkpoint", Words: ck.Model.Vocab.Size(), Dim: ck.Model.Cfg.Dim, Epoch: ck.Epoch}, nil
 	}
 	return ArtifactInfo{}, fmt.Errorf("w2v: unrecognised artifact magic %q", magic)
 }

@@ -49,34 +49,22 @@ func TestSaveLoadChecksummedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Kind != "model" || !info.Checksummed || info.Words != m.Vocab.Size() {
+	if info.Kind != "model" || info.Words != m.Vocab.Size() {
 		t.Fatalf("Verify = %+v", info)
 	}
 }
 
-// TestLoadLegacyFooterlessModel: a file written before checksum framing —
-// byte-identical to today's payload minus the trailing footer — loads
-// unchanged, just without integrity cover.
+// TestLoadLegacyFooterlessModel: a stream cut exactly at the footer
+// boundary is what a torn Save (payload flushed, footer not yet) leaves
+// behind; the payload parses in full, so only the missing footer can tell.
 func TestLoadLegacyFooterlessModel(t *testing.T) {
-	m := ioModel(t)
-	data := saveBytes(t, m)
-	legacy := data[:len(data)-robust.FooterSize]
-
-	got, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy model rejected: %v", err)
+	data := saveBytes(t, ioModel(t))
+	torn := data[:len(data)-robust.FooterSize]
+	if _, err := Load(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
+		t.Fatalf("footer-less model: Load = %v, want ErrChecksum", err)
 	}
-	for i := range m.Syn0 {
-		if got.Syn0[i] != m.Syn0[i] {
-			t.Fatalf("Syn0[%d] diverges on legacy load", i)
-		}
-	}
-	info, err := Verify(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Checksummed {
-		t.Fatal("legacy file reported as checksummed")
+	if _, err := Verify(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
+		t.Fatalf("footer-less model: Verify = %v, want ErrChecksum", err)
 	}
 }
 
@@ -138,13 +126,16 @@ func TestCheckpointChecksumAndLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Kind != "checkpoint" || !info.Checksummed || info.Epoch == 0 {
+	if info.Kind != "checkpoint" || info.Epoch == 0 {
 		t.Fatalf("Verify = %+v", info)
 	}
 
-	legacy := data[:len(data)-robust.FooterSize]
-	if _, err := LoadCheckpoint(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
+	torn := data[:len(data)-robust.FooterSize]
+	if _, err := LoadCheckpoint(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
+		t.Fatalf("footer-less checkpoint: LoadCheckpoint = %v, want ErrChecksum", err)
+	}
+	if _, err := Verify(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
+		t.Fatalf("footer-less checkpoint: Verify = %v, want ErrChecksum", err)
 	}
 
 	flipped := append([]byte(nil), data...)
