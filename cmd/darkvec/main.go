@@ -128,33 +128,6 @@ func runVerify(w io.Writer, path string) error {
 	return nil
 }
 
-func loadFeeds(dir string) (map[string][]netutil.IPv4, error) {
-	feeds := map[string][]netutil.IPv4{}
-	if dir == "" {
-		return feeds, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".txt") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			return nil, err
-		}
-		ips, err := labels.ReadFeed(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", ent.Name(), err)
-		}
-		feeds[strings.TrimSuffix(ent.Name(), ".txt")] = ips
-	}
-	return feeds, nil
-}
-
 func run(ctx context.Context, o options) error {
 	if o.resume && o.checkpoint == "" {
 		return errors.New("-resume requires -checkpoint")
@@ -167,7 +140,7 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 	fmt.Println(rep.String())
-	feeds, err := loadFeeds(o.feedsDir)
+	feeds, err := labels.ReadFeedDir(o.feedsDir)
 	if err != nil {
 		return err
 	}

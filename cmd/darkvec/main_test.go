@@ -107,23 +107,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestLoadFeedsSkipsNonTxt(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "README.md"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "censys.txt"), []byte("1.2.3.4\n# comment\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	feeds, err := loadFeeds(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(feeds) != 1 || len(feeds["censys"]) != 1 {
-		t.Fatalf("feeds = %v", feeds)
-	}
-}
-
 func TestRunWithCustomServiceFile(t *testing.T) {
 	ctx := context.Background()
 	tracePath, _ := writeDataset(t)

@@ -102,21 +102,26 @@ func (d *daemon) captureGeneration(space *embed.Space, gt *labels.Set, version s
 	return drift.Capture(space, cl.Assign, version, classFn, idFn)
 }
 
-// gateCheck compares a candidate against the accepted baseline and
-// evaluates the budgets. A nil report (and no reasons) means there is no
-// baseline yet — the candidate is the baseline.
-func (d *daemon) gateCheck(snap *drift.Snapshot) (*drift.Report, []string, error) {
+// gateCheck freezes a candidate and compares it against the accepted
+// baseline under the budgets. All-nil means there is no baseline yet (or
+// the gate is off, which never sets one): nothing is captured, the
+// generation is served unjudged and driftBootstrap makes it the baseline.
+func (d *daemon) gateCheck(space *embed.Space, gt *labels.Set) (*drift.Snapshot, *drift.Report, []string, error) {
 	d.drift.mu.Lock()
 	prev := d.drift.prev
 	d.drift.mu.Unlock()
 	if prev == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
+	}
+	snap, err := d.captureGeneration(space, gt, d.nextCandidateName())
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("drift capture: %w", err)
 	}
 	rep, err := drift.Compare(prev, snap, drift.Options{K: d.o.driftK})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, fmt.Errorf("drift compare: %w", err)
 	}
-	return rep, d.o.budgets().Evaluate(rep), nil
+	return snap, rep, d.o.budgets().Evaluate(rep), nil
 }
 
 // recordDecision appends a gate verdict to the history and persists the
@@ -166,16 +171,15 @@ func (d *daemon) rejectCandidate(snap *drift.Snapshot, rep *drift.Report, reason
 }
 
 // acceptGeneration installs an accepted snapshot as the new comparison
-// baseline under its final (published) name and records the decision.
-// The first generation has no report; it is logged as the baseline.
-// extraReasons annotate an accepted decision with cycle context — e.g. a
-// warm-start that had to fall back to cold — without changing the verdict.
-func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, version string, extraReasons ...string) {
-	if snap == nil {
-		return
-	}
-	if version != "" {
-		snap.Version = version
+// baseline under its published name (v != 0; an unmanaged generation keeps
+// its candidate name) and records the decision. A generation accepted
+// without a report had no baseline to be judged against; it is logged as
+// the baseline. extraReasons annotate an accepted decision with cycle
+// context — e.g. a warm-start that had to fall back to cold — without
+// changing the verdict.
+func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, v modelstore.Version, extraReasons ...string) {
+	if v != 0 {
+		snap.Version = v.String()
 	}
 	if rep != nil {
 		rep.NextVersion = snap.Version
@@ -202,23 +206,20 @@ func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, versi
 	d.recordDecision(dec)
 }
 
-// driftBootstrap captures the boot-time generation (trained or loaded
-// from the store) as the gate's first baseline. Best effort: a capture
-// failure leaves the gate waiting for the first retrain to seed it.
+// driftBootstrap captures a generation that was served unjudged — loaded
+// from the store, or produced while the gate had no baseline — as the
+// baseline the next candidate is compared against. Best effort: a capture
+// failure leaves the gate waiting for the next generation to seed it.
 func (d *daemon) driftBootstrap(space *embed.Space, gt *labels.Set, v modelstore.Version) {
 	if !d.driftEnabled() {
 		return
 	}
-	name := d.nextCandidateName()
-	if v != 0 {
-		name = v.String()
-	}
-	snap, err := d.captureGeneration(space, gt, name)
+	snap, err := d.captureGeneration(space, gt, d.nextCandidateName())
 	if err != nil {
 		d.o.logf("drift: baseline capture: %v", err)
 		return
 	}
-	d.acceptGeneration(snap, nil, "")
+	d.acceptGeneration(snap, nil, v)
 	d.o.logf("drift: gate armed; baseline %s (%d senders)", snap.Version, snap.Rows())
 }
 

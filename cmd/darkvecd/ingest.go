@@ -206,9 +206,10 @@ func (d *daemon) closeWAL() {
 	}
 }
 
-// stale is the serving-path degradation predicate: a failed retrain (an
-// older generation deliberately kept on the air, with a drift rejection
-// called out specifically) or a stalled live feed (a model aging against
+// stale is the serving-path degradation predicate: a failed cycle (an
+// older generation, or a first one that could not be published, kept on
+// the air; a drift rejection is called out specifically) or a stalled live
+// feed (a model aging against
 // a silent darknet) mark every response. Overlapping causes are joined
 // with "; " in cause-name order — the same ordering /healthz/ready's
 // degraded_reasons uses — so the header is deterministic and scriptable.
@@ -219,7 +220,7 @@ func (d *daemon) stale() (bool, string) {
 		if d.status.driftReject.Load() {
 			causes = append(causes, cause{"drift_rejected", "drift gate rejected retrain (serving previous generation)"})
 		} else {
-			causes = append(causes, cause{"stale_model", "retrain failed (serving previous generation)"})
+			causes = append(causes, cause{"stale_model", "retrain failed (serving the last good model)"})
 		}
 	}
 	if d.ing != nil && d.ing.Stalled() {

@@ -10,24 +10,41 @@
 // before training starts, so liveness probes answer immediately while the
 // readiness probe flips only once the model is servable. Dirty inputs can
 // be tolerated with -maxerr (skip-and-count under an error budget; the
-// ingest report is printed). SIGINT/SIGTERM trigger a graceful shutdown:
-// a boot-time training run is cancelled (the next boot trains again, or
-// boots from the store) or in-flight requests are drained before exit.
-// Every request runs behind panic recovery, a per-request timeout
-// (-timeout) and an in-flight concurrency cap (-maxinflight).
+// ingest report is printed every time -in is read). SIGINT/SIGTERM trigger
+// a graceful shutdown: a static daemon's first training run is cancelled
+// (the next boot trains again, or boots from the store) or in-flight
+// requests are drained before exit. Every request runs behind panic
+// recovery, a per-request timeout (-timeout) and an in-flight concurrency
+// cap (-maxinflight).
+//
+// Every generation, the first included, comes out of one cycle: source
+// (window snapshot | -in) → labels → train (warm under -warm when a
+// generation is in memory, cold otherwise) → eval space → drift gate (once
+// a baseline exists) → publish → swap → baseline. On an empty store a
+// static daemon runs it once before anything else; with -retrain, a
+// background supervisor runs it periodically off the serving path — at once
+// when nothing is serving yet, as in a live daemon off an empty store — and
+// rolls each new model in atomically, with zero dropped requests. What a
+// failed cycle costs depends only on whether a generation is serving:
+//
+//	fails at      nothing serving                  a generation serving
+//	source/train  static: exit with the error;     it keeps serving, degraded;
+//	              live: not ready, retried         retried
+//	drift gate    (no baseline, nothing to judge)  same, and drift_rejected
+//	publish       in-memory model serves           it keeps serving, degraded;
+//	              unversioned, degraded; retried   retried
+//
+// Degraded: responses carry X-DarkVec-Model-Stale: true and /healthz/ready
+// reports stale_model with last_error. Retried: exponential backoff, and
+// after -retrainfail consecutive failures a circuit breaker stops the
+// churn.
 //
 // With -store, trained models are published into a versioned, checksummed
 // model store: on boot the daemon serves the newest intact generation
 // without retraining (corrupt artifacts are quarantined and the next older
 // one is used), so a kill -9 at any instant costs only the training that
-// was in flight. With -retrain, a background supervisor retrains
-// periodically off the serving path and rolls the new model in atomically
-// — zero dropped requests. A retrain that fails (or publishes a corrupt
-// artifact, detected by load-back verification) keeps the last-good model
-// serving in degraded mode: responses carry X-DarkVec-Model-Stale: true,
-// /healthz/ready reports the failure, retries back off exponentially, and
-// after -retrainfail consecutive failures a circuit breaker stops the
-// churn. Every response from a store-managed daemon carries
+// was in flight. A publish is verified by loading the artifact back before
+// anything is swapped. Every response from a store-managed daemon carries
 // X-DarkVec-Model-Version.
 //
 // The model store and the write-ahead log (-wal, which rebuilds the live
@@ -67,7 +84,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	rpprof "runtime/pprof"
 	"sort"
 	"strconv"
@@ -413,27 +429,9 @@ func run(ctx context.Context, o options) error {
 		}
 	}
 
-	feeds := map[string][]netutil.IPv4{}
-	if o.feedsDir != "" {
-		entries, err := os.ReadDir(o.feedsDir)
-		if err != nil {
-			return err
-		}
-		for _, ent := range entries {
-			if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".txt") {
-				continue
-			}
-			ff, err := os.Open(filepath.Join(o.feedsDir, ent.Name()))
-			if err != nil {
-				return err
-			}
-			ips, err := labels.ReadFeed(ff)
-			ff.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %w", ent.Name(), err)
-			}
-			feeds[strings.TrimSuffix(ent.Name(), ".txt")] = ips
-		}
+	feeds, err := labels.ReadFeedDir(o.feedsDir)
+	if err != nil {
+		return err
 	}
 
 	cfg := core.DefaultConfig()
@@ -445,7 +443,6 @@ func run(ctx context.Context, o options) error {
 	d := &daemon{o: o, cfg: cfg, feeds: feeds, gate: robust.NewGate(), epoch: federation.NewEpoch()}
 	d.status.lastErr.Store("")
 	d.status.annErr.Store("")
-	var err error
 	if o.store != "" {
 		d.st, err = modelstore.Open(o.store, modelstore.Options{Keep: o.keep, Logf: o.logf})
 		if err != nil {
@@ -454,11 +451,10 @@ func run(ctx context.Context, o options) error {
 	}
 	d.initDrift()
 
-	// The boot corpus: live mode rebuilds the rolling window (optional -in
-	// base trace, then the WAL) and snapshots it through the same
-	// active-sender filter every retrain uses; static mode reads -in.
-	var tr *trace.Trace
 	if o.live() {
+		// Rebuild the rolling window (optional -in base trace, then the WAL)
+		// before the listener binds, so /v1/ingest never shows a half-replayed
+		// window.
 		if err := d.startIngest(); err != nil {
 			return err
 		}
@@ -467,16 +463,7 @@ func run(ctx context.Context, o options) error {
 		// the queue through the WAL), then the WAL is flushed and closed.
 		defer d.closeWAL()
 		defer d.ing.Close()
-		tr = d.ing.Window().SnapshotActive(o.ingestMinPkts)
-	} else {
-		var rep *robust.IngestReport
-		tr, rep, err = trace.ReadFile(o.in, o.maxErr)
-		if err != nil {
-			return err
-		}
-		o.logf("%s", rep.String())
 	}
-	gt := labels.Build(tr, feeds)
 
 	// Bind before the long training run: liveness probes and fast 503s for
 	// not-yet-ready traffic beat a connection-refused black hole.
@@ -537,8 +524,8 @@ func run(ctx context.Context, o options) error {
 	}
 
 	// The readiness announcement fires exactly once, on the first model
-	// swap — immediately below for a boot-time model, or from the retrain
-	// loop when a live daemon starts on an empty window.
+	// swap: a store boot or a static daemon's first cycle just below, or a
+	// live daemon's first cycle in the retrain loop.
 	d.readyFn = func() {
 		o.logf("ready")
 		if o.onReady != nil {
@@ -547,51 +534,27 @@ func run(ctx context.Context, o options) error {
 	}
 
 	// Prefer booting from the store: after a crash (even kill -9 mid-
-	// publish) the newest intact generation serves immediately, and only a
-	// genuinely empty store pays for training on the boot path.
-	emb, version, booted := d.bootFromStore(tr)
-	if !booted {
-		if o.live() && tr.Len() < o.ingestMin {
-			// Nothing to train on yet. Serve 503s until the live window
-			// reaches -ingestmin and the retrain loop trains the first
-			// model; the ingest endpoints answer meanwhile.
-			o.logf("live window holds %d trainable events (training needs %d); first model deferred to the retrain loop", tr.Len(), o.ingestMin)
-		} else {
-			o.logf("training on %d events (%d days)...", tr.Len(), tr.Days())
-			emb, err = core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{
-				Context:  ctx,
-				Interner: d.trainInterner(),
-			})
-			if err != nil {
-				httpSrv.Close()
-				<-serveErr
-				if errors.Is(err, context.Canceled) {
-					// Interrupted by SIGINT/SIGTERM: a graceful exit. Nothing
-					// is left behind; the next boot trains again.
-					o.logf("training interrupted")
-					return nil
-				}
-				return err
-			}
-			o.logf("trained in %s", emb.TrainTime.Round(time.Millisecond))
-			d.setRetrainInfo("cold", emb.TrainTime, emb.Epochs, "")
-			if d.st != nil {
-				if version, err = d.publishVerified(emb); err != nil {
-					// The in-memory model is fine; only its persistence failed.
-					// Serve it (unversioned) and let the next retrain try again.
-					o.logf("initial publish failed (serving in-memory model): %v", err)
-					d.status.lastErr.Store(err.Error())
-					version = 0
-				}
-			}
-		}
+	// publish) the newest intact generation serves immediately. On an empty
+	// store a static daemon runs its first cycle here, because with nothing
+	// serving and nothing that could change the input a failure is final; a
+	// live daemon leaves it to the retrain loop, whose supervisor retries as
+	// the window fills. A cycle that failed but left a generation serving (a
+	// first publish that did not verify) has logged why and, with -retrain,
+	// is retried there too.
+	booted, err := d.bootFromStore()
+	if err == nil && !booted && !o.live() {
+		err = d.cycle(ctx)
 	}
-	if emb != nil {
-		space, cov := emb.EvalSpace(tr.LastDays(o.evalDays), nil)
-		d.serve(emb, space, cov, tr, gt, version)
-		// The boot-time generation seeds the gate's baseline, so the very
-		// first retrain is already judged against it.
-		d.driftBootstrap(space, gt, version)
+	if err != nil && !d.gate.Ready() {
+		httpSrv.Close()
+		<-serveErr
+		if errors.Is(err, context.Canceled) {
+			// Interrupted by SIGINT/SIGTERM: a graceful exit. Nothing is
+			// left behind; the next boot trains again.
+			o.logf("training interrupted")
+			return nil
+		}
+		return err
 	}
 	var retrainDone chan struct{}
 	if o.retrain > 0 && (d.st != nil || o.live()) {
@@ -656,43 +619,17 @@ type daemon struct {
 	drift          driftState
 	epoch          string // intern-export process-instance id (see federation.InternPage)
 
-	// gen hands state from one accepted generation to the next: the
-	// serving model (warm-seed source for the next retrain, with its Perm
-	// when trained in-process) and how the last training cycle ran, which
-	// /v1/model reports. Training runs are sequential, but the serving
-	// handlers read concurrently, hence the lock.
-	gen struct {
-		mu      sync.Mutex
-		prev    *w2v.Model
-		retrain *apiserver.RetrainInfo
-	}
+	// prev is the serving model: the warm-seed source for the next cycle
+	// (with its Perm when trained in-process), nil before the first swap.
+	// Generations are produced one at a time — boot, then the retrain loop
+	// — and nothing else touches it, so it needs no lock.
+	prev *w2v.Model
 
 	readyOnce sync.Once
 	readyFn   func() // announced on the first model swap
 
 	internOnce sync.Once
 	intern     *corpus.Interner
-}
-
-// prevGen returns the model of the last accepted generation — the warm
-// seed source — or nil before the first swap.
-func (d *daemon) prevGen() *w2v.Model {
-	d.gen.mu.Lock()
-	defer d.gen.mu.Unlock()
-	return d.gen.prev
-}
-
-// setRetrainInfo records how the cycle that produced the next generation
-// trained; serve() stamps it onto the API server it swaps in.
-func (d *daemon) setRetrainInfo(mode string, dur time.Duration, epochs int, fallback string) {
-	d.gen.mu.Lock()
-	d.gen.retrain = &apiserver.RetrainInfo{
-		Mode:         mode,
-		DurationSecs: dur.Seconds(),
-		Epochs:       epochs,
-		WarmFallback: fallback,
-	}
-	d.gen.mu.Unlock()
 }
 
 // trainInterner returns the sender id space shared by every training run
@@ -770,13 +707,30 @@ func (d *daemon) handleReady(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
+// source returns the trace a generation is built on: a live daemon
+// snapshots the rolling window through the active-sender filter, a static
+// one re-reads -in and logs how much of the -maxerr budget that consumed.
+func (d *daemon) source() (*trace.Trace, error) {
+	if d.ing != nil {
+		return d.ing.Window().SnapshotActive(d.o.ingestMinPkts), nil
+	}
+	tr, rep, err := trace.ReadFile(d.o.in, d.o.maxErr)
+	if err != nil {
+		return nil, err
+	}
+	d.o.logf("%s", rep.String())
+	return tr, nil
+}
+
 // bootFromStore serves the newest intact generation without retraining —
 // the crash-recovery path. Artifacts whose outer frame is intact but whose
 // payload fails model parsing are quarantined and the next older
-// generation is tried; an empty store falls back to training.
-func (d *daemon) bootFromStore(tr *trace.Trace) (*core.Embedding, modelstore.Version, bool) {
+// generation is tried; an empty store reports false and the first cycle
+// trains. The trace is sourced only once a model was found, so a boot
+// reads -in once either way.
+func (d *daemon) bootFromStore() (bool, error) {
 	if d.st == nil {
-		return nil, 0, false
+		return false, nil
 	}
 	for {
 		rc, v, err := d.st.OpenLatest()
@@ -784,7 +738,7 @@ func (d *daemon) bootFromStore(tr *trace.Trace) (*core.Embedding, modelstore.Ver
 			if !errors.Is(err, modelstore.ErrEmpty) {
 				d.o.logf("store: %v", err)
 			}
-			return nil, 0, false
+			return false, nil
 		}
 		m, lerr := w2v.Load(rc)
 		rc.Close()
@@ -794,8 +748,17 @@ func (d *daemon) bootFromStore(tr *trace.Trace) (*core.Embedding, modelstore.Ver
 			continue
 		}
 		d.o.logf("booted from store generation %s; skipping initial training", v)
+		tr, err := d.source()
+		if err != nil {
+			return false, err
+		}
 		d.seedInterner(m.Words())
-		return core.EmbeddingFromModel(m, tr, d.cfg), v, true
+		emb := core.EmbeddingFromModel(m, tr, d.cfg)
+		gt := labels.Build(tr, d.feeds)
+		space, cov := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+		d.serve(emb, space, cov, tr, gt, v, nil)
+		d.driftBootstrap(space, gt, v)
+		return true, nil
 	}
 }
 
@@ -885,8 +848,9 @@ func (d *daemon) buildANN(space *embed.Space) string {
 // serve swaps a model into the gate over its eval space — the one the
 // drift gate judged. The swap is atomic: in-flight requests finish on the
 // generation they started with, new ones land on the fresh model, nothing
-// is dropped.
-func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr *trace.Trace, gt *labels.Set, v modelstore.Version) {
+// is dropped. how is what /v1/model reports about the training run (nil
+// for a generation loaded from the store).
+func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr *trace.Trace, gt *labels.Set, v modelstore.Version, how *apiserver.RetrainInfo) {
 	ver := ""
 	if v != 0 {
 		ver = v.String()
@@ -895,20 +859,14 @@ func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr 
 	rpprof.Do(context.Background(), rpprof.Labels("darkvec_phase", "index-build"), func(context.Context) {
 		annErr = d.buildANN(space)
 	})
-	d.gen.mu.Lock()
-	d.gen.prev = emb.Model
-	retrain := d.gen.retrain
-	d.gen.mu.Unlock()
+	d.prev = emb.Model
 	d.gate.Set(apiserver.New(apiserver.Config{
 		Space: space, GT: gt, Trace: tr, KPrime: d.o.kPrime, Seed: d.o.seed,
 		RequestTimeout: d.o.reqTimeout, MaxInFlight: d.o.maxInFlight,
-		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: retrain,
+		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: how,
 	}))
 	d.status.annErr.Store(annErr)
 	d.status.version.Store(uint64(v))
-	d.status.stale.Store(false)
-	d.status.driftReject.Store(false)
-	d.status.lastErr.Store("")
 	d.o.logf("serving %d senders (coverage %.0f%%)", space.Len(), cov*100)
 	d.readyOnce.Do(func() {
 		if d.readyFn != nil {
@@ -917,34 +875,29 @@ func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr 
 	})
 }
 
-// retrainOnce is one full retrain cycle, run off the serving path: source
-// a trace, train, publish with load-back verification, swap. A live
-// daemon snapshots the rolling window (through the active-sender filter);
-// a static one re-reads -in. Any failure marks the daemon degraded — the
-// previous generation keeps serving — and surfaces through /healthz/ready
-// and the staleness header.
-func (d *daemon) retrainOnce(ctx context.Context) error {
+// cycle is the one way the daemon produces a generation, the first
+// included: source a trace, train (warm from the serving generation when
+// -warm asked for it, cold otherwise), evaluate, gate against the drift
+// baseline, publish with load-back verification, swap. What a failure
+// costs follows from whether a generation is serving (the table in the
+// package comment); a returned error reaches the retrain supervisor's
+// backoff and breaker, or ends a static daemon that has nothing to serve.
+func (d *daemon) cycle(ctx context.Context) error {
 	fail := func(err error) error {
 		d.status.stale.Store(true)
 		d.status.lastErr.Store(err.Error())
 		return err
 	}
-	var tr *trace.Trace
-	if d.ing != nil {
-		tr = d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
-		if tr.Len() < d.o.ingestMin {
-			// A thin window is a fact about the darknet, not a failure:
-			// skip the cycle without burning the breaker or flagging
-			// degraded, and try again next tick.
-			d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", tr.Len(), d.o.ingestMin)
-			return nil
-		}
-	} else {
-		var err error
-		tr, _, err = trace.ReadFile(d.o.in, d.o.maxErr)
-		if err != nil {
-			return fail(fmt.Errorf("retrain ingest: %w", err))
-		}
+	tr, err := d.source()
+	if err != nil {
+		return fail(fmt.Errorf("ingest: %w", err))
+	}
+	if d.ing != nil && tr.Len() < d.o.ingestMin {
+		// A thin window is a fact about the darknet, not a failure:
+		// skip the cycle without burning the breaker or flagging
+		// degraded, and try again next tick.
+		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", tr.Len(), d.o.ingestMin)
+		return nil
 	}
 	gt := labels.Build(tr, d.feeds)
 
@@ -954,36 +907,33 @@ func (d *daemon) retrainOnce(ctx context.Context) error {
 	// the speedup: the cycle retries cold and the fallback reason rides
 	// the decision log and /v1/model.
 	topts := core.TrainOpts{Context: ctx, Interner: d.trainInterner()}
-	mode := "cold"
 	warmFallback := ""
-	if d.o.warm {
-		if prev := d.prevGen(); prev != nil {
-			ws := &w2v.WarmSeed{Prev: prev, PrevPerm: prev.Perm}
-			if d.o.warmSeedHook != nil {
-				d.o.warmSeedHook(ws)
-			}
-			topts.Warm = ws
-			mode = "warm"
-		} else {
-			warmFallback = "no previous generation in memory"
+	if d.o.warm && d.prev != nil {
+		topts.Warm = &w2v.WarmSeed{Prev: d.prev, PrevPerm: d.prev.Perm}
+		if d.o.warmSeedHook != nil {
+			d.o.warmSeedHook(topts.Warm)
 		}
 	}
+	d.o.logf("training on %d events (%d days)...", tr.Len(), tr.Days())
 	trainStart := time.Now()
 	emb, err := core.TrainEmbeddingOpts(tr, d.cfg, topts)
 	if err != nil && topts.Warm != nil && errors.Is(err, w2v.ErrWarmSeed) {
 		d.o.logf("retrain: warm seed unusable, falling back to cold: %v", err)
 		warmFallback = err.Error()
-		mode = "cold"
 		topts.Warm = nil
 		emb, err = core.TrainEmbeddingOpts(tr, d.cfg, topts)
 	}
 	if err != nil {
-		return fail(fmt.Errorf("retrain: %w", err))
+		return fail(fmt.Errorf("train: %w", err))
 	}
 	trainDur := time.Since(trainStart)
+	mode := "cold"
 	if ws := emb.Model.Warm; ws != nil {
+		mode = "warm"
 		d.o.logf("retrain: warm start seeded %d rows (%d fresh, %d retired), delta %.1f%% -> %d/%d epochs in %s",
 			ws.Seeded, ws.Fresh, ws.Retired, ws.DeltaFrac*100, ws.Epochs, d.o.epochs, trainDur.Round(time.Millisecond))
+	} else {
+		d.o.logf("trained in %s", trainDur.Round(time.Millisecond))
 	}
 
 	// One eval space per generation: the gate judges exactly the space
@@ -993,56 +943,65 @@ func (d *daemon) retrainOnce(ctx context.Context) error {
 	// The quality gate runs before publish: a drifted candidate is never
 	// persisted, never swapped in, and fails the cycle exactly like a
 	// corrupt artifact — same degraded markers, same backoff, same breaker.
+	// Without a baseline there is nothing to judge against: the generation
+	// is served first and becomes the baseline after.
 	var snap *drift.Snapshot
 	var rep *drift.Report
-	if d.driftEnabled() {
-		var reasons []string
-		rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "drift-check"), func(context.Context) {
-			snap, err = d.captureGeneration(space, gt, d.nextCandidateName())
-			if err != nil {
-				err = fmt.Errorf("drift capture: %w", err)
-				return
-			}
-			rep, reasons, err = d.gateCheck(snap)
-			if err != nil {
-				err = fmt.Errorf("drift compare: %w", err)
-			}
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if len(reasons) > 0 {
-			return fail(d.rejectCandidate(snap, rep, reasons))
-		}
+	var reasons []string
+	rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "drift-check"), func(context.Context) {
+		snap, rep, reasons, err = d.gateCheck(space, gt)
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if len(reasons) > 0 {
+		return fail(d.rejectCandidate(snap, rep, reasons))
 	}
 
 	var v modelstore.Version
+	var pubErr error
 	if d.st != nil {
 		rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "publish"), func(context.Context) {
-			v, err = d.publishVerified(emb)
+			v, pubErr = d.publishVerified(emb)
 		})
-		if err != nil {
-			return fail(err)
+		if pubErr != nil {
+			if d.gate.Ready() {
+				return fail(pubErr)
+			}
+			// The in-memory model is fine; only its persistence failed.
+			// Serving it beats serving nothing. The daemon is marked
+			// degraded before the swap, so the first answer already says
+			// so, and stays degraded until a publish succeeds.
+			d.o.logf("publish failed with nothing serving (serving the in-memory model, unversioned): %v", pubErr)
+			fail(pubErr)
 		}
 	}
-	d.setRetrainInfo(mode, trainDur, emb.Epochs, warmFallback)
-	d.serve(emb, space, cov, tr, gt, v)
-	ver := ""
-	if v != 0 {
-		ver = v.String()
+	d.serve(emb, space, cov, tr, gt, v, &apiserver.RetrainInfo{
+		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: emb.Epochs, WarmFallback: warmFallback,
+	})
+	if snap == nil {
+		d.driftBootstrap(space, gt, v)
+	} else {
+		var extra []string
+		if warmFallback != "" {
+			extra = append(extra, "warm_fallback: "+warmFallback)
+		}
+		d.acceptGeneration(snap, rep, v, extra...)
 	}
-	var extra []string
-	if warmFallback != "" {
-		extra = append(extra, "warm_fallback: "+warmFallback)
+	if pubErr != nil {
+		return pubErr
 	}
-	d.acceptGeneration(snap, rep, ver, extra...)
+	d.status.stale.Store(false)
+	d.status.driftReject.Store(false)
+	d.status.lastErr.Store("")
 	return nil
 }
 
-// retrainLoop runs periodic retraining under a supervisor: failures retry
+// retrainLoop runs cycle periodically under a supervisor: failures retry
 // with exponential backoff, and -retrainfail consecutive failures trip the
 // circuit breaker — the daemon then stops churning and serves its
-// last-good model until restarted.
+// last-good model until restarted. With nothing serving (a live daemon off
+// an empty store) the first cycle runs at once instead of waiting a tick.
 func (d *daemon) retrainLoop(ctx context.Context) {
 	sup := &robust.Supervisor{
 		Backoff: d.o.retrainBackoff,
@@ -1053,13 +1012,15 @@ func (d *daemon) retrainLoop(ctx context.Context) {
 	ticker := time.NewTicker(d.o.retrain)
 	defer ticker.Stop()
 	gaveUp := false
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
+	for wait := d.gate.Ready(); ; wait = true {
+		if wait {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
 		}
-		err := sup.Run(ctx, "retrain", d.retrainOnce)
+		err := sup.Run(ctx, "retrain", d.cycle)
 		switch {
 		case err == nil:
 			gaveUp = false

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -280,7 +281,8 @@ func TestSigtermDuringTraining(t *testing.T) {
 }
 
 // TestRunTolerantIngest: a trace with injected garbage rows is rejected in
-// strict mode but served under a -maxerr budget.
+// strict mode but served under a -maxerr budget, and every cycle that
+// re-reads the file — not only the first — reports what the budget absorbed.
 func TestRunTolerantIngest(t *testing.T) {
 	dir := t.TempDir()
 	cleanPath, tr := writeTestTrace(t, dir)
@@ -304,31 +306,48 @@ func TestRunTolerantIngest(t *testing.T) {
 
 	o := baseOpts(dirtyPath)
 	o.maxErr = 10
-	var report string
+	o.store = filepath.Join(dir, "store")
+	o.retrain = 10 * time.Millisecond
+	var mu sync.Mutex
+	var reports []string
+	sourced := 0
 	o.logf = func(format string, args ...any) {
-		s := fmt.Sprintf(format, args...)
-		if strings.Contains(s, "skipped") {
-			report = s
+		mu.Lock()
+		defer mu.Unlock()
+		if s := fmt.Sprintf(format, args...); strings.Contains(s, "skipped") {
+			reports = append(reports, s)
+		}
+		if strings.HasPrefix(format, "training on") {
+			sourced++
 		}
 	}
-	readyCh := make(chan string, 1)
-	o.onReady = func(addr string) { readyCh <- addr }
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, o) }()
-	select {
-	case <-readyCh:
-	case err := <-runErr:
-		t.Fatalf("tolerant daemon exited early: %v", err)
-	case <-time.After(2 * time.Minute):
-		t.Fatal("tolerant daemon never became ready")
+	retrained := make(chan struct{}, 1)
+	o.onRetrain = func(err error) {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("retrain on the tolerated trace: %v", err)
+		}
+		select {
+		case retrained <- struct{}{}:
+		default:
+		}
 	}
-	cancel()
-	if err := <-runErr; err != nil {
-		t.Fatalf("tolerant daemon shutdown = %v", err)
+	_, cancel, runErr := startDaemon(t, o)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-retrained:
+		case <-time.After(2 * time.Minute):
+			t.Fatal("no retrain cycle on the tolerated trace")
+		}
 	}
-	if !strings.Contains(report, "2 skipped") {
-		t.Fatalf("ingest report not printed or wrong: %q (trace len %d)", report, tr.Len())
+	stopDaemon(t, cancel, runErr)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reports) < 3 || len(reports) != sourced {
+		t.Fatalf("%d ingest reports for %d cycles that read the file, want one each (boot + >= 2 retrains)", len(reports), sourced)
+	}
+	for _, r := range reports {
+		if !strings.Contains(r, "2 skipped") {
+			t.Fatalf("ingest report wrong: %q (trace len %d)", r, tr.Len())
+		}
 	}
 }

@@ -159,8 +159,12 @@ type (
 	IngestReport = robust.IngestReport
 	// IngestStats is a point-in-time plain-value copy of an IngestReport.
 	IngestStats = robust.IngestStats
-	// TrainOpts adds cancellation and checkpoint/resume to training.
+	// TrainOpts adds cancellation, checkpoint/resume and warm start to
+	// training.
 	TrainOpts = core.TrainOpts
+	// WarmSeed is TrainOpts.Warm: the previous generation a refresh starts
+	// from, so that only the window delta is trained.
+	WarmSeed = w2v.WarmSeed
 )
 
 // Resilience sentinels.
@@ -243,9 +247,7 @@ func Simulate(cfg SimConfig) *SimOutput { return darksim.Generate(cfg) }
 func ParseIPv4(s string) (IPv4, error) { return netutil.ParseIPv4(s) }
 
 // BuildCorpus constructs the per-service, ΔT-windowed word sequences for a
-// trace under a service definition — the input of Embedding.Model.Update
-// when folding fresh traffic into an existing model. deltaT <= 0 uses the
-// paper's one hour.
+// trace under a service definition. deltaT <= 0 uses the paper's one hour.
 func BuildCorpus(tr *Trace, kind ServiceKind, deltaT int64) (*Corpus, error) {
 	return BuildCorpusOpts(tr, kind, deltaT, CorpusOptions{})
 }

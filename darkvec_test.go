@@ -131,3 +131,33 @@ func TestDefaultConfigIsPaperOperatingPoint(t *testing.T) {
 		t.Fatalf("default services = %v", cfg.Services)
 	}
 }
+
+// TestPublicWarmRefresh: a refresh is expressible through the facade alone —
+// a model trained on the first days seeds a train over all of them, new
+// senders get rows and fewer epochs run than a cold train would.
+func TestPublicWarmRefresh(t *testing.T) {
+	data := darkvec.Simulate(darkvec.SimConfig{Seed: 9, Days: 4, Scale: 0.01, Rate: 0.05})
+	cfg := darkvec.DefaultConfig()
+	cfg.W2V.Dim = 16
+	cfg.W2V.Window = 8
+	cfg.W2V.Epochs = 3
+	in := darkvec.NewSenderInterner()
+	m, err := darkvec.TrainWithOpts(data.Trace.FirstDays(3), cfg, darkvec.TrainOpts{Interner: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := darkvec.TrainWithOpts(data.Trace, cfg, darkvec.TrainOpts{
+		Interner: in,
+		Warm:     &darkvec.WarmSeed{Prev: m.Model, PrevPerm: m.Model.Perm},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := warm.Model.Warm
+	if ws == nil || ws.Seeded == 0 || ws.Fresh == 0 || warm.Epochs >= cfg.W2V.Epochs {
+		t.Fatalf("not a warm refresh: %+v, %d epochs", ws, warm.Epochs)
+	}
+	if _, cov := warm.EvalSpace(data.Trace.LastDays(1), nil); cov < 0.99 {
+		t.Fatalf("coverage after the refresh = %v", cov)
+	}
+}

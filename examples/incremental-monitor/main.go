@@ -2,8 +2,9 @@
 //
 // A real darknet never stops; retraining from scratch every day wastes
 // hours. This example trains a model on the first weeks of traffic, then
-// folds in each new day with Model.Update — new senders get vectors,
-// existing senders are fine-tuned — and tracks classification coverage and
+// refreshes it each new day by warm start — surviving senders keep their
+// vectors, new senders get fresh ones, and only the day's delta is trained
+// (the darkvecd -warm path) — and tracks classification coverage and
 // accuracy after every refresh. It finishes by pivoting from one known
 // Censys address to its nearest-neighbour cohort, the analyst move the
 // embedding makes cheap.
@@ -30,40 +31,35 @@ func main() {
 	// Bootstrap on the first 10 days.
 	cfg := darkvec.DefaultConfig()
 	cfg.W2V.Epochs = 4
-	boot := data.Trace.FirstDays(10)
-	emb, err := darkvec.Train(boot, cfg)
+	in := darkvec.NewSenderInterner()
+	emb, err := darkvec.TrainWithOpts(data.Trace.FirstDays(10), cfg, darkvec.TrainOpts{Interner: in})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("bootstrap on 10 days: vocab %d, %s\n",
 		emb.Model.Vocab.Size(), emb.TrainTime.Round(time.Millisecond))
 
-	// Fold in days 11..15 one at a time.
+	// Fold in days 11..15 one at a time. The interner is shared so each
+	// refresh maps surviving senders to their previous rows by id.
 	first, _ := data.Trace.Span()
 	dayStart := first - first%86400
 	for day := 10; day < days; day++ {
-		lo := dayStart + int64(day)*86400
-		fresh := data.Trace.Window(lo, lo+86400)
-		// New senders qualify by their full-trace activity, like the
-		// paper's active filter.
-		freshCorpus, err := darkvec.BuildCorpus(fresh.FilterSenders(fullActive), darkvec.ServiceDomain, cfg.DeltaT)
+		t0 := time.Now()
+		emb, err = darkvec.TrainWithOpts(data.Trace.FirstDays(day+1), cfg, darkvec.TrainOpts{
+			Interner: in,
+			Warm:     &darkvec.WarmSeed{Prev: emb.Model, PrevPerm: emb.Model.Perm},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		t0 := time.Now()
-		if err := emb.Model.Update(freshCorpus.Sentences(), cfg.W2V.Epochs); err != nil {
-			log.Fatal(err)
-		}
-		for _, ip := range fresh.Senders() {
-			if fullActive[ip] {
-				emb.Active[ip] = true
-			}
-		}
-		space, cov := emb.EvalSpace(fresh, fullActive)
+		// Coverage is over the day's senders that are active in the full
+		// trace, the paper's definition.
+		lo := dayStart + int64(day)*86400
+		space, cov := emb.EvalSpace(data.Trace.Window(lo, lo+86400), fullActive)
 		rep := darkvec.Evaluate(space, gt, cfg.K)
-		fmt.Printf("day %2d folded in %8s: vocab %5d, coverage %5.1f%%, accuracy %.3f\n",
-			day+1, time.Since(t0).Round(time.Millisecond), emb.Model.Vocab.Size(),
-			cov*100, rep.Accuracy)
+		fmt.Printf("day %2d folded in %8s (%d/%d epochs): vocab %5d, coverage %5.1f%%, accuracy %.3f\n",
+			day+1, time.Since(t0).Round(time.Millisecond), emb.Epochs, cfg.W2V.Epochs,
+			emb.Model.Vocab.Size(), cov*100, rep.Accuracy)
 	}
 
 	// Pivot from a known scanner to its cohort.

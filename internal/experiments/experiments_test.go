@@ -162,7 +162,7 @@ func TestIncrementalCoverageOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row order: stale, incremental, full. The stale model must not cover
+	// Row order: stale, warm refresh, full. The stale model must not cover
 	// more of the last day than the refreshed ones.
 	parse := func(s string) float64 {
 		var v float64
@@ -174,5 +174,40 @@ func TestIncrementalCoverageOrdering(t *testing.T) {
 	full := parse(res.Rows[2][1])
 	if stale > incr+1e-9 || stale > full+1e-9 {
 		t.Fatalf("coverage ordering broken: stale %.1f incr %.1f full %.1f", stale, incr, full)
+	}
+}
+
+// TestIncrementalDeterministic: the refresh table is a function of the
+// seed — two runs agree on every coverage and accuracy cell — and its
+// middle row really is a warm start: surviving senders seeded, new ones
+// fresh, fewer epochs than a cold train.
+func TestIncrementalDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains several models")
+	}
+	a, err := tinyEnv(t).Incremental()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tinyEnv(t).Incremental()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Rows) != 3 || a.Rows[1][0] != "warm refresh" {
+		t.Fatalf("rows = %v", a.Rows)
+	}
+	for i := range a.Rows {
+		if a.Rows[i][1] != b.Rows[i][1] || a.Rows[i][2] != b.Rows[i][2] {
+			t.Errorf("row %q differs between runs: %v vs %v", a.Rows[i][0], a.Rows[i], b.Rows[i])
+		}
+	}
+	var seeded, fresh, retired, epochs, budget int
+	note := a.Notes[len(a.Notes)-1]
+	if _, err := fmt.Sscanf(note, "warm refresh seeded %d rows (%d fresh, %d retired) and ran %d of %d epochs",
+		&seeded, &fresh, &retired, &epochs, &budget); err != nil {
+		t.Fatalf("warm note %q: %v", note, err)
+	}
+	if seeded == 0 || fresh == 0 || epochs >= budget {
+		t.Errorf("not a warm start: %q", note)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -43,4 +45,35 @@ func ReadFeed(r io.Reader) ([]netutil.IPv4, error) {
 		out = append(out, ip)
 	}
 	return out, sc.Err()
+}
+
+// ReadFeedDir loads every <class>.txt feed in dir, keyed by class name;
+// other files and sub-directories are ignored. An empty dir means no
+// feeds were configured and yields an empty map.
+func ReadFeedDir(dir string) (map[string][]netutil.IPv4, error) {
+	feeds := map[string][]netutil.IPv4{}
+	if dir == "" {
+		return feeds, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, ent := range entries {
+		class, ok := strings.CutSuffix(ent.Name(), ".txt")
+		if ent.IsDir() || !ok {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			return nil, err
+		}
+		ips, err := ReadFeed(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", ent.Name(), err)
+		}
+		feeds[class] = ips
+	}
+	return feeds, nil
 }

@@ -1,6 +1,9 @@
 package labels
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -119,5 +122,39 @@ func TestTable2ActiveFilter(t *testing.T) {
 	rows := Table2(tr, s, active)
 	if len(rows) != 1 || rows[0].Label != MiraiClass || rows[0].Senders != 1 {
 		t.Fatalf("filtered rows = %+v", rows)
+	}
+}
+
+func TestReadFeedDir(t *testing.T) {
+	if feeds, err := ReadFeedDir(""); err != nil || len(feeds) != 0 {
+		t.Fatalf("no directory configured = %v, %v; want an empty map", feeds, err)
+	}
+	if _, err := ReadFeedDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("missing directory must fail")
+	}
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"README.md":  "x",
+		"censys.txt": "1.2.3.4\n# comment\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "nested.txt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	feeds, err := ReadFeedDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(feeds) != 1 || len(feeds["censys"]) != 1 || feeds["censys"][0] != ip("1.2.3.4") {
+		t.Fatalf("feeds = %v", feeds)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shodan.txt"), []byte("not-an-ip\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFeedDir(dir); err == nil || !strings.Contains(err.Error(), "shodan.txt") {
+		t.Fatalf("malformed feed error = %v, want the file named", err)
 	}
 }

@@ -130,13 +130,3 @@ func TestCBOWWithHierarchicalSoftmax(t *testing.T) {
 		t.Fatal("CBOW+HS failed to separate topics")
 	}
 }
-
-func TestHSModelRejectsUpdate(t *testing.T) {
-	m, err := Train(twoTopicCorpus(20), Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 1, HS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update([][]string{{"x", "y"}}, 1); err == nil {
-		t.Fatal("HS models must refuse incremental updates")
-	}
-}

@@ -74,14 +74,6 @@ type WarmStats struct {
 	SamplerReused bool    // unigram alias table reused from the previous model
 }
 
-// TrainEncodedWarm trains from a pre-encoded corpus, seeding from a
-// previous generation. It is TrainEncodedWithOptions with only the Warm
-// option set; see WarmSeed for the contract and ErrWarmSeed for the
-// fallback discipline.
-func TrainEncodedWarm(enc Encoded, cfg Config, ws *WarmSeed) (*Model, error) {
-	return TrainEncodedWithOptions(enc, cfg, TrainOptions{Warm: ws})
-}
-
 // warmSeedModel validates ws against the freshly allocated model m, copies
 // surviving rows, random-inits fresh rows, and computes the delta-sized
 // epoch budget. m.Syn0 and m.syn1 must be allocated (zeroed) and m.Vocab

@@ -94,7 +94,7 @@ func TestWarmIdenticalWindowZeroEpochs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := warmCfg
 		cfg.Workers = workers
-		m, err := TrainEncodedWarm(encs[1], cfg, &WarmSeed{Prev: prev, PrevPerm: prev.Perm})
+		m, err := TrainEncodedWithOptions(encs[1], cfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -137,7 +137,7 @@ func TestWarmOverlapSeedsAndBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byWord, err := TrainEncodedWarm(encs[1], warmCfg, &WarmSeed{Prev: prev})
+	byWord, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWarmRetiresVanishedSenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainEncodedWarm(encs[1], warmCfg, &WarmSeed{Prev: prev, PrevPerm: prev.Perm})
+	m, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestWarmDecayShrinksShrinkingSenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainEncodedWarm(encs[1], warmCfg, &WarmSeed{Prev: prev, PrevPerm: prev.Perm, Decay: 0.5})
+	m, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm, Decay: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestWarmFromLoadedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainEncodedWarm(encs[1], warmCfg, &WarmSeed{Prev: loaded})
+	m, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: loaded}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestWarmQualityParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := TrainEncodedWarm(encs[1], warmCfg, &WarmSeed{Prev: prev, PrevPerm: prev.Perm})
+	warm, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm}})
 	if err != nil {
 		t.Fatal(err)
 	}
