@@ -35,10 +35,8 @@ import (
 	"strings"
 	"syscall"
 
-	"github.com/darkvec/darkvec/internal/cluster"
 	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/labels"
-	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/services"
 	"github.com/darkvec/darkvec/internal/trace"
 	"github.com/darkvec/darkvec/internal/w2v"
@@ -208,21 +206,13 @@ func run(ctx context.Context, o options) error {
 		fmt.Printf("\n-- semi-supervised %d-NN (Leave-One-Out) --\n%s", o.k, rep)
 	}
 	if o.mode == "cluster" || o.mode == "both" {
-		cl := core.Cluster(space, o.kPrime, o.seed)
+		v := core.NewView(space, gt, o.kPrime, o.seed)
 		fmt.Printf("\n-- unsupervised clustering (k'=%d + Louvain) --\n", o.kPrime)
-		fmt.Printf("clusters: %d, modularity: %.3f\n", cl.Clusters, cl.Modularity)
-		sil, serr := cluster.Silhouette(space, cl.Assign)
-		if serr != nil {
-			return serr
+		fmt.Printf("clusters: %d, modularity: %.3f\n", v.Clusters, v.Modularity)
+		if v.Err != nil {
+			return v.Err
 		}
-		lbl := map[string]string{}
-		for _, w := range space.Words {
-			if ip, perr := netutil.ParseIPv4(w); perr == nil {
-				lbl[w] = gt.Class(ip)
-			}
-		}
-		profiles := cluster.Inspect(tr, space.Words, cl.Assign, sil, lbl, labels.Unknown)
-		for _, p := range profiles {
+		for _, p := range v.Profiles(tr) {
 			if len(p.Senders) < 3 {
 				continue
 			}

@@ -9,10 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/drift"
-	"github.com/darkvec/darkvec/internal/embed"
-	"github.com/darkvec/darkvec/internal/labels"
 	"github.com/darkvec/darkvec/internal/modelstore"
 	"github.com/darkvec/darkvec/internal/netutil"
 )
@@ -74,24 +71,15 @@ func (d *daemon) initDrift() {
 	d.o.logf("drift: recovered %d gate decisions", h.Len())
 }
 
-// captureGeneration freezes a candidate (or freshly booted) generation
-// for comparison: its eval-window space — the one serve() swaps in — its
-// clustering, ground-truth classes for the per-class shift table, and
-// interner ids as stable matching keys so the same sender is recognised
-// across retrains.
-func (d *daemon) captureGeneration(space *embed.Space, gt *labels.Set, version string) (*drift.Snapshot, error) {
-	cl := core.Cluster(space, d.o.kPrime, d.o.seed)
-	in := d.trainInterner()
-	classFn := func(word string) string {
-		ip, err := netutil.ParseIPv4(word)
-		if err != nil {
-			return ""
-		}
-		if c := gt.Class(ip); c != labels.Unknown {
-			return c
-		}
-		return ""
+// captureGeneration freezes a candidate (or freshly booted) generation for
+// comparison: the space, clustering and classes of its view — the one
+// serve() swaps in — and interner ids as stable matching keys so the same
+// sender is recognised across retrains. nil, nil with the gate off.
+func (d *daemon) captureGeneration(g *generation) (*drift.Snapshot, error) {
+	if !d.driftEnabled() {
+		return nil, nil
 	}
+	in := d.trainInterner()
 	idFn := func(word string) (uint32, bool) {
 		ip, err := netutil.ParseIPv4(word)
 		if err != nil {
@@ -99,21 +87,28 @@ func (d *daemon) captureGeneration(space *embed.Space, gt *labels.Set, version s
 		}
 		return in.ID(ip)
 	}
-	return drift.Capture(space, cl.Assign, version, classFn, idFn)
+	// A candidate is named before its store version exists.
+	d.drift.mu.Lock()
+	d.drift.seq++
+	name := fmt.Sprintf("candidate-%d", d.drift.seq)
+	d.drift.mu.Unlock()
+	return drift.Capture(g.space, g.view.Assign, name, g.view.GateClass, idFn)
 }
 
-// gateCheck freezes a candidate and compares it against the accepted
-// baseline under the budgets. All-nil means there is no baseline yet (or
-// the gate is off, which never sets one): nothing is captured, the
-// generation is served unjudged and driftBootstrap makes it the baseline.
-func (d *daemon) gateCheck(space *embed.Space, gt *labels.Set) (*drift.Snapshot, *drift.Report, []string, error) {
+// gateCheck freezes a candidate and, once a baseline exists, compares the
+// two under the budgets; the snapshot that comes back is accepted after the
+// swap. Without a baseline there is nothing to judge against and nothing to
+// fail: the snapshot comes back alone — or nil when the gate is off or the
+// view cannot be frozen, which serve reports once ("clusters unavailable")
+// and leaves the gate waiting for a generation it can freeze.
+func (d *daemon) gateCheck(g *generation) (*drift.Snapshot, *drift.Report, []string, error) {
+	snap, err := d.captureGeneration(g)
 	d.drift.mu.Lock()
 	prev := d.drift.prev
 	d.drift.mu.Unlock()
 	if prev == nil {
-		return nil, nil, nil, nil
+		return snap, nil, nil, nil
 	}
-	snap, err := d.captureGeneration(space, gt, d.nextCandidateName())
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("drift capture: %w", err)
 	}
@@ -135,15 +130,6 @@ func (d *daemon) recordDecision(dec drift.Decision) {
 	if err := d.st.SaveAux(auxDrift, d.drift.hist.Save); err != nil {
 		d.o.logf("drift: persisting history: %v", err)
 	}
-}
-
-// nextCandidateName labels a candidate before its store version exists.
-func (d *daemon) nextCandidateName() string {
-	d.drift.mu.Lock()
-	d.drift.seq++
-	n := d.drift.seq
-	d.drift.mu.Unlock()
-	return fmt.Sprintf("candidate-%d", n)
 }
 
 // rejectCandidate records the gate verdict, marks the daemon degraded
@@ -170,14 +156,18 @@ func (d *daemon) rejectCandidate(snap *drift.Snapshot, rep *drift.Report, reason
 	return fmt.Errorf("%w: %s", drift.ErrRejected, strings.Join(reasons, "; "))
 }
 
-// acceptGeneration installs an accepted snapshot as the new comparison
-// baseline under its published name (v != 0; an unmanaged generation keeps
-// its candidate name) and records the decision. A generation accepted
-// without a report had no baseline to be judged against; it is logged as
-// the baseline. extraReasons annotate an accepted decision with cycle
-// context — e.g. a warm-start that had to fall back to cold — without
-// changing the verdict.
+// acceptGeneration installs the snapshot of the generation just swapped in
+// as the new comparison baseline under its published name (v != 0; an
+// unmanaged generation keeps its candidate name) and records the decision;
+// no snapshot leaves the gate as it was. A generation accepted without a
+// report had no baseline to be judged against; it is logged as the
+// baseline. extraReasons annotate an accepted decision with cycle context —
+// e.g. a warm-start that had to fall back to cold — without changing the
+// verdict.
 func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, v modelstore.Version, extraReasons ...string) {
+	if snap == nil {
+		return
+	}
 	if v != 0 {
 		snap.Version = v.String()
 	}
@@ -204,23 +194,9 @@ func (d *daemon) acceptGeneration(snap *drift.Snapshot, rep *drift.Report, v mod
 	}
 	dec.Reasons = append(dec.Reasons, extraReasons...)
 	d.recordDecision(dec)
-}
-
-// driftBootstrap captures a generation that was served unjudged — loaded
-// from the store, or produced while the gate had no baseline — as the
-// baseline the next candidate is compared against. Best effort: a capture
-// failure leaves the gate waiting for the next generation to seed it.
-func (d *daemon) driftBootstrap(space *embed.Space, gt *labels.Set, v modelstore.Version) {
-	if !d.driftEnabled() {
-		return
+	if rep == nil {
+		d.o.logf("drift: gate armed; baseline %s (%d senders)", snap.Version, snap.Rows())
 	}
-	snap, err := d.captureGeneration(space, gt, d.nextCandidateName())
-	if err != nil {
-		d.o.logf("drift: baseline capture: %v", err)
-		return
-	}
-	d.acceptGeneration(snap, nil, v)
-	d.o.logf("drift: gate armed; baseline %s (%d senders)", snap.Version, snap.Rows())
 }
 
 // handleDrift serves /v1/drift: gate configuration, the current

@@ -18,10 +18,11 @@
 // cap (-maxinflight).
 //
 // Every generation, the first included, comes out of one cycle: source
-// (window snapshot | -in) → labels → train (warm under -warm when a
-// generation is in memory, cold otherwise) → eval space → drift gate (once
-// a baseline exists) → publish → swap → baseline. On an empty store a
-// static daemon runs it once before anything else; with -retrain, a
+// (window snapshot | -in) → train (warm under -warm when a generation is in
+// memory, cold otherwise) → eval space → view (labels, clusters, silhouette:
+// taken once, read by the gate, the baseline and the API server) → drift
+// gate (once a baseline exists) → publish → swap → baseline. On an empty
+// store a static daemon runs it once before anything else; with -retrain, a
 // background supervisor runs it periodically off the serving path — at once
 // when nothing is serving yet, as in a live daemon off an empty store — and
 // rolls each new model in atomically, with zero dropped requests. What a
@@ -753,11 +754,11 @@ func (d *daemon) bootFromStore() (bool, error) {
 			return false, err
 		}
 		d.seedInterner(m.Words())
-		emb := core.EmbeddingFromModel(m, tr, d.cfg)
-		gt := labels.Build(tr, d.feeds)
-		space, cov := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
-		d.serve(emb, space, cov, tr, gt, v, nil)
-		d.driftBootstrap(space, gt, v)
+		g := d.look(tr, core.EmbeddingFromModel(m, tr, d.cfg))
+		// No baseline at boot, so nothing to fail: see gateCheck.
+		snap, _ := d.captureGeneration(g)
+		d.serve(g, v, nil)
+		d.acceptGeneration(snap, nil, v)
 		return true, nil
 	}
 }
@@ -845,29 +846,52 @@ func (d *daemon) buildANN(space *embed.Space) string {
 	return ""
 }
 
-// serve swaps a model into the gate over its eval space — the one the
-// drift gate judged. The swap is atomic: in-flight requests finish on the
-// generation they started with, new ones land on the fresh model, nothing
-// is dropped. how is what /v1/model reports about the training run (nil
-// for a generation loaded from the store).
-func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr *trace.Trace, gt *labels.Set, v modelstore.Version, how *apiserver.RetrainInfo) {
+// generation is a model on its way into serving, whether a cycle trained it
+// or boot loaded it from the store: the trace it describes, its eval-window
+// space, and the one view taken of that space.
+type generation struct {
+	tr    *trace.Trace
+	emb   *core.Embedding
+	space *embed.Space
+	cov   float64
+	view  *core.View
+}
+
+// look projects a model over the final -evaldays and takes the one view of
+// that space. The drift gate freezes it and serve hands it to the API
+// server: what was judged is what is served, clustered once.
+func (d *daemon) look(tr *trace.Trace, emb *core.Embedding) *generation {
+	g := &generation{tr: tr, emb: emb}
+	g.space, g.cov = emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+	gt := labels.Build(tr, d.feeds)
+	rpprof.Do(context.Background(), rpprof.Labels("darkvec_phase", "cluster"), func(context.Context) {
+		g.view = core.NewView(g.space, gt, d.o.kPrime, d.o.seed)
+	})
+	return g
+}
+
+// serve swaps a generation into the gate. The swap is atomic: in-flight
+// requests finish on the generation they started with, new ones land on the
+// fresh model, nothing is dropped. how is what /v1/model reports about the
+// training run (nil for a generation loaded from the store).
+func (d *daemon) serve(g *generation, v modelstore.Version, how *apiserver.RetrainInfo) {
 	ver := ""
 	if v != 0 {
 		ver = v.String()
 	}
 	var annErr string
 	rpprof.Do(context.Background(), rpprof.Labels("darkvec_phase", "index-build"), func(context.Context) {
-		annErr = d.buildANN(space)
+		annErr = d.buildANN(g.space)
 	})
-	d.prev = emb.Model
+	d.prev = g.emb.Model
 	d.gate.Set(apiserver.New(apiserver.Config{
-		Space: space, GT: gt, Trace: tr, KPrime: d.o.kPrime, Seed: d.o.seed,
+		View: g.view, Trace: g.tr,
 		RequestTimeout: d.o.reqTimeout, MaxInFlight: d.o.maxInFlight,
 		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: how,
 	}))
 	d.status.annErr.Store(annErr)
 	d.status.version.Store(uint64(v))
-	d.o.logf("serving %d senders (coverage %.0f%%)", space.Len(), cov*100)
+	d.o.logf("serving %d senders (coverage %.0f%%)", g.space.Len(), g.cov*100)
 	d.readyOnce.Do(func() {
 		if d.readyFn != nil {
 			d.readyFn()
@@ -877,8 +901,9 @@ func (d *daemon) serve(emb *core.Embedding, space *embed.Space, cov float64, tr 
 
 // cycle is the one way the daemon produces a generation, the first
 // included: source a trace, train (warm from the serving generation when
-// -warm asked for it, cold otherwise), evaluate, gate against the drift
-// baseline, publish with load-back verification, swap. What a failure
+// -warm asked for it, cold otherwise), take one look at the eval space, gate
+// it against the drift baseline, publish with load-back verification, swap.
+// What a failure
 // costs follows from whether a generation is serving (the table in the
 // package comment); a returned error reaches the retrain supervisor's
 // backoff and breaker, or ends a static daemon that has nothing to serve.
@@ -899,7 +924,6 @@ func (d *daemon) cycle(ctx context.Context) error {
 		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", tr.Len(), d.o.ingestMin)
 		return nil
 	}
-	gt := labels.Build(tr, d.feeds)
 
 	// Warm start: seed from the serving generation when -warm asked for
 	// it. A seed the trainer rejects (id-space mismatch, dimension change,
@@ -936,20 +960,18 @@ func (d *daemon) cycle(ctx context.Context) error {
 		d.o.logf("trained in %s", trainDur.Round(time.Millisecond))
 	}
 
-	// One eval space per generation: the gate judges exactly the space
-	// that is served.
-	space, cov := emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
+	g := d.look(tr, emb)
 
 	// The quality gate runs before publish: a drifted candidate is never
 	// persisted, never swapped in, and fails the cycle exactly like a
 	// corrupt artifact — same degraded markers, same backoff, same breaker.
-	// Without a baseline there is nothing to judge against: the generation
-	// is served first and becomes the baseline after.
+	// Without a baseline there is nothing to judge against: the snapshot
+	// comes back without a report and becomes the baseline after the swap.
 	var snap *drift.Snapshot
 	var rep *drift.Report
 	var reasons []string
 	rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "drift-check"), func(context.Context) {
-		snap, rep, reasons, err = d.gateCheck(space, gt)
+		snap, rep, reasons, err = d.gateCheck(g)
 	})
 	if err != nil {
 		return fail(err)
@@ -976,18 +998,14 @@ func (d *daemon) cycle(ctx context.Context) error {
 			fail(pubErr)
 		}
 	}
-	d.serve(emb, space, cov, tr, gt, v, &apiserver.RetrainInfo{
+	d.serve(g, v, &apiserver.RetrainInfo{
 		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: emb.Epochs, WarmFallback: warmFallback,
 	})
-	if snap == nil {
-		d.driftBootstrap(space, gt, v)
-	} else {
-		var extra []string
-		if warmFallback != "" {
-			extra = append(extra, "warm_fallback: "+warmFallback)
-		}
-		d.acceptGeneration(snap, rep, v, extra...)
+	var extra []string
+	if warmFallback != "" {
+		extra = append(extra, "warm_fallback: "+warmFallback)
 	}
+	d.acceptGeneration(snap, rep, v, extra...)
 	if pubErr != nil {
 		return pubErr
 	}

@@ -224,13 +224,7 @@ func Silhouette(space *Space, assign []int) ([]float64, error) {
 // InspectClusters profiles every cluster against the trace and ground truth
 // (port signatures, subnet concentration, dominant label).
 func InspectClusters(tr *Trace, space *Space, assign []int, sil []float64, gt *GroundTruth) []ClusterProfile {
-	lbl := make(map[string]string, space.Len())
-	for _, w := range space.Words {
-		if ip, err := netutil.ParseIPv4(w); err == nil {
-			lbl[w] = gt.Class(ip)
-		}
-	}
-	return cluster.Inspect(tr, space.Words, assign, sil, lbl, labels.Unknown)
+	return cluster.Inspect(tr, space.Words, assign, sil, core.Labels(space, gt), labels.Unknown)
 }
 
 // BuildGroundTruth derives GT classes: the Mirai fingerprint from the trace

@@ -59,6 +59,10 @@ type RetrainInfo struct {
 
 // Config assembles a Server.
 type Config struct {
+	// View is the generation's labels, clusters and silhouette when the
+	// caller already has them (darkvecd's drift gate judged this very
+	// view); nil builds one from Space, GT, KPrime and Seed.
+	View  *core.View
 	Space *embed.Space
 	GT    *labels.Set
 	Trace *trace.Trace
@@ -120,43 +124,34 @@ func StaleHeader(h http.Handler, stale func() (bool, string)) http.Handler {
 	})
 }
 
-// New builds the server, resolving everything a request reads — the label
-// table and one clustering pass — up front, so no handler does work that
+// New builds the server over one view of the space — the label table and
+// one clustering pass, resolved up front — so no handler does work that
 // grows with the space beyond its neighbour search.
 func New(cfg Config) *Server {
-	lbl := make(map[string]string, cfg.Space.Len())
-	for _, w := range cfg.Space.Words {
-		if ip, err := netutil.ParseIPv4(w); err == nil {
-			lbl[w] = cfg.GT.Class(ip)
-		}
-	}
-	kp := cfg.KPrime
-	if kp <= 0 {
-		kp = 3
+	v := cfg.View
+	if v == nil {
+		v = core.NewView(cfg.Space, cfg.GT, cfg.KPrime, cfg.Seed)
 	}
 	s := &Server{
-		space:   cfg.Space,
-		cls:     knn.NewClassifier(cfg.Space, cfg.Space.ANN(), lbl),
+		space:   v.Space,
+		cls:     knn.NewClassifier(v.Space, v.Space.ANN(), v.Labels),
 		stats:   cfg.Trace.Summary(3),
 		version: cfg.ModelVersion,
 		annErr:  cfg.ANNError,
 		retrain: cfg.Retrain,
 		mux:     http.NewServeMux(),
 	}
-	if cfg.Space.Len() > 1 {
-		cl := core.Cluster(cfg.Space, kp, cfg.Seed)
-		sil, err := cluster.Silhouette(cfg.Space, cl.Assign)
-		if err != nil {
-			// Cluster profiles are advisory; a space the metric refuses to
-			// score still serves similarity and classification, it just
-			// answers /v1/clusters with nothing.
-			if cfg.Logf != nil {
-				cfg.Logf("clusters unavailable: %v", err)
-			}
-		} else {
-			s.assign = cl.Assign
-			s.profiles = cluster.Inspect(cfg.Trace, cfg.Space.Words, cl.Assign, sil, lbl, labels.Unknown)
+	switch {
+	case v.Err != nil:
+		// Cluster profiles are advisory; a space the metric refuses to
+		// score still serves similarity and classification, it just
+		// answers /v1/clusters with nothing.
+		if cfg.Logf != nil {
+			cfg.Logf("clusters unavailable: %v", v.Err)
 		}
+	case v.Space.Len() > 1:
+		s.assign = v.Assign
+		s.profiles = v.Profiles(cfg.Trace)
 	}
 	s.routes()
 	timeout := cfg.RequestTimeout

@@ -323,24 +323,12 @@ func (e *Embedding) EvalSpace(eval *trace.Trace, active map[netutil.IPv4]bool) (
 // Evaluate runs the Leave-One-Out k-NN protocol over the space with labels
 // from set, producing the paper-style report.
 func Evaluate(space *embed.Space, set *labels.Set, k int) metrics.Report {
-	return knn.Evaluate(space, wordLabels(space, set), k, labels.Unknown)
+	return knn.Evaluate(space, Labels(space, set), k, labels.Unknown)
 }
 
 // Predictions returns raw LOO k-NN predictions (for GT extension, §6.4).
 func Predictions(space *embed.Space, set *labels.Set, k int) []knn.Prediction {
-	return knn.Classify(space, wordLabels(space, set), k)
-}
-
-func wordLabels(space *embed.Space, set *labels.Set) map[string]string {
-	out := make(map[string]string, space.Len())
-	for _, w := range space.Words {
-		ip, err := netutil.ParseIPv4(w)
-		if err != nil {
-			continue
-		}
-		out[w] = set.Class(ip)
-	}
-	return out
+	return knn.Classify(space, Labels(space, set), k)
 }
 
 // Clustering is the unsupervised stage output.

@@ -460,13 +460,6 @@ func jaccard(a, b map[string]bool) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Budgets are the configurable gate limits. A zero-valued field disables
 // that check; the zero Budgets value disables the gate entirely.
 type Budgets struct {

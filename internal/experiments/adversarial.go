@@ -7,8 +7,6 @@ import (
 	"github.com/darkvec/darkvec/internal/darksim"
 	"github.com/darkvec/darkvec/internal/drift"
 	"github.com/darkvec/darkvec/internal/embed"
-	"github.com/darkvec/darkvec/internal/labels"
-	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
@@ -42,18 +40,8 @@ type attackOutcome struct {
 
 // captureEval freezes an eval-window space the way darkvecd's gate does.
 func (e *Env) captureEval(space *embed.Space, version string) (*drift.Snapshot, error) {
-	cl := core.Cluster(space, e.Opts.KPrime, e.Opts.Seed)
-	classOf := func(word string) string {
-		ip, err := netutil.ParseIPv4(word)
-		if err != nil {
-			return ""
-		}
-		if c := e.GT.Class(ip); c != labels.Unknown {
-			return c
-		}
-		return ""
-	}
-	return drift.Capture(space, cl.Assign, version, classOf, nil)
+	v := core.NewView(space, e.GT, e.Opts.KPrime, e.Opts.Seed)
+	return drift.Capture(space, v.Assign, version, v.GateClass, nil)
 }
 
 // adversarialOutcomes trains the clean baseline, then replays each attack

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"github.com/darkvec/darkvec/internal/cluster"
-	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/honeypot"
-	"github.com/darkvec/darkvec/internal/labels"
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 )
@@ -19,18 +17,10 @@ import (
 // a live loopback honeypot; the honeypot's per-source attempt counts
 // confirm (or not) the brute-force hypothesis.
 func (e *Env) HoneypotVerify() (Result, error) {
-	space, err := e.unsupSpace()
+	profiles, err := e.unsupProfiles()
 	if err != nil {
 		return Result{}, err
 	}
-	cl := core.Cluster(space, e.Opts.KPrime, e.Opts.Seed)
-	lbl := map[string]string{}
-	for _, w := range space.Words {
-		if ip, perr := netutil.ParseIPv4(w); perr == nil {
-			lbl[w] = e.GT.Class(ip)
-		}
-	}
-	profiles := cluster.Inspect(e.Full, space.Words, cl.Assign, nil, lbl, labels.Unknown)
 
 	// Pick the largest cluster whose traffic is SSH-dominant.
 	var target *cluster.Profile

@@ -25,6 +25,17 @@ func (e *Env) unsupSpace() (*embed.Space, error) {
 	return space, nil
 }
 
+// unsupProfiles runs the unsupervised stage at the configured k′ over that
+// space and inspects every cluster against the full trace.
+func (e *Env) unsupProfiles() ([]cluster.Profile, error) {
+	space, err := e.unsupSpace()
+	if err != nil {
+		return nil, err
+	}
+	v := core.NewView(space, e.GT, e.Opts.KPrime, e.Opts.Seed)
+	return v.Profiles(e.Full), v.Err
+}
+
 // Fig10 sweeps k′ and reports the number of Louvain clusters and the
 // modularity, plus the elbow choice.
 func (e *Env) Fig10() (Result, error) {
@@ -82,22 +93,10 @@ func (e *Env) Fig11() (Result, error) {
 // Table5 runs the full unsupervised pipeline and matches detected clusters
 // against the planted coordinated groups.
 func (e *Env) Table5() (Result, error) {
-	space, err := e.unsupSpace()
+	profiles, err := e.unsupProfiles()
 	if err != nil {
 		return Result{}, err
 	}
-	cl := core.Cluster(space, e.Opts.KPrime, e.Opts.Seed)
-	sil, err := cluster.Silhouette(space, cl.Assign)
-	if err != nil {
-		return Result{}, err
-	}
-	lbl := map[string]string{}
-	for _, w := range space.Words {
-		if ip, perr := netutil.ParseIPv4(w); perr == nil {
-			lbl[w] = e.GT.Class(ip)
-		}
-	}
-	profiles := cluster.Inspect(e.Full, space.Words, cl.Assign, sil, lbl, labels.Unknown)
 
 	r := Result{
 		ID:     "table5",

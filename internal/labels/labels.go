@@ -67,17 +67,6 @@ func (s *Set) Class(ip netutil.IPv4) string {
 // Labeled returns the number of senders with a non-Unknown label.
 func (s *Set) Labeled() int { return len(s.byIP) }
 
-// WordLabels maps the dotted-quad words of senders to classes, assigning
-// Unknown to every sender in the list without a label. This is the shape the
-// k-NN evaluation consumes.
-func (s *Set) WordLabels(senders []netutil.IPv4) map[string]string {
-	out := make(map[string]string, len(senders))
-	for _, ip := range senders {
-		out[ip.String()] = s.Class(ip)
-	}
-	return out
-}
-
 // Classes returns the distinct non-Unknown class names, sorted.
 func (s *Set) Classes() []string {
 	set := map[string]bool{}

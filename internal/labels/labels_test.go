@@ -80,15 +80,6 @@ func TestClasses(t *testing.T) {
 	}
 }
 
-func TestWordLabels(t *testing.T) {
-	tr, feeds := fixture()
-	s := Build(tr, feeds)
-	wl := s.WordLabels([]netutil.IPv4{ip("1.1.1.1"), ip("3.3.3.3")})
-	if wl["1.1.1.1"] != MiraiClass || wl["3.3.3.3"] != Unknown {
-		t.Fatalf("word labels = %v", wl)
-	}
-}
-
 func TestTable2(t *testing.T) {
 	tr, feeds := fixture()
 	s := Build(tr, feeds)
