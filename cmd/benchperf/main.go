@@ -139,18 +139,18 @@ type metrics struct {
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_perf.json", "output JSON path (merged per go_max_procs)")
-		iters    = flag.Int("iters", 3, "timing iterations per substrate (best kept)")
-		maxprocs = flag.Int("maxprocs", 0, "override GOMAXPROCS for this run (0 = runtime default)")
-		days     = flag.Int("days", 8, "trace length in days")
-		scale    = flag.Float64("scale", 0.02, "population scale")
-		rate     = flag.Float64("rate", 0.05, "packet rate scale")
-		dim      = flag.Int("dim", 24, "embedding dimension V")
-		window   = flag.Int("window", 10, "context window c")
-		epochs   = flag.Int("epochs", 2, "training epochs")
-		k        = flag.Int("k", 7, "classifier neighbourhood size")
-		seed     = flag.Uint64("seed", 1, "run seed")
-		annRows  = flag.Int("annrows", 100000, "synthetic space size for the approximate-k-NN benchmark (0 = skip)")
+		out           = flag.String("out", "BENCH_perf.json", "output JSON path (merged per go_max_procs)")
+		iters         = flag.Int("iters", 3, "timing iterations per substrate (best kept)")
+		maxprocs      = flag.Int("maxprocs", 0, "override GOMAXPROCS for this run (0 = runtime default)")
+		days          = flag.Int("days", 8, "trace length in days")
+		scale         = flag.Float64("scale", 0.02, "population scale")
+		rate          = flag.Float64("rate", 0.05, "packet rate scale")
+		dim           = flag.Int("dim", 24, "embedding dimension V")
+		window        = flag.Int("window", 10, "context window c")
+		epochs        = flag.Int("epochs", 2, "training epochs")
+		k             = flag.Int("k", 7, "classifier neighbourhood size")
+		seed          = flag.Uint64("seed", 1, "run seed")
+		annRows       = flag.Int("annrows", 100000, "synthetic space size for the approximate-k-NN benchmark (0 = skip)")
 		corpusScale   = flag.Int("corpusscale", 1, "event multiplier for the corpus-build and trace→model substrates (replicates the trace end-to-end N times)")
 		retrainEpochs = flag.Int("retrainepochs", 6, "full epoch budget of the warm-vs-cold retrain substrate")
 	)

@@ -166,7 +166,10 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, what string) {
 // without an aggregator restart.
 func TestChaosKillVantageMidStorm(t *testing.T) {
 	out := darksim.Generate(darksim.Config{Seed: 7, Days: 2, Scale: 0.01, Rate: 0.1})
-	views := darksim.SplitVantages(out.Trace, carve3())
+	views, err := darksim.SplitVantages(out.Trace, carve3())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ip := sharedSender(t, views)
 
 	procs := map[string]*vantageProc{}

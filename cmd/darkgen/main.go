@@ -173,7 +173,11 @@ func run(o options) error {
 			blocks[i] = spec.v
 		}
 		before := tr.Len()
-		tr = darksim.TagVantages(tr, blocks)
+		tagged, err := darksim.TagVantages(tr, blocks)
+		if err != nil {
+			return err
+		}
+		tr = tagged
 		fmt.Printf("tagged %d of %d events across %d vantages (%d aimed at unmonitored space)\n",
 			tr.Len(), before, len(blocks), before-tr.Len())
 	}
@@ -247,7 +251,10 @@ func run(o options) error {
 		for i, spec := range o.vantages {
 			blocks[i] = spec.v
 		}
-		views := darksim.SplitVantages(tr, blocks)
+		views, err := darksim.SplitVantages(tr, blocks)
+		if err != nil {
+			return err
+		}
 		errs := make([]error, len(targets))
 		var wg sync.WaitGroup
 		for i, spec := range targets {

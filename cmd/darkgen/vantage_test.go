@@ -74,7 +74,7 @@ func TestRunTagsVantages(t *testing.T) {
 		"south": vant.vantages[1].v.Block,
 	}
 	for _, e := range view.Events {
-		block, ok := blocks[e.Vantage]
+		block, ok := blocks[e.Vantage.String()]
 		if !ok {
 			t.Fatalf("event tagged %q, not a configured vantage", e.Vantage)
 		}
@@ -109,7 +109,7 @@ func TestRunStreamsPerVantage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unparseable line %q: %v", line, err)
 			}
-			if e.Vantage != want || !block.Contains(e.Dst) {
+			if e.Vantage.String() != want || !block.Contains(e.Dst) {
 				t.Fatalf("vantage %s received %q aimed at %s", want, e.Vantage, e.Dst)
 			}
 			n++

@@ -53,10 +53,14 @@ func (d *daemon) startIngest() error {
 	if err != nil {
 		return err
 	}
+	vantage, err := trace.InternVantage(o.vantage)
+	if err != nil {
+		return fmt.Errorf("invalid -vantage: %w", err)
+	}
 	cfg := stream.Config{
 		QueueSize: o.ingestQueue,
 		Policy:    policy,
-		Vantage:   o.vantage,
+		Vantage:   vantage,
 		Window: stream.WindowConfig{
 			MaxEvents: o.ingestCap,
 			MaxAge:    int64(o.ingestAge.Seconds()),
@@ -113,12 +117,9 @@ func (d *daemon) startIngest() error {
 	// WAL: the log holds live-accepted events only, so replay never doubles
 	// a seed.
 	if o.in != "" {
-		tr, rep, err := trace.ReadFile(o.in, o.maxErr)
-		if err != nil {
-			return fmt.Errorf("seed from -in: %w", err)
+		if err := d.seedWindow(); err != nil {
+			return err
 		}
-		d.ing.Window().AddBatch(tr.Events)
-		o.logf("seeded window with %d events from %s (%s)", tr.Len(), o.in, rep)
 	}
 
 	// The WAL holds everything accepted up to the stop (per fsync policy).
@@ -165,6 +166,19 @@ func (d *daemon) startIngest() error {
 		}()
 		o.logf("following %s", o.follow)
 	}
+	return nil
+}
+
+// seedWindow copies the -in base trace into the window. The file's events
+// live only inside this call: the ring is the one copy the daemon keeps, so
+// by the first cycle the file trace is garbage, not a second window.
+func (d *daemon) seedWindow() error {
+	tr, rep, err := trace.ReadFile(d.o.in, d.o.maxErr)
+	if err != nil {
+		return fmt.Errorf("seed from -in: %w", err)
+	}
+	d.ing.Window().AddBatch(tr.Events)
+	d.o.logf("seeded window with %d events from %s (%s)", tr.Len(), d.o.in, rep)
 	return nil
 }
 

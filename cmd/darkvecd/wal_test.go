@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -319,7 +321,7 @@ func TestWALDegradedReason(t *testing.T) {
 func TestWALCompactionBoundedByWindowAge(t *testing.T) {
 	dir := t.TempDir()
 	o := walOpts(dir)
-	o.walSeg = 256                 // rotate every handful of records
+	o.walSeg = 256                  // rotate every handful of records
 	o.ingestAge = 100 * time.Second // window age cap = compaction horizon
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -377,5 +379,94 @@ func TestValidateWALFlags(t *testing.T) {
 		if err := o.validate(); err == nil {
 			t.Errorf("%s: validate accepted", tc.name)
 		}
+	}
+}
+
+// TestWALAndWireQuarantineFullVantageTable: once the process-wide vantage
+// table is full, a record carrying one more distinct tag is malformed on
+// both paths into the window — the WAL replay hook and the wire parser —
+// and both charge the one shared -maxerr budget; events tagged with an
+// admitted name, or with none, still flow. The table cannot be emptied, so
+// the scenario runs in a child copy of the test binary.
+func TestWALAndWireQuarantineFullVantageTable(t *testing.T) {
+	const child = "DARKVECD_TEST_FULL_VANTAGE_TABLE"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestWALAndWireQuarantineFullVantageTable$", "-test.v")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child test process: %v\n%s", err, out)
+		}
+		return
+	}
+	for i := 1; i < 1<<16; i++ {
+		if _, err := trace.InternVantage(fmt.Sprintf("t%05d", i)); err != nil {
+			t.Fatalf("filling the table, name %d: %v", i, err)
+		}
+	}
+
+	dir := t.TempDir()
+	o := walOpts(dir)
+	o.maxErr = 2
+	// Three admitted-tag events logged the normal way, then one framed by
+	// hand whose tag no id can name: an untagged record's zero tag length
+	// replaced by the tag itself.
+	log, err := wal.Open(o.wal, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := walTrace(3, 1).Events
+	for _, e := range events {
+		e.Vantage = trace.MustVantage("t00042")
+		if err := log.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := events[0].AppendBinary(nil)
+	payload = append(payload[:len(payload)-1], byte(len("one-too-many")))
+	payload = append(payload, "one-too-many"...)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(newestSegment(t, o.wal), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	httpAddr, ingestAddr, _, runErr := startLive(t, ctx, o)
+	base := "http://" + httpAddr
+	st := getIngestWAL(t, base)
+	if st.WAL == nil || st.WAL.Replayed != 3 || st.WAL.ReplayQuarantined != 1 || st.Parse.Skipped != 1 {
+		t.Fatalf("after replay: wal %+v, parse skipped %d; want 3 replayed, 1 quarantined, 1 skipped", st.WAL, st.Parse.Skipped)
+	}
+
+	conn, err := net.Dial("tcp", ingestAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "1700000010,10.0.0.1,192.168.0.1,23,tcp,0,another-too-many\n")
+	fmt.Fprintf(conn, "1700000011,10.0.0.1,192.168.0.1,23,tcp,0,t65535\n")
+	fmt.Fprintf(conn, "1700000012,10.0.0.1,192.168.0.1,23,tcp,0\n")
+	conn.Close()
+	waitFor(t, "two wire events accepted", func() bool { return getIngestStats(t, base).Accepted == 2 })
+	st = getIngestWAL(t, base)
+	if st.Parse.Skipped != 2 || st.Parse.Read != 5 || st.Window.Events != 5 {
+		t.Errorf("after the wire lines: read %d, skipped %d, window %d; want 5, 2 (the shared budget, spent), 5",
+			st.Parse.Read, st.Parse.Skipped, st.Window.Events)
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
 	}
 }

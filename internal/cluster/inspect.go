@@ -28,6 +28,55 @@ type Profile struct {
 	PortShare map[trace.PortKey]float64
 }
 
+// senderIndex lists, per sender of a space, the indices of its events in
+// trace order: a counting sort by sender over the space's senders only, at
+// four bytes an event (int32 indices: a trace of 2^31 events is 48 GiB of
+// them), where a per-sender copy of the events cost the whole window again
+// for every generation.
+type senderIndex struct {
+	slot  []int32        // space row → sender slot, -1 for a word that is no IPv4
+	ips   []netutil.IPv4 // slot → sender
+	start []int32        // slot → offset into idx; len = slots+1
+	idx   []int32        // event indices, grouped by slot, trace order within one
+}
+
+func indexSenders(tr *trace.Trace, words []string) senderIndex {
+	x := senderIndex{slot: make([]int32, len(words)), ips: make([]netutil.IPv4, 0, len(words))}
+	slotOf := make(map[netutil.IPv4]int32, len(words))
+	for row, w := range words {
+		ip, err := netutil.ParseIPv4(w)
+		if err != nil {
+			x.slot[row] = -1
+			continue
+		}
+		s, ok := slotOf[ip]
+		if !ok {
+			s = int32(len(x.ips))
+			slotOf[ip] = s
+			x.ips = append(x.ips, ip)
+		}
+		x.slot[row] = s
+	}
+	x.start = make([]int32, len(x.ips)+1)
+	for _, e := range tr.Events {
+		if s, ok := slotOf[e.Src]; ok {
+			x.start[s+1]++
+		}
+	}
+	for s := 1; s < len(x.start); s++ {
+		x.start[s] += x.start[s-1]
+	}
+	x.idx = make([]int32, x.start[len(x.ips)])
+	next := append([]int32(nil), x.start[:len(x.ips)]...)
+	for i, e := range tr.Events {
+		if s, ok := slotOf[e.Src]; ok {
+			x.idx[next[s]] = int32(i)
+			next[s]++
+		}
+	}
+	return x
+}
+
 // Inspect builds profiles for every cluster. words maps space rows to sender
 // strings; assign is the per-row cluster id; labels maps sender → GT class
 // (missing senders count as unknownLabel); sil is the per-row silhouette
@@ -37,31 +86,47 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 	for row, c := range assign {
 		byCluster[c] = append(byCluster[c], row)
 	}
-	// Per-sender event slices for fast per-cluster aggregation.
-	events := map[netutil.IPv4][]trace.Event{}
-	for _, e := range tr.Events {
-		events[e.Src] = append(events[e.Src], e)
-	}
+	index := indexSenders(tr, words)
 	ids := make([]int, 0, len(byCluster))
 	for c := range byCluster {
 		ids = append(ids, c)
 	}
 	sort.Ints(ids)
+	// portAgg is one port's share of a cluster. A sender's events are read
+	// in one run, so "a sender not yet counted for this port" is "not the
+	// sender that touched it last" — no per-port sender set. (Two words
+	// that parse to one address read that sender's run twice; reader marks
+	// the second reading so it adds packets, not senders.)
+	type portAgg struct {
+		key           trace.PortKey
+		pkts, senders int
+		last          int32 // slot of the last sender counted
+	}
+	// One set of tables serves every cluster in turn, so the scratch is
+	// sized by the widest cluster, not by their sum.
+	ports := map[trace.PortKey]int32{} // → index into aggs
+	var aggs []portAgg
+	sub24 := map[netutil.IPv4]bool{}
+	sub16 := map[netutil.IPv4]bool{}
+	reader := make([]int, len(index.ips)) // slot → 1 + index of the last cluster that read it
 	var out []Profile
-	for _, c := range ids {
+	for ci, c := range ids {
 		rows := byCluster[c]
-		p := Profile{Cluster: c, GTCounts: map[string]int{}, PortShare: map[trace.PortKey]float64{}}
-		sub24 := map[netutil.IPv4]bool{}
-		sub16 := map[netutil.IPv4]bool{}
-		portPkts := map[trace.PortKey]int{}
-		portSenders := map[trace.PortKey]map[netutil.IPv4]bool{}
+		p := Profile{Cluster: c, GTCounts: map[string]int{}}
+		clear(ports)
+		aggs = aggs[:0]
+		clear(sub24)
+		clear(sub16)
 		mirai := 0
 		var silSum float64
 		for _, row := range rows {
-			ip, err := netutil.ParseIPv4(words[row])
-			if err != nil {
+			slot := index.slot[row]
+			if slot < 0 {
 				continue
 			}
+			again := reader[slot] == ci+1
+			reader[slot] = ci + 1
+			ip := index.ips[slot]
 			p.Senders = append(p.Senders, ip)
 			sub24[ip.Subnet(24).Base] = true
 			sub16[ip.Subnet(16).Base] = true
@@ -74,14 +139,22 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 				silSum += sil[row]
 			}
 			hasMirai := false
-			for _, e := range events[ip] {
+			for _, i := range index.idx[index.start[slot]:index.start[slot+1]] {
+				e := &tr.Events[i]
 				p.Packets++
 				k := e.Key()
-				portPkts[k]++
-				if portSenders[k] == nil {
-					portSenders[k] = map[netutil.IPv4]bool{}
+				ai, ok := ports[k]
+				if !ok {
+					ai = int32(len(aggs))
+					ports[k] = ai
+					aggs = append(aggs, portAgg{key: k, last: -1})
 				}
-				portSenders[k][ip] = true
+				a := &aggs[ai]
+				a.pkts++
+				if a.last != slot && !again {
+					a.last = slot
+					a.senders++
+				}
 				if e.Mirai {
 					hasMirai = true
 				}
@@ -93,35 +166,31 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 		if len(p.Senders) == 0 {
 			continue
 		}
-		p.Ports = len(portPkts)
+		p.Ports = len(aggs)
 		p.MiraiFrac = float64(mirai) / float64(len(p.Senders))
 		p.Subnets24, p.Subnets16 = len(sub24), len(sub16)
 		if sil != nil {
 			p.AvgSil = silSum / float64(len(rows))
 		}
-		type ps struct {
-			k trace.PortKey
-			n int
+		p.PortShare = make(map[trace.PortKey]float64, len(aggs))
+		for _, a := range aggs {
+			p.PortShare[a.key] = float64(a.pkts) / float64(p.Packets)
 		}
-		all := make([]ps, 0, len(portPkts))
-		for k, n := range portPkts {
-			all = append(all, ps{k, n})
-			if p.Packets > 0 {
-				p.PortShare[k] = float64(n) / float64(p.Packets)
+		sort.Slice(aggs, func(i, j int) bool {
+			if aggs[i].pkts != aggs[j].pkts {
+				return aggs[i].pkts > aggs[j].pkts
 			}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].n != all[j].n {
-				return all[i].n > all[j].n
+			if aggs[i].key.Port != aggs[j].key.Port {
+				return aggs[i].key.Port < aggs[j].key.Port
 			}
-			return all[i].k.Port < all[j].k.Port
+			return aggs[i].key.Proto < aggs[j].key.Proto
 		})
-		for i := 0; i < len(all) && i < 5; i++ {
+		for _, a := range aggs[:min(len(aggs), 5)] {
 			p.TopPorts = append(p.TopPorts, trace.PortStat{
-				Key:          all[i].k,
-				Packets:      all[i].n,
-				TrafficShare: float64(all[i].n) / float64(p.Packets),
-				Sources:      len(portSenders[all[i].k]),
+				Key:          a.key,
+				Packets:      a.pkts,
+				TrafficShare: float64(a.pkts) / float64(p.Packets),
+				Sources:      a.senders,
 			})
 		}
 		bestLabel, bestN := unknownLabel, 0

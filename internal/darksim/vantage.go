@@ -43,19 +43,24 @@ func CarveDarknet(block netutil.Subnet, names ...string) ([]Vantage, error) {
 // each event lands in the first vantage whose block contains its dst and is
 // tagged with that vantage's name. Events no vantage monitors are dropped —
 // address space nobody watches produces no observations. Event order is
-// preserved; the input trace is not mutated.
-func TagVantages(tr *trace.Trace, vantages []Vantage) *trace.Trace {
+// preserved; the input trace is not mutated. A name the vantage table does
+// not admit (trace.InternVantage) is an error.
+func TagVantages(tr *trace.Trace, vantages []Vantage) (*trace.Trace, error) {
+	ids, err := internNames(vantages)
+	if err != nil {
+		return nil, err
+	}
 	events := make([]trace.Event, 0, tr.Len())
 	for _, e := range tr.Events {
-		for _, v := range vantages {
+		for i, v := range vantages {
 			if v.Block.Contains(e.Dst) {
-				e.Vantage = v.Name
+				e.Vantage = ids[i]
 				events = append(events, e)
 				break
 			}
 		}
 	}
-	return trace.New(events)
+	return trace.New(events), nil
 }
 
 // SplitVantages is TagVantages delivered as per-vantage views: every
@@ -63,15 +68,19 @@ func TagVantages(tr *trace.Trace, vantages []Vantage) *trace.Trace {
 // its block, in original order — the per-daemon feed of a federated
 // deployment. Every configured vantage is present in the result, empty or
 // not.
-func SplitVantages(tr *trace.Trace, vantages []Vantage) map[string]*trace.Trace {
+func SplitVantages(tr *trace.Trace, vantages []Vantage) (map[string]*trace.Trace, error) {
+	ids, err := internNames(vantages)
+	if err != nil {
+		return nil, err
+	}
 	parts := make(map[string][]trace.Event, len(vantages))
 	for _, v := range vantages {
 		parts[v.Name] = nil
 	}
 	for _, e := range tr.Events {
-		for _, v := range vantages {
+		for i, v := range vantages {
 			if v.Block.Contains(e.Dst) {
-				e.Vantage = v.Name
+				e.Vantage = ids[i]
 				parts[v.Name] = append(parts[v.Name], e)
 				break
 			}
@@ -81,5 +90,18 @@ func SplitVantages(tr *trace.Trace, vantages []Vantage) map[string]*trace.Trace 
 	for name, events := range parts {
 		out[name] = trace.New(events)
 	}
-	return out
+	return out, nil
+}
+
+// internNames resolves each vantage's name to its event tag.
+func internNames(vantages []Vantage) ([]trace.VantageID, error) {
+	ids := make([]trace.VantageID, len(vantages))
+	for i, v := range vantages {
+		id, err := trace.InternVantage(v.Name)
+		if err != nil {
+			return nil, fmt.Errorf("darksim: vantage %q: %w", v.Name, err)
+		}
+		ids[i] = id
+	}
+	return ids, nil
 }

@@ -68,21 +68,24 @@ func vantageFixture() (*trace.Trace, []Vantage) {
 
 func TestTagVantages(t *testing.T) {
 	tr, vs := vantageFixture()
-	tagged := TagVantages(tr, vs)
+	tagged, err := TagVantages(tr, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tagged.Len() != 4 {
 		t.Fatalf("tagged %d events, want 4 (unmonitored dst dropped)", tagged.Len())
 	}
 	wantTags := []string{"north", "south", "south", "north"}
 	wantTs := []int64{1, 2, 3, 5}
 	for i, e := range tagged.Events {
-		if e.Vantage != wantTags[i] || e.Ts != wantTs[i] {
+		if e.Vantage.String() != wantTags[i] || e.Ts != wantTs[i] {
 			t.Fatalf("tagged[%d] = ts %d vantage %q, want ts %d vantage %q",
 				i, e.Ts, e.Vantage, wantTs[i], wantTags[i])
 		}
 	}
 	// The input trace is untouched.
 	for _, e := range tr.Events {
-		if e.Vantage != "" {
+		if e.Vantage != 0 {
 			t.Fatalf("input trace mutated: event ts %d tagged %q", e.Ts, e.Vantage)
 		}
 	}
@@ -90,7 +93,10 @@ func TestTagVantages(t *testing.T) {
 
 func TestSplitVantages(t *testing.T) {
 	tr, vs := vantageFixture()
-	views := SplitVantages(tr, vs)
+	views, err := SplitVantages(tr, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(views) != 2 {
 		t.Fatalf("split into %d views, want 2", len(views))
 	}
@@ -99,7 +105,7 @@ func TestSplitVantages(t *testing.T) {
 		t.Fatalf("north %d, south %d events; want 2 and 2", north.Len(), south.Len())
 	}
 	for _, e := range north.Events {
-		if e.Vantage != "north" {
+		if e.Vantage.String() != "north" {
 			t.Fatalf("north view holds %q event", e.Vantage)
 		}
 	}
@@ -111,7 +117,9 @@ func TestSplitVantages(t *testing.T) {
 	// valid (and observable) state, not a missing key.
 	vs = append(vs, Vantage{Name: "west", Block: netutil.MustParseSubnet("192.0.2.0/24")})
 	tr2, _ := vantageFixture()
-	views = SplitVantages(tr2, vs)
+	if views, err = SplitVantages(tr2, vs); err != nil {
+		t.Fatal(err)
+	}
 	west, ok := views["west"]
 	if !ok || west.Len() != 0 {
 		t.Fatalf("empty vantage missing from split: %v", views)
@@ -127,8 +135,14 @@ func TestSplitVantagesMatchesTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged := TagVantages(out.Trace, vs)
-	views := SplitVantages(out.Trace, vs)
+	tagged, err := TagVantages(out.Trace, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := SplitVantages(out.Trace, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, view := range views {
 		total += view.Len()

@@ -26,7 +26,10 @@ func (e *Env) Federation() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	views := darksim.SplitVantages(e.Full, vantages)
+	views, err := darksim.SplitVantages(e.Full, vantages)
+	if err != nil {
+		return Result{}, err
+	}
 
 	// Baseline: the whole darknet behind one daemon.
 	base, err := e.Embedding(core.ServiceDomain, e.Opts.Days)

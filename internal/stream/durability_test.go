@@ -11,7 +11,7 @@ import (
 )
 
 func durEvent(ts int64, port uint16) trace.Event {
-	return trace.Event{Ts: ts, Src: 0x0a0a0a0a, Dst: 0x01010101, Port: port, Proto: packet.IPProtocolTCP, Vantage: "west"}
+	return trace.Event{Ts: ts, Src: 0x0a0a0a0a, Dst: 0x01010101, Port: port, Proto: packet.IPProtocolTCP, Vantage: trace.MustVantage("west")}
 }
 
 // TestReplayEquivalence is the durability contract end to end: a window

@@ -84,11 +84,11 @@ type Config struct {
 	// the window and LogFailed counts them — because serving from a
 	// slightly-less-durable window beats refusing traffic.
 	Log EventLog
-	// Vantage, when non-empty, tags every untagged event admitted by this
-	// ingestor with the named vantage point. Events whose line already
-	// carries a tag keep it — a relay forwarding several telescopes into
-	// one listener stays attributable per event.
-	Vantage string
+	// Vantage, when non-zero, tags every untagged event admitted by this
+	// ingestor with that vantage point (trace.InternVantage of its name).
+	// Events whose line already carries a tag keep it — a relay forwarding
+	// several telescopes into one listener stays attributable per event.
+	Vantage trace.VantageID
 	// Logf, when non-nil, receives operational events (connections cut,
 	// budget blown).
 	Logf func(format string, args ...any)
@@ -389,7 +389,7 @@ func (in *Ingestor) consumeLine(line, name string, bucket *tokenBucket) error {
 		}
 		return nil
 	}
-	if e.Vantage == "" {
+	if e.Vantage == 0 {
 		e.Vantage = in.cfg.Vantage
 	}
 	in.report.Record()

@@ -118,9 +118,9 @@ func TestIngestorSlowLorisDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "1,1.1.")         // mid-line, no newline
-	time.Sleep(50 * time.Millisecond)   // under the deadline: still alive
-	fmt.Fprintf(conn, "1.1")            // progress resets the deadline
+	fmt.Fprintf(conn, "1,1.1.")       // mid-line, no newline
+	time.Sleep(50 * time.Millisecond) // under the deadline: still alive
+	fmt.Fprintf(conn, "1.1")          // progress resets the deadline
 	waitFor(t, 3*time.Second, func() bool { return in.Stats().KilledConns == 1 }, "slow-loris cut")
 	if in.Window().Len() != 0 {
 		t.Errorf("partial line entered window")

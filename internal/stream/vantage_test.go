@@ -16,7 +16,7 @@ import (
 func vantageOf(tr *trace.Trace) map[string]string {
 	m := map[string]string{}
 	for _, e := range tr.Events {
-		m[e.Src.String()] = e.Vantage
+		m[e.Src.String()] = e.Vantage.String()
 	}
 	return m
 }
@@ -25,7 +25,7 @@ func vantageOf(tr *trace.Trace) map[string]string {
 // untagged lines applies the ingestor's default tag only to the untagged
 // ones; explicit per-line tags win.
 func TestIngestorVantageTagging(t *testing.T) {
-	in, addr := startTCP(t, Config{Vantage: "north", Budget: robust.Budget{MaxErrors: 10}})
+	in, addr := startTCP(t, Config{Vantage: trace.MustVantage("north"), Budget: robust.Budget{MaxErrors: 10}})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWindowVantageFlushRebootSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Vantage = vantage
+		e.Vantage = trace.MustVantage(vantage)
 		return e
 	}
 	w.Add(mk(1, "1.1.1.1", "north"))
@@ -110,7 +110,7 @@ func TestWindowVantageFlushRebootSeed(t *testing.T) {
 // TestIngestorVantageOnReaderSource: the Consume (io.Reader) source path
 // shares the tagging behaviour of the wire sources.
 func TestIngestorVantageOnReaderSource(t *testing.T) {
-	in := New(Config{Vantage: "east", Budget: robust.Budget{MaxErrors: 10}})
+	in := New(Config{Vantage: trace.MustVantage("east"), Budget: robust.Budget{MaxErrors: 10}})
 	defer in.Close()
 	input := trace.CSVHeaderLine + "\n" + line(1, "1.1.1.1") + "\n" + line(2, "2.2.2.2") + ",far\n"
 	if err := in.Consume(bytes.NewReader([]byte(input)), "rdr"); err != nil {

@@ -79,11 +79,14 @@ func (w *Window) Add(e trace.Event) {
 	w.addLocked(e)
 }
 
-// AddBatch admits a batch under one lock acquisition — the seed path, when
-// a boot-time trace pre-fills the window.
+// AddBatch admits a batch under one lock acquisition: the boot-time seed
+// that pre-fills the window, and every batch the consumer pops. The ring is
+// reserved for the whole batch first, so a seed costs one ring rather than
+// every doubling on the way to it.
 func (w *Window) AddBatch(events []trace.Event) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.reserveLocked(w.retainedLocked(events))
 	for _, e := range events {
 		w.addLocked(e)
 	}
@@ -92,7 +95,7 @@ func (w *Window) AddBatch(events []trace.Event) {
 func (w *Window) addLocked(e trace.Event) {
 	if w.n == len(w.buf) {
 		if len(w.buf) < w.cfg.MaxEvents {
-			w.grow()
+			w.reserveLocked(1)
 		} else {
 			w.evictLocked()
 			w.evictedCap++
@@ -112,15 +115,42 @@ func (w *Window) addLocked(e trace.Event) {
 	}
 }
 
-func (w *Window) grow() {
-	newCap := 1024
-	if len(w.buf) > 0 {
-		newCap = len(w.buf) * 2
+// retainedLocked counts the events of a batch the age horizon will still
+// hold once the whole batch is in, so a month-long seed into a one-day
+// window reserves a day of ring, not a month.
+func (w *Window) retainedLocked(events []trace.Event) int {
+	if w.cfg.MaxAge <= 0 {
+		return len(events)
 	}
-	if newCap > w.cfg.MaxEvents {
-		newCap = w.cfg.MaxEvents
+	newest := w.newest
+	for _, e := range events {
+		if e.Ts > newest {
+			newest = e.Ts
+		}
 	}
-	nb := make([]trace.Event, newCap)
+	n := 0
+	for _, e := range events {
+		if newest-e.Ts <= w.cfg.MaxAge {
+			n++
+		}
+	}
+	return n
+}
+
+// reserveLocked makes room for extra more events with at most one ring
+// allocation. Capacities stay on the doubling ladder (1024·2^k, capped at
+// MaxEvents) whatever the batch sizes: a ring sized exactly to each batch
+// would be re-copied whole on every batch that follows.
+func (w *Window) reserveLocked(extra int) {
+	need := min(w.n+extra, w.cfg.MaxEvents)
+	if need <= len(w.buf) {
+		return
+	}
+	newCap := max(len(w.buf), 1024)
+	for newCap < need {
+		newCap *= 2
+	}
+	nb := make([]trace.Event, min(newCap, w.cfg.MaxEvents))
 	for i := 0; i < w.n; i++ {
 		nb[i] = w.buf[(w.head+i)%len(w.buf)]
 	}

@@ -117,3 +117,90 @@ func TestWindowSnapshotSortedAndIndependent(t *testing.T) {
 		t.Errorf("snapshot changed under window mutation")
 	}
 }
+
+// ringAllocs feeds batches to a window one AddBatch at a time and counts
+// how many times the ring was reallocated on the way.
+func ringAllocs(w *Window, batches [][]trace.Event) int {
+	allocs := 0
+	var ring *trace.Event
+	for _, b := range batches {
+		w.AddBatch(b)
+		if len(w.buf) > 0 && &w.buf[0] != ring {
+			ring = &w.buf[0]
+			allocs++
+		}
+	}
+	return allocs
+}
+
+// seq builds n in-order events from one sender starting at ts.
+func seq(ts int64, n int) []trace.Event {
+	events := make([]trace.Event, n)
+	for i := range events {
+		events[i] = ev(ts+int64(i), "1.2.3.4")
+	}
+	return events
+}
+
+// TestSeedReservesOnce: a boot-time seed is one ring allocation of the
+// capacity doubling would have reached, not every doubling on the way; a
+// seed at the event cap gets exactly the cap.
+func TestSeedReservesOnce(t *testing.T) {
+	seed := seq(0, 100000)
+	w := NewWindow(WindowConfig{MaxEvents: 1 << 20, MaxAge: -1})
+	if n := ringAllocs(w, [][]trace.Event{seed}); n != 1 {
+		t.Errorf("seed of %d events allocated the ring %d times, want 1", len(seed), n)
+	}
+	if len(w.buf) != 1<<17 || w.Len() != len(seed) {
+		t.Errorf("ring %d slots holding %d events, want %d and %d", len(w.buf), w.Len(), 1<<17, len(seed))
+	}
+	snap := w.Snapshot()
+	for i, e := range snap.Events {
+		if e != seed[i] {
+			t.Fatalf("snapshot[%d] = %+v, want %+v", i, e, seed[i])
+		}
+	}
+
+	capped := NewWindow(WindowConfig{MaxEvents: 60000, MaxAge: -1})
+	if n := ringAllocs(capped, [][]trace.Event{seed}); n != 1 || len(capped.buf) != 60000 {
+		t.Errorf("capped seed: %d ring allocations, %d slots; want 1 and 60000", n, len(capped.buf))
+	}
+	if st := capped.Stats(); st.Events != 60000 || st.EvictedCap != 40000 || st.FirstTs != 40000 {
+		t.Errorf("capped seed stats = %+v", st)
+	}
+}
+
+// TestSeedReservesForTheAgeHorizonOnly: a seed far longer than the age
+// horizon reserves what the horizon keeps, not the whole file.
+func TestSeedReservesForTheAgeHorizonOnly(t *testing.T) {
+	w := NewWindow(WindowConfig{MaxEvents: 1 << 20, MaxAge: 3000})
+	if n := ringAllocs(w, [][]trace.Event{seq(0, 100000)}); n != 1 {
+		t.Errorf("ring allocated %d times, want 1", n)
+	}
+	if w.Len() != 3001 || len(w.buf) != 4096 {
+		t.Errorf("window holds %d events in a %d-slot ring, want 3001 in 4096", w.Len(), len(w.buf))
+	}
+}
+
+// TestAddBatchReallocatesLogTimes: the consumer's small batches walk the
+// same doubling ladder as single adds — O(log n) rings for n events — and a
+// full ring is never reallocated again. (Reserving exactly what each batch
+// needs would re-copy the whole ring on every batch.)
+func TestAddBatchReallocatesLogTimes(t *testing.T) {
+	const batch, total = 100, 200000
+	var batches [][]trace.Event
+	for ts := 0; ts < total; ts += batch {
+		batches = append(batches, seq(int64(ts), batch))
+	}
+	w := NewWindow(WindowConfig{MaxEvents: 150000, MaxAge: -1})
+	// 1024·2^k up to 131072, then the cap: nine rings.
+	if n := ringAllocs(w, batches); n != 9 {
+		t.Errorf("%d batches of %d allocated the ring %d times, want 9", len(batches), batch, n)
+	}
+	if st := w.Stats(); st.Events != 150000 || st.EvictedCap != total-150000 || st.FirstTs != total-150000 {
+		t.Errorf("stats = %+v", st)
+	}
+	if n := ringAllocs(w, batches); n != 1 { // counts the ring already there, and no other
+		t.Errorf("a full ring was reallocated %d more times", n-1)
+	}
+}

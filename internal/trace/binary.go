@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
@@ -29,10 +28,6 @@ const binaryFixedLen = 8 + 4 + 4 + 2 + 1 + 1
 
 const flagMirai = 1 << 0
 
-// MaxVantageLen caps the vantage tag a binary record may carry; anything
-// longer is corruption, not a telescope name.
-const MaxVantageLen = 255
-
 // AppendBinary appends the event's binary record encoding to dst and
 // returns the extended slice — the allocation-free formatter the WAL uses.
 func (e Event) AppendBinary(dst []byte) []byte {
@@ -46,16 +41,18 @@ func (e Event) AppendBinary(dst []byte) []byte {
 		flags |= flagMirai
 	}
 	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(e.Vantage)))
-	dst = append(dst, e.Vantage...)
+	vantage := e.Vantage.String()
+	dst = binary.AppendUvarint(dst, uint64(len(vantage)))
+	dst = append(dst, vantage...)
 	return dst
 }
 
 // DecodeBinary decodes one AppendBinary-encoded record. The whole of b must
 // be consumed — a record with trailing bytes is torn or corrupt. Validation
-// matches the CSV line parser: unknown protocol numbers, flag bits and
-// malformed vantage tags are errors, so a replayed WAL admits exactly what
-// the wire path would have.
+// matches the CSV line parser: unknown protocol numbers, flag bits,
+// malformed vantage tags and a new tag the full vantage table cannot admit
+// are errors, so a replayed WAL admits exactly what the wire path would
+// have.
 func DecodeBinary(b []byte) (Event, error) {
 	var e Event
 	if len(b) < binaryFixedLen {
@@ -80,19 +77,13 @@ func DecodeBinary(b []byte) (Event, error) {
 	if n <= 0 {
 		return Event{}, fmt.Errorf("trace: binary record: bad vantage length")
 	}
-	if vlen > MaxVantageLen {
-		return Event{}, fmt.Errorf("trace: binary record: vantage length %d exceeds %d", vlen, MaxVantageLen)
-	}
 	rest := b[binaryFixedLen+n:]
 	if uint64(len(rest)) != vlen {
 		return Event{}, fmt.Errorf("trace: binary record: %d vantage bytes, header declares %d", len(rest), vlen)
 	}
-	if vlen > 0 {
-		v := string(rest)
-		if strings.ContainsAny(v, ",\n\r") {
-			return Event{}, fmt.Errorf("trace: binary record: bad vantage %q", v)
-		}
-		e.Vantage = v
+	var err error
+	if e.Vantage, err = internVantageBytes(rest); err != nil {
+		return Event{}, fmt.Errorf("trace: binary record: %w", err)
 	}
 	return e, nil
 }

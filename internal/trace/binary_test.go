@@ -22,8 +22,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{},
 		{Ts: 1700000000, Src: mustIP(t, "1.2.3.4"), Dst: mustIP(t, "10.0.0.7"), Port: 23, Proto: packet.IPProtocolTCP, Mirai: true},
 		{Ts: -5, Src: mustIP(t, "255.255.255.255"), Dst: mustIP(t, "0.0.0.1"), Port: 65535, Proto: packet.IPProtocolUDP},
-		{Ts: 1, Proto: packet.IPProtocolICMPv4, Vantage: "telescope-west"},
-		{Ts: 9, Proto: packet.IPProtocolTCP, Port: 2323, Vantage: "a"},
+		{Ts: 1, Proto: packet.IPProtocolICMPv4, Vantage: MustVantage("telescope-west")},
+		{Ts: 9, Proto: packet.IPProtocolTCP, Port: 2323, Vantage: MustVantage("a")},
 	}
 	// The zero event has proto 0, which is invalid on the wire; fix it up.
 	events[0].Proto = packet.IPProtocolTCP
@@ -41,7 +41,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryAppendExtends(t *testing.T) {
-	e := Event{Ts: 42, Proto: packet.IPProtocolTCP, Vantage: "v"}
+	e := Event{Ts: 42, Proto: packet.IPProtocolTCP, Vantage: MustVantage("v")}
 	prefix := []byte("prefix")
 	out := e.AppendBinary(append([]byte(nil), prefix...))
 	if !bytes.HasPrefix(out, prefix) {
@@ -54,7 +54,7 @@ func TestBinaryAppendExtends(t *testing.T) {
 }
 
 func TestBinaryDecodeRejects(t *testing.T) {
-	good := Event{Ts: 7, Proto: packet.IPProtocolUDP, Port: 53, Vantage: "west"}.AppendBinary(nil)
+	good := Event{Ts: 7, Proto: packet.IPProtocolUDP, Port: 53, Vantage: MustVantage("west")}.AppendBinary(nil)
 	cases := []struct {
 		name string
 		b    []byte
@@ -73,7 +73,16 @@ func TestBinaryDecodeRejects(t *testing.T) {
 			b[19] = 0x80
 			return b
 		}()},
-		{"vantage with comma", Event{Ts: 1, Proto: packet.IPProtocolTCP, Vantage: "a,b"}.AppendBinary(nil)},
+		{"vantage with comma", func() []byte {
+			// No id can name "a,b", so the tag is spliced in by hand.
+			b := Event{Ts: 1, Proto: packet.IPProtocolTCP}.AppendBinary(nil)
+			return append(b[:len(b)-1], 3, 'a', ',', 'b')
+		}()},
+		{"oversize vantage", func() []byte {
+			b := Event{Ts: 1, Proto: packet.IPProtocolTCP}.AppendBinary(nil)
+			b = append(b[:len(b)-1], 0x80, 0x02) // uvarint 256
+			return append(b, bytes.Repeat([]byte{'v'}, MaxVantageLen+1)...)
+		}()},
 		{"oversize vantage length", func() []byte {
 			b := Event{Ts: 1, Proto: packet.IPProtocolTCP}.AppendBinary(nil)
 			// Replace the zero vlen varint with a huge one and no payload.
@@ -89,10 +98,11 @@ func TestBinaryDecodeRejects(t *testing.T) {
 
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(Event{Ts: 1700000000, Proto: packet.IPProtocolTCP, Port: 23, Mirai: true}.AppendBinary(nil))
-	f.Add(Event{Ts: 1, Proto: packet.IPProtocolICMPv4, Vantage: "west"}.AppendBinary(nil))
+	f.Add(Event{Ts: 1, Proto: packet.IPProtocolICMPv4, Vantage: MustVantage("west")}.AppendBinary(nil))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		emptyFullVantageTable()
 		e, err := DecodeBinary(b)
 		if err != nil {
 			return

@@ -25,8 +25,11 @@ func FuzzParseCSVRecord(f *testing.F) {
 	f.Add("1,1.2.3.4,5.6.7.8,23,sctp,0")
 	f.Add("100,1.1.1.1,198.18.0.1,23,tcp,0,north")
 	f.Add("100,1.1.1.1,198.18.0.1,23,tcp,0,")
+	f.Add("100,1.1.1.1,198.18.0.1,23,tcp,0," + strings.Repeat("v", MaxVantageLen))
+	f.Add("100,1.1.1.1,198.18.0.1,23,tcp,0," + strings.Repeat("v", MaxVantageLen+1))
 	f.Add(strings.Repeat(",", 1000))
 	f.Fuzz(func(t *testing.T, line string) {
+		emptyFullVantageTable()
 		e, err := ParseCSVLine(line)
 		if err != nil {
 			return
@@ -39,7 +42,23 @@ func FuzzParseCSVRecord(f *testing.F) {
 		if back != e {
 			t.Fatalf("round trip of %q: %+v != %+v", line, back, e)
 		}
+		if len(e.Vantage.String()) > MaxVantageLen {
+			t.Fatalf("%q admitted a %d-byte vantage tag", line, len(e.Vantage.String()))
+		}
 	})
+}
+
+// emptyFullVantageTable keeps a long fuzz run exploring tags: every distinct
+// tag the fuzzer invents is interned for the life of the worker process,
+// and once the table is full every new one is (correctly) refused. Ids do
+// not outlive one fuzz iteration, so the table can be emptied between them.
+func emptyFullVantageTable() {
+	vantages.RLock()
+	full := len(vantages.names) == maxVantages
+	vantages.RUnlock()
+	if full {
+		emptyVantageTable()
+	}
 }
 
 // FuzzStreamCSVTolerant fuzzes the stream framing layer: arbitrary byte

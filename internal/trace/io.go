@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"strings"
 
@@ -36,7 +38,7 @@ const CSVHeaderLineVantage = "ts,src_ip,dst_ip,dst_port,proto,mirai,vantage"
 // Tagged reports whether any event carries a vantage tag.
 func (t *Trace) Tagged() bool {
 	for _, e := range t.Events {
-		if e.Vantage != "" {
+		if e.Vantage != 0 {
 			return true
 		}
 	}
@@ -70,7 +72,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 			rec[5] = "0"
 		}
 		if tagged {
-			rec[6] = e.Vantage
+			rec[6] = e.Vantage.String()
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -98,9 +100,9 @@ func (e Event) AppendCSV(dst []byte) []byte {
 	} else {
 		dst = append(dst, ",0"...)
 	}
-	if e.Vantage != "" {
+	if e.Vantage != 0 {
 		dst = append(dst, ',')
-		dst = append(dst, e.Vantage...)
+		dst = append(dst, e.Vantage.String()...)
 	}
 	return dst
 }
@@ -108,14 +110,56 @@ func (e Event) AppendCSV(dst []byte) []byte {
 // ReadCSV parses a trace written by WriteCSV. Events are re-sorted by
 // timestamp on load.
 func ReadCSV(r io.Reader) (*Trace, error) {
+	tr, _, err := readCSV(r, nil)
+	return tr, err
+}
+
+// readCSV materialises a scan. When r is a regular file the event slice is
+// allocated once, sized from the file's length over the mean line length of
+// its head: growing by append would allocate several times the final slice
+// in discarded backing arrays, and on a boot-time seed that garbage sets
+// the heap goal the whole process then lives under.
+func readCSV(r io.Reader, budget *robust.Budget) (*Trace, *robust.IngestReport, error) {
 	var events []Event
-	if err := StreamCSV(r, func(e Event) error {
+	hint := eventsHint(r)
+	rep, err := streamCSV(r, budget, func(e Event) error {
+		if events == nil { // on the first record: a wrong or empty file reserves nothing
+			events = make([]Event, 0, hint)
+		}
 		events = append(events, e)
 		return nil
-	}); err != nil {
-		return nil, err
+	})
+	if err != nil {
+		return nil, rep, err
 	}
-	return New(events), nil
+	return New(events), rep, nil
+}
+
+// eventsHint estimates how many records r holds: 0 unless r is a regular
+// file, else its size divided by the mean line length of its first 64 KiB,
+// plus 1/64 slack so lines a little shorter further in do not cost a
+// regrow. A wrong guess only costs what append always cost.
+func eventsHint(r io.Reader) int {
+	f, ok := r.(interface {
+		io.ReaderAt
+		Stat() (fs.FileInfo, error)
+	})
+	if !ok {
+		return 0
+	}
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return 0
+	}
+	head := make([]byte, 64<<10)
+	n, _ := f.ReadAt(head, 0)
+	head = head[:n]
+	lines := bytes.Count(head, []byte{'\n'})
+	if lines == 0 {
+		return 0
+	}
+	est := fi.Size() * int64(lines) / int64(bytes.LastIndexByte(head, '\n')+1)
+	return int(est + est/64 + 1)
 }
 
 // ErrStop lets a StreamCSV callback end iteration early without an error.
@@ -240,15 +284,7 @@ func streamCSV(r io.Reader, budget *robust.Budget, fn func(Event) error) (*robus
 // ReadCSVTolerant parses a trace under an error budget, returning the
 // loaded trace together with the ingest report. See StreamCSVTolerant.
 func ReadCSVTolerant(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, error) {
-	var events []Event
-	rep, err := StreamCSVTolerant(r, budget, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	return New(events), rep, nil
+	return readCSV(r, &budget)
 }
 
 // IsCSVHeader reports whether line is the interchange format's header row
@@ -310,11 +346,10 @@ func parseCSVRecord(rec []string) (Event, error) {
 	default:
 		return e, fmt.Errorf("bad proto %q", rec[4])
 	}
-	vantage := ""
+	var vantage VantageID
 	if len(rec) == len(csvHeaderV) {
-		vantage = rec[6]
-		if strings.ContainsAny(vantage, ",\n\r") {
-			return e, fmt.Errorf("bad vantage %q", vantage)
+		if vantage, err = InternVantage(rec[6]); err != nil {
+			return e, err
 		}
 	}
 	return Event{

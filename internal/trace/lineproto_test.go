@@ -93,7 +93,7 @@ func TestParseCSVLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tagged line rejected: %v", err)
 	}
-	if e.Vantage != "north" {
+	if e.Vantage.String() != "north" {
 		t.Fatalf("vantage = %q, want north", e.Vantage)
 	}
 	for _, bad := range []string{

@@ -19,8 +19,14 @@ type PortStat struct {
 // TopPorts returns the n busiest port keys by packet count, optionally
 // restricted to one protocol (proto == 0 means all).
 func (t *Trace) TopPorts(n int, proto packet.IPProtocol) []PortStat {
-	counts := t.PortCounts()
-	senders := t.PortSenders()
+	return t.topPorts(t.PortCounts(), n, proto)
+}
+
+// topPorts ranks already-counted port keys, then counts distinct sources
+// for the rows it returns only: one more pass over the events and a set
+// bounded by senders × rows, where a per-port sender set for every port
+// (PortSenders) grows with events × ports to fill in three rows.
+func (t *Trace) topPorts(counts map[PortKey]int, n int, proto packet.IPProtocol) []PortStat {
 	total := len(t.Events)
 	stats := make([]PortStat, 0, len(counts))
 	for k, c := range counts {
@@ -31,17 +37,38 @@ func (t *Trace) TopPorts(n int, proto packet.IPProtocol) []PortStat {
 			Key:          k,
 			Packets:      c,
 			TrafficShare: float64(c) / float64(total),
-			Sources:      senders[k],
 		})
 	}
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Packets != stats[j].Packets {
 			return stats[i].Packets > stats[j].Packets
 		}
-		return stats[i].Key.Port < stats[j].Key.Port
+		if stats[i].Key.Port != stats[j].Key.Port {
+			return stats[i].Key.Port < stats[j].Key.Port
+		}
+		return stats[i].Key.Proto < stats[j].Key.Proto
 	})
 	if n > 0 && len(stats) > n {
 		stats = stats[:n]
+	}
+	row := make(map[PortKey]int, len(stats))
+	for i, st := range stats {
+		row[st.Key] = i
+	}
+	type srcRow struct {
+		src netutil.IPv4
+		row int
+	}
+	seen := make(map[srcRow]struct{})
+	for _, e := range t.Events {
+		i, ok := row[e.Key()]
+		if !ok {
+			continue
+		}
+		if _, dup := seen[srcRow{e.Src, i}]; !dup {
+			seen[srcRow{e.Src, i}] = struct{}{}
+			stats[i].Sources++
+		}
 	}
 	return stats
 }
@@ -59,11 +86,12 @@ type Stats struct {
 // ports are reported (the paper shows 3).
 func (t *Trace) Summary(topN int) Stats {
 	first, last := t.Span()
+	counts := t.PortCounts()
 	s := Stats{
 		Packets: len(t.Events),
 		Sources: len(t.SenderCounts()),
-		Ports:   len(t.PortCounts()),
-		TopTCP:  t.TopPorts(topN, packet.IPProtocolTCP),
+		Ports:   len(counts),
+		TopTCP:  t.topPorts(counts, topN, packet.IPProtocolTCP),
 	}
 	if len(t.Events) > 0 {
 		s.FirstDay = TimeOf(first).Format("2006-01-02")

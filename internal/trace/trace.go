@@ -16,7 +16,11 @@ import (
 // Event is one unsolicited packet observed by the darknet, reduced to the
 // fields the methodology consumes. Ts is Unix seconds: darknet analysis in
 // the paper works at ΔT = 1 hour granularity, so sub-second precision buys
-// nothing and the compact form keeps month-long traces in memory.
+// nothing. The struct is 24 bytes and pointer-free — a window of events is
+// one allocation the collector never scans — which is what keeps month-long
+// traces in memory: every copy a generation makes of its window (ring,
+// snapshot, filter) costs 24 B per packet. TestEventSize pins the size; a
+// new field must fit the two spare bytes or justify growing every copy.
 type Event struct {
 	Ts    int64             // Unix seconds
 	Src   netutil.IPv4      // sender (the "word")
@@ -24,10 +28,10 @@ type Event struct {
 	Port  uint16            // destination port (0 for ICMP)
 	Proto packet.IPProtocol // tcp/udp/icmp
 	Mirai bool              // packet carries the Mirai fingerprint (TCP seq == dst IP)
-	// Vantage names the telescope that observed the packet ("" for a
+	// Vantage names the telescope that observed the packet (0, "", for a
 	// single-vantage trace). Multi-vantage deployments tag events at the
 	// edge so a merged or flushed trace keeps which darknet saw what.
-	Vantage string
+	Vantage VantageID
 }
 
 // PortKey identifies a transport port including its protocol, e.g. 23/tcp.
@@ -75,9 +79,16 @@ func New(events []Event) *Trace {
 	return t
 }
 
-// Sort re-establishes timestamp order.
+// Sort re-establishes timestamp order. The usual inputs — a snapshot of an
+// in-order ring, a file WriteCSV wrote — are already in order, and one
+// linear look says so before the stable sort's reflective swaps.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
+	for i := 1; i < len(t.Events); i++ {
+		if t.Events[i].Ts < t.Events[i-1].Ts {
+			sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
+			return
+		}
+	}
 }
 
 // Len returns the number of events.

@@ -48,16 +48,16 @@ func segmentBytes(t testing.TB, events ...trace.Event) []byte {
 // scanner accepts re-frames to the byte range it was read from.
 func FuzzWALRecord(f *testing.F) {
 	seed := segmentBytes(f,
-		trace.Event{Ts: 1700000000, Proto: packet.IPProtocolTCP, Port: 23, Vantage: "west"},
+		trace.Event{Ts: 1700000000, Proto: packet.IPProtocolTCP, Port: 23, Vantage: trace.MustVantage("west")},
 		trace.Event{Ts: 1700000001, Proto: packet.IPProtocolUDP, Port: 53, Mirai: true},
 	)
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])                      // torn mid-record
-	f.Add(seed[:headerSize])                       // header only
-	f.Add([]byte{})                                // empty file
-	f.Add(bytes.Repeat([]byte{0xff}, 64))          // not a segment
-	f.Add(append(seed, make([]byte, 128)...))      // zero-padded tail (preallocation)
-	f.Add(append(seed, 0xde, 0xad, 0xbe, 0xef))    // garbage tail
+	f.Add(seed[:len(seed)-3])                   // torn mid-record
+	f.Add(seed[:headerSize])                    // header only
+	f.Add([]byte{})                             // empty file
+	f.Add(bytes.Repeat([]byte{0xff}, 64))       // not a segment
+	f.Add(append(seed, make([]byte, 128)...))   // zero-padded tail (preallocation)
+	f.Add(append(seed, 0xde, 0xad, 0xbe, 0xef)) // garbage tail
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var payloads [][]byte
 		info, err := scanRecords(bytes.NewReader(b), func(p []byte) error {

@@ -200,11 +200,11 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex
-	active segment
-	f      *os.File
-	w      SyncWriter // f, possibly fault-wrapped
-	bw     *bufio.Writer
+	mu       sync.Mutex
+	active   segment
+	f        *os.File
+	w        SyncWriter // f, possibly fault-wrapped
+	bw       *bufio.Writer
 	sealed   []segment // oldest first
 	opened   time.Time // active segment creation (age rotation)
 	lastSync time.Time

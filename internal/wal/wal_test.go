@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +16,7 @@ import (
 )
 
 func ev(ts int64, port uint16) trace.Event {
-	return trace.Event{Ts: ts, Src: 0x01020304, Dst: 0x0a000001, Port: port, Proto: packet.IPProtocolTCP, Vantage: "west"}
+	return trace.Event{Ts: ts, Src: 0x01020304, Dst: 0x0a000001, Port: port, Proto: packet.IPProtocolTCP, Vantage: trace.MustVantage("west")}
 }
 
 func appendAll(t *testing.T, l *Log, events []trace.Event) {
@@ -473,5 +475,57 @@ func TestQuarantineHookSeesUndecodableRecord(t *testing.T) {
 	got := replayAll(t, l2)
 	if len(got) != 1 || quarantined != 1 {
 		t.Fatalf("replayed %d events, quarantined %d; want 1 and 1", len(got), quarantined)
+	}
+}
+
+// TestTaggedSegmentFormatUnchanged: a segment holding vantage-tagged records
+// written while Event.Vantage was a string (bytes captured at the parent
+// commit) replays to the same events under the interned id, and logging
+// those events again produces the same segment byte for byte.
+func TestTaggedSegmentFormatUnchanged(t *testing.T) {
+	golden, err := hex.DecodeString("4456574c01000000" +
+		"23000000e3ba41b300f1536500000000077100cb2a0012c6170006010e74656c6573636f70652d77657374" +
+		"150000006030dc6001f1536500000000630200c0820012c63500110000" +
+		"16000000c992152e02f1536500000000077100cb010012c600000100016e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, "00000001.wal"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := replayAll(t, l)
+	l.Close()
+	if len(events) != 3 {
+		t.Fatalf("replayed %d events, want 3", len(events))
+	}
+	want := []trace.Event{
+		{Ts: 1700000000, Src: 0xcb007107, Dst: 0xc612002a, Port: 23, Proto: packet.IPProtocolTCP, Mirai: true, Vantage: trace.MustVantage("telescope-west")},
+		{Ts: 1700000001, Src: 0xc0000263, Dst: 0xc6120082, Port: 53, Proto: packet.IPProtocolUDP},
+		{Ts: 1700000002, Src: 0xcb007107, Dst: 0xc6120001, Proto: packet.IPProtocolICMPv4, Vantage: trace.MustVantage("n")},
+	}
+	for i := range want {
+		if events[i] != want[i] {
+			t.Errorf("event %d = %+v (%q), want %+v", i, events[i], events[i].Vantage, want[i])
+		}
+	}
+
+	fresh := t.TempDir()
+	l2, err := Open(fresh, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l2, events)
+	l2.Close()
+	rewritten, err := os.ReadFile(filepath.Join(fresh, "00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, golden) {
+		t.Errorf("rewritten segment\n %x\nwant\n %x", rewritten, golden)
 	}
 }
