@@ -13,14 +13,15 @@
 // Mirai-like class is derived from the packet fingerprint automatically.
 //
 // Dirty captures can be ingested with -maxerr N, which skips up to N
-// malformed records and prints the ingest report. Long runs checkpoint
-// after every epoch with -checkpoint; an interrupted run (Ctrl-C leaves a
-// resumable checkpoint behind) continues with -resume, producing
-// byte-identical results to an uninterrupted one.
+// malformed records and prints the ingest report. A run either completes
+// or, interrupted (Ctrl-C, SIGTERM), exits non-zero and leaves no file:
+// -model is written to a temporary sibling and renamed into place, so the
+// path holds the previous model or the new one, never a torn mix. Re-run
+// to reproduce an interrupted train; the result is the same bytes.
 //
-// -verify FILE inspects a saved model or checkpoint without running the
-// pipeline: it reports the artifact kind, vocabulary size, dimension and
-// whether the embedded checksum holds, and exits non-zero on corruption.
+// -verify FILE inspects a saved model without running the pipeline: it
+// reports the vocabulary size, dimension and whether the embedded checksum
+// holds, and exits non-zero on corruption.
 package main
 
 import (
@@ -44,44 +45,73 @@ import (
 
 // options carries every flag of a pipeline run.
 type options struct {
-	in         string
-	feedsDir   string
-	mode       string
-	servKind   string
-	servFile   string
-	dim        int
-	window     int
-	epochs     int
-	k          int
-	kPrime     int
-	seed       uint64
-	modelOut   string
-	evalDays   int
-	maxErr     int64
-	checkpoint string
-	resume     bool
-	verify     string
+	in       string
+	feedsDir string
+	mode     string
+	servKind string
+	servFile string
+	dim      int
+	window   int
+	epochs   int
+	k        int
+	kPrime   int
+	seed     uint64
+	modelOut string
+	evalDays int
+	maxErr   int64
+	verify   string
+
+	saveWrap func(io.Writer) io.Writer // test hook: fault injection on the -model write
+}
+
+// register declares every flag on fs, bound to o's fields.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.in, "in", "", "input trace (.csv or .pcap)")
+	fs.StringVar(&o.feedsDir, "feeds", "", "directory of <class>.txt IP feeds")
+	fs.StringVar(&o.mode, "mode", "both", "classify | cluster | both")
+	fs.StringVar(&o.servKind, "services", "domain", "service definition: single | auto | domain")
+	fs.StringVar(&o.servFile, "services-file", "", "JSON port→service map overriding -services")
+	fs.IntVar(&o.dim, "dim", 50, "embedding dimension V")
+	fs.IntVar(&o.window, "window", 25, "context window c")
+	fs.IntVar(&o.epochs, "epochs", 10, "training epochs")
+	fs.IntVar(&o.k, "k", 7, "k-NN classifier neighbours")
+	fs.IntVar(&o.kPrime, "kprime", 3, "clustering graph out-degree k'")
+	fs.Uint64Var(&o.seed, "seed", 1, "training seed")
+	fs.StringVar(&o.modelOut, "model", "", "optional path to save the trained model")
+	fs.IntVar(&o.evalDays, "evaldays", 1, "evaluate on the final N days of the trace")
+	fs.Int64Var(&o.maxErr, "maxerr", 0, "tolerate up to N malformed input records (0 = strict)")
+	fs.StringVar(&o.verify, "verify", "", "verify a saved model file and exit")
+}
+
+// validate rejects nonsensical flags before the trace is read, so a typo
+// fails in milliseconds rather than after a training run whose report
+// would be empty or describe an untrained model.
+func (o *options) validate() error {
+	switch o.mode {
+	case "classify", "cluster", "both":
+	default:
+		return fmt.Errorf("invalid -mode %q: must be classify, cluster or both", o.mode)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"dim", o.dim}, {"window", o.window}, {"epochs", o.epochs},
+		{"k", o.k}, {"kprime", o.kPrime}, {"evaldays", o.evalDays},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("invalid -%s %d: must be > 0", f.name, f.v)
+		}
+	}
+	if o.maxErr < 0 {
+		return fmt.Errorf("invalid -maxerr %d: must be >= 0", o.maxErr)
+	}
+	return nil
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.in, "in", "", "input trace (.csv or .pcap)")
-	flag.StringVar(&o.feedsDir, "feeds", "", "directory of <class>.txt IP feeds")
-	flag.StringVar(&o.mode, "mode", "both", "classify | cluster | both")
-	flag.StringVar(&o.servKind, "services", "domain", "service definition: single | auto | domain")
-	flag.StringVar(&o.servFile, "services-file", "", "JSON port→service map overriding -services")
-	flag.IntVar(&o.dim, "dim", 50, "embedding dimension V")
-	flag.IntVar(&o.window, "window", 25, "context window c")
-	flag.IntVar(&o.epochs, "epochs", 10, "training epochs")
-	flag.IntVar(&o.k, "k", 7, "k-NN classifier neighbours")
-	flag.IntVar(&o.kPrime, "kprime", 3, "clustering graph out-degree k'")
-	flag.Uint64Var(&o.seed, "seed", 1, "training seed")
-	flag.StringVar(&o.modelOut, "model", "", "optional path to save the trained model")
-	flag.IntVar(&o.evalDays, "evaldays", 1, "evaluate on the final N days of the trace")
-	flag.Int64Var(&o.maxErr, "maxerr", 0, "tolerate up to N malformed input records (0 = strict)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file written after every training epoch")
-	flag.BoolVar(&o.resume, "resume", false, "resume training from -checkpoint if it exists")
-	flag.StringVar(&o.verify, "verify", "", "verify a saved model/checkpoint file and exit")
+	o.register(flag.CommandLine)
 	flag.Parse()
 	if o.verify != "" {
 		if err := runVerify(os.Stdout, o.verify); err != nil {
@@ -115,23 +145,42 @@ func runVerify(w io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	switch info.Kind {
-	case "checkpoint":
-		fmt.Fprintf(w, "%s: checkpoint, %d words, dim %d, epoch %d, checksum OK\n",
-			path, info.Words, info.Dim, info.Epoch)
-	default:
-		fmt.Fprintf(w, "%s: model, %d words, dim %d, checksum OK\n",
-			path, info.Words, info.Dim)
-	}
+	fmt.Fprintf(w, "%s: model, %d words, dim %d, checksum OK\n", path, info.Words, info.Dim)
 	return nil
 }
 
-func run(ctx context.Context, o options) error {
-	if o.resume && o.checkpoint == "" {
-		return errors.New("-resume requires -checkpoint")
+// writeModelFile saves the model atomically: write to a temporary sibling,
+// fsync, rename into place, so an interrupt, a full disk or a failed write
+// never destroys the model that was at path before.
+func writeModelFile(path string, m *w2v.Model, wrap func(io.Writer) io.Writer) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
 	}
-	if o.maxErr < 0 {
-		return fmt.Errorf("invalid -maxerr %d: must be >= 0", o.maxErr)
+	var w io.Writer = f
+	if wrap != nil {
+		w = wrap(w)
+	}
+	err = m.Save(w)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+func run(ctx context.Context, o options) error {
+	if err := o.validate(); err != nil {
+		return err
 	}
 	tr, rep, err := trace.ReadFile(o.in, o.maxErr)
 	if err != nil {
@@ -167,14 +216,10 @@ func run(ctx context.Context, o options) error {
 	cfg.W2V.Epochs = o.epochs
 	cfg.W2V.Seed = o.seed
 
-	emb, err := core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{
-		Context:        ctx,
-		CheckpointPath: o.checkpoint,
-		Resume:         o.resume,
-	})
+	emb, err := core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{Context: ctx})
 	if err != nil {
-		if errors.Is(err, context.Canceled) && o.checkpoint != "" {
-			fmt.Printf("interrupted; resume with -resume -checkpoint %s\n", o.checkpoint)
+		if errors.Is(err, context.Canceled) {
+			fmt.Println("training interrupted; nothing written")
 		}
 		return err
 	}
@@ -182,15 +227,7 @@ func run(ctx context.Context, o options) error {
 		emb.Model.Vocab.Size(), emb.SkipGrams, emb.TrainTime.Round(1e6))
 
 	if o.modelOut != "" {
-		f, err := os.Create(o.modelOut)
-		if err != nil {
-			return err
-		}
-		if err := emb.Model.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeModelFile(o.modelOut, emb.Model, o.saveWrap); err != nil {
 			return err
 		}
 		fmt.Printf("saved model to %s\n", o.modelOut)

@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/darkvec/darkvec/internal/darksim"
 	"github.com/darkvec/darkvec/internal/labels"
 	"github.com/darkvec/darkvec/internal/robust"
+	"github.com/darkvec/darkvec/internal/robust/faultio"
 	"github.com/darkvec/darkvec/internal/w2v"
 )
 
@@ -100,11 +106,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(ctx, o); err == nil {
 		t.Fatal("bad service kind must fail")
 	}
-	o = baseOpts(tracePath, "")
-	o.resume = true
-	if err := run(ctx, o); err == nil {
-		t.Fatal("-resume without -checkpoint must fail")
-	}
 }
 
 func TestRunWithCustomServiceFile(t *testing.T) {
@@ -158,18 +159,145 @@ func TestRunTolerantIngest(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointConsumed: a completed run removes its checkpoint file.
-func TestRunCheckpointConsumed(t *testing.T) {
+// TestValidateFlags: every nonsensical flag value is refused before the
+// trace is read — run on a missing trace reports the flag, not the file.
+func TestValidateFlags(t *testing.T) {
+	good := baseOpts("trace.csv", "")
+	if err := good.validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*options)
+		want   string
+	}{
+		{"misspelt mode", func(o *options) { o.mode = "clasify" }, `invalid -mode "clasify"`},
+		{"empty mode", func(o *options) { o.mode = "" }, `invalid -mode ""`},
+		{"zero dim", func(o *options) { o.dim = 0 }, "invalid -dim 0: must be > 0"},
+		{"negative window", func(o *options) { o.window = -1 }, "invalid -window -1: must be > 0"},
+		{"zero epochs", func(o *options) { o.epochs = 0 }, "invalid -epochs 0: must be > 0"},
+		{"negative epochs", func(o *options) { o.epochs = -3 }, "invalid -epochs -3: must be > 0"},
+		{"zero k", func(o *options) { o.k = 0 }, "invalid -k 0: must be > 0"},
+		{"zero kprime", func(o *options) { o.kPrime = 0 }, "invalid -kprime 0: must be > 0"},
+		{"zero evaldays", func(o *options) { o.evalDays = 0 }, "invalid -evaldays 0: must be > 0"},
+		{"negative maxerr", func(o *options) { o.maxErr = -1 }, "invalid -maxerr -1: must be >= 0"},
+	}
+	for _, tc := range cases {
+		o := baseOpts("/missing.csv", "")
+		tc.mutate(&o)
+		if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The training-state flags are gone, not ignored.
+	for _, args := range [][]string{{"-checkpoint", "x"}, {"-resume"}} {
+		fs := flag.NewFlagSet("darkvec", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		new(options).register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v parsed; the flag must not exist", args)
+		}
+	}
+}
+
+// dirNames lists a directory, for "nothing new was left behind" checks.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestRunInterruptedLeavesNothing: a run cancelled mid-train fails with
+// the context's error, says so, and writes no file — the model that was
+// at -model before is untouched.
+func TestRunInterruptedLeavesNothing(t *testing.T) {
 	tracePath, _ := writeDataset(t)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.bin")
+	old := []byte("the previous good model")
+	if err := os.WriteFile(modelPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirNames(t, dir)
+
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	defer func(orig *os.File) { os.Stdout = orig }(os.Stdout)
+	os.Stdout = stdout
+
+	// An epoch budget no run finishes: ingest of this trace takes a few
+	// milliseconds, so the cancel lands mid-train; were it to land earlier
+	// the outcome asserted below is the same.
 	o := baseOpts(tracePath, "")
-	o.mode, o.epochs = "classify", 1
-	o.checkpoint = filepath.Join(t.TempDir(), "train.ck")
-	o.resume = true // missing checkpoint: trains from scratch
+	o.mode, o.epochs, o.modelOut = "classify", 1<<20, modelPath
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(200*time.Millisecond, cancel).Stop()
+	if err := run(ctx, o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run = %v, want context.Canceled", err)
+	}
+
+	printed, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(printed), "training interrupted; nothing written") {
+		t.Errorf("stdout lacks the interruption line:\n%s", printed)
+	}
+	if after := dirNames(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("directory changed: %v -> %v", before, after)
+	}
+	if got, err := os.ReadFile(modelPath); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("previous model disturbed: %q, %v", got, err)
+	}
+}
+
+// TestModelSaveAtomic: a write that fails part-way through -model leaves
+// the previous file byte-identical and no temporary sibling behind.
+func TestModelSaveAtomic(t *testing.T) {
+	tracePath, _ := writeDataset(t)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.bin")
+	o := baseOpts(tracePath, "")
+	o.mode, o.epochs, o.modelOut = "classify", 1, modelPath
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(o.checkpoint); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not consumed: %v", err)
+	good, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	diskFull := errors.New("no space left on device")
+	o.seed = 2 // a different model, so an in-place overwrite would show
+	o.saveWrap = func(w io.Writer) io.Writer { return faultio.ErrWriterAfter(w, 4096, diskFull) }
+	if err := run(context.Background(), o); !errors.Is(err, diskFull) {
+		t.Fatalf("run with a failing model write = %v, want %v", err, diskFull)
+	}
+	if got, err := os.ReadFile(modelPath); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("previous model disturbed (%d bytes, want %d): %v", len(got), len(good), err)
+	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"model.bin"}) {
+		t.Fatalf("leftovers beside the model: %v", names)
+	}
+
+	// The same path accepts the next good save.
+	o.saveWrap = nil
+	if err := run(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(modelPath); err != nil || bytes.Equal(got, good) {
+		t.Fatalf("a successful save did not replace the model: %v", err)
 	}
 }
 

@@ -147,7 +147,7 @@ const UnknownClass = labels.Unknown
 // services, ΔT = 1 h, V = 50, c = 25, 10 epochs, k = 7, k′ = 3.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Resilience types (tolerant ingestion, checkpointed training).
+// Resilience types (tolerant ingestion, cancellable and warm-started training).
 type (
 	// Budget is an ingestion error budget; the zero value is strict (the
 	// first malformed record aborts).
@@ -159,7 +159,7 @@ type (
 	IngestReport = robust.IngestReport
 	// IngestStats is a point-in-time plain-value copy of an IngestReport.
 	IngestStats = robust.IngestStats
-	// TrainOpts adds cancellation, checkpoint/resume and warm start to
+	// TrainOpts adds cancellation, a shared interner and warm start to
 	// training.
 	TrainOpts = core.TrainOpts
 	// WarmSeed is TrainOpts.Warm: the previous generation a refresh starts
@@ -185,9 +185,9 @@ func DefaultBudget() Budget { return robust.DefaultBudget() }
 // single Word2Vec embedding over the trace.
 func Train(tr *Trace, cfg Config) (*Embedding, error) { return core.TrainEmbedding(tr, cfg) }
 
-// TrainWithOpts is Train with a cancellation context and per-epoch
-// checkpoint/resume support; an interrupted run resumed from its
-// checkpoint yields byte-identical embeddings (single-worker training).
+// TrainWithOpts is Train with a cancellation context and warm start. A
+// cancelled run returns the context's error and no embedding; to build on
+// an earlier model, pass it as TrainOpts.Warm.
 func TrainWithOpts(tr *Trace, cfg Config, opts TrainOpts) (*Embedding, error) {
 	return core.TrainEmbeddingOpts(tr, cfg, opts)
 }
@@ -320,7 +320,7 @@ type (
 	Breaker = robust.Breaker
 	// Supervisor retries a function under Backoff and Breaker control.
 	Supervisor = robust.Supervisor
-	// ArtifactInfo describes a saved model/checkpoint (see VerifyArtifact).
+	// ArtifactInfo describes a saved model (see VerifyArtifact).
 	ArtifactInfo = w2v.ArtifactInfo
 )
 
@@ -340,8 +340,8 @@ func OpenModelStore(dir string, opts ModelStoreOptions) (*ModelStore, error) {
 	return modelstore.Open(dir, opts)
 }
 
-// VerifyArtifact inspects a saved model or checkpoint stream: kind, shape,
-// and whether its trailing checksum holds (a missing one is ErrChecksum).
+// VerifyArtifact inspects a saved model stream: its shape, and whether its
+// trailing checksum holds (a missing one is ErrChecksum).
 func VerifyArtifact(r io.Reader) (ArtifactInfo, error) { return w2v.Verify(r) }
 
 // Live ingestion types (the darkvecd -ingest pipeline: bounded sources

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -104,18 +103,12 @@ type Embedding struct {
 	Epochs    int
 }
 
-// TrainOpts controls the resilience features of a training run: context
-// cancellation, per-epoch checkpoint files and resume.
+// TrainOpts controls how a training run is driven: cancellation, the
+// shared sender id space, corpus-builder parallelism and warm start.
 type TrainOpts struct {
-	// Context cancels training (e.g. on SIGTERM); nil means background.
+	// Context cancels training (e.g. on SIGTERM); nil means background. A
+	// cancelled run returns the context's error and no embedding.
 	Context context.Context
-	// CheckpointPath, when non-empty, receives the full training state
-	// after every completed epoch (written atomically via rename). The
-	// file is removed once training finishes.
-	CheckpointPath string
-	// Resume restarts from CheckpointPath if the file exists; a missing
-	// file trains from scratch. Requires CheckpointPath.
-	Resume bool
 	// Interner, when non-nil, is the shared sender id space for corpus
 	// construction. Reusing one across retrains keeps token ids stable and
 	// skips re-interning senders seen in earlier windows. nil builds a
@@ -136,8 +129,8 @@ func TrainEmbedding(tr *trace.Trace, cfg Config) (*Embedding, error) {
 	return TrainEmbeddingOpts(tr, cfg, TrainOpts{})
 }
 
-// TrainEmbeddingOpts is TrainEmbedding with cancellation and
-// checkpoint/resume support for long daily-retraining runs.
+// TrainEmbeddingOpts is TrainEmbedding with cancellation, a shared
+// interner and warm start — the controls the daemon's retrain cycle uses.
 func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding, error) {
 	if cfg.MinPackets == 0 {
 		cfg.MinPackets = 10
@@ -162,19 +155,6 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 			Interner: opts.Interner,
 		})
 	})
-	wopts := w2v.TrainOptions{Context: opts.Context, Warm: opts.Warm}
-	if opts.CheckpointPath != "" {
-		wopts.Checkpoint = func(ck *w2v.Checkpoint) error {
-			return writeCheckpointFile(opts.CheckpointPath, ck)
-		}
-		if opts.Resume {
-			ck, err := readCheckpointFile(opts.CheckpointPath)
-			if err != nil {
-				return nil, err
-			}
-			wopts.Resume = ck // nil when no checkpoint file exists yet
-		}
-	}
 	start := time.Now()
 	// Integer token path end-to-end: hand the trainer the interned corpus
 	// directly so no sender string is re-hashed during vocabulary building
@@ -191,35 +171,24 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 			Sequences: corp.TokenSequences(),
 			Words:     words,
 			Counts:    corp.Counts,
-		}, cfg.W2V, wopts)
+		}, cfg.W2V, w2v.TrainOptions{Context: opts.Context, Warm: opts.Warm})
 	})
 	if err != nil {
 		return nil, err
 	}
-	if opts.CheckpointPath != "" {
-		// Training completed; the checkpoint has served its purpose and a
-		// stale one must not shadow the next run.
-		_ = os.Remove(opts.CheckpointPath)
-	}
-	epochs := cfg.W2V.Epochs
-	if epochs == 0 {
-		epochs = 10
-	}
-	// A warm start runs a delta-sized budget; report the epochs that
-	// actually happened, not the configured ceiling.
+	// model.Cfg carries the trainer's defaults. A warm start runs a
+	// delta-sized budget; report the epochs that actually happened, not the
+	// configured ceiling.
+	epochs := model.Cfg.Epochs
 	if model.Warm != nil {
 		epochs = model.Warm.Epochs
-	}
-	window := cfg.W2V.Window
-	if window == 0 {
-		window = 25
 	}
 	return &Embedding{
 		Model:     model,
 		Corpus:    corp,
 		Active:    active,
 		TrainTime: time.Since(start),
-		SkipGrams: corp.SkipGrams(window, cfg.W2V.PadToken != "") * int64(epochs),
+		SkipGrams: corp.SkipGrams(model.Cfg.Window, cfg.W2V.PadToken != "") * int64(epochs),
 		Epochs:    epochs,
 	}, nil
 }
@@ -243,50 +212,6 @@ func EmbeddingFromModel(m *w2v.Model, tr *trace.Trace, cfg Config) *Embedding {
 		Active: tr.ActiveSenders(cfg.MinPackets),
 		Epochs: epochs,
 	}
-}
-
-// writeCheckpointFile persists a checkpoint atomically: write to a
-// temporary sibling, fsync, rename into place, so a crash — even a power
-// loss — never leaves a torn checkpoint where a resumable one used to be.
-func writeCheckpointFile(path string, ck *w2v.Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := w2v.SaveCheckpoint(f, ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// readCheckpointFile loads a checkpoint; a missing file returns (nil, nil)
-// so resume degrades to training from scratch.
-func readCheckpointFile(path string) (*w2v.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	ck, err := w2v.LoadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading checkpoint %s: %w", path, err)
-	}
-	return ck, nil
 }
 
 // EvalSpace projects the evaluation population into a query space and

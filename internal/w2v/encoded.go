@@ -28,8 +28,8 @@ func TrainEncoded(enc Encoded, cfg Config) (*Model, error) {
 	return TrainEncodedWithOptions(enc, cfg, TrainOptions{})
 }
 
-// TrainEncodedWithOptions is TrainEncoded with cancellation, checkpointing
-// and resume.
+// TrainEncodedWithOptions is TrainEncoded with cancellation and warm
+// start.
 func TrainEncodedWithOptions(enc Encoded, cfg Config, opts TrainOptions) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if len(enc.Words) != len(enc.Counts) {

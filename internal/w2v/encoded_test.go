@@ -2,7 +2,10 @@ package w2v
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
+	"time"
 )
 
 // encode interns sentences in first-appearance order — the id discipline
@@ -114,34 +117,33 @@ func TestTrainEncodedErrors(t *testing.T) {
 	}, cfg); err == nil {
 		t.Fatal("out-of-range token id must fail")
 	}
+	cfg.Epochs = -3
+	if _, err := TrainEncoded(encode([][]string{{"a", "b"}}), cfg); err == nil {
+		t.Fatal("negative epochs must fail")
+	}
 }
 
-// TestTrainEncodedResume checks the encoded path composes with the
-// checkpoint/resume machinery: a run resumed from an encoded-path
-// checkpoint must land on the same bytes as the uninterrupted run.
-func TestTrainEncodedResume(t *testing.T) {
-	enc := encode([][]string{{"a", "b", "c"}, {"c", "b", "a", "d"}})
-	cfg := Config{Dim: 4, Window: 2, Epochs: 3, Workers: 1, Seed: 11}
-	var mid *Checkpoint
-	full, err := TrainEncodedWithOptions(enc, cfg, TrainOptions{
-		Checkpoint: func(ck *Checkpoint) error {
-			if ck.Epoch == 1 {
-				mid = ck
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("checkpointed train: %v", err)
+func TestCancelBeforeFirstEpoch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := TrainEncodedWithOptions(encode(smallCorpus()), smallConfig(), TrainOptions{Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
 	}
-	if mid == nil {
-		t.Fatal("no mid-run checkpoint captured")
-	}
-	resumed, err := TrainEncodedWithOptions(enc, cfg, TrainOptions{Resume: mid})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !bytes.Equal(saveBytes(t, full), saveBytes(t, resumed)) {
-		t.Fatal("resumed encoded run diverged from the uninterrupted one")
+}
+
+func TestCancelStopsHogwildWorkers(t *testing.T) {
+	// Cancellation must also tear down multi-worker epochs promptly; the
+	// result is discarded so only termination matters. Run under -race.
+	// The epoch budget is one no run finishes, so whenever the cancel
+	// lands — before, inside or between epochs — the outcome is the same.
+	cfg := smallConfig()
+	cfg.Workers = 4
+	cfg.Epochs = 1 << 30
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(5*time.Millisecond, cancel).Stop()
+	_, err := TrainEncodedWithOptions(encode(smallCorpus()), cfg, TrainOptions{Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package w2v
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -11,10 +12,31 @@ import (
 	"github.com/darkvec/darkvec/internal/robust/faultio"
 )
 
+// smallCorpus is a small but non-trivial corpus: enough words and
+// repetition that every epoch does real updates.
+func smallCorpus() [][]string {
+	var sentences [][]string
+	for i := 0; i < 40; i++ {
+		s := make([]string, 0, 12)
+		for j := 0; j < 12; j++ {
+			s = append(s, fmt.Sprintf("w%d", (i*7+j*3)%25))
+		}
+		sentences = append(sentences, s)
+	}
+	return sentences
+}
+
+func smallConfig() Config {
+	return Config{
+		Dim: 16, Window: 4, Epochs: 6, Negative: 3,
+		Workers: 1, Seed: 42, ShrinkWindow: true, PadToken: "NULL",
+	}
+}
+
 // ioModel trains a tiny model for serialisation tests.
 func ioModel(t *testing.T) *Model {
 	t.Helper()
-	m, err := Train(ckCorpus(), ckConfig())
+	m, err := Train(smallCorpus(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +71,7 @@ func TestSaveLoadChecksummedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Kind != "model" || info.Words != m.Vocab.Size() {
+	if info.Words != m.Vocab.Size() || info.Dim != m.Cfg.Dim {
 		t.Fatalf("Verify = %+v", info)
 	}
 }
@@ -106,54 +128,12 @@ func TestLoadTruncationHasContext(t *testing.T) {
 	}
 }
 
-func TestCheckpointChecksumAndLegacy(t *testing.T) {
-	var saved bytes.Buffer
-	_, err := TrainWithOptions(ckCorpus(), ckConfig(), TrainOptions{
-		Checkpoint: func(ck *Checkpoint) error {
-			saved.Reset()
-			return SaveCheckpoint(&saved, ck)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := saved.Bytes()
-
-	if _, err := LoadCheckpoint(bytes.NewReader(data)); err != nil {
-		t.Fatalf("checksummed checkpoint rejected: %v", err)
-	}
-	info, err := Verify(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "checkpoint" || info.Epoch == 0 {
-		t.Fatalf("Verify = %+v", info)
-	}
-
-	torn := data[:len(data)-robust.FooterSize]
-	if _, err := LoadCheckpoint(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
-		t.Fatalf("footer-less checkpoint: LoadCheckpoint = %v, want ErrChecksum", err)
-	}
-	if _, err := Verify(bytes.NewReader(torn)); !errors.Is(err, robust.ErrChecksum) {
-		t.Fatalf("footer-less checkpoint: Verify = %v, want ErrChecksum", err)
-	}
-
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/2] ^= 0x04
-	if _, err := LoadCheckpoint(bytes.NewReader(flipped)); err == nil {
-		t.Fatal("checkpoint bit flip not detected")
-	}
-
-	cut := data[:len(data)/2]
-	if _, err := LoadCheckpoint(bytes.NewReader(cut)); err == nil ||
-		!strings.Contains(err.Error(), "truncated checkpoint") {
-		t.Fatalf("checkpoint truncation error lacks context: %v", err)
-	}
-}
-
 func TestVerifyRejectsUnknownMagic(t *testing.T) {
-	if _, err := Verify(strings.NewReader("GIFfy little file")); err == nil {
-		t.Fatal("unknown magic must fail")
+	// "DVCK…" is what a training checkpoint from an older build starts with.
+	for _, in := range []string{"GIFfy little file", "DVCK\x01\x00\x00\x00 old checkpoint"} {
+		if _, err := Verify(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unrecognised artifact magic") {
+			t.Fatalf("Verify(%q) = %v, want unrecognised artifact magic", in, err)
+		}
 	}
 	if _, err := Verify(strings.NewReader("")); err == nil {
 		t.Fatal("empty file must fail")

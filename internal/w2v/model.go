@@ -92,38 +92,16 @@ type Model struct {
 	Warm *WarmStats
 }
 
-// Checkpoint is the complete training state after a number of whole
-// epochs: the model (including output weights, which Save drops) plus the
-// trainer's progress counters. A run resumed from a checkpoint with the
-// same corpus, config and Workers=1 produces byte-identical final vectors
-// to an uninterrupted run. Serialise with SaveCheckpoint / LoadCheckpoint.
-type Checkpoint struct {
-	Epoch     int   // completed epochs
-	Processed int64 // tokens processed so far (drives the LR decay)
-	AlphaBits uint64
-	Pairs     int64 // cumulative positive-pair counter
-	Model     *Model
-}
-
-// TrainOptions extends Train with cancellation, periodic checkpointing and
-// resume — the controls a long daily-retraining deployment needs to survive
-// restarts without losing hours of work.
+// TrainOptions extends training with cancellation and warm start. A run
+// either completes or returns an error and no model; the way to build on
+// earlier work is the previous model (Warm), not a partial run.
 type TrainOptions struct {
-	// Context cancels training between update batches; TrainWithOptions
-	// then returns the context's error. nil means context.Background().
+	// Context cancels training between update batches; the call then
+	// returns the context's error. nil means context.Background().
 	Context context.Context
-	// Checkpoint, when non-nil, is called synchronously after every
-	// completed epoch with a deep copy of the training state. An error
-	// aborts training.
-	Checkpoint func(*Checkpoint) error
-	// Resume, when non-nil, restarts training after Resume.Epoch completed
-	// epochs instead of from scratch. The vocabulary and config must match
-	// what the checkpoint was taken with.
-	Resume *Checkpoint
 	// Warm, when non-nil, seeds the new model from a previous generation
-	// and shrinks the epoch budget to the window delta. Mutually exclusive
-	// with Resume. Failures are tagged ErrWarmSeed so callers can fall
-	// back to a cold train.
+	// and shrinks the epoch budget to the window delta. Failures are tagged
+	// ErrWarmSeed so callers can fall back to a cold train.
 	Warm *WarmSeed
 
 	// warmOldOf is the precomputed new-row → previous-row mapping the
@@ -138,11 +116,6 @@ type TrainOptions struct {
 // TrainEncoded for the integer-token entry point that skips the string
 // vocabulary pass entirely.
 func Train(sentences [][]string, cfg Config) (*Model, error) {
-	return TrainWithOptions(sentences, cfg, TrainOptions{})
-}
-
-// TrainWithOptions is Train with cancellation, checkpointing and resume.
-func TrainWithOptions(sentences [][]string, cfg Config, opts TrainOptions) (*Model, error) {
 	cfg = cfg.withDefaults()
 	vocab := BuildVocabulary(sentences, cfg.MinCount, cfg.PadToken)
 	if vocab.Size() == 0 {
@@ -159,21 +132,21 @@ func TrainWithOptions(sentences [][]string, cfg Config, opts TrainOptions) (*Mod
 		totalTokens += int64(len(ids))
 		enc = append(enc, ids)
 	}
-	return trainPrepared(vocab, enc, totalTokens, cfg, opts)
+	return trainPrepared(vocab, enc, totalTokens, cfg, TrainOptions{})
 }
 
 // trainPrepared is the shared training core: vocabulary and id-encoded
 // sentences in hand, run the epochs. cfg must already carry defaults.
-// Both the string path (TrainWithOptions) and the interned-id path
-// (TrainEncoded) land here, which is what makes their outputs
-// byte-identical for a fixed seed.
+// Both the string path (Train) and the interned-id path (TrainEncoded)
+// land here, which is what makes their outputs byte-identical for a fixed
+// seed.
 func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Config, opts TrainOptions) (*Model, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Dim <= 0 || cfg.Window <= 0 {
-		return nil, fmt.Errorf("w2v: invalid dim %d / window %d", cfg.Dim, cfg.Window)
+	if cfg.Dim <= 0 || cfg.Window <= 0 || cfg.Epochs <= 0 {
+		return nil, fmt.Errorf("w2v: invalid dim %d / window %d / epochs %d", cfg.Dim, cfg.Window, cfg.Epochs)
 	}
 	m := &Model{Vocab: vocab, Cfg: cfg}
 	n := vocab.Size() * cfg.Dim
@@ -187,19 +160,7 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 		m.syn1 = make([]float32, n)
 	}
 	runEpochs := cfg.Epochs
-	startEpoch := 0
-	if ck := opts.Resume; ck != nil {
-		if opts.Warm != nil {
-			return nil, fmt.Errorf("%w: cannot combine a warm seed with checkpoint resume", ErrWarmSeed)
-		}
-		if err := checkResume(ck, vocab, cfg); err != nil {
-			return nil, err
-		}
-		copy(m.Syn0, ck.Model.Syn0)
-		copy(m.syn1, ck.Model.syn1)
-		copy(m.synHS, ck.Model.synHS)
-		startEpoch = ck.Epoch
-	} else if ws := opts.Warm; ws != nil {
+	if ws := opts.Warm; ws != nil {
 		st, err := warmSeedModel(m, ws, opts.warmOldOf)
 		if err != nil {
 			return nil, err
@@ -255,13 +216,7 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 		keep:    keep,
 		total:   totalTokens * int64(runEpochs),
 	}
-	if ck := opts.Resume; ck != nil {
-		t.processed.Store(ck.Processed)
-		t.pairs.Store(ck.Pairs)
-		t.alpha.Store(ck.AlphaBits)
-	} else {
-		t.alpha.Store(floatBits(cfg.Alpha))
-	}
+	t.alpha.Store(floatBits(cfg.Alpha))
 	if ctx.Done() != nil {
 		var stop atomic.Bool
 		t.stop = &stop
@@ -276,26 +231,17 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 		workers = 1
 	}
 	// Per-worker sentence shards are identical across epochs, so build them
-	// once up front instead of reallocating every epoch. Workers=1 keeps
-	// the unsharded path (and its byte-identical output).
+	// once up front instead of reallocating every epoch. One worker gets
+	// the whole corpus as its single shard, trained on the calling goroutine.
 	shards := buildShards(enc, workers)
-	for epoch := startEpoch; epoch < runEpochs; epoch++ {
-		if workers == 1 {
-			t.run(enc, netutil.NewRand(cfg.Seed+uint64(epoch)*0x9e37+1))
-		} else {
-			t.runEpoch(shards, func(w int) uint64 {
-				return cfg.Seed + uint64(epoch)*0x9e37 + uint64(w) + 1
-			})
-		}
+	for epoch := 0; epoch < runEpochs; epoch++ {
+		t.runEpoch(shards, func(w int) uint64 {
+			return cfg.Seed + uint64(epoch)*0x9e37 + uint64(w) + 1
+		})
 		if err := ctx.Err(); err != nil {
 			// The interrupted epoch's partial updates are discarded with
-			// the model; the last checkpoint holds the resumable state.
+			// the model.
 			return nil, err
-		}
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint(t.snapshot(epoch + 1)); err != nil {
-				return nil, fmt.Errorf("w2v: checkpoint after epoch %d: %w", epoch+1, err)
-			}
 		}
 	}
 	// A warm start on an identical window runs zero epochs; the model is
@@ -340,59 +286,6 @@ func (t *trainer) runEpoch(shards [][][]int32, seed func(w int) uint64) {
 		}(shard, seed(w))
 	}
 	wg.Wait()
-}
-
-// checkResume verifies a checkpoint belongs to this corpus and config, so a
-// stale or foreign checkpoint cannot silently poison a run.
-func checkResume(ck *Checkpoint, vocab *Vocabulary, cfg Config) error {
-	if ck.Model == nil || ck.Model.Vocab == nil {
-		return errors.New("w2v: checkpoint has no model state")
-	}
-	if ck.Epoch > cfg.Epochs {
-		return fmt.Errorf("w2v: checkpoint at epoch %d exceeds configured epochs %d", ck.Epoch, cfg.Epochs)
-	}
-	ckCfg := ck.Model.Cfg
-	if ckCfg.Dim != cfg.Dim || ckCfg.Window != cfg.Window || ckCfg.Negative != cfg.Negative ||
-		ckCfg.Epochs != cfg.Epochs || ckCfg.MinCount != cfg.MinCount || ckCfg.Seed != cfg.Seed ||
-		ckCfg.ShrinkWindow != cfg.ShrinkWindow || ckCfg.HS != cfg.HS || ckCfg.CBOW != cfg.CBOW ||
-		ckCfg.Alpha != cfg.Alpha || ckCfg.MinAlpha != cfg.MinAlpha ||
-		ckCfg.Subsample != cfg.Subsample || ckCfg.PadToken != cfg.PadToken {
-		return fmt.Errorf("w2v: checkpoint config %+v does not match training config %+v", ckCfg, cfg)
-	}
-	ckv := ck.Model.Vocab
-	if ckv.Size() != vocab.Size() {
-		return fmt.Errorf("w2v: checkpoint vocabulary size %d != corpus vocabulary size %d", ckv.Size(), vocab.Size())
-	}
-	for i := range vocab.words {
-		if ckv.words[i] != vocab.words[i] || ckv.counts[i] != vocab.counts[i] {
-			return fmt.Errorf("w2v: checkpoint vocabulary diverges at id %d (%q/%d != %q/%d) — was the corpus changed?",
-				i, ckv.words[i], ckv.counts[i], vocab.words[i], vocab.counts[i])
-		}
-	}
-	return nil
-}
-
-// snapshot deep-copies the training state after `epochs` completed epochs.
-func (t *trainer) snapshot(epochs int) *Checkpoint {
-	m := t.m
-	cp := &Model{
-		Vocab: m.Vocab,
-		Syn0:  append([]float32(nil), m.Syn0...),
-		Cfg:   m.Cfg,
-	}
-	if m.syn1 != nil {
-		cp.syn1 = append([]float32(nil), m.syn1...)
-	}
-	if m.synHS != nil {
-		cp.synHS = append([]float32(nil), m.synHS...)
-	}
-	return &Checkpoint{
-		Epoch:     epochs,
-		Processed: t.processed.Load(),
-		AlphaBits: t.alpha.Load(),
-		Pairs:     t.pairs.Load(),
-		Model:     cp,
-	}
 }
 
 // floatBits/bitsFloat pack the learning rate into an atomic word as a fixed

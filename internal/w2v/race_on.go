@@ -10,6 +10,6 @@ import "sync"
 // The race detector cannot tell these sanctioned races from accidental
 // ones, so race builds serialise the weight updates through this mutex.
 // That keeps `go test -race` meaningful for everything else in the
-// package (worker fan-out, cancellation, checkpointing, the progress
-// counters) without slowing production builds at all.
+// package (worker fan-out, cancellation, the progress counters) without
+// slowing production builds at all.
 type raceMutex = sync.Mutex

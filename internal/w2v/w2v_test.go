@@ -261,6 +261,9 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([][]string{{"a", "b"}}, Config{MinCount: 5}); err == nil {
 		t.Fatal("fully filtered vocabulary must fail")
 	}
+	if _, err := Train([][]string{{"a", "b"}}, Config{Epochs: -3}); err == nil {
+		t.Fatal("negative epochs must fail")
+	}
 }
 
 func TestTrainWithPadding(t *testing.T) {

@@ -232,16 +232,15 @@ func TestWarmSeedErrors(t *testing.T) {
 		name string
 		cfg  Config
 		ws   *WarmSeed
-		opts TrainOptions
 	}{
-		{"nil-prev", warmCfg, &WarmSeed{}, TrainOptions{}},
-		{"dim-mismatch", func() Config { c := warmCfg; c.Dim = 8; return c }(), &WarmSeed{Prev: prev}, TrainOptions{}},
-		{"hs-config", func() Config { c := warmCfg; c.HS = true; return c }(), &WarmSeed{Prev: prev}, TrainOptions{}},
+		{"nil-prev", warmCfg, &WarmSeed{}},
+		{"dim-mismatch", func() Config { c := warmCfg; c.Dim = 8; return c }(), &WarmSeed{Prev: prev}},
+		{"hs-config", func() Config { c := warmCfg; c.HS = true; return c }(), &WarmSeed{Prev: prev}},
 		{"truncated-syn0", warmCfg, func() *WarmSeed {
 			bad := *prev
 			bad.Syn0 = bad.Syn0[:len(bad.Syn0)-warmCfg.Dim]
 			return &WarmSeed{Prev: &bad}
-		}(), TrainOptions{}},
+		}()},
 		{"mapping-out-of-range", warmCfg, func() *WarmSeed {
 			perm := append([]int32(nil), prev.Perm...)
 			for i := range perm {
@@ -250,7 +249,7 @@ func TestWarmSeedErrors(t *testing.T) {
 				}
 			}
 			return &WarmSeed{Prev: prev, PrevPerm: perm}
-		}(), TrainOptions{}},
+		}()},
 		{"id-space-mismatch", warmCfg, func() *WarmSeed {
 			// Swap two mapped rows: words no longer line up.
 			perm := append([]int32(nil), prev.Perm...)
@@ -267,14 +266,11 @@ func TestWarmSeedErrors(t *testing.T) {
 			}
 			perm[a], perm[b] = perm[b], perm[a]
 			return &WarmSeed{Prev: prev, PrevPerm: perm}
-		}(), TrainOptions{}},
-		{"warm-plus-resume", warmCfg, &WarmSeed{Prev: prev}, TrainOptions{Resume: &Checkpoint{Epoch: 1, Model: prev}}},
+		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.Warm = tc.ws
-			_, err := TrainEncodedWithOptions(encs[1], tc.cfg, opts)
+			_, err := TrainEncodedWithOptions(encs[1], tc.cfg, TrainOptions{Warm: tc.ws})
 			if !errors.Is(err, ErrWarmSeed) {
 				t.Fatalf("want ErrWarmSeed, got %v", err)
 			}
