@@ -37,7 +37,6 @@ import (
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/services"
 	"github.com/darkvec/darkvec/internal/trace"
-	"github.com/darkvec/darkvec/internal/vecmath"
 	"github.com/darkvec/darkvec/internal/w2v"
 	"github.com/darkvec/darkvec/internal/wal"
 )
@@ -117,13 +116,12 @@ type metrics struct {
 	// same query sample, so their ratio is the honest speedup, and
 	// ann_recall_at_k is recall@10 of the approximate answers against the
 	// exact ones on that sample.
-	ANNRowsPerS         float64 `json:"ann_rows_per_s"`
-	ANNExactRowsPerS    float64 `json:"ann_exact_rows_per_s"`
-	ANNRecallAtK        float64 `json:"ann_recall_at_k"`
-	ANNBuildS           float64 `json:"ann_build_s"`
-	ANNNProbe           int     `json:"ann_nprobe"`
-	ANNCells            int     `json:"ann_cells"`
-	QuantizedDotOpsPerS float64 `json:"quantized_dot_ops_per_s"`
+	ANNRowsPerS      float64 `json:"ann_rows_per_s"`
+	ANNExactRowsPerS float64 `json:"ann_exact_rows_per_s"`
+	ANNRecallAtK     float64 `json:"ann_recall_at_k"`
+	ANNBuildS        float64 `json:"ann_build_s"`
+	ANNNProbe        int     `json:"ann_nprobe"`
+	ANNCells         int     `json:"ann_cells"`
 
 	// Durable-ingestion substrate: group-commit append throughput per fsync
 	// policy (the price of each durability level on the hot ingest path)
@@ -415,26 +413,6 @@ func main() {
 			*annRows, run.Metrics.ANNRowsPerS, run.Metrics.ANNExactRowsPerS,
 			run.Metrics.ANNRowsPerS/run.Metrics.ANNExactRowsPerS,
 			annK, run.Metrics.ANNRecallAtK, st.NProbe, st.Cells, run.Metrics.ANNBuildS)
-
-		// The int8 widened dot kernel: one quantized query against every
-		// quantized row, repeatedly — the inner loop of a quantized member
-		// scan, counted in multiply-accumulate ops.
-		annSpace.Quantize()
-		qq := make([]int8, annSpace.Dim)
-		vecmath.Quantize(qq, annSpace.Row(0))
-		var sink int64
-		run.Metrics.QuantizedDotOpsPerS = best(*iters, func() (float64, error) {
-			t0 := time.Now()
-			for r := 0; r < annSpace.Len(); r++ {
-				codes, _ := annSpace.QuantizedRow(r)
-				sink += int64(vecmath.DotInt8(qq, codes))
-			}
-			return float64(annSpace.Len()) * float64(annSpace.Dim) / time.Since(t0).Seconds(), nil
-		})
-		if sink == 0 {
-			fmt.Fprintln(os.Stderr, "benchperf: quantized dot sink unexpectedly zero")
-		}
-		fmt.Printf("int8 dot:       %12.0f ops/s\n", run.Metrics.QuantizedDotOpsPerS)
 	}
 
 	// Leave-One-Out classification.

@@ -59,22 +59,12 @@ func servedIP(t *testing.T, base string, tr *trace.Trace) string {
 	return ""
 }
 
-// TestANNValidation pins the flag validation for the ANN knobs.
+// TestANNValidation pins the flag validation for the one ANN knob.
 func TestANNValidation(t *testing.T) {
 	o := baseOpts("trace.csv")
 	o.annMin = -1
 	if err := o.validate(); err == nil {
 		t.Fatal("negative -annmin must fail validation")
-	}
-	o = baseOpts("trace.csv")
-	o.annCells = -1
-	if err := o.validate(); err == nil {
-		t.Fatal("negative -anncells must fail validation")
-	}
-	o = baseOpts("trace.csv")
-	o.annProbe = -1
-	if err := o.validate(); err == nil {
-		t.Fatal("negative -annprobe must fail validation")
 	}
 	for _, min := range []int{0, 1, 16384} {
 		o = baseOpts("trace.csv")
@@ -110,7 +100,6 @@ func TestDaemonServesANN(t *testing.T) {
 	tracePath, tr := writeTestTrace(t, t.TempDir())
 	o := baseOpts(tracePath)
 	o.annMin = 1
-	o.annQuant = true
 	base, shutdown := annDaemon(t, o)
 	defer shutdown()
 
@@ -123,9 +112,6 @@ func TestDaemonServesANN(t *testing.T) {
 	}
 	if model.Index.CalibratedRecall < model.Index.TargetRecall {
 		t.Fatalf("index calibration %.3f below target %.3f", model.Index.CalibratedRecall, model.Index.TargetRecall)
-	}
-	if !model.Index.Quantized || model.Index.QuantizedBytes == 0 {
-		t.Fatalf("quantized sidecar missing: %+v", model.Index)
 	}
 	if model.ANNError != "" {
 		t.Fatalf("unexpected ann_error %q", model.ANNError)

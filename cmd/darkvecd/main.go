@@ -67,8 +67,8 @@
 // cell-probe index instead of the exact scan: it is built when the space
 // reaches -annmin senders (1 = always, 0 = never: exact search only). The
 // index is rebuilt for every generation inside the retrain cycle before
-// the atomic swap; -annprobe 0 auto-calibrates the probed cell count to a
-// 0.99 sampled recall. A failed index build serves the generation exactly
+// the atomic swap, always √N cells with the probed cell count calibrated to
+// a 0.99 sampled recall. A failed index build serves the generation exactly
 // instead (degradation visible on /v1/model and /healthz/ready), never
 // refusing traffic.
 package main
@@ -138,10 +138,7 @@ type options struct {
 	// The index is rebuilt for every generation inside the retrain cycle,
 	// before the atomic gate swap; a failed build degrades to exact search,
 	// it never blocks serving.
-	annMin   int  // build the index at >= this many senders (1 = always, 0 = never)
-	annCells int  // coarse cells (0 = sqrt of the space size)
-	annProbe int  // cells probed per query (0 = calibrate to 0.99 recall)
-	annQuant bool // scan members through the int8-quantized sidecar
+	annMin int // build the index at >= this many senders (1 = always, 0 = never)
 
 	// Live ingestion (see ingest.go). Either source makes the daemon
 	// retrain on the rolling window instead of re-reading -in.
@@ -213,9 +210,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.retrainFail, "retrainfail", 5, "consecutive retrain failures before the circuit breaker gives up")
 	fs.StringVar(&o.vantage, "vantage", "", "vantage point name: tags untagged live events and the /v1/intern export")
 	fs.IntVar(&o.annMin, "annmin", 16384, "build the approximate k-NN index when the space holds at least this many senders (1 = always, 0 = never)")
-	fs.IntVar(&o.annCells, "anncells", 0, "ANN coarse cells (0 = sqrt of the space size)")
-	fs.IntVar(&o.annProbe, "annprobe", 0, "ANN cells probed per query (0 = calibrate to 0.99 sampled recall)")
-	fs.BoolVar(&o.annQuant, "annquant", false, "ANN scans through the int8-quantized vector sidecar (4x less memory traffic)")
 	fs.StringVar(&o.ingest, "ingest", "", "live-feed listener (host:port or unix:/path) speaking the CSV line protocol")
 	fs.StringVar(&o.follow, "follow", "", "tail-follow this file as a live event source")
 	fs.Float64Var(&o.ingestRate, "ingestrate", 0, "per-source ingest rate limit, events/sec (0 = unlimited)")
@@ -372,12 +366,6 @@ func (o *options) validate() error {
 	}
 	if o.annMin < 0 {
 		return fmt.Errorf("invalid -annmin %d: must be >= 0", o.annMin)
-	}
-	if o.annCells < 0 {
-		return fmt.Errorf("invalid -anncells %d: must be >= 0", o.annCells)
-	}
-	if o.annProbe < 0 {
-		return fmt.Errorf("invalid -annprobe %d: must be >= 0", o.annProbe)
 	}
 	// The vantage name travels inside CSV lines and "; "-joined headers;
 	// separators in it would corrupt both framings.
@@ -821,28 +809,18 @@ func (d *daemon) buildANN(space *embed.Space) string {
 	if !d.o.annWanted(space.Len()) {
 		return ""
 	}
-	opts := embed.IVFOptions{
-		Cells:     d.o.annCells,
-		NProbe:    d.o.annProbe,
-		Seed:      d.o.seed,
-		Quantized: d.o.annQuant,
-	}
 	build := space.BuildIVF
 	if d.o.annBuild != nil {
 		build = func(o embed.IVFOptions) (*embed.IVF, error) { return d.o.annBuild(space, o) }
 	}
-	ix, err := build(opts)
+	ix, err := build(embed.IVFOptions{Seed: d.o.seed})
 	if err != nil {
 		d.o.logf("ann index build failed (serving exact): %v", err)
 		return err.Error()
 	}
 	st := ix.Stats()
-	if st.TargetRecall > 0 {
-		d.o.logf("ann index: %d cells, nprobe %d (sampled recall %.3f, target %.2f)",
-			st.Cells, st.NProbe, st.CalibratedRecall, st.TargetRecall)
-	} else {
-		d.o.logf("ann index: %d cells, nprobe %d", st.Cells, st.NProbe)
-	}
+	d.o.logf("ann index: %d cells, nprobe %d (sampled recall %.3f, target %.2f)",
+		st.Cells, st.NProbe, st.CalibratedRecall, st.TargetRecall)
 	return ""
 }
 

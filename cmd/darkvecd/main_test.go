@@ -84,7 +84,8 @@ func TestValidateFlags(t *testing.T) {
 
 // TestFlagsDocumented: every registered flag is named (as `-name`) in
 // README.md, and the restart/selection flags the store, the WAL and
-// -annmin replaced stay gone.
+// -annmin replaced — and the index geometry/precision knobs nothing set —
+// stay gone.
 func TestFlagsDocumented(t *testing.T) {
 	b, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -98,7 +99,7 @@ func TestFlagsDocumented(t *testing.T) {
 			t.Errorf("flag -%s is not documented in README.md", f.Name)
 		}
 	})
-	for _, name := range []string{"flush", "checkpoint", "resume", "ann"} {
+	for _, name := range []string{"flush", "checkpoint", "resume", "ann", "annquant", "anncells", "annprobe"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s is registered again", name)
 		}

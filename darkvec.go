@@ -91,17 +91,19 @@ type (
 )
 
 // Approximate k-NN types. A Space answers neighbour queries exactly by
-// default; BuildIVF attaches an inverted-file cell-probe index (optionally
-// over int8-quantized vectors) that trades a calibrated, bounded recall
-// loss for sub-linear scans on large spaces.
+// default; BuildIVF attaches an inverted-file cell-probe index over the same
+// float32 rows that trades a calibrated, measured recall loss for
+// sub-linear scans on large spaces.
 type (
 	// ANNIndex is an inverted-file approximate k-NN index over a Space.
 	ANNIndex = embed.IVF
-	// ANNOptions parameterises index construction; the zero value picks
-	// ~√N cells and calibrates nprobe to recall@10 ≥ 0.99.
+	// ANNOptions parameterises index construction. The zero value — plus a
+	// Seed — is the served index: ~√N cells, nprobe calibrated to a sampled
+	// recall@10 ≥ 0.99 against the exact engine. Cells and NProbe pin the
+	// geometry for tests' oracles; a pinned index reports no measured recall.
 	ANNOptions = embed.IVFOptions
-	// ANNStats describes a built index: cell geometry, calibrated recall
-	// and the memory footprint of both vector representations.
+	// ANNStats describes a built index: cell geometry, calibrated recall,
+	// the vector footprint and the answers re-run exactly for being short.
 	ANNStats = embed.IVFStats
 )
 

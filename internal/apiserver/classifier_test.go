@@ -127,6 +127,44 @@ func TestModelReportsClassifyExactFallbacks(t *testing.T) {
 	}
 }
 
+// TestSimilarShortAnswerRerunsExactly: /v1/similar accepts k up to 100, far
+// above the k = 10 the probe count is sized for. With ~10 senders a cell
+// and one cell probed the index alone holds a tenth of that; the answer
+// must still carry 100 neighbours — the exact ones — and /v1/model counts
+// the re-run in its index block. The field is absent until that happens.
+func TestSimilarShortAnswerRerunsExactly(t *testing.T) {
+	space := syntheticSpace(t, 300)
+	if _, err := space.BuildIVF(embed.IVFOptions{Cells: 30, NProbe: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv := syntheticServer(space, nil, "")
+
+	serve(srv, "/v1/similar?ip="+ipWord(5)+"&k=1") // the probed cell holds one neighbour: no re-run
+	if body := serve(srv, "/v1/model").Body.String(); strings.Contains(body, "similar_exact_fallbacks") {
+		t.Fatalf("/v1/model before any short answer: %s", body)
+	}
+	var sim SimilarResponse
+	if err := json.Unmarshal(serve(srv, "/v1/similar?ip="+ipWord(17)+"&k=100").Body.Bytes(), &sim); err != nil {
+		t.Fatal(err)
+	}
+	exact := space.KNN(17, 100)
+	if len(sim.Neighbors) != 100 {
+		t.Fatalf("/v1/similar?k=100 returned %d neighbours, want 100", len(sim.Neighbors))
+	}
+	for i, n := range exact {
+		if got := sim.Neighbors[i]; got.IP != space.Words[n.Row] || got.Sim != n.Sim {
+			t.Fatalf("neighbour %d = %+v, want %s at %v (the exact answer)", i, got, space.Words[n.Row], n.Sim)
+		}
+	}
+	var model ModelResponse
+	if err := json.Unmarshal(serve(srv, "/v1/model").Body.Bytes(), &model); err != nil {
+		t.Fatal(err)
+	}
+	if model.Index == nil || model.Index.SimilarExactFallbacks != 1 {
+		t.Fatalf("index block = %+v, want similar_exact_fallbacks 1", model.Index)
+	}
+}
+
 // TestGateSwapServesOneGenerationPerAnswer: two generations differ in one
 // sender's label. While a gate flips between them, eight clients hammer the
 // shared classifiers; every answer must carry the label of the generation

@@ -46,7 +46,7 @@ func annServer(t *testing.T, annErr string, build bool) (*Server, *embed.Space) 
 	}
 	space, _ := emb.EvalSpace(out.Trace.LastDays(1), nil)
 	if build {
-		if _, err := space.BuildIVF(embed.IVFOptions{Seed: 5, Quantized: true}); err != nil {
+		if _, err := space.BuildIVF(embed.IVFOptions{Seed: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,9 +66,6 @@ func TestModelWithIndex(t *testing.T) {
 	}
 	if out.Index == nil || out.Index.Rows != space.Len() || out.Index.Cells == 0 || out.Index.NProbe == 0 {
 		t.Fatalf("index block = %+v", out.Index)
-	}
-	if !out.Index.Quantized || out.Index.QuantizedBytes == 0 {
-		t.Fatalf("quantized sidecar not reported: %+v", out.Index)
 	}
 	if out.Index.CalibratedRecall < out.Index.TargetRecall {
 		t.Fatalf("calibrated %.3f below target %.3f", out.Index.CalibratedRecall, out.Index.TargetRecall)

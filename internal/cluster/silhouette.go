@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/vecmath"
@@ -76,7 +75,7 @@ func Silhouette(s *embed.Space, assign []int) ([]float64, error) {
 	// Per-point scores are independent, so the row loop fans out across the
 	// space's Parallelism() workers; each element is written exactly once,
 	// and the result is identical for any worker count.
-	parallelRows(s.Parallelism(), n, func(lo, hi int) {
+	s.ParallelRows(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			own := assign[i]
 			if sizes[own] <= 1 {
@@ -126,32 +125,6 @@ func Silhouette(s *embed.Space, assign []int) ([]float64, error) {
 		}
 	})
 	return out, nil
-}
-
-// parallelRows splits [0, n) into contiguous chunks, one per worker, and
-// runs fn on each concurrently. workers <= 1 (or tiny n) runs inline.
-func parallelRows(workers, n int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ClusterSilhouettes averages per-point silhouettes by cluster and returns

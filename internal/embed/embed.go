@@ -2,8 +2,9 @@
 // DarkVec analyses need: an L2-normalised matrix keyed by word, cosine
 // similarity, and exact top-k nearest-neighbour search (the paper's
 // classifier and clustering both use exact cosine k-NN). The search engine
-// lives in knnbatch.go: blocked scans over the row-major matrix through the
-// vecmath kernels, fanned out across workers for batch queries.
+// lives in knnbatch.go: scans over the row-major matrix through the vecmath
+// kernels, fanned out across workers for batch queries; ivf.go narrows the
+// rows a scan is offered.
 package embed
 
 import (
@@ -31,13 +32,10 @@ type Space struct {
 	// byte-identical.
 	MaxProcs int
 
-	// ann is the attached approximate-nearest-neighbour index (see ivf.go);
-	// qrows/qscales are the int8 symmetric-quantized row sidecar. Both are
-	// built before a Space is shared (BuildIVF / Quantize) and immutable
-	// afterwards, like the row matrix itself.
-	ann     *IVF
-	qrows   []int8
-	qscales []float32
+	// ann is the attached approximate-nearest-neighbour index (see ivf.go),
+	// built before a Space is shared (BuildIVF) and immutable afterwards,
+	// like the row matrix itself.
+	ann *IVF
 }
 
 // FromModel builds a Space from a trained model, keeping only words in keep
@@ -136,15 +134,16 @@ func (s *Space) KNN(i, k int) []Neighbor { return s.KNNMasked(i, k, nil) }
 // KNNMasked is KNN drawn only from the rows mask marks (len(mask) == Len();
 // nil admits every row): the single-query form of KNNSubset, for callers
 // that resolve their candidate set once and query it many times. It runs
-// the same blocked scan as KNN on pooled scratch, so a call allocates only
-// the neighbour list it returns.
+// the same scan as KNN on pooled scratch, so a call allocates only the
+// neighbour list it returns.
 func (s *Space) KNNMasked(i, k int, mask []bool) []Neighbor {
 	if k <= 0 || s.Len() <= 1 {
 		return nil
 	}
-	sc := getScratch(s.Len())
-	nn := s.knnScan(s.Row(i), i, k, sc, mask)
-	putScratch(sc)
+	sc := scratchPool.Get().(*knnScratch)
+	s.scan(s.Row(i), i, k, sc, mask)
+	nn := sc.top.sorted()
+	scratchPool.Put(sc)
 	return nn
 }
 
@@ -163,12 +162,16 @@ func (s *Space) MostSimilar(word string, k int) ([]Similar, bool) {
 	if !ok {
 		return nil, false
 	}
-	nn := s.KNN(i, k)
+	return s.resolve(s.KNN(i, k)), true
+}
+
+// resolve maps neighbour rows to their words.
+func (s *Space) resolve(nn []Neighbor) []Similar {
 	out := make([]Similar, len(nn))
 	for j, n := range nn {
 		out[j] = Similar{Word: s.Words[n.Row], Sim: n.Sim}
 	}
-	return out, true
+	return out
 }
 
 // Analogy solves a : b :: c : ? — the classic word2vec vector-offset query
@@ -192,9 +195,10 @@ func (s *Space) Analogy(a, b, c string, k int) ([]Similar, bool) {
 	normalize(q)
 	// Over-select by the three excluded inputs, then drop them: removing at
 	// most three rows from the top-(k+3) leaves the exact top-k of the rest.
-	sc := getScratch(s.Len())
-	nn := s.knnScan(q, -1, k+3, sc, nil)
-	putScratch(sc)
+	sc := scratchPool.Get().(*knnScratch)
+	s.scan(q, -1, k+3, sc, nil)
+	nn := sc.top.sorted()
+	scratchPool.Put(sc)
 	out := make([]Similar, 0, k)
 	for _, n := range nn {
 		if n.Row == ia || n.Row == ib || n.Row == ic {

@@ -312,7 +312,10 @@ func TestAnalogy(t *testing.T) {
 	}
 }
 
-func TestAllKNNParallelMatchesSequential(t *testing.T) {
+// TestAllKNNMaxProcsMatchesSequential pins a worker count through
+// Space.MaxProcs — the one way to do so — on a batch far below the
+// auto-serial cutoff, and compares against the serial answer.
+func TestAllKNNMaxProcsMatchesSequential(t *testing.T) {
 	r := netutil.NewRand(55)
 	const n, dim = 60, 5
 	words := make([]string, n)
@@ -326,8 +329,10 @@ func TestAllKNNParallelMatchesSequential(t *testing.T) {
 		vecs[i] = v
 	}
 	s := space(t, words, vecs)
+	s.MaxProcs = 1
 	seq := s.AllKNN(4)
-	par := s.AllKNNParallel(4, 4)
+	s.MaxProcs = 4
+	par := s.AllKNN(4)
 	if len(seq) != len(par) {
 		t.Fatal("length mismatch")
 	}

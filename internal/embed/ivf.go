@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/darkvec/darkvec/internal/vecmath"
@@ -14,8 +13,8 @@ import (
 // index over the space. SphericalKMeans trains a coarse quantizer of Cells
 // centroids; every row is filed under its nearest centroid; a query scans
 // the centroids (cheap — there are ~√N of them), picks the NProbe closest
-// cells, and runs the existing partial-selection-heap scan over only those
-// cells' members. Scanned volume drops from N rows to roughly
+// cells, and offers only those cells' members to the engine's selection
+// heap (knnbatch.go). Scanned volume drops from N rows to roughly
 // Cells + NProbe·N/Cells — at N = 543,900 (the paper's 30-day sender
 // population) with √N cells and a single-digit probe count, that is a
 // two-orders-of-magnitude cut.
@@ -30,35 +29,31 @@ import (
 // unprobed cell is missed. BuildIVF therefore calibrates NProbe when it is
 // not pinned: it takes a deterministic sample of rows, computes their exact
 // top-k with the exact engine, and grows the probe count until the sampled
-// recall@k reaches TargetRecall.
+// recall@k reaches ivfTargetRecall.
 
-// IVFOptions parameterises BuildIVF. The zero value is a usable default:
-// √N cells, 10 k-means iterations, NProbe calibrated to 0.99 recall@10 on a
-// 256-row sample, float32 member scans.
+// What every served index is built to: the sampled recall@ivfCalibrateK the
+// probe count is calibrated to, over ivfCalibrateSample query rows, on a
+// quantizer trained for ivfKMeansIters iterations. Calibration keeps the
+// smallest probe count that meets the target on the sample, so recall on
+// other queries lands a little either side of it (within about a point).
+const (
+	ivfTargetRecall    = 0.99
+	ivfCalibrateK      = 10
+	ivfCalibrateSample = 256
+	ivfKMeansIters     = 10
+)
+
+// IVFOptions parameterises BuildIVF. The zero value is what the daemon
+// serves: √N cells, NProbe calibrated to ivfTargetRecall.
 type IVFOptions struct {
 	// Cells is the number of coarse centroids (0 = round(√N), at least 1).
 	Cells int
-	// NProbe is the number of closest cells scanned per query
-	// (0 = calibrate to TargetRecall).
+	// NProbe is the number of closest cells scanned per query (0 =
+	// calibrate). Tests pin it, with Cells, to build their exhaustive and
+	// one-probe oracles; a pinned index reports no measured recall.
 	NProbe int
-	// TargetRecall is the sampled recall@CalibrateK the calibration aims
-	// for when NProbe is 0 (0 = 0.99). Calibration keeps the smallest probe
-	// count that meets the target on the sample, so recall on other queries
-	// lands a few points either side of it; the default is high enough that
-	// what is delivered stays above 0.95.
-	TargetRecall float64
-	// CalibrateK is the neighbour count recall is measured at (0 = 10).
-	CalibrateK int
-	// CalibrateSample is the number of sampled query rows (0 = 256).
-	CalibrateSample int
-	// MaxIter bounds the k-means training iterations (0 = 10).
-	MaxIter int
 	// Seed drives the k-means seeding; same seed + options ⇒ identical index.
 	Seed uint64
-	// Quantized scans cell members through the int8-quantized row sidecar
-	// (built on demand): 4x less memory read per candidate, with the
-	// similarity error bounded by vecmath's quantization property tests.
-	Quantized bool
 }
 
 // IVF is a built cell-probe index over one Space. Read-only after BuildIVF;
@@ -69,11 +64,13 @@ type IVF struct {
 	centroids []float32 // cells × dim, unit-normalised
 	members   []int32   // rows grouped by cell, ascending within each cell
 	cellStart []int32   // len cells+1; cell c owns members[cellStart[c]:cellStart[c+1]]
-	quantized bool
 
-	targetRecall float64 // calibration target (0 when NProbe was pinned)
-	calibrated   float64 // sampled recall@CalibrateK measured at the chosen nprobe
-	calibrateK   int
+	targetRecall float64 // ivfTargetRecall (0 when NProbe was pinned)
+	calibrated   float64 // sampled recall@ivfCalibrateK measured at the chosen nprobe
+
+	// shortReruns counts KNNApprox answers re-run exactly because the probed
+	// cells held fewer than the k rows asked for.
+	shortReruns atomic.Int64
 }
 
 // IVFStats is the introspection snapshot /v1/model and the benchmarks
@@ -84,57 +81,19 @@ type IVFStats struct {
 	Rows             int     `json:"rows"`
 	MeanCellRows     float64 `json:"mean_cell_rows"`
 	MaxCellRows      int     `json:"max_cell_rows"`
-	Quantized        bool    `json:"quantized"`
 	TargetRecall     float64 `json:"target_recall,omitempty"`
 	CalibratedRecall float64 `json:"calibrated_recall,omitempty"`
 	VectorBytes      int64   `json:"vector_bytes"`
-	QuantizedBytes   int64   `json:"quantized_bytes,omitempty"`
+	// SimilarExactFallbacks counts Space.KNNApprox / MostSimilarApprox
+	// answers the probed cells left short of k and the exact engine re-ran.
+	SimilarExactFallbacks int64 `json:"similar_exact_fallbacks,omitempty"`
 }
 
 // ErrEmptySpace reports an index build over a space with no rows.
 var ErrEmptySpace = errors.New("embed: cannot index an empty space")
 
-// Quantize builds the int8 symmetric-quantized row sidecar (per-row scale,
-// codes in [-127,127]): 4x smaller than the float32 matrix, feeding the
-// quantized exact path and the IVF member scans. Idempotent; call before
-// sharing the Space, like BuildIVF.
-func (s *Space) Quantize() {
-	if s.qrows != nil || s.Len() == 0 {
-		return
-	}
-	n, dim := s.Len(), s.Dim
-	qrows := make([]int8, n*dim)
-	qscales := make([]float32, n)
-	for i := 0; i < n; i++ {
-		qscales[i] = vecmath.Quantize(qrows[i*dim:(i+1)*dim], s.Row(i))
-	}
-	s.qrows, s.qscales = qrows, qscales
-}
-
-// QuantizedRows reports whether the int8 sidecar has been built.
-func (s *Space) QuantizedRows() bool { return s.qrows != nil }
-
-// QuantizedRow returns row i's int8 codes and scale from the sidecar
-// (shared storage; nil/0 when the sidecar is not built). Benchmarks drive
-// the widened dot kernel through this.
-func (s *Space) QuantizedRow(i int) ([]int8, float32) {
-	if s.qrows == nil {
-		return nil, 0
-	}
-	return s.qrows[i*s.Dim : (i+1)*s.Dim], s.qscales[i]
-}
-
 // VectorBytes returns the resident size of the float32 row matrix.
 func (s *Space) VectorBytes() int64 { return int64(len(s.rows)) * 4 }
-
-// QuantizedVectorBytes returns the resident size of the int8 sidecar
-// (codes + per-row scales), 0 when not built.
-func (s *Space) QuantizedVectorBytes() int64 {
-	if s.qrows == nil {
-		return 0
-	}
-	return int64(len(s.qrows)) + int64(len(s.qscales))*4
-}
 
 // SetANN attaches (or with nil detaches) an index so the *Approx entry
 // points ride it. BuildIVF attaches automatically; this exists for callers
@@ -148,7 +107,7 @@ func (s *Space) ANN() *IVF { return s.ann }
 // returns it. Training reuses the spherical k-means the clustering stage
 // runs (same seeding, same parallel assignment step). The build fails —
 // leaving the space serving exact, nothing half-attached — on an empty
-// space, non-finite vector data, or unsatisfiable options.
+// space, non-finite vector data, or a negative cell count.
 func (s *Space) BuildIVF(o IVFOptions) (*IVF, error) {
 	n, dim := s.Len(), s.Dim
 	if n == 0 {
@@ -169,18 +128,13 @@ func (s *Space) BuildIVF(o IVFOptions) (*IVF, error) {
 	if cells > n {
 		cells = n
 	}
-	maxIter := o.MaxIter
-	if maxIter == 0 {
-		maxIter = 10
-	}
-	assign, cent64, _ := s.SphericalKMeans(cells, maxIter, o.Seed)
+	assign, cent64, _ := s.SphericalKMeans(cells, ivfKMeansIters, o.Seed)
 
 	ix := &IVF{
 		s:         s,
 		centroids: make([]float32, cells*dim),
 		members:   make([]int32, n),
 		cellStart: make([]int32, cells+1),
-		quantized: o.Quantized,
 	}
 	for i, v := range cent64 {
 		ix.centroids[i] = float32(v)
@@ -200,85 +154,42 @@ func (s *Space) BuildIVF(o IVFOptions) (*IVF, error) {
 		ix.members[next[c]] = int32(row)
 		next[c]++
 	}
-	if o.Quantized {
-		s.Quantize()
-	}
-
 	if o.NProbe > 0 {
-		ix.nprobe = o.NProbe
-		if ix.nprobe > cells {
-			ix.nprobe = cells
-		}
+		ix.nprobe = min(o.NProbe, cells)
 	} else {
-		if err := ix.calibrate(o); err != nil {
-			return nil, err
-		}
+		ix.calibrate()
 	}
 	s.ann = ix
 	return ix, nil
 }
 
-// calibrate picks the smallest nprobe whose sampled recall@CalibrateK meets
-// TargetRecall: a baseline top-k for a deterministic strided row sample,
-// then a doubling probe search refined by bisection. The baseline is the
-// exhaustive scan at the index's own precision — float32 exact normally,
-// the full quantized scan for a quantized index — so the measured recall
-// isolates what cell probing loses (the knob being calibrated) from the
-// separately-bounded quantization error, and the search always converges
-// (exhaustive probing reproduces the baseline by construction). The sampled
-// recall is stored for introspection; the true recall over all queries
-// tracks it closely because the sample spans the whole row range.
-func (ix *IVF) calibrate(o IVFOptions) error {
+// calibrate picks the smallest nprobe whose sampled recall@ivfCalibrateK
+// against the exact engine meets ivfTargetRecall: an exact top-k for a
+// deterministic strided row sample, then a doubling probe search refined by
+// bisection. The search always converges (exhaustive probing reproduces the
+// exact answer by construction). The sampled recall is stored for
+// introspection; the true recall over all queries tracks it closely because
+// the sample spans the whole row range.
+func (ix *IVF) calibrate() {
 	n := ix.s.Len()
 	cells := len(ix.cellStart) - 1
-	target := o.TargetRecall
-	if target == 0 {
-		target = 0.99
-	}
-	if target < 0 || target > 1 {
-		return fmt.Errorf("embed: invalid IVF target recall %v", target)
-	}
-	k := o.CalibrateK
-	if k == 0 {
-		k = 10
-	}
-	if k > n-1 {
-		k = n - 1
-	}
+	ix.targetRecall = ivfTargetRecall
+	k := min(ivfCalibrateK, n-1)
 	if k <= 0 || cells == 1 {
 		// A 1-row space or a single cell: every probe is exhaustive.
 		ix.nprobe = 1
-		ix.targetRecall = target
 		ix.calibrated = 1
-		ix.calibrateK = k
-		return nil
+		return
 	}
-	sample := o.CalibrateSample
-	if sample == 0 {
-		sample = 256
-	}
-	if sample > n {
-		sample = n
-	}
-	queries := make([]int, sample)
+	queries := make([]int, min(ivfCalibrateSample, n))
 	for i := range queries {
-		queries[i] = i * n / sample // strided: deterministic, spans the space
+		queries[i] = i * n / len(queries) // strided: deterministic, spans the space
 	}
-	atProbe := func(np int) [][]Neighbor {
-		saved := ix.nprobe
-		ix.nprobe = np
-		defer func() { ix.nprobe = saved }()
-		return ix.KNNBatch(queries, k)
-	}
-	var exact [][]Neighbor
-	if ix.quantized {
-		exact = atProbe(cells) // exhaustive quantized scan
-	} else {
-		exact = ix.s.KNNBatch(queries, k)
-	}
+	exact := ix.s.KNNBatch(queries, k)
 
 	recallAt := func(np int) float64 {
-		approx := atProbe(np)
+		ix.nprobe = np
+		approx := ix.KNNBatch(queries, k)
 		var hit, total int
 		for qi := range queries {
 			ids := make(map[int]bool, len(exact[qi]))
@@ -302,27 +213,21 @@ func (ix *IVF) calibrate(o IVFOptions) error {
 	// down to the smallest satisfying probe count.
 	hi := 1
 	rec := recallAt(hi)
-	for rec < target && hi < cells {
-		hi *= 2
-		if hi > cells {
-			hi = cells
-		}
+	for rec < ivfTargetRecall && hi < cells {
+		hi = min(hi*2, cells)
 		rec = recallAt(hi)
 	}
 	lo := hi / 2
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if r := recallAt(mid); r >= target {
+		if r := recallAt(mid); r >= ivfTargetRecall {
 			hi, rec = mid, r
 		} else {
 			lo = mid
 		}
 	}
 	ix.nprobe = hi
-	ix.targetRecall = target
 	ix.calibrated = rec
-	ix.calibrateK = k
-	return nil
 }
 
 // NProbe returns the active probe count.
@@ -335,11 +240,11 @@ func (ix *IVF) Stats() IVFStats {
 		Cells:            cells,
 		NProbe:           ix.nprobe,
 		Rows:             len(ix.members),
-		Quantized:        ix.quantized,
 		TargetRecall:     ix.targetRecall,
 		CalibratedRecall: ix.calibrated,
 		VectorBytes:      ix.s.VectorBytes(),
-		QuantizedBytes:   ix.s.QuantizedVectorBytes(),
+
+		SimilarExactFallbacks: ix.shortReruns.Load(),
 	}
 	if cells > 0 {
 		st.MeanCellRows = float64(len(ix.members)) / float64(cells)
@@ -353,19 +258,14 @@ func (ix *IVF) Stats() IVFStats {
 }
 
 // scan is the per-query cell-probe search: coarse centroid pass into the
-// scratch cell heap, then the fine member scan through the shared selection
-// heap. cand, when non-nil, restricts hits to marked rows (the classifier's
-// labeled-subset pass); self is excluded as in the exact engine.
-func (ix *IVF) scan(q []float32, self, k int, sc *knnScratch, cand []bool) []Neighbor {
-	return ix.scanInto(q, self, k, sc, cand, nil)
-}
-
-func (ix *IVF) scanInto(q []float32, self, k int, sc *knnScratch, cand []bool, buf []Neighbor) []Neighbor {
+// scratch cell heap, then the probed cells' members into sc.top. mask, when
+// non-nil, restricts hits to marked rows (the classifier's labeled-subset
+// pass); self is excluded as in the exact engine.
+func (ix *IVF) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
 	s := ix.s
 	dim := s.Dim
 	cells := len(ix.cellStart) - 1
 
-	// Coarse probe: exact float32 scan over the (tiny) centroid matrix.
 	sc.cells.reset(ix.nprobe)
 	for c := 0; c < cells; c++ {
 		sc.cells.push(c, float64(vecmath.Dot(q, ix.centroids[c*dim:])))
@@ -373,41 +273,15 @@ func (ix *IVF) scanInto(q []float32, self, k int, sc *knnScratch, cand []bool, b
 	sc.probes = sc.cells.sortedInto(sc.probes)
 
 	sc.top.reset(k)
-	if ix.quantized && s.qrows != nil {
-		// Quantize the query once, then the member scan reads a quarter of
-		// the bytes per candidate. Similarities are reconstructed as
-		// scaleQ·scaleRow·⟨int8,int8⟩ — deterministic, with error bounded by
-		// vecmath.QuantizedDotBound.
-		if cap(sc.qq) < dim {
-			sc.qq = make([]int8, dim)
-		}
-		sc.qq = sc.qq[:dim]
-		qscale := float64(vecmath.Quantize(sc.qq, q))
-		for _, p := range sc.probes {
-			c := p.Row
-			for _, row32 := range ix.members[ix.cellStart[c]:ix.cellStart[c+1]] {
-				row := int(row32)
-				if row == self || (cand != nil && !cand[row]) {
-					continue
-				}
-				sim := qscale * float64(s.qscales[row]) *
-					float64(vecmath.DotInt8(sc.qq, s.qrows[row*dim:(row+1)*dim]))
-				sc.top.push(row, sim)
+	for _, p := range sc.probes {
+		for _, row32 := range ix.members[ix.cellStart[p.Row]:ix.cellStart[p.Row+1]] {
+			row := int(row32)
+			if row == self || (mask != nil && !mask[row]) {
+				continue
 			}
-		}
-	} else {
-		for _, p := range sc.probes {
-			c := p.Row
-			for _, row32 := range ix.members[ix.cellStart[c]:ix.cellStart[c+1]] {
-				row := int(row32)
-				if row == self || (cand != nil && !cand[row]) {
-					continue
-				}
-				sc.top.push(row, float64(vecmath.Dot(q, s.rows[row*dim:])))
-			}
+			sc.top.push(row, float64(vecmath.Dot(q, s.rows[row*dim:])))
 		}
 	}
-	return sc.top.sortedInto(buf)
 }
 
 // KNN returns the approximate k nearest neighbours of row i through the
@@ -422,9 +296,10 @@ func (ix *IVF) KNNMasked(i, k int, mask []bool) []Neighbor {
 	if k <= 0 || ix.s.Len() <= 1 {
 		return nil
 	}
-	sc := getScratch(ix.s.Len())
-	nn := ix.scan(ix.s.Row(i), i, k, sc, mask)
-	putScratch(sc)
+	sc := scratchPool.Get().(*knnScratch)
+	ix.scan(ix.s.Row(i), i, k, sc, mask)
+	nn := sc.top.sorted()
+	scratchPool.Put(sc)
 	return nn
 }
 
@@ -443,37 +318,13 @@ func (ix *IVF) approxPerQuery() int {
 // row, fanned out across the space's workers, byte-identical to serial.
 func (ix *IVF) KNNBatch(rows []int, k int) [][]Neighbor {
 	out := make([][]Neighbor, len(rows))
-	if k <= 0 || ix.s.Len() <= 1 || len(rows) == 0 {
+	if k <= 0 || ix.s.Len() <= 1 {
 		return out
 	}
-	workers := ix.s.batchWorkers(len(rows), ix.approxPerQuery())
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		sc := newKNNScratch(ix.s.Len())
-		for i, r := range rows {
-			out[i] = append([]Neighbor(nil), ix.scan(ix.s.Row(r), r, k, sc, nil)...)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newKNNScratch(ix.s.Len())
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(rows) {
-					return
-				}
-				out[i] = append([]Neighbor(nil), ix.scan(ix.s.Row(rows[i]), rows[i], k, sc, nil)...)
-			}
-		}()
-	}
-	wg.Wait()
+	each(len(rows), ix.s.batchWorkers(len(rows), ix.approxPerQuery()), func(i int, sc *knnScratch) {
+		ix.scan(ix.s.Row(rows[i]), rows[i], k, sc, nil)
+		out[i] = sc.top.sorted()
+	})
 	return out
 }
 
@@ -491,64 +342,36 @@ func (ix *IVF) KNNSubsetEach(queries, candidates []int, k int, fn func(qi int, n
 	for _, r := range candidates {
 		cand[r] = true
 	}
-	workers := ix.s.batchWorkers(len(queries), ix.approxPerQuery())
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		sc := newKNNScratch(ix.s.Len())
-		var buf []Neighbor
-		for qi, q := range queries {
-			buf = ix.scanInto(ix.s.Row(q), q, k, sc, cand, buf)
-			fn(qi, buf)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newKNNScratch(ix.s.Len())
-			var buf []Neighbor
-			for {
-				qi := int(next.Add(1)) - 1
-				if qi >= len(queries) {
-					return
-				}
-				buf = ix.scanInto(ix.s.Row(queries[qi]), queries[qi], k, sc, cand, buf)
-				fn(qi, buf)
-			}
-		}()
-	}
-	wg.Wait()
+	each(len(queries), ix.s.batchWorkers(len(queries), ix.approxPerQuery()), func(qi int, sc *knnScratch) {
+		ix.scan(ix.s.Row(queries[qi]), queries[qi], k, sc, cand)
+		sc.nn = sc.top.sortedInto(sc.nn)
+		fn(qi, sc.nn)
+	})
 }
 
 // KNNApprox answers through the attached index, or exactly when none is
 // attached — mirroring KNN so callers can always ask for the approximate
-// path and degrade to exact transparently.
+// path and degrade to exact transparently. The probe count is calibrated at
+// k = ivfCalibrateK, so a larger k can exceed what the probed cells hold: an
+// answer shorter than min(k, Len()-1) is re-run exactly and counted in
+// IVFStats.SimilarExactFallbacks.
 func (s *Space) KNNApprox(i, k int) []Neighbor {
 	if s.ann == nil {
 		return s.KNN(i, k)
 	}
-	return s.ann.KNN(i, k)
+	nn := s.ann.KNN(i, k)
+	if len(nn) < min(k, s.Len()-1) {
+		s.ann.shortReruns.Add(1)
+		return s.KNN(i, k)
+	}
+	return nn
 }
 
-// MostSimilarApprox is MostSimilar through the attached index (exact when
-// none), resolving neighbours to words.
+// MostSimilarApprox is MostSimilar through KNNApprox.
 func (s *Space) MostSimilarApprox(word string, k int) ([]Similar, bool) {
-	if s.ann == nil {
-		return s.MostSimilar(word, k)
-	}
 	i, ok := s.index[word]
 	if !ok {
 		return nil, false
 	}
-	nn := s.ann.KNN(i, k)
-	out := make([]Similar, len(nn))
-	for j, n := range nn {
-		out[j] = Similar{Word: s.Words[n.Row], Sim: n.Sim}
-	}
-	return out, true
+	return s.resolve(s.KNNApprox(i, k)), true
 }

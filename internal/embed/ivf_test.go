@@ -3,6 +3,7 @@ package embed
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -64,34 +65,32 @@ func recallAtK(exact, approx [][]Neighbor) float64 {
 
 // TestIVFDeterminismAcrossWorkers asserts the ANN determinism contract:
 // same seed and options ⇒ byte-identical neighbour lists at any worker
-// count, for both the float32 and quantized member scans.
+// count.
 func TestIVFDeterminismAcrossWorkers(t *testing.T) {
-	for _, quant := range []bool{false, true} {
-		s := clusteredSpace(t, 600, 16, 12, 0.15, 11)
-		s.MaxProcs = 1
-		ix, err := s.BuildIVF(IVFOptions{Seed: 7, Quantized: quant})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]int, s.Len())
-		for i := range rows {
-			rows[i] = i
-		}
-		want := ix.KNNBatch(rows, 10)
-		for _, workers := range []int{2, 4, 7} {
-			s.MaxProcs = workers
-			got := ix.KNNBatch(rows, 10)
-			neighborsEqual(t, fmt.Sprintf("quant=%v workers=%d", quant, workers), want, got)
-		}
-		// A rebuilt index over the same inputs reproduces the same answers.
-		s2 := clusteredSpace(t, 600, 16, 12, 0.15, 11)
-		s2.MaxProcs = 3
-		ix2, err := s2.BuildIVF(IVFOptions{Seed: 7, Quantized: quant})
-		if err != nil {
-			t.Fatal(err)
-		}
-		neighborsEqual(t, fmt.Sprintf("quant=%v rebuild", quant), want, ix2.KNNBatch(rows, 10))
+	s := clusteredSpace(t, 600, 16, 12, 0.15, 11)
+	s.MaxProcs = 1
+	ix, err := s.BuildIVF(IVFOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := make([]int, s.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	want := ix.KNNBatch(rows, 10)
+	for _, workers := range []int{2, 4, 7} {
+		s.MaxProcs = workers
+		got := ix.KNNBatch(rows, 10)
+		neighborsEqual(t, fmt.Sprintf("workers=%d", workers), want, got)
+	}
+	// A rebuilt index over the same inputs reproduces the same answers.
+	s2 := clusteredSpace(t, 600, 16, 12, 0.15, 11)
+	s2.MaxProcs = 3
+	ix2, err := s2.BuildIVF(IVFOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neighborsEqual(t, "rebuild", want, ix2.KNNBatch(rows, 10))
 }
 
 // TestIVFCalibratedRecallFloor builds with auto-calibration at the default
@@ -121,12 +120,13 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 	}
 	exact := s.KNNBatch(rows, 10)
 	approx := ix.KNNBatch(rows, 10)
-	if r := recallAtK(exact, approx); r < 0.95 {
+	if r := recallAtK(exact, approx); r < 0.985 {
 		// The calibration sample guarantees >= 0.99 on the sample; the full
-		// space tracks it closely but is not bound by it — 0.95 is the
-		// figure the default exists to deliver on queries it did not
-		// sample, with room for sampling variance.
-		t.Fatalf("whole-space recall@10 = %.3f, want >= 0.95 (calibrated %.3f at nprobe %d of %d cells)",
+		// space tracks it closely but is not bound by it — 0.985 is the
+		// figure DESIGN.md states for queries it did not sample (measured
+		// 0.9898 at n = 1500, 0.9949 at n = 5000). Rank identity over every
+		// row, against the exact engine.
+		t.Fatalf("whole-space recall@10 = %.4f, want >= 0.985 (calibrated %.3f at nprobe %d of %d cells)",
 			r, st.CalibratedRecall, st.NProbe, st.Cells)
 	}
 	if st.NProbe >= st.Cells && st.Cells > 4 {
@@ -134,59 +134,80 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 	}
 }
 
-// simLossAtK bounds the quality loss rank-by-rank: the j-th best true
-// cosine among the returned rows must sit within eps of the j-th best exact
-// similarity. Rank-identity recall is the wrong metric for quantization —
-// int8 error (~1e-2 on a cosine) legitimately reorders near-ties without
-// hurting answer quality — but a real quality loss shows up as a sim gap.
-func simLossAtK(t *testing.T, s *Space, queries []int, exact, approx [][]Neighbor, eps float64) {
-	t.Helper()
-	for qi := range exact {
-		got := make([]float64, len(approx[qi]))
-		for j, nb := range approx[qi] {
-			got[j] = s.Cosine(queries[qi], nb.Row)
-		}
-		for j := 1; j < len(got); j++ { // insertion sort desc (short lists)
-			for p := j; p > 0 && got[p] > got[p-1]; p-- {
-				got[p], got[p-1] = got[p-1], got[p]
-			}
-		}
-		for j, nb := range exact[qi] {
-			if j >= len(got) {
-				break
-			}
-			if nb.Sim-got[j] > eps {
-				t.Fatalf("query %d rank %d: exact sim %.4f vs returned %.4f (loss %.4f > %.4f)",
-					queries[qi], j, nb.Sim, got[j], nb.Sim-got[j], eps)
-			}
-		}
-	}
-}
-
-// TestIVFQuantizedRecall checks the int8 member scan holds answer quality:
-// per-rank similarity loss bounded by the quantization error bound, and the
-// sidecar accounting correct.
-func TestIVFQuantizedRecall(t *testing.T) {
-	s := clusteredSpace(t, 2000, 24, 25, 0.12, 5)
-	ix, err := s.BuildIVF(IVFOptions{Seed: 1, Quantized: true})
+// TestApproxShortAnswerRerunsExactly pins the completeness contract of the
+// analyst's pivot: nprobe is calibrated at k = 10, so at k = 100 the probed
+// cells of many rows hold fewer than k members. KNNApprox (and
+// MostSimilarApprox on top of it) must hand every row min(k, n-1)
+// neighbours — the formerly short ones re-run exactly, the rest untouched —
+// and count each re-run on the index.
+func TestApproxShortAnswerRerunsExactly(t *testing.T) {
+	s := clusteredSpace(t, 2500, 32, 40, 0.3, 5)
+	ix, err := s.BuildIVF(IVFOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]int, 0, 200)
-	for i := 0; i < s.Len(); i += 10 {
-		rows = append(rows, i)
+	const k = 100
+	short := 0
+	for i := 0; i < s.Len(); i++ {
+		raw := ix.KNN(i, k)
+		want := raw
+		if len(raw) < k {
+			short++
+			want = s.KNN(i, k)
+		}
+		got := s.KNNApprox(i, k)
+		if len(got) != k {
+			t.Fatalf("row %d: %d neighbours, want %d (index alone gave %d)", i, len(got), k, len(raw))
+		}
+		neighborsEqual(t, fmt.Sprintf("row %d", i), [][]Neighbor{want}, [][]Neighbor{got})
 	}
-	exact := s.KNNBatch(rows, 10)
-	approx := ix.KNNBatch(rows, 10)
-	simLossAtK(t, s, rows, exact, approx, 0.03)
-	if !ix.Stats().Quantized {
-		t.Fatal("stats should report quantized")
+	if short == 0 {
+		t.Fatal("no row was short through the index: the test space no longer exercises the re-run")
 	}
-	if s.QuantizedVectorBytes() == 0 {
-		t.Fatal("quantized sidecar not built")
+	if got := ix.Stats().SimilarExactFallbacks; got != int64(short) {
+		t.Fatalf("SimilarExactFallbacks = %d, want %d (rows the index left short)", got, short)
 	}
-	if got, want := s.QuantizedVectorBytes(), int64(s.Len()*s.Dim+s.Len()*4); got != want {
-		t.Fatalf("quantized bytes = %d, want %d", got, want)
+
+	// MostSimilarApprox rides the same path: a short row resolves to the
+	// exact answer's words, and the re-run is counted.
+	for i := 0; i < s.Len(); i++ {
+		if len(ix.KNN(i, k)) == k {
+			continue
+		}
+		want, _ := s.MostSimilar(s.Words[i], k)
+		got, ok := s.MostSimilarApprox(s.Words[i], k)
+		if !ok || len(got) != len(want) {
+			t.Fatalf("MostSimilarApprox(%s): %d entries, ok=%v, want %d", s.Words[i], len(got), ok, len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("MostSimilarApprox(%s) entry %d: %+v, want %+v", s.Words[i], j, got[j], want[j])
+			}
+		}
+		break
+	}
+	if got := ix.Stats().SimilarExactFallbacks; got != int64(short)+1 {
+		t.Fatalf("SimilarExactFallbacks after MostSimilarApprox = %d, want %d", got, short+1)
+	}
+
+	// k beyond the space: everything but self, still through the re-run —
+	// and the count holds when requests race, as /v1/similar's do.
+	before := ix.Stats().SimilarExactFallbacks
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 40; i += 4 {
+				if nn := s.KNNApprox(i, s.Len()+5); len(nn) != s.Len()-1 {
+					t.Errorf("oversized k, row %d: %d neighbours, want %d", i, len(nn), s.Len()-1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := ix.Stats().SimilarExactFallbacks - before; got != 40 {
+		t.Fatalf("40 concurrent short answers counted as %d", got)
 	}
 }
 
@@ -293,8 +314,8 @@ func TestIVFSubsetEach(t *testing.T) {
 
 // TestKNNMaskedMatchesBatchEngines pins the single-query masked entry points
 // to the batch engines: unmasked they are a one-row KNNBatch, masked they
-// are the one-query subset pass, on the exact engine and through a
-// float32 and an int8 index — including duplicated vectors, where only the
+// are the one-query subset pass, on the exact engine and through an
+// index — including duplicated vectors, where only the
 // (similarity desc, row asc) order separates candidates, and spaces too
 // small to have a neighbour.
 func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
@@ -321,22 +342,20 @@ func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
 					s.KNNSubset([]int{i}, labeled, k), [][]Neighbor{s.KNNMasked(i, k, mask)})
 			}
 		}
-		for _, quant := range []bool{false, true} {
-			ix, err := s.BuildIVF(IVFOptions{Seed: 3, NProbe: 2, Quantized: quant})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{0, 1, 7} {
-				for i := 0; i < s.Len(); i++ {
-					neighborsEqual(t, fmt.Sprintf("%s ivf quant=%v unmasked row %d k=%d", name, quant, i, k),
-						ix.KNNBatch([]int{i}, k), [][]Neighbor{ix.KNNMasked(i, k, nil)})
-					want := make([][]Neighbor, 1)
-					ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []Neighbor) {
-						want[0] = append([]Neighbor(nil), nn...)
-					})
-					neighborsEqual(t, fmt.Sprintf("%s ivf quant=%v masked row %d k=%d", name, quant, i, k),
-						want, [][]Neighbor{ix.KNNMasked(i, k, mask)})
-				}
+		ix, err := s.BuildIVF(IVFOptions{Seed: 3, NProbe: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1, 7} {
+			for i := 0; i < s.Len(); i++ {
+				neighborsEqual(t, fmt.Sprintf("%s ivf unmasked row %d k=%d", name, i, k),
+					ix.KNNBatch([]int{i}, k), [][]Neighbor{ix.KNNMasked(i, k, nil)})
+				want := make([][]Neighbor, 1)
+				ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []Neighbor) {
+					want[0] = append([]Neighbor(nil), nn...)
+				})
+				neighborsEqual(t, fmt.Sprintf("%s ivf masked row %d k=%d", name, i, k),
+					want, [][]Neighbor{ix.KNNMasked(i, k, mask)})
 			}
 		}
 	}
@@ -362,9 +381,6 @@ func TestIVFBuildErrors(t *testing.T) {
 	s2 := tieSpace(t, 50, 8, 1)
 	if _, err := s2.BuildIVF(IVFOptions{Cells: -3}); err == nil {
 		t.Fatal("negative cell count should fail")
-	}
-	if _, err := s2.BuildIVF(IVFOptions{TargetRecall: 1.5}); err == nil {
-		t.Fatal("out-of-range target recall should fail")
 	}
 }
 
@@ -397,12 +413,12 @@ func TestIVFTinySpaces(t *testing.T) {
 // TestIVFStatsShape sanity-checks the introspection snapshot.
 func TestIVFStatsShape(t *testing.T) {
 	s := clusteredSpace(t, 500, 16, 10, 0.2, 21)
-	ix, err := s.BuildIVF(IVFOptions{Cells: 20, NProbe: 3, Seed: 6, Quantized: true})
+	ix, err := s.BuildIVF(IVFOptions{Cells: 20, NProbe: 3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := ix.Stats()
-	if st.Cells != 20 || st.NProbe != 3 || st.Rows != 500 || !st.Quantized {
+	if st.Cells != 20 || st.NProbe != 3 || st.Rows != 500 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.MeanCellRows != 25 {

@@ -80,7 +80,7 @@ func (s *Space) SphericalKMeans(k, maxIter int, seed uint64) ([]int, []float64, 
 		// assignments (and therefore iterations) are identical for any
 		// worker count. Centroid recomputation stays serial to keep the
 		// floating-point accumulation order fixed.
-		parallelRows(s.Parallelism(), n, func(lo, hi int) {
+		s.ParallelRows(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				best, bestSim := 0, math.Inf(-1)
 				for c := 0; c < k; c++ {
@@ -137,9 +137,12 @@ func (s *Space) SphericalKMeans(k, maxIter int, seed uint64) ([]int, []float64, 
 	return assign, centroids, iter
 }
 
-// parallelRows splits [0, n) into contiguous chunks, one per worker, and
-// runs fn on each concurrently. workers <= 1 (or tiny n) runs inline.
-func parallelRows(workers, n int, fn func(lo, hi int)) {
+// ParallelRows splits [0, n) into contiguous chunks, one per Parallelism()
+// worker, and runs fn on each concurrently; one worker (or tiny n) runs
+// inline. The row-parallel consumers whose per-row work is uniform (k-means
+// assignment here, cluster.Silhouette) share it.
+func (s *Space) ParallelRows(n int, fn func(lo, hi int)) {
+	workers := s.Parallelism()
 	if workers > n {
 		workers = n
 	}

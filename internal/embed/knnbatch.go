@@ -9,19 +9,14 @@ import (
 	"github.com/darkvec/darkvec/internal/vecmath"
 )
 
-// The batched k-NN engine: every exact-search entry point (KNN, KNNBatch,
-// AllKNN, MostSimilar, the classifier and the k'-NN graph) funnels into
-// knnScan, a blocked row-major scan with a reusable scratch similarity
-// buffer and a fixed-size partial-selection heap. Parallel paths fan rows
-// out across workers; because each row's result depends only on that row and
-// the (immutable) matrix, and ties break on the total order
-// (similarity desc, row asc), the output is byte-identical for any worker
-// count.
-
-// knnBlock is the number of candidate rows scanned per scratch refill. At
-// dim 50 a block is ~100KB of matrix — comfortably inside L2 — and the
-// similarity buffer stays at 4KB.
-const knnBlock = 512
+// The k-NN engine: every search entry point — exact (KNN, KNNBatch, AllKNN,
+// KNNSubset, MostSimilar) and through the index (ivf.go) — offers candidate
+// rows to one fixed-size partial-selection heap, one dot product and one
+// push per candidate; exact and IVF search differ only in which rows they
+// offer. Batch entry points fan queries out through each; because a query's
+// result depends only on that query and the (immutable) matrix, and ties
+// break on the total order (similarity desc, row asc), the output is
+// byte-identical for any worker count.
 
 // Parallelism resolves the worker count the batched engine and the
 // row-parallel consumers (classifier, silhouette, k-means) use: MaxProcs
@@ -144,100 +139,37 @@ func (t *topK) sortedInto(buf []Neighbor) []Neighbor {
 	return out
 }
 
-// knnScratch is the per-worker reusable state of a scan. The trailing
-// fields are only used by the approximate paths (ivf.go): a second
-// selection heap for the coarse cell probe, its sorted output buffer, and
-// the quantized form of the current query.
+// knnScratch is the per-worker reusable state of a scan: the selection
+// heap, the reused neighbour list the callback entry points hand out, and —
+// for the index paths (ivf.go) — a second heap for the coarse cell probe
+// with its sorted output.
 type knnScratch struct {
-	sims []float64
-	top  topK
+	top topK
+	nn  []Neighbor
 
 	cells  topK
 	probes []Neighbor
-	qq     []int8
 }
 
-func newKNNScratch(n int) *knnScratch {
-	b := knnBlock
-	if n < b {
-		b = n
-	}
-	return &knnScratch{sims: make([]float64, b)}
-}
-
-// scratchPool recycles scratch for the single-query entry points (KNN,
-// Analogy): the batch paths amortise one scratch per worker across a whole
-// run, but a lone query would otherwise pay a fresh block-buffer allocation
-// per call.
+// scratchPool recycles scratch — the heaps' backing arrays — across queries
+// and batches, so a lone query allocates only the neighbour list it returns.
 var scratchPool = sync.Pool{New: func() interface{} { return new(knnScratch) }}
 
-func getScratch(n int) *knnScratch {
-	want := knnBlock
-	if n < want {
-		want = n
-	}
-	sc := scratchPool.Get().(*knnScratch)
-	if len(sc.sims) < want {
-		sc.sims = make([]float64, want)
-	}
-	return sc
-}
-
-func putScratch(sc *knnScratch) { scratchPool.Put(sc) }
-
-// knnScan selects the k rows most cosine-similar to the query vector q,
-// excluding row self (pass self < 0 to exclude nothing) and, when mask is
-// non-nil, every row it does not mark. The scan is blocked:
-// similarities land in the scratch buffer block by block while the selection
-// heap consumes them in the same pass — the heap's inlined fast-reject keeps
-// the per-candidate cost at one compare once the heap is full.
-func (s *Space) knnScan(q []float32, self, k int, sc *knnScratch, mask []bool) []Neighbor {
-	n := s.Len()
-	sc.top.reset(k)
-	dim := s.Dim
-	for b0 := 0; b0 < n; b0 += len(sc.sims) {
-		b1 := b0 + len(sc.sims)
-		if b1 > n {
-			b1 = n
-		}
-		sims := sc.sims[:b1-b0]
-		block := s.rows[b0*dim : b1*dim]
-		for j := range sims {
-			row := b0 + j
-			if mask != nil && !mask[row] {
-				continue
-			}
-			sims[j] = float64(vecmath.Dot(q, block[j*dim:]))
-			if row != self {
-				sc.top.push(row, sims[j])
-			}
-		}
-	}
-	return sc.top.sorted()
-}
-
-// KNNBatch returns, for each requested row, its k nearest neighbours — the
-// same result as calling KNN per row, computed with the engine's blocked
-// scans fanned out across Parallelism() workers. Output is byte-identical
-// to the serial path for any worker count.
-func (s *Space) KNNBatch(rows []int, k int) [][]Neighbor {
-	return s.knnBatch(rows, k, s.batchWorkers(len(rows), s.Len()))
-}
-
-func (s *Space) knnBatch(rows []int, k int, workers int) [][]Neighbor {
-	out := make([][]Neighbor, len(rows))
-	if k <= 0 || s.Len() <= 1 || len(rows) == 0 {
-		return out
-	}
-	if workers > len(rows) {
-		workers = len(rows)
+// each runs fn(i, scratch) for every i in [0, n) on up to workers
+// goroutines, one scratch per worker, never twice for the same i; workers
+// <= 1 runs inline. Workers draw the next i from a shared counter, so a slow
+// query does not stall a pre-assigned chunk.
+func each(n, workers int, fn func(i int, sc *knnScratch)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		sc := newKNNScratch(s.Len())
-		for i, r := range rows {
-			out[i] = s.knnScan(s.Row(r), r, k, sc, nil)
+		sc := scratchPool.Get().(*knnScratch)
+		for i := 0; i < n; i++ {
+			fn(i, sc)
 		}
-		return out
+		scratchPool.Put(sc)
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -245,45 +177,59 @@ func (s *Space) knnBatch(rows []int, k int, workers int) [][]Neighbor {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newKNNScratch(s.Len())
+			sc := scratchPool.Get().(*knnScratch)
+			defer scratchPool.Put(sc)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(rows) {
+				if i >= n {
 					return
 				}
-				out[i] = s.knnScan(s.Row(rows[i]), rows[i], k, sc, nil)
+				fn(i, sc)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// scan leaves in sc.top the k rows most cosine-similar to the query vector
+// q, excluding row self (pass self < 0 to exclude nothing) and, when mask is
+// non-nil, every row it does not mark.
+func (s *Space) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
+	sc.top.reset(k)
+	n, dim := s.Len(), s.Dim
+	for row := 0; row < n; row++ {
+		if row == self || (mask != nil && !mask[row]) {
+			continue
+		}
+		sc.top.push(row, float64(vecmath.Dot(q, s.rows[row*dim:])))
+	}
+}
+
+// KNNBatch returns, for each requested row, its k nearest neighbours — the
+// same result as calling KNN per row, fanned out across Parallelism()
+// workers. Output is byte-identical to the serial path for any worker count.
+func (s *Space) KNNBatch(rows []int, k int) [][]Neighbor {
+	out := make([][]Neighbor, len(rows))
+	if k <= 0 || s.Len() <= 1 {
+		return out
+	}
+	each(len(rows), s.batchWorkers(len(rows), s.Len()), func(i int, sc *knnScratch) {
+		s.scan(s.Row(rows[i]), rows[i], k, sc, nil)
+		out[i] = sc.top.sorted()
+	})
 	return out
 }
 
-// AllKNN computes KNN for every row in parallel. With rows ~ tens of
-// thousands this is the dominant O(n²·V) cost of the analysis stage (the §6
-// classifier, the §7 k'-NN graph and the silhouette sweep all sit on it), so
-// it fans out across Parallelism() workers; results are byte-identical to
-// the serial path regardless of worker count.
+// AllKNN computes KNN for every row. With rows ~ tens of thousands this is
+// the dominant O(n²·V) cost of the analysis stage (the §7 k'-NN graph sits
+// on it), so it fans out across Parallelism() workers; results are
+// byte-identical to the serial path regardless of worker count.
 func (s *Space) AllKNN(k int) [][]Neighbor {
-	return s.allKNNWorkers(k, s.batchWorkers(s.Len(), s.Len()))
-}
-
-// AllKNNParallel is AllKNN with an explicit worker count (workers <= 0 uses
-// GOMAXPROCS). Retained for callers that pin parallelism independently of
-// the space's MaxProcs setting.
-func (s *Space) AllKNNParallel(k, workers int) [][]Neighbor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return s.allKNNWorkers(k, workers)
-}
-
-func (s *Space) allKNNWorkers(k, workers int) [][]Neighbor {
 	rows := make([]int, s.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	return s.knnBatch(rows, k, workers)
+	return s.KNNBatch(rows, k)
 }
 
 // KNNSubset returns, for each query row, its k nearest neighbours drawn
@@ -307,58 +253,20 @@ func (s *Space) KNNSubset(queries, candidates []int, k int) [][]Neighbor {
 // concurrently from the engine's workers (never twice for the same qi), so
 // it must only touch qi-indexed state or its own locals.
 func (s *Space) KNNSubsetEach(queries, candidates []int, k int, fn func(qi int, nn []Neighbor)) {
-	if k <= 0 || len(queries) == 0 || len(candidates) == 0 {
+	if k <= 0 || len(candidates) == 0 {
 		return
 	}
-	workers := s.batchWorkers(len(queries), len(candidates))
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	one := func(q int, sc *knnScratch, buf []Neighbor) []Neighbor {
-		dim := s.Dim
+	dim := s.Dim
+	each(len(queries), s.batchWorkers(len(queries), len(candidates)), func(qi int, sc *knnScratch) {
+		q := queries[qi]
 		qv := s.Row(q)
 		sc.top.reset(k)
-		for b0 := 0; b0 < len(candidates); b0 += len(sc.sims) {
-			b1 := b0 + len(sc.sims)
-			if b1 > len(candidates) {
-				b1 = len(candidates)
-			}
-			sims := sc.sims[:b1-b0]
-			for j, row := range candidates[b0:b1] {
-				sims[j] = float64(vecmath.Dot(qv, s.rows[row*dim:]))
-				if row != q {
-					sc.top.push(row, sims[j])
-				}
+		for _, row := range candidates {
+			if row != q {
+				sc.top.push(row, float64(vecmath.Dot(qv, s.rows[row*dim:])))
 			}
 		}
-		return sc.top.sortedInto(buf)
-	}
-	if workers <= 1 {
-		sc := newKNNScratch(len(candidates))
-		var buf []Neighbor
-		for qi, q := range queries {
-			buf = one(q, sc, buf)
-			fn(qi, buf)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newKNNScratch(len(candidates))
-			var buf []Neighbor
-			for {
-				qi := int(next.Add(1)) - 1
-				if qi >= len(queries) {
-					return
-				}
-				buf = one(queries[qi], sc, buf)
-				fn(qi, buf)
-			}
-		}()
-	}
-	wg.Wait()
+		sc.nn = sc.top.sortedInto(sc.nn)
+		fn(qi, sc.nn)
+	})
 }

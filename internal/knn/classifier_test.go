@@ -128,7 +128,6 @@ func TestClassifierMatchesPerCallReference(t *testing.T) {
 	}{
 		{"exact", nil},
 		{"ivf", &embed.IVFOptions{Seed: 5}},
-		{"ivf-int8", &embed.IVFOptions{Seed: 5, Quantized: true}},
 		// Far more cells than labeled rows and one probe: the empty-probe
 		// fallback fires constantly on the sparse coverage below.
 		{"ivf-1probe", &embed.IVFOptions{Seed: 5, Cells: 60, NProbe: 1}},

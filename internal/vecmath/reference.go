@@ -55,12 +55,3 @@ func RefDot64(a []float32, b []float64) float64 {
 	}
 	return s
 }
-
-// RefDotInt8 is the naive reference for DotInt8.
-func RefDotInt8(a, b []int8) int32 {
-	var s int32
-	for i := range a {
-		s += int32(a[i]) * int32(b[i])
-	}
-	return s
-}
