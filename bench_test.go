@@ -167,7 +167,7 @@ func BenchmarkW2VTrainEpoch(b *testing.B) {
 	sentences := c.Sentences()
 	cfg := w2v.Config{
 		Dim: benchOpts.Dim, Window: benchOpts.Window, Epochs: 1,
-		Workers: 1, Seed: 1, ShrinkWindow: true, PadToken: "NULL",
+		Seed: 1, ShrinkWindow: true, PadToken: "NULL",
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

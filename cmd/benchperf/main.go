@@ -225,7 +225,7 @@ func main() {
 	sentences := corpus.Build(filtered, def, corpus.DefaultDeltaT).Sentences()
 	cfg := w2v.Config{
 		Dim: *dim, Window: *window, Epochs: 1,
-		Workers: 1, Seed: *seed, ShrinkWindow: true, PadToken: "NULL",
+		Seed: *seed, ShrinkWindow: true, PadToken: "NULL",
 	}
 	run.Metrics.W2VPairsPerS = best(*iters, func() (float64, error) {
 		t0 := time.Now()

@@ -70,7 +70,10 @@ type (
 type (
 	// Config parameterises a DarkVec run; see DefaultConfig.
 	Config = core.Config
-	// W2VConfig are the Word2Vec hyper-parameters.
+	// W2VConfig are the Word2Vec hyper-parameters a run may vary: V, c,
+	// epochs, seed, window shrinking, the pad word and the architecture.
+	// Zero values select the paper's; training is serial, so the model is
+	// a deterministic function of the trace and this struct.
 	W2VConfig = w2v.Config
 	// Embedding is a trained DarkVec model.
 	Embedding = core.Embedding

@@ -24,7 +24,7 @@ func server(t *testing.T) (*httptest.Server, *darksim.Output) {
 	setupOnce.Do(func() {
 		out := darksim.Generate(darksim.Config{Seed: 4, Days: 6, Scale: 0.01, Rate: 0.05})
 		cfg := core.DefaultConfig()
-		cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 3, Workers: 1, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
+		cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 3, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
 		emb, err := core.TrainEmbedding(out.Trace, cfg)
 		if err != nil {
 			panic(err)
@@ -183,7 +183,7 @@ func TestConcurrentQueries(t *testing.T) {
 func TestModelVersionHeader(t *testing.T) {
 	_, out := server(t)
 	cfg := core.DefaultConfig()
-	cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 3, Workers: 1, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
+	cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 3, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
 	emb, err := core.TrainEmbedding(out.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)

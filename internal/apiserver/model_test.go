@@ -39,7 +39,7 @@ func annServer(t *testing.T, annErr string, build bool) (*Server, *embed.Space) 
 	t.Helper()
 	out := darksim.Generate(darksim.Config{Seed: 9, Days: 4, Scale: 0.01, Rate: 0.05})
 	cfg := core.DefaultConfig()
-	cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 2, Workers: 1, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
+	cfg.W2V = w2v.Config{Dim: 16, Window: 8, Epochs: 2, Seed: 1, ShrinkWindow: true, PadToken: "NULL"}
 	emb, err := core.TrainEmbedding(out.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)

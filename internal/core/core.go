@@ -63,8 +63,6 @@ func DefaultConfig() Config {
 			Dim:          50,
 			Window:       25,
 			Epochs:       10,
-			Negative:     5,
-			Workers:      1,
 			Seed:         1,
 			ShrinkWindow: true,
 			PadToken:     "NULL",

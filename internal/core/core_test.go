@@ -15,8 +15,8 @@ import (
 func fastCfg() Config {
 	cfg := DefaultConfig()
 	cfg.W2V = w2v.Config{
-		Dim: 24, Window: 10, Epochs: 4, Negative: 5,
-		Workers: 1, Seed: 1, ShrinkWindow: true, PadToken: "NULL",
+		Dim: 24, Window: 10, Epochs: 4,
+		Seed: 1, ShrinkWindow: true, PadToken: "NULL",
 	}
 	return cfg
 }

@@ -107,7 +107,6 @@ func Train(tr *trace.Trace, active map[netutil.IPv4]bool, cfg Config) (*embed.Sp
 			Window:   cfg.Window,
 			Epochs:   cfg.Epochs,
 			Seed:     cfg.Seed,
-			Workers:  1,
 			PadToken: "NULL",
 		})
 		if err != nil {

@@ -189,7 +189,7 @@ func TestAllKNN(t *testing.T) {
 
 func TestFromModel(t *testing.T) {
 	sentences := [][]string{{"a", "b", "a", "c"}, {"b", "c", "a"}}
-	m, err := w2v.Train(sentences, w2v.Config{Dim: 8, Window: 2, Epochs: 2, Workers: 1, Seed: 1, PadToken: "NULL"})
+	m, err := w2v.Train(sentences, w2v.Config{Dim: 8, Window: 2, Epochs: 2, Seed: 1, PadToken: "NULL"})
 	if err != nil {
 		t.Fatal(err)
 	}

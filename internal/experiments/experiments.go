@@ -166,8 +166,6 @@ func (e *Env) config(kind core.ServiceKind, dim, window int) core.Config {
 		Dim:          dim,
 		Window:       window,
 		Epochs:       e.Opts.Epochs,
-		Negative:     5,
-		Workers:      1,
 		Seed:         e.Opts.Seed,
 		ShrinkWindow: true,
 		PadToken:     "NULL",

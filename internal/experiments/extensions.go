@@ -133,45 +133,35 @@ func (e *Env) Incremental() (Result, error) {
 	return r, nil
 }
 
-// AblationArchitecture compares the four classic Word2Vec variants on the
-// DarkVec corpus — the paper fixes skip-gram + negative sampling by fiat
-// (§5.3); this quantifies what that choice buys.
+// AblationArchitecture compares the two Word2Vec architectures on the
+// DarkVec corpus — the paper fixes skip-gram by fiat (§5.3); this
+// quantifies what that choice buys.
 func (e *Env) AblationArchitecture() (Result, error) {
 	r := Result{
 		ID:     "ablation-w2v",
 		Title:  "Word2Vec architecture ablation on the DarkVec corpus",
 		Header: []string{"architecture", "accuracy", "train-time"},
 	}
-	run := func(name string, cbow, hs bool) error {
+	for _, v := range []struct {
+		name string
+		cbow bool
+	}{
+		{"skip-gram + negative sampling (paper)", false},
+		{"cbow + negative sampling", true},
+	} {
 		cfg := e.config(core.ServiceDomain, e.Opts.Dim, e.Opts.Window)
-		cfg.W2V.CBOW = cbow
-		cfg.W2V.HS = hs
+		cfg.W2V.CBOW = v.cbow
 		emb, err := core.TrainEmbedding(e.Full, cfg)
 		if err != nil {
-			return err
+			return r, err
 		}
 		rep, _ := e.evaluateEmbedding(emb)
 		r.Rows = append(r.Rows, []string{
-			name, f2(rep.Accuracy), emb.TrainTime.Round(time.Millisecond).String(),
+			v.name, f2(rep.Accuracy), emb.TrainTime.Round(time.Millisecond).String(),
 		})
-		return nil
-	}
-	for _, v := range []struct {
-		name     string
-		cbow, hs bool
-	}{
-		{"skip-gram + negative sampling (paper)", false, false},
-		{"skip-gram + hierarchical softmax", false, true},
-		{"cbow + negative sampling", true, false},
-		{"cbow + hierarchical softmax", true, true},
-	} {
-		if err := run(v.name, v.cbow, v.hs); err != nil {
-			return r, err
-		}
 	}
 	r.Notes = append(r.Notes,
-		"the paper uses skip-gram + negative sampling throughout; CBOW averages the context, blurring rare coordinated senders",
-		"hierarchical softmax pays per-pair cost ∝ log₂(vocab) instead of the negative-sample count")
+		"the paper uses skip-gram + negative sampling throughout; CBOW averages the context, blurring rare coordinated senders")
 	return r, nil
 }
 

@@ -86,12 +86,10 @@ func PairCount(tr *trace.Trace, active map[netutil.IPv4]bool) int64 {
 func Train(tr *trace.Trace, active map[netutil.IPv4]bool, cfg Config) (*embed.Space, error) {
 	cfg = cfg.withDefaults()
 	model, err := w2v.Train(Pairs(tr, active), w2v.Config{
-		Dim:      cfg.Dim,
-		Window:   1, // a pair is a two-word sentence
-		Epochs:   cfg.Epochs,
-		Seed:     cfg.Seed,
-		Workers:  1,
-		Negative: 5,
+		Dim:    cfg.Dim,
+		Window: 1, // a pair is a two-word sentence
+		Epochs: cfg.Epochs,
+		Seed:   cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

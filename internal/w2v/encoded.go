@@ -35,7 +35,7 @@ func TrainEncodedWithOptions(enc Encoded, cfg Config, opts TrainOptions) (*Model
 	if len(enc.Words) != len(enc.Counts) {
 		return nil, fmt.Errorf("w2v: encoded corpus has %d words but %d counts", len(enc.Words), len(enc.Counts))
 	}
-	vocab, perm := vocabFromCounts(enc.Words, enc.Counts, cfg.MinCount, cfg.PadToken)
+	vocab, perm := vocabFromCounts(enc.Words, enc.Counts, cfg.PadToken)
 	if vocab.Size() == 0 {
 		return nil, errors.New("w2v: empty vocabulary")
 	}
@@ -64,8 +64,8 @@ func TrainEncodedWithOptions(enc Encoded, cfg Config, opts TrainOptions) (*Model
 		}
 		opts.warmOldOf = oldOf
 	}
-	// Remap to vocabulary ids, dropping sub-MinCount tokens — the exact
-	// filtering Vocabulary.Encode applies on the string path.
+	// Remap to vocabulary ids, dropping tokens the vocabulary dropped —
+	// the exact filtering Vocabulary.Encode applies on the string path.
 	seqs := make([][]int32, 0, len(enc.Sequences))
 	var totalTokens int64
 	for _, s := range enc.Sequences {

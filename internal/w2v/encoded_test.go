@@ -42,17 +42,14 @@ func TestTrainEncodedMatchesStringPath(t *testing.T) {
 		{"rare"},
 		{"d", "e", "f", "g", "h", "a", "b"},
 	}
-	base := Config{Dim: 8, Window: 2, Epochs: 2, Workers: 1, Seed: 7}
+	base := Config{Dim: 8, Window: 2, Epochs: 2, Seed: 7}
 	cases := []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"skipgram-ns", func(c *Config) {}},
 		{"cbow", func(c *Config) { c.CBOW = true }},
-		{"hs", func(c *Config) { c.HS = true }},
-		{"subsample", func(c *Config) { c.Subsample = 0.05 }},
 		{"shrink-window", func(c *Config) { c.ShrinkWindow = true }},
-		{"mincount-2", func(c *Config) { c.MinCount = 2 }},
 		{"pad-present", func(c *Config) { c.PadToken = "a" }},
 		{"pad-synthetic", func(c *Config) { c.PadToken = "<nul>" }},
 	}
@@ -85,7 +82,7 @@ func TestTrainEncodedZeroCountWords(t *testing.T) {
 		Words:     []string{"gone", "x", "also-gone", "y"},
 		Counts:    []int64{0, 3, 0, 2},
 	}
-	cfg := Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 3}
+	cfg := Config{Dim: 4, Window: 2, Epochs: 1, Seed: 3}
 	em, err := TrainEncoded(enc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +100,7 @@ func TestTrainEncodedZeroCountWords(t *testing.T) {
 }
 
 func TestTrainEncodedErrors(t *testing.T) {
-	cfg := Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1}
+	cfg := Config{Dim: 4, Window: 2, Epochs: 1}
 	if _, err := TrainEncoded(Encoded{Words: []string{"a"}, Counts: []int64{1, 2}}, cfg); err == nil {
 		t.Fatal("mismatched tables must fail")
 	}
@@ -123,6 +120,25 @@ func TestTrainEncodedErrors(t *testing.T) {
 	}
 }
 
+// TestZeroConfigDeterministic: a Config that names only shape and budget —
+// what a library user writes — is the deterministic path, because there is
+// no other.
+func TestZeroConfigDeterministic(t *testing.T) {
+	enc := encode(twoTopicCorpus(64))
+	cfg := Config{Dim: 8, Window: 2, Epochs: 2}
+	a, err := TrainEncoded(enc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := TrainEncoded(enc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, a), saveBytes(t, b)) {
+		t.Fatal("two runs of one corpus and one config saved different bytes")
+	}
+}
+
 func TestCancelBeforeFirstEpoch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -132,13 +148,13 @@ func TestCancelBeforeFirstEpoch(t *testing.T) {
 	}
 }
 
-func TestCancelStopsHogwildWorkers(t *testing.T) {
-	// Cancellation must also tear down multi-worker epochs promptly; the
-	// result is discarded so only termination matters. Run under -race.
+func TestCancelMidEpoch(t *testing.T) {
+	// Cancellation must also stop a run that is inside its epochs; the
+	// result is discarded so only termination matters. Run under -race:
+	// the stop flag is set from the context's goroutine.
 	// The epoch budget is one no run finishes, so whenever the cancel
 	// lands — before, inside or between epochs — the outcome is the same.
 	cfg := smallConfig()
-	cfg.Workers = 4
 	cfg.Epochs = 1 << 30
 	ctx, cancel := context.WithCancel(context.Background())
 	defer time.AfterFunc(5*time.Millisecond, cancel).Stop()

@@ -28,8 +28,8 @@ func smallCorpus() [][]string {
 
 func smallConfig() Config {
 	return Config{
-		Dim: 16, Window: 4, Epochs: 6, Negative: 3,
-		Workers: 1, Seed: 42, ShrinkWindow: true, PadToken: "NULL",
+		Dim: 16, Window: 4, Epochs: 6,
+		Seed: 42, ShrinkWindow: true, PadToken: "NULL",
 	}
 }
 

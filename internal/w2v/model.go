@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -16,23 +13,23 @@ import (
 // Config are the training hyper-parameters. Zero values select the defaults
 // the paper uses via Gensim.
 type Config struct {
-	Dim          int     // embedding dimension V (default 50)
-	Window       int     // context half-width c (default 25)
-	Negative     int     // negative samples per positive pair (default 5)
-	Epochs       int     // full passes over the corpus (default 10)
-	Alpha        float64 // initial learning rate (default 0.025)
-	MinAlpha     float64 // final learning rate (default 0.0001)
-	MinCount     int     // vocabulary frequency cutoff (default 1)
-	Workers      int     // concurrent trainers (default GOMAXPROCS)
-	Seed         uint64  // PRNG seed (default 1)
-	ShrinkWindow bool    // sample effective window uniformly in [1, c] per token (Gensim behaviour)
-	PadToken     string  // NULL padding word (§5.3); "" disables padding
-	Subsample    float64 // frequent-word subsample threshold t; 0 disables
-	CBOW         bool    // train CBOW instead of skip-gram
-	// HS selects hierarchical softmax (Huffman-coded output tree) instead
-	// of negative sampling. Negative is ignored when set.
-	HS bool
+	Dim          int    // embedding dimension V (default 50)
+	Window       int    // context half-width c (default 25)
+	Epochs       int    // full passes over the corpus (default 10)
+	Seed         uint64 // PRNG seed (default 1)
+	ShrinkWindow bool   // sample effective window uniformly in [1, c] per token (Gensim behaviour)
+	PadToken     string // NULL padding word (§5.3); "" disables padding
+	CBOW         bool   // train CBOW instead of skip-gram
 }
+
+// The rest of §5.3's Gensim defaults, which no caller varies: the learning
+// rate decays linearly from startAlpha to minAlpha over the run, and every
+// positive pair trains against negative sampled words.
+const (
+	startAlpha = 0.025
+	minAlpha   = 0.0001
+	negative   = 5
+)
 
 func (c Config) withDefaults() Config {
 	if c.Dim == 0 {
@@ -41,23 +38,8 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 25
 	}
-	if c.Negative == 0 {
-		c.Negative = 5
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 10
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.025
-	}
-	if c.MinAlpha == 0 {
-		c.MinAlpha = 0.0001
-	}
-	if c.MinCount == 0 {
-		c.MinCount = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -71,8 +53,6 @@ type Model struct {
 	Vocab   *Vocabulary
 	Syn0    []float32     // N x Dim input embeddings (the published vectors)
 	syn1    []float32     // N x Dim output weights for negative sampling
-	synHS   []float32     // (N-1) x Dim inner-node weights for hierarchical softmax
-	huff    *huffman      // Huffman coding when Cfg.HS is set
 	sampler *aliasSampler // unigram alias table, kept for warm-start reuse
 	Cfg     Config
 
@@ -111,13 +91,12 @@ type TrainOptions struct {
 }
 
 // Train builds the vocabulary from sentences and trains a model. Sentences
-// are slices of words; out-of-vocabulary handling follows MinCount. It is
-// a thin string-front wrapper over the pre-encoded training core — see
-// TrainEncoded for the integer-token entry point that skips the string
-// vocabulary pass entirely.
+// are slices of words. It is a thin string-front wrapper over the
+// pre-encoded training core — see TrainEncoded for the integer-token entry
+// point that skips the string vocabulary pass entirely.
 func Train(sentences [][]string, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
-	vocab := BuildVocabulary(sentences, cfg.MinCount, cfg.PadToken)
+	vocab := BuildVocabulary(sentences, cfg.PadToken)
 	if vocab.Size() == 0 {
 		return nil, errors.New("w2v: empty vocabulary")
 	}
@@ -151,14 +130,7 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 	m := &Model{Vocab: vocab, Cfg: cfg}
 	n := vocab.Size() * cfg.Dim
 	m.Syn0 = make([]float32, n)
-	if cfg.HS {
-		m.huff = buildHuffman(vocab.counts)
-		if vocab.Size() > 1 {
-			m.synHS = make([]float32, (vocab.Size()-1)*cfg.Dim)
-		}
-	} else {
-		m.syn1 = make([]float32, n)
-	}
+	m.syn1 = make([]float32, n)
 	runEpochs := cfg.Epochs
 	if ws := opts.Warm; ws != nil {
 		st, err := warmSeedModel(m, ws, opts.warmOldOf)
@@ -191,53 +163,21 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 			padID = id
 		}
 	}
-	// Subsampling keep probabilities (word2vec formula).
-	var keep []float32
-	if cfg.Subsample > 0 {
-		keep = make([]float32, vocab.Size())
-		for i, c := range vocab.counts {
-			if c == 0 {
-				keep[i] = 1
-				continue
-			}
-			f := float64(c) / float64(vocab.total)
-			p := (math.Sqrt(f/cfg.Subsample) + 1) * (cfg.Subsample / f)
-			if p > 1 {
-				p = 1
-			}
-			keep[i] = float32(p)
-		}
-	}
-
 	t := &trainer{
 		m:       m,
 		sampler: sampler,
 		padID:   padID,
-		keep:    keep,
 		total:   totalTokens * int64(runEpochs),
+		lr:      startAlpha,
 	}
-	t.alpha.Store(floatBits(cfg.Alpha))
 	if ctx.Done() != nil {
 		var stop atomic.Bool
 		t.stop = &stop
 		defer context.AfterFunc(ctx, func() { stop.Store(true) })()
 	}
 
-	workers := cfg.Workers
-	if workers > len(enc) {
-		workers = len(enc)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Per-worker sentence shards are identical across epochs, so build them
-	// once up front instead of reallocating every epoch. One worker gets
-	// the whole corpus as its single shard, trained on the calling goroutine.
-	shards := buildShards(enc, workers)
 	for epoch := 0; epoch < runEpochs; epoch++ {
-		t.runEpoch(shards, func(w int) uint64 {
-			return cfg.Seed + uint64(epoch)*0x9e37 + uint64(w) + 1
-		})
+		t.run(enc, netutil.NewRand(cfg.Seed+uint64(epoch)*0x9e37+1))
 		if err := ctx.Err(); err != nil {
 			// The interrupted epoch's partial updates are discarded with
 			// the model.
@@ -247,130 +187,64 @@ func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Conf
 	// A warm start on an identical window runs zero epochs; the model is
 	// then exactly the seed and there are no pairs to average.
 	if runEpochs > 0 {
-		m.Pairs = t.pairs.Load() / int64(runEpochs)
+		m.Pairs = t.pairs / int64(runEpochs)
 	}
 	return m, nil
 }
 
-// buildShards splits sentences across workers by stride, matching the
-// historical per-epoch sharding so multi-worker seeds stay aligned. With
-// one worker it returns the input as the single shard (no copy).
-func buildShards(enc [][]int32, workers int) [][][]int32 {
-	if workers <= 1 {
-		return [][][]int32{enc}
-	}
-	shards := make([][][]int32, workers)
-	for w := range shards {
-		shard := make([][]int32, 0, len(enc)/workers+1)
-		for i := w; i < len(enc); i += workers {
-			shard = append(shard, enc[i])
-		}
-		shards[w] = shard
-	}
-	return shards
-}
-
-// runEpoch trains one epoch: every shard on its own goroutine (Hogwild),
-// each with a private RNG seeded by seed(worker).
-func (t *trainer) runEpoch(shards [][][]int32, seed func(w int) uint64) {
-	if len(shards) == 1 {
-		t.run(shards[0], netutil.NewRand(seed(0)))
-		return
-	}
-	var wg sync.WaitGroup
-	for w, shard := range shards {
-		wg.Add(1)
-		go func(shard [][]int32, s uint64) {
-			defer wg.Done()
-			t.run(shard, netutil.NewRand(s))
-		}(shard, seed(w))
-	}
-	wg.Wait()
-}
-
-// floatBits/bitsFloat pack the learning rate into an atomic word as a fixed
-// point value; the LR range (1e-4..2.5e-2) is far inside the representable
-// band.
-func floatBits(f float64) uint64 { return uint64(int64(f * 1e12)) }
-func bitsFloat(b uint64) float64 { return float64(int64(b)) / 1e12 }
-
-// trainer carries shared training state. Weight updates are lock-free
-// (Hogwild); the learning rate and progress counters are atomics.
+// trainer carries the state one training run keeps across its epochs.
 type trainer struct {
 	m       *Model
 	sampler *aliasSampler
 	padID   int32
-	keep    []float32
 	total   int64 // tokens across all epochs, for LR decay
 
-	processed atomic.Int64
-	pairs     atomic.Int64
-	alpha     atomic.Uint64
+	processed int64   // tokens trained so far
+	pairs     int64   // positive pairs trained so far
+	lr        float32 // current learning rate
 
-	// stop, when non-nil, is polled between sentences and update batches;
-	// once set the run returns promptly (its partial epoch is discarded).
+	// stop, when non-nil, is set from the context's goroutine and polled
+	// between sentences and update batches; once set the run returns
+	// promptly (its partial epoch is discarded).
 	stop *atomic.Bool
-
-	// raceMu guards the weight matrices only in race builds; see race_on.go.
-	raceMu raceMutex
 }
 
-// run trains over one shard of sentences with a private RNG.
+// run trains one epoch over sentences, drawing from r.
 func (t *trainer) run(sentences [][]int32, r *netutil.Rand) {
 	cfg := t.m.Cfg
-	dim := cfg.Dim
-	neu1e := make([]float32, dim)
-	neu1 := make([]float32, dim)
-	var localTokens int64
-	var localPairs int64
-	alpha := float32(bitsFloat(t.alpha.Load()))
-	buf := make([]int32, 0, 256)
+	neu1e := make([]float32, cfg.Dim)
+	neu1 := make([]float32, cfg.Dim)
+	var tokens int64 // this epoch's; the LR steps every 10000 of them
 
-	for _, sent := range sentences {
+	for _, words := range sentences {
 		if t.stop != nil && t.stop.Load() {
 			return
 		}
-		// Subsample frequent words for this pass.
-		words := sent
-		if t.keep != nil {
-			buf = buf[:0]
-			for _, id := range sent {
-				if t.keep[id] >= 1 || float32(r.Float64()) < t.keep[id] {
-					buf = append(buf, id)
-				}
-			}
-			words = buf
-		}
 		for i := range words {
-			localTokens++
-			if localTokens%10000 == 0 {
+			tokens++
+			if tokens%10000 == 0 {
 				if t.stop != nil && t.stop.Load() {
 					return
 				}
-				done := t.processed.Add(10000)
-				frac := float64(done) / float64(t.total)
+				t.processed += 10000
+				frac := float64(t.processed) / float64(t.total)
 				if frac > 1 {
 					frac = 1
 				}
-				a := cfg.Alpha*(1-frac) + cfg.MinAlpha*frac
-				t.alpha.Store(floatBits(a))
-				alpha = float32(a)
+				t.lr = float32(startAlpha*(1-frac) + minAlpha*frac)
 			}
 			window := cfg.Window
 			if cfg.ShrinkWindow {
 				window = 1 + r.Intn(cfg.Window)
 			}
-			t.raceMu.Lock()
 			if cfg.CBOW {
-				localPairs += t.trainCBOW(words, i, window, alpha, neu1, neu1e, r)
+				t.pairs += t.trainCBOW(words, i, window, t.lr, neu1, neu1e, r)
 			} else {
-				localPairs += t.trainSkipGram(words, i, window, alpha, neu1e, r)
+				t.pairs += t.trainSkipGram(words, i, window, t.lr, neu1e, r)
 			}
-			t.raceMu.Unlock()
 		}
 	}
-	t.processed.Add(localTokens % 10000)
-	t.pairs.Add(localPairs)
+	t.processed += tokens % 10000
 }
 
 // contextAt resolves position j of the sentence, honouring NULL padding:
@@ -398,17 +272,13 @@ func (t *trainer) trainSkipGram(words []int32, i, window int, alpha float32, neu
 		}
 		// Following word2vec.c / Gensim: the *context* word's input vector
 		// is updated against the *center* word's output weights.
-		if t.m.Cfg.HS {
-			t.hsPair(ctx, center, alpha, neu1e[:dim])
-		} else {
-			t.sgnsPair(ctx, center, alpha, neu1e[:dim], r)
-		}
+		t.sgnsPair(ctx, center, alpha, neu1e[:dim], r)
 		pairs++
 	}
 	return pairs
 }
 
-// sgnsPair performs one positive update plus Negative sampled negatives for
+// sgnsPair performs one positive update plus negative sampled negatives for
 // input word a predicting output word b. The dense work runs through the
 // vecmath kernels; note the gradient accumulation into neu1e must read
 // syn1 before it is updated, which the two Axpy calls preserve.
@@ -418,7 +288,7 @@ func (t *trainer) sgnsPair(a, b int32, alpha float32, neu1e []float32, r *netuti
 	for k := range neu1e {
 		neu1e[k] = 0
 	}
-	for d := 0; d <= t.m.Cfg.Negative; d++ {
+	for d := 0; d <= negative; d++ {
 		var target int32
 		var label float32
 		if d == 0 {
@@ -434,26 +304,6 @@ func (t *trainer) sgnsPair(a, b int32, alpha float32, neu1e []float32, r *netuti
 		g := (label - sigmoid(vecmath.Dot(syn0, syn1))) * alpha
 		vecmath.Axpy(g, syn1, neu1e)
 		vecmath.Axpy(g, syn0, syn1)
-	}
-	vecmath.Axpy(1, neu1e, syn0)
-}
-
-// hsPair performs one hierarchical-softmax update for input word a
-// predicting output word b: walk b's Huffman path, training each inner
-// node as a binary classifier for the code bit.
-func (t *trainer) hsPair(a, b int32, alpha float32, neu1e []float32) {
-	dim := t.m.Cfg.Dim
-	syn0 := t.m.Syn0[int(a)*dim : int(a)*dim+dim]
-	for k := range neu1e {
-		neu1e[k] = 0
-	}
-	code := t.m.huff.codes[b]
-	points := t.m.huff.points[b]
-	for i := range code {
-		l2 := t.m.synHS[int(points[i])*dim : int(points[i])*dim+dim]
-		g := (1 - float32(code[i]) - sigmoid(vecmath.Dot(syn0, l2))) * alpha
-		vecmath.Axpy(g, l2, neu1e)
-		vecmath.Axpy(g, syn0, l2)
 	}
 	vecmath.Axpy(1, neu1e, syn0)
 }
@@ -481,33 +331,22 @@ func (t *trainer) trainCBOW(words []int32, i, window int, alpha float32, neu1, n
 	}
 	vecmath.Scale(1/float32(cw), neu1)
 	center := words[i]
-	if t.m.Cfg.HS {
-		code := t.m.huff.codes[center]
-		points := t.m.huff.points[center]
-		for ci := range code {
-			l2 := t.m.synHS[int(points[ci])*dim : int(points[ci])*dim+dim]
-			g := (1 - float32(code[ci]) - sigmoid(vecmath.Dot(neu1, l2))) * alpha
-			vecmath.Axpy(g, l2, neu1e)
-			vecmath.Axpy(g, neu1, l2)
-		}
-	} else {
-		for d := 0; d <= t.m.Cfg.Negative; d++ {
-			var target int32
-			var label float32
-			if d == 0 {
-				target, label = center, 1
-			} else {
-				target = t.sampler.sample(r)
-				if target == center {
-					continue
-				}
-				label = 0
+	for d := 0; d <= negative; d++ {
+		var target int32
+		var label float32
+		if d == 0 {
+			target, label = center, 1
+		} else {
+			target = t.sampler.sample(r)
+			if target == center {
+				continue
 			}
-			syn1 := t.m.syn1[int(target)*dim : int(target)*dim+dim]
-			g := (label - sigmoid(vecmath.Dot(neu1, syn1))) * alpha
-			vecmath.Axpy(g, syn1, neu1e)
-			vecmath.Axpy(g, neu1, syn1)
+			label = 0
 		}
+		syn1 := t.m.syn1[int(target)*dim : int(target)*dim+dim]
+		g := (label - sigmoid(vecmath.Dot(neu1, syn1))) * alpha
+		vecmath.Axpy(g, syn1, neu1e)
+		vecmath.Axpy(g, neu1, syn1)
 	}
 	for j := i - window; j <= i+window; j++ {
 		if j == i {

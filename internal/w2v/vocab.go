@@ -1,8 +1,8 @@
 // Package w2v is a from-scratch Word2Vec implementation: skip-gram and CBOW
-// architectures with negative sampling, frequency subsampling, a sigmoid
-// lookup table and linear learning-rate decay — the feature set DarkVec
-// needs from Gensim, reimplemented on the standard library. Vectors are
-// float32 and training can run Hogwild-style across goroutines.
+// architectures with negative sampling, a sigmoid lookup table and linear
+// learning-rate decay — the feature set DarkVec needs from Gensim,
+// reimplemented on the standard library. Vectors are float32 and training
+// is one goroutine, so a (corpus, Config) pair determines the model bytes.
 package w2v
 
 import (
@@ -11,7 +11,7 @@ import (
 
 // Vocabulary interns corpus words to dense ids sorted by decreasing
 // frequency (id 0 is the most frequent word), the layout the negative
-// sampler and subsampler expect.
+// sampler expects.
 type Vocabulary struct {
 	ids    map[string]int32
 	words  []string
@@ -19,10 +19,9 @@ type Vocabulary struct {
 	total  int64
 }
 
-// BuildVocabulary scans sentences and keeps words with count >= minCount
-// (minCount <= 1 keeps everything). The pad token, when non-empty, is always
-// included even if it never appears in the corpus.
-func BuildVocabulary(sentences [][]string, minCount int, padToken string) *Vocabulary {
+// BuildVocabulary scans sentences and keeps every word. The pad token, when
+// non-empty, is always included even if it never appears in the corpus.
+func BuildVocabulary(sentences [][]string, padToken string) *Vocabulary {
 	freq := make(map[string]int64)
 	for _, s := range sentences {
 		for _, w := range s {
@@ -40,9 +39,7 @@ func BuildVocabulary(sentences [][]string, minCount int, padToken string) *Vocab
 	}
 	all := make([]wc, 0, len(freq))
 	for w, c := range freq {
-		if c >= int64(minCount) || w == padToken {
-			all = append(all, wc{w, c})
-		}
+		all = append(all, wc{w, c})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
@@ -67,11 +64,11 @@ func BuildVocabulary(sentences [][]string, minCount int, padToken string) *Vocab
 // vocabFromCounts builds a Vocabulary directly from an id-indexed
 // (words, counts) table — the interned-corpus fast path, which never
 // hashes a word string. Entries follow BuildVocabulary's rules exactly
-// (count >= minCount keeps a word, the pad token is always kept, order is
+// (a word that occurs is kept, the pad token is always kept, order is
 // count desc then word asc), so for equal frequencies the two
 // constructors produce identical vocabularies. The second result maps the
 // caller's ids to vocabulary ids (-1 = dropped). words must be distinct.
-func vocabFromCounts(words []string, counts []int64, minCount int, padToken string) (*Vocabulary, []int32) {
+func vocabFromCounts(words []string, counts []int64, padToken string) (*Vocabulary, []int32) {
 	type wc struct {
 		w  string
 		c  int64
@@ -83,7 +80,7 @@ func vocabFromCounts(words []string, counts []int64, minCount int, padToken stri
 		if w == padToken && padToken != "" {
 			padSeen = true
 		}
-		if counts[i] >= int64(minCount) || w == padToken {
+		if counts[i] > 0 || w == padToken {
 			all = append(all, wc{w, counts[i], int32(i)})
 		}
 	}

@@ -13,7 +13,7 @@ import (
 func TestVocabularyOrderAndCounts(t *testing.T) {
 	v := BuildVocabulary([][]string{
 		{"b", "a", "b", "c", "b", "a"},
-	}, 1, "")
+	}, "")
 	if v.Size() != 3 {
 		t.Fatalf("size = %d", v.Size())
 	}
@@ -36,15 +36,8 @@ func TestVocabularyOrderAndCounts(t *testing.T) {
 	}
 }
 
-func TestVocabularyMinCount(t *testing.T) {
-	v := BuildVocabulary([][]string{{"a", "a", "b"}}, 2, "")
-	if v.Size() != 1 || v.Word(0) != "a" {
-		t.Fatalf("minCount filter broken: %v", v.Words())
-	}
-}
-
 func TestVocabularyPadToken(t *testing.T) {
-	v := BuildVocabulary([][]string{{"a", "a"}}, 2, "NULL")
+	v := BuildVocabulary([][]string{{"a", "a"}}, "NULL")
 	if _, ok := v.ID("NULL"); !ok {
 		t.Fatal("pad token must always be in vocabulary")
 	}
@@ -63,7 +56,7 @@ func mustID(t *testing.T, v *Vocabulary, w string) int32 {
 }
 
 func TestVocabularyEncode(t *testing.T) {
-	v := BuildVocabulary([][]string{{"a", "b"}}, 1, "")
+	v := BuildVocabulary([][]string{{"a", "b"}}, "")
 	ids := v.Encode(nil, []string{"a", "zzz", "b", "a"})
 	if len(ids) != 3 {
 		t.Fatalf("encode = %v", ids)
@@ -71,8 +64,8 @@ func TestVocabularyEncode(t *testing.T) {
 }
 
 func TestVocabularyTieBreakDeterministic(t *testing.T) {
-	a := BuildVocabulary([][]string{{"x", "y", "z"}}, 1, "")
-	b := BuildVocabulary([][]string{{"z", "y", "x"}}, 1, "")
+	a := BuildVocabulary([][]string{{"x", "y", "z"}}, "")
+	b := BuildVocabulary([][]string{{"z", "y", "x"}}, "")
 	if !reflect.DeepEqual(a.Words(), b.Words()) {
 		t.Fatalf("tie order differs: %v vs %v", a.Words(), b.Words())
 	}
@@ -192,7 +185,7 @@ func cosine(a, b []float32) float64 {
 
 func TestSkipGramLearnsTopics(t *testing.T) {
 	m, err := Train(twoTopicCorpus(400), Config{
-		Dim: 16, Window: 3, Epochs: 8, Workers: 1, Seed: 3,
+		Dim: 16, Window: 3, Epochs: 8, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +205,7 @@ func TestSkipGramLearnsTopics(t *testing.T) {
 
 func TestCBOWLearnsTopics(t *testing.T) {
 	m, err := Train(twoTopicCorpus(400), Config{
-		Dim: 16, Window: 3, Epochs: 8, Workers: 1, Seed: 3, CBOW: true,
+		Dim: 16, Window: 3, Epochs: 8, Seed: 3, CBOW: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +219,7 @@ func TestCBOWLearnsTopics(t *testing.T) {
 }
 
 func TestTrainDeterministicSingleWorker(t *testing.T) {
-	cfg := Config{Dim: 8, Window: 2, Epochs: 3, Workers: 1, Seed: 42}
+	cfg := Config{Dim: 8, Window: 2, Epochs: 3, Seed: 42}
 	m1, err := Train(twoTopicCorpus(50), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +234,7 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 }
 
 func TestTrainSeedChangesResult(t *testing.T) {
-	c1 := Config{Dim: 8, Window: 2, Epochs: 2, Workers: 1, Seed: 1}
+	c1 := Config{Dim: 8, Window: 2, Epochs: 2, Seed: 1}
 	c2 := c1
 	c2.Seed = 2
 	m1, _ := Train(twoTopicCorpus(50), c1)
@@ -258,9 +251,6 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([][]string{{}}, Config{}); err == nil {
 		t.Fatal("no tokens must fail")
 	}
-	if _, err := Train([][]string{{"a", "b"}}, Config{MinCount: 5}); err == nil {
-		t.Fatal("fully filtered vocabulary must fail")
-	}
 	if _, err := Train([][]string{{"a", "b"}}, Config{Epochs: -3}); err == nil {
 		t.Fatal("negative epochs must fail")
 	}
@@ -268,7 +258,7 @@ func TestTrainErrors(t *testing.T) {
 
 func TestTrainWithPadding(t *testing.T) {
 	m, err := Train([][]string{{"a", "b"}, {"b", "c"}}, Config{
-		Dim: 4, Window: 3, Epochs: 2, Workers: 1, Seed: 1, PadToken: "NULL",
+		Dim: 4, Window: 3, Epochs: 2, Seed: 1, PadToken: "NULL",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +275,7 @@ func TestTrainWithPadding(t *testing.T) {
 
 func TestTrainWithoutPaddingClipsWindows(t *testing.T) {
 	m, err := Train([][]string{{"a", "b", "c"}}, Config{
-		Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 1,
+		Dim: 4, Window: 2, Epochs: 1, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +287,11 @@ func TestTrainWithoutPaddingClipsWindows(t *testing.T) {
 }
 
 func TestShrinkWindowReducesPairs(t *testing.T) {
-	full, err := Train(twoTopicCorpus(100), Config{Dim: 4, Window: 4, Epochs: 1, Workers: 1, Seed: 1})
+	full, err := Train(twoTopicCorpus(100), Config{Dim: 4, Window: 4, Epochs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := Train(twoTopicCorpus(100), Config{Dim: 4, Window: 4, Epochs: 1, Workers: 1, Seed: 1, ShrinkWindow: true})
+	shrunk, err := Train(twoTopicCorpus(100), Config{Dim: 4, Window: 4, Epochs: 1, Seed: 1, ShrinkWindow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,43 +300,8 @@ func TestShrinkWindowReducesPairs(t *testing.T) {
 	}
 }
 
-func TestSubsampleDropsTokens(t *testing.T) {
-	// One word dominates; subsampling must reduce its training share.
-	var sent []string
-	for i := 0; i < 500; i++ {
-		sent = append(sent, "common")
-	}
-	sent = append(sent, "rare1", "rare2")
-	plain, err := Train([][]string{sent}, Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := Train([][]string{sent}, Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 1, Subsample: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Pairs >= plain.Pairs {
-		t.Fatalf("subsampling pairs %d !< plain %d", sub.Pairs, plain.Pairs)
-	}
-}
-
-func TestMultiWorkerStillLearns(t *testing.T) {
-	m, err := Train(twoTopicCorpus(400), Config{
-		Dim: 16, Window: 3, Epochs: 8, Workers: 4, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	va1, _ := m.Vector("a1")
-	va2, _ := m.Vector("a2")
-	vb1, _ := m.Vector("b1")
-	if cosine(va1, va2) <= cosine(va1, vb1) {
-		t.Fatal("hogwild training failed to separate topics")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
-	m, err := Train(twoTopicCorpus(50), Config{Dim: 8, Window: 2, Epochs: 2, Workers: 1, Seed: 9})
+	m, err := Train(twoTopicCorpus(50), Config{Dim: 8, Window: 2, Epochs: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +335,7 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestVectorUnknownWord(t *testing.T) {
-	m, _ := Train(twoTopicCorpus(20), Config{Dim: 4, Window: 2, Epochs: 1, Workers: 1, Seed: 1})
+	m, _ := Train(twoTopicCorpus(20), Config{Dim: 4, Window: 2, Epochs: 1, Seed: 1})
 	if _, ok := m.Vector("nope"); ok {
 		t.Fatal("unknown word must report absence")
 	}

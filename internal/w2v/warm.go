@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"github.com/darkvec/darkvec/internal/netutil"
-	"github.com/darkvec/darkvec/internal/vecmath"
 )
 
 // ErrWarmSeed tags every warm-start validation failure: a nil or
@@ -30,16 +29,15 @@ var ErrWarmSeed = errors.New("w2v: warm seed unusable")
 // corpus mass contributed by new words, count changes on surviving words,
 // and vanished words decides how many of Config.Epochs actually run
 // (always at least 1 when anything changed, exactly 0 when the window is
-// byte-identical — in which case the output equals the seed and is
-// trivially deterministic across worker counts).
+// byte-identical — in which case the output equals the seed).
 //
 // The sigmoid lookup table is package-level and always shared; the
 // negative-sampling alias table is additionally reused from the previous
 // model when the vocabulary (words and counts) is unchanged, and rebuilt
 // incrementally from the new counts otherwise.
 type WarmSeed struct {
-	// Prev is the previous generation. Required. Must be a
-	// negative-sampling model with the same dimension as the new config.
+	// Prev is the previous generation. Required. Must have the same
+	// dimension as the new config.
 	Prev *Model
 
 	// PrevPerm maps the caller's interner ids to Prev's vocabulary rows —
@@ -52,12 +50,6 @@ type WarmSeed struct {
 	// the fallback for models loaded from disk, where Perm is not
 	// persisted.
 	PrevPerm []int32
-
-	// Decay, when in (0, 1), scales the copied input vector of surviving
-	// words whose corpus frequency dropped, shrinking stale evidence
-	// toward the origin before the delta epochs re-train it. 0 or 1
-	// disables decay.
-	Decay float64
 }
 
 // WarmStats reports what warm seeding actually did; the trained model
@@ -66,7 +58,6 @@ type WarmStats struct {
 	Seeded        int     // vocabulary rows copied from the previous model
 	Fresh         int     // rows randomly initialized (genuinely new words)
 	Retired       int     // previous rows with no new home (vanished words)
-	Decayed       int     // surviving rows decayed for a frequency drop
 	DeltaTokens   int64   // corpus mass attributed to the window delta
 	DeltaFrac     float64 // DeltaTokens / new corpus total, clamped to [0,1]
 	Epochs        int     // epochs actually run (0 on an identical window)
@@ -84,12 +75,6 @@ func warmSeedModel(m *Model, ws *WarmSeed, oldOf []int32) (*WarmStats, error) {
 	prev := ws.Prev
 	if prev == nil || prev.Vocab == nil {
 		return nil, fmt.Errorf("%w: no previous model", ErrWarmSeed)
-	}
-	if cfg.HS {
-		return nil, fmt.Errorf("%w: hierarchical-softmax training cannot be warm-started", ErrWarmSeed)
-	}
-	if prev.synHS != nil || prev.huff != nil {
-		return nil, fmt.Errorf("%w: previous model was trained with hierarchical softmax", ErrWarmSeed)
 	}
 	if prev.Cfg.Dim != cfg.Dim {
 		return nil, fmt.Errorf("%w: dimension %d != previous %d", ErrWarmSeed, cfg.Dim, prev.Cfg.Dim)
@@ -127,10 +112,6 @@ func warmSeedModel(m *Model, ws *WarmSeed, oldOf []int32) (*WarmStats, error) {
 		}
 	}
 
-	decay := float32(1)
-	if ws.Decay > 0 && ws.Decay < 1 {
-		decay = float32(ws.Decay)
-	}
 	st := &WarmStats{OutputSeeded: prev.syn1 != nil}
 	// Fresh rows draw from the same seeded stream cold init uses, so a
 	// fixed (seed, window) pair fully determines the warm starting point.
@@ -154,10 +135,6 @@ func warmSeedModel(m *Model, ws *WarmSeed, oldOf []int32) (*WarmStats, error) {
 		d := vocab.counts[i] - prev.Vocab.counts[old]
 		if d < 0 {
 			d = -d
-			if decay < 1 {
-				vecmath.Scale(decay, row)
-				st.Decayed++
-			}
 		}
 		deltaTokens += d
 		survivedOld += prev.Vocab.counts[old]

@@ -79,46 +79,35 @@ func sharedEncode(batches ...[][]string) []Encoded {
 	return out
 }
 
-var warmCfg = Config{Dim: 12, Window: 3, Epochs: 6, Workers: 1, Seed: 9}
+var warmCfg = Config{Dim: 12, Window: 3, Epochs: 6, Seed: 9}
 
 // TestWarmIdenticalWindowZeroEpochs is the determinism pin: a warm retrain
 // on a byte-identical window must run zero epochs and return exactly the
-// seed, independent of worker count.
+// seed.
 func TestWarmIdenticalWindowZeroEpochs(t *testing.T) {
 	encs := sharedEncode(window(0, 40, 30, 12), window(0, 40, 30, 12))
 	prev, err := TrainEncoded(encs[0], warmCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []*Model
-	for _, workers := range []int{1, 4} {
-		cfg := warmCfg
-		cfg.Workers = workers
-		m, err := TrainEncodedWithOptions(encs[1], cfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if m.Warm == nil {
-			t.Fatalf("workers=%d: no warm stats", workers)
-		}
-		if m.Warm.Epochs != 0 || m.Warm.DeltaTokens != 0 {
-			t.Fatalf("workers=%d: identical window ran %d epochs (delta %d tokens)",
-				workers, m.Warm.Epochs, m.Warm.DeltaTokens)
-		}
-		if m.Warm.Fresh != 0 || m.Warm.Retired != 0 {
-			t.Fatalf("workers=%d: identical window reported %d fresh / %d retired rows",
-				workers, m.Warm.Fresh, m.Warm.Retired)
-		}
-		if !m.Warm.SamplerReused {
-			t.Errorf("workers=%d: identical vocabulary did not reuse the alias sampler", workers)
-		}
-		got = append(got, m)
+	m, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seed := saveBytes(t, prev)
-	for i, m := range got {
-		if !bytes.Equal(saveBytes(t, m), seed) {
-			t.Fatalf("model %d: zero-epoch warm output != previous generation bytes", i)
-		}
+	if m.Warm == nil {
+		t.Fatal("no warm stats")
+	}
+	if m.Warm.Epochs != 0 || m.Warm.DeltaTokens != 0 {
+		t.Fatalf("identical window ran %d epochs (delta %d tokens)", m.Warm.Epochs, m.Warm.DeltaTokens)
+	}
+	if m.Warm.Fresh != 0 || m.Warm.Retired != 0 {
+		t.Fatalf("identical window reported %d fresh / %d retired rows", m.Warm.Fresh, m.Warm.Retired)
+	}
+	if !m.Warm.SamplerReused {
+		t.Error("identical vocabulary did not reuse the alias sampler")
+	}
+	if !bytes.Equal(saveBytes(t, m), saveBytes(t, prev)) {
+		t.Fatal("zero-epoch warm output != previous generation bytes")
 	}
 }
 
@@ -187,38 +176,6 @@ func TestWarmRetiresVanishedSenders(t *testing.T) {
 	}
 }
 
-// TestWarmDecayShrinksShrinkingSenders: a surviving sender whose frequency
-// dropped gets its seed vector scaled by Decay before the delta epochs.
-func TestWarmDecayShrinksShrinkingSenders(t *testing.T) {
-	first := window(0, 20, 20, 10)
-	// Second window: shift half of sender s0's mass onto s1, so s0's
-	// frequency drops while the sender itself survives.
-	second := make([][]string, 0, len(first))
-	for si, s := range first {
-		kept := append([]string(nil), s...)
-		if si%2 == 1 {
-			for i, w := range kept {
-				if w == "s0" {
-					kept[i] = "s1"
-				}
-			}
-		}
-		second = append(second, kept)
-	}
-	encs := sharedEncode(first, second)
-	prev, err := TrainEncoded(encs[0], warmCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{Warm: &WarmSeed{Prev: prev, PrevPerm: prev.Perm, Decay: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Warm.Decayed == 0 {
-		t.Fatal("no rows decayed despite a frequency drop")
-	}
-}
-
 // TestWarmSeedErrors enumerates the fallback triggers: every corrupt or
 // mismatched seed must surface as ErrWarmSeed (so the daemon can fall back
 // to cold), never as a silent mis-seed or a panic.
@@ -235,7 +192,6 @@ func TestWarmSeedErrors(t *testing.T) {
 	}{
 		{"nil-prev", warmCfg, &WarmSeed{}},
 		{"dim-mismatch", func() Config { c := warmCfg; c.Dim = 8; return c }(), &WarmSeed{Prev: prev}},
-		{"hs-config", func() Config { c := warmCfg; c.HS = true; return c }(), &WarmSeed{Prev: prev}},
 		{"truncated-syn0", warmCfg, func() *WarmSeed {
 			bad := *prev
 			bad.Syn0 = bad.Syn0[:len(bad.Syn0)-warmCfg.Dim]
