@@ -4,7 +4,7 @@ package darkvec_test
 // internal/experiments code that cmd/experiments uses, plus
 // micro-benchmarks of the hot substrates (Word2Vec training, k-NN search,
 // Louvain, silhouette, packet decode, pcap I/O, corpus construction,
-// trace generation).
+// trace generation, WAL append/replay, federation).
 //
 // The experiment benchmarks share one Env per operating point (built
 // outside the timed region); embeddings are pre-trained so each bench
@@ -13,23 +13,36 @@ package darkvec_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/darkvec/darkvec"
+	"github.com/darkvec/darkvec/internal/apiserver"
 	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/corpus"
 	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/experiments"
+	"github.com/darkvec/darkvec/internal/federation"
 	"github.com/darkvec/darkvec/internal/graphx"
+	"github.com/darkvec/darkvec/internal/intern"
 	"github.com/darkvec/darkvec/internal/knn"
 	"github.com/darkvec/darkvec/internal/louvain"
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/services"
 	"github.com/darkvec/darkvec/internal/w2v"
+	"github.com/darkvec/darkvec/internal/wal"
 )
 
 // benchOpts is the single-core bench operating point: small enough to keep
@@ -129,9 +142,9 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkCorpusBuild measures §5.2 sequence construction on the
-// interned integer token path: serial, parallel (GOMAXPROCS workers), and
-// parallel with a warm shared interner — the steady-state retrain cost,
-// where every recurring sender's string was interned in a previous build.
+// interned integer token path: serial, parallel (GOMAXPROCS workers, asked
+// for: the automatic choice is serial below 2¹⁸ events), and the automatic
+// choice with a warm shared interner — the steady-state retrain cost.
 func BenchmarkCorpusBuild(b *testing.B) {
 	env := benchEnv(b)
 	def := services.NewDomain()
@@ -148,7 +161,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, corpus.Options{Workers: 1}) })
-	b.Run("parallel", func(b *testing.B) { run(b, corpus.Options{}) })
+	b.Run("parallel", func(b *testing.B) { run(b, corpus.Options{Workers: runtime.GOMAXPROCS(0)}) })
 	b.Run("warm-interner", func(b *testing.B) {
 		in := corpus.NewInterner()
 		corpus.BuildOpts(filtered, def, corpus.DefaultDeltaT, corpus.Options{Interner: in})
@@ -156,15 +169,16 @@ func BenchmarkCorpusBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkW2VTrainEpoch measures skip-gram training throughput
-// (pairs/sec is the number to compare with Table 3's ETA column).
+// BenchmarkW2VTrainEpoch measures skip-gram training throughput on the
+// daemon's interned token path (pairs/sec is the number to compare with
+// Table 3's ETA column).
 func BenchmarkW2VTrainEpoch(b *testing.B) {
 	env := benchEnv(b)
 	def := services.NewDomain()
 	active := env.Full.ActiveSenders(10)
 	filtered := env.Full.FilterSenders(active)
 	c := corpus.Build(filtered, def, corpus.DefaultDeltaT)
-	sentences := c.Sentences()
+	enc := w2v.Encoded{Sequences: c.TokenSequences(), Words: c.Interner().Strings(), Counts: c.Counts}
 	cfg := w2v.Config{
 		Dim: benchOpts.Dim, Window: benchOpts.Window, Epochs: 1,
 		Seed: 1, ShrinkWindow: true, PadToken: "NULL",
@@ -173,7 +187,7 @@ func BenchmarkW2VTrainEpoch(b *testing.B) {
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		m, err := w2v.Train(sentences, cfg)
+		m, err := w2v.TrainEncoded(enc, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,8 +218,8 @@ func BenchmarkKNNQuery(b *testing.B) {
 
 // BenchmarkKNNAll measures the batched engine computing every row's k
 // nearest neighbours over the eval space — the O(n²·V) substrate under the
-// classifier, the k'-NN graph and the silhouette sweep. rows/s is the
-// headline throughput BENCH_perf.json tracks.
+// classifier, the k'-NN graph and the silhouette sweep; bench/ tracks the
+// same pass per workload as `embed.allknn_rows_per_s`.
 func BenchmarkKNNAll(b *testing.B) {
 	env := benchEnv(b)
 	emb, err := env.Embedding(core.ServiceDomain, benchOpts.Days)
@@ -267,35 +281,7 @@ func BenchmarkClassifyOne(b *testing.B) {
 			labels map[string]string
 		)
 		setup := func(b *testing.B) {
-			once.Do(func() {
-				r := netutil.NewRand(11)
-				const dim, cohorts = 24, 64
-				centers := make([][]float64, cohorts)
-				for c := range centers {
-					centers[c] = make([]float64, dim)
-					for d := range centers[c] {
-						centers[c][d] = r.NormFloat64()
-					}
-				}
-				words := make([]string, size.n)
-				vecs := make([][]float32, size.n)
-				labels = make(map[string]string, size.n)
-				for i := range vecs {
-					words[i] = fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
-					vecs[i] = make([]float32, dim)
-					for d := range vecs[i] {
-						vecs[i][d] = float32(centers[i%cohorts][d] + 0.25*r.NormFloat64())
-					}
-					labels[words[i]] = fmt.Sprintf("class%d", i%cohorts%9)
-				}
-				var err error
-				if space, err = embed.New(words, vecs); err != nil {
-					b.Fatal(err)
-				}
-				if _, err = space.BuildIVF(embed.IVFOptions{Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			})
+			once.Do(func() { space, labels = clusteredSpace(b, size.n) })
 		}
 		run := func(b *testing.B, one func(word string) (knn.Prediction, bool)) {
 			b.ReportAllocs()
@@ -320,9 +306,80 @@ func BenchmarkClassifyOne(b *testing.B) {
 	}
 }
 
+// clusteredSpace is the index benchmarks' synthetic space: n 24-dim senders
+// around 64 cohort centres (coordinated scanners, the regime IVF is built
+// for), labeled in 9 classes by cohort, with a calibrated IVF attached.
+func clusteredSpace(b *testing.B, n int) (*embed.Space, map[string]string) {
+	r := netutil.NewRand(11)
+	const dim, cohorts = 24, 64
+	centers := make([][]float64, cohorts)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for d := range centers[c] {
+			centers[c][d] = r.NormFloat64()
+		}
+	}
+	words := make([]string, n)
+	vecs := make([][]float32, n)
+	labels := make(map[string]string, n)
+	for i := range vecs {
+		words[i] = fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
+		vecs[i] = make([]float32, dim)
+		for d := range vecs[i] {
+			vecs[i][d] = float32(centers[i%cohorts][d] + 0.25*r.NormFloat64())
+		}
+		labels[words[i]] = fmt.Sprintf("class%d", i%cohorts%9)
+	}
+	space, err := embed.New(words, vecs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err = space.BuildIVF(embed.IVFOptions{Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	return space, labels
+}
+
+// BenchmarkKNNBatch100k measures batched 10-NN over the 100k-row clustered
+// space (a fifth of the paper's 544k senders) for 2048 shared query rows,
+// exact and through the IVF index, which also reports recall@10 vs exact.
+func BenchmarkKNNBatch100k(b *testing.B) {
+	space, _ := clusteredSpace(b, 100000)
+	queries := make([]int, 2048)
+	for i := range queries {
+		queries[i] = i * space.Len() / len(queries)
+	}
+	var exact [][]embed.Neighbor
+	run := func(b *testing.B, batch func([]int, int) [][]embed.Neighbor) (nn [][]embed.Neighbor) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nn = batch(queries, 10)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		return nn
+	}
+	b.Run("exact", func(b *testing.B) { exact = run(b, space.KNNBatch) })
+	b.Run("ivf", func(b *testing.B) {
+		ann := run(b, space.ANN().KNNBatch)
+		if exact == nil {
+			exact = space.KNNBatch(queries, 10)
+		}
+		hit := 0
+		for q := range exact {
+			for _, nb := range ann[q] {
+				if slices.ContainsFunc(exact[q], func(e embed.Neighbor) bool { return e.Row == nb.Row }) {
+					hit++
+				}
+			}
+		}
+		b.ReportMetric(float64(hit)/float64(len(queries)*10), "recall@10")
+	})
+}
+
 // BenchmarkSilhouetteParallel measures the row-parallel silhouette and
 // reports throughput in pairwise cells/s (the n² distance matrix the naive
-// algorithm would materialise), the unit BENCH_perf.json records.
+// algorithm would materialise); bench/ has `cluster.silhouette_speedup`.
 func BenchmarkSilhouetteParallel(b *testing.B) {
 	env := benchEnv(b)
 	emb, err := env.Embedding(core.ServiceDomain, benchOpts.Days)
@@ -466,6 +523,153 @@ func benchCSVIngest(b *testing.B, budgeted bool) {
 
 func BenchmarkReadCSVStrict(b *testing.B)   { benchCSVIngest(b, false) }
 func BenchmarkReadCSVBudgeted(b *testing.B) { benchCSVIngest(b, true) }
+
+// appendWAL writes the trace into a fresh log under dir, committing every
+// 256 events as the ingest consumer does.
+func appendWAL(b *testing.B, dir string, policy wal.SyncPolicy, tr *darkvec.Trace) *wal.Log {
+	l, err := wal.Open(dir, wal.Options{Policy: policy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, e := range tr.Events {
+		if err := l.Append(e); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%256 == 0 || i == tr.Len()-1 {
+			if err := l.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return l
+}
+
+// BenchmarkWALAppend prices each -walfsync policy on the hot ingest path.
+func BenchmarkWALAppend(b *testing.B) {
+	tr := benchEnv(b).Full
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff} {
+		b.Run(policy.String(), func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				l := appendWAL(b, dir, policy, tr)
+				b.StopTimer()
+				if err := errors.Join(l.Close(), os.RemoveAll(dir)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}
+
+// BenchmarkWALReplay measures the boot replay that rebuilds the window.
+func BenchmarkWALReplay(b *testing.B) {
+	tr := benchEnv(b).Full
+	l := appendWAL(b, b.TempDir(), wal.SyncOff, tr)
+	defer l.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := l.Replay(func(darkvec.Event) error { n++; return nil }); err != nil || n != tr.Len() {
+			b.Fatalf("replayed %d of %d events: %v", n, tr.Len(), err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkFederation times darkfed's hot paths on 3 HTTP vantage stand-ins
+// behind a real aggregator: each interns every sender (the worst-case merge)
+// and answers classify from the LOO predictions for two senders in three.
+// intern-sync cold-syncs all three mirrors in parallel, as admission after a
+// restart does; classify reports a federated question's p99_ms.
+func BenchmarkFederation(b *testing.B) {
+	env := benchEnv(b)
+	emb, err := env.Embedding(core.ServiceDomain, benchOpts.Days)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space, _ := emb.EvalSpace(env.Last, env.Active)
+	preds := core.Predictions(space, env.GT, 7)
+	senders := env.Full.SenderCounts()
+	var clients []*federation.Client
+	var cfgs []federation.VantageConfig
+	for vi, name := range []string{"north", "south", "west"} {
+		table, mine := intern.New(), map[string]knn.Prediction{}
+		for ip := range senders {
+			table.Intern(ip.String())
+		}
+		for i, p := range preds {
+			if i%3 != vi {
+				mine[p.Word] = p
+			}
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz/ready", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, `{"status":"ready"}`) })
+		mux.Handle("GET /v1/intern", federation.NewInternHandler(federation.InternSource{
+			Vantage: name, Epoch: federation.NewEpoch(), Table: table,
+			Generation: func() string { return "v000001" },
+		}))
+		mux.HandleFunc("GET /v1/classify", func(w http.ResponseWriter, r *http.Request) {
+			p, ok := mine[r.URL.Query().Get("ip")]
+			if !ok {
+				http.Error(w, `{"error":"sender not in embedding"}`, http.StatusNotFound)
+				return
+			}
+			_ = json.NewEncoder(w).Encode(apiserver.ClassifyResponse{IP: p.Word, Class: p.Label, Support: p.Support, AvgSim: p.AvgSim})
+		})
+		srv := httptest.NewServer(mux)
+		b.Cleanup(srv.Close)
+		clients = append(clients, federation.NewClient(name, srv.URL, federation.ClientConfig{}))
+		cfgs = append(cfgs, federation.VantageConfig{Name: name, URL: srv.URL})
+	}
+	agg, err := federation.NewAggregator(federation.Config{Vantages: cfgs, Poll: time.Hour, K: 7, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg.PollNow(context.Background())
+	front := httptest.NewServer(agg)
+	b.Cleanup(front.Close)
+
+	b.Run("intern-sync", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			errs := make(chan error, len(clients))
+			for _, c := range clients {
+				go func() {
+					synced, _, err := c.SyncIntern(context.Background(), "", nil)
+					if err == nil && len(synced) != len(senders) {
+						err = fmt.Errorf("%s synced %d of %d senders", c.Name, len(synced), len(senders))
+					}
+					errs <- err
+				}()
+			}
+			for range clients {
+				if err := <-errs; err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("classify", func(b *testing.B) {
+		lat := make([]float64, b.N)
+		for i := range lat {
+			q := preds[i*5%len(preds)].Word
+			t0 := time.Now()
+			resp, err := http.Get(front.URL + "/v1/federated/classify?ip=" + q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body) // drain so keep-alive reuses the conn
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("federated classify %s -> %d", q, resp.StatusCode)
+			}
+			lat[i] = time.Since(t0).Seconds() * 1000
+		}
+		slices.Sort(lat)
+		b.ReportMetric(lat[(len(lat)*99+99)/100-1], "p99_ms")
+	})
+}
 
 // BenchmarkHoneypotVerify replays the SSH cluster against a live loopback
 // honeypot (§7.3.3's verification step).

@@ -102,7 +102,7 @@ type Embedding struct {
 }
 
 // TrainOpts controls how a training run is driven: cancellation, the
-// shared sender id space, corpus-builder parallelism and warm start.
+// shared sender id space and warm start.
 type TrainOpts struct {
 	// Context cancels training (e.g. on SIGTERM); nil means background. A
 	// cancelled run returns the context's error and no embedding.
@@ -112,8 +112,6 @@ type TrainOpts struct {
 	// skips re-interning senders seen in earlier windows. nil builds a
 	// private interner for this run.
 	Interner *corpus.Interner
-	// CorpusWorkers bounds corpus-builder parallelism; 0 means GOMAXPROCS.
-	CorpusWorkers int
 	// Warm, when non-nil, seeds training from a previous generation and
 	// shrinks the epoch budget to the window delta (see w2v.WarmSeed).
 	// Failures are tagged w2v.ErrWarmSeed; callers fall back to a cold
@@ -148,10 +146,7 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 	}
 	var corp *corpus.Corpus
 	pprof.Do(ctx, pprof.Labels("darkvec_phase", "corpus-build"), func(context.Context) {
-		corp = corpus.BuildOpts(filtered, def, cfg.DeltaT, corpus.Options{
-			Workers:  opts.CorpusWorkers,
-			Interner: opts.Interner,
-		})
+		corp = corpus.BuildOpts(filtered, def, cfg.DeltaT, corpus.Options{Interner: opts.Interner})
 	})
 	start := time.Now()
 	// Integer token path end-to-end: hand the trainer the interned corpus

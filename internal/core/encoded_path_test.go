@@ -50,7 +50,7 @@ func TestTrainEmbeddingSharedInterner(t *testing.T) {
 	if grown == 0 {
 		t.Fatal("first run interned nothing")
 	}
-	emb, err := TrainEmbeddingOpts(sim.Trace, cfg, TrainOpts{Interner: in, CorpusWorkers: 4})
+	emb, err := TrainEmbeddingOpts(sim.Trace, cfg, TrainOpts{Interner: in})
 	if err != nil {
 		t.Fatal(err)
 	}

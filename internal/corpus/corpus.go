@@ -173,8 +173,9 @@ func scan(events []trace.Event, base int, def services.Definition, reg *svcRegis
 // serialCutoff is the event count below which the automatic worker choice
 // takes the serial path: at benchmark scale the parallel builder's chunk
 // scans, map merges, and goroutine startup cost more than they save
-// (BENCH_perf.json showed the 4-proc corpus build slower than serial), and
-// the crossover sits well above this bound on every machine measured.
+// (bench/README's "Parallel = serial" table: `corpus.build_speedup` is only
+// 1.0–1.2× on two cores at 30k–190k events), and the crossover sits well
+// above this bound on every machine measured.
 const serialCutoff = 1 << 18
 
 // autoWorkers resolves a requested worker count against the input size.

@@ -32,7 +32,8 @@ func (s *Space) Parallelism() int {
 // dim multiply-adds — below which the automatic worker choice takes the
 // serial path. Mirrors the corpus builder's serialCutoff: at small batch
 // sizes goroutine spawn and cache-line hand-off dominate the arithmetic
-// (BENCH_perf.json showed 4-proc runs losing to serial at benchmark scale),
+// (the same small-input regime where bench/README's "Parallel = serial"
+// table measures `corpus.build_speedup` at only 1.0–1.2× on two cores),
 // and because parallel output is byte-identical to serial, the fallback is
 // invisible except in wall-clock.
 const knnSerialCutoff = 1 << 21

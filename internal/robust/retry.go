@@ -197,8 +197,9 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 type Supervisor struct {
 	Backoff Backoff
 	// Breaker, when non-nil, is consulted before every attempt and fed the
-	// outcome of each; an open breaker makes Run return ErrGiveUp. Sharing
-	// one Breaker across Runs lets failures accumulate across cycles.
+	// outcome of each that cancellation did not cut short; an open breaker
+	// makes Run return ErrGiveUp. Sharing one Breaker across Runs lets
+	// failures accumulate across cycles.
 	Breaker *Breaker
 	// MaxAttempts caps the attempts of a single Run (0 = unlimited).
 	MaxAttempts int
@@ -224,6 +225,9 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(context.Conte
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if s.Breaker != nil && !s.Breaker.Allow() {
 			if lastErr != nil {
 				return fmt.Errorf("%w; last error: %v", ErrGiveUp, lastErr)
@@ -237,11 +241,13 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(context.Conte
 			}
 			return nil
 		}
+		// An attempt cut short by cancellation says nothing about the
+		// dependency's health, so it does not count against the breaker.
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
 		if s.Breaker != nil {
 			s.Breaker.Failure()
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
 		}
 		lastErr = err
 		if s.MaxAttempts > 0 && attempt+1 >= s.MaxAttempts {

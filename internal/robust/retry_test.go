@@ -198,21 +198,30 @@ func TestSupervisorMaxAttempts(t *testing.T) {
 
 func TestSupervisorContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	br := &Breaker{Threshold: 1}
 	s := &Supervisor{
 		Backoff: Backoff{Base: time.Millisecond, Jitter: -1},
+		Breaker: br,
 		Sleep:   (&fakeSleep{}).sleep,
 	}
 	calls := 0
-	err := s.Run(ctx, "cancelled", func(context.Context) error {
+	fn := func(context.Context) error {
 		calls++
 		cancel()
 		return errors.New("failed because the world ended")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	// The second Run starts already cancelled: it must not attempt at all.
+	for run := 0; run < 2; run++ {
+		if err := s.Run(ctx, "cancelled", fn); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run %d = %v, want context.Canceled", run, err)
+		}
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d, want no retry after cancellation", calls)
+	}
+	if br.State() != BreakerClosed || br.Failures() != 0 {
+		t.Fatalf("breaker %v with %d failures, want closed with 0: cancellation is not a failure",
+			br.State(), br.Failures())
 	}
 }
 
