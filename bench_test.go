@@ -446,7 +446,7 @@ func BenchmarkPacketDecode(b *testing.B) {
 	}
 	raw := buf.Bytes()
 	// Extract one frame to decode repeatedly.
-	tr, _, err := darkvec.ReadTracePCAP(bytes.NewReader(raw))
+	tr, _, err := darkvec.ReadTracePCAP(bytes.NewReader(raw), darkvec.Budget{})
 	if err != nil || tr.Len() == 0 {
 		b.Fatalf("setup: %v", err)
 	}
@@ -478,7 +478,7 @@ func BenchmarkPCAPRoundTrip(b *testing.B) {
 		if err := darkvec.WriteTracePCAP(&buf, sub); err != nil {
 			b.Fatal(err)
 		}
-		tr, _, err := darkvec.ReadTracePCAP(&buf)
+		tr, _, err := darkvec.ReadTracePCAP(&buf, darkvec.Budget{})
 		if err != nil && err != io.EOF {
 			b.Fatal(err)
 		}
@@ -491,7 +491,7 @@ func BenchmarkPCAPRoundTrip(b *testing.B) {
 // BenchmarkReadCSVStrict / BenchmarkReadCSVBudgeted quantify the cost of
 // the error-budget bookkeeping on a clean trace — the common case, where
 // tolerant ingestion should be nearly free.
-func benchCSVIngest(b *testing.B, budgeted bool) {
+func benchCSVIngest(b *testing.B, budget darkvec.Budget) {
 	env := benchEnv(b)
 	sub := &darkvec.Trace{Events: env.Full.Events[:10000]}
 	var buf bytes.Buffer
@@ -503,15 +503,7 @@ func benchCSVIngest(b *testing.B, budgeted bool) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var (
-			tr  *darkvec.Trace
-			err error
-		)
-		if budgeted {
-			tr, _, err = darkvec.ReadTraceCSVTolerant(bytes.NewReader(raw), darkvec.DefaultBudget())
-		} else {
-			tr, err = darkvec.ReadTraceCSV(bytes.NewReader(raw))
-		}
+		tr, _, err := darkvec.ReadTraceCSV(bytes.NewReader(raw), budget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -521,8 +513,8 @@ func benchCSVIngest(b *testing.B, budgeted bool) {
 	}
 }
 
-func BenchmarkReadCSVStrict(b *testing.B)   { benchCSVIngest(b, false) }
-func BenchmarkReadCSVBudgeted(b *testing.B) { benchCSVIngest(b, true) }
+func BenchmarkReadCSVStrict(b *testing.B)   { benchCSVIngest(b, darkvec.Budget{}) }
+func BenchmarkReadCSVBudgeted(b *testing.B) { benchCSVIngest(b, darkvec.DefaultBudget()) }
 
 // appendWAL writes the trace into a fresh log under dir, committing every
 // 256 events as the ingest consumer does.

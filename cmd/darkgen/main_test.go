@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/darkvec/darkvec/internal/robust"
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.ReadCSV(f)
+	tr, _, err := trace.ReadCSV(f, robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +39,9 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	ptr, skipped, err := trace.ReadPCAP(pf)
-	if err != nil || skipped != 0 {
-		t.Fatalf("pcap: %v, skipped %d", err, skipped)
+	ptr, rep, err := trace.ReadPCAP(pf, robust.Budget{})
+	if err != nil || !rep.Clean() {
+		t.Fatalf("pcap: %v, %s", err, rep)
 	}
 	if ptr.Len() != tr.Len() {
 		t.Fatalf("pcap events %d != csv events %d", ptr.Len(), tr.Len())
@@ -105,7 +106,7 @@ func readTrace(t *testing.T, path string) *trace.Trace {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.ReadCSV(f)
+	tr, _, err := trace.ReadCSV(f, robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

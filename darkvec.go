@@ -263,34 +263,28 @@ func BuildCorpusOpts(tr *Trace, kind ServiceKind, deltaT int64, opts CorpusOptio
 	return corpus.BuildOpts(tr, def, deltaT, opts), nil
 }
 
-// ReadTraceCSV loads a trace in the repository's CSV interchange format.
-func ReadTraceCSV(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }
+// ReadTraceCSV loads a trace in the repository's CSV interchange format
+// under an error budget (the zero Budget is strict): malformed rows are
+// skipped and counted until the budget blows, and the report says exactly
+// what was dropped.
+func ReadTraceCSV(r io.Reader, budget Budget) (*Trace, *IngestReport, error) {
+	return trace.ReadCSV(r, budget)
+}
 
 // WriteTraceCSV stores a trace in the CSV interchange format.
 func WriteTraceCSV(w io.Writer, tr *Trace) error { return tr.WriteCSV(w) }
 
-// ReadTracePCAP decodes a libpcap capture into a trace, re-deriving Mirai
-// fingerprints from TCP sequence numbers; it also reports how many packets
-// failed to decode.
-func ReadTracePCAP(r io.Reader) (*Trace, int, error) { return trace.ReadPCAP(r) }
+// ReadTracePCAP decodes a libpcap capture into a trace under an error
+// budget, re-deriving Mirai fingerprints from TCP sequence numbers; a
+// capture cut off mid-record yields its intact prefix with the report's
+// Truncated flag set unless the budget is strict.
+func ReadTracePCAP(r io.Reader, budget Budget) (*Trace, *IngestReport, error) {
+	return trace.ReadPCAP(r, budget)
+}
 
 // WriteTracePCAP serialises the trace as a valid libpcap capture with
 // fully-formed Ethernet/IPv4/TCP|UDP|ICMP packets.
 func WriteTracePCAP(w io.Writer, tr *Trace) error { return tr.WritePCAP(w) }
-
-// ReadTraceCSVTolerant loads a CSV trace under an error budget: malformed
-// rows are skipped and counted until the budget blows, and the report says
-// exactly what was dropped.
-func ReadTraceCSVTolerant(r io.Reader, budget Budget) (*Trace, *IngestReport, error) {
-	return trace.ReadCSVTolerant(r, budget)
-}
-
-// ReadTracePCAPTolerant decodes a capture under an error budget; a capture
-// cut off mid-record yields its intact prefix with the report's Truncated
-// flag set instead of failing.
-func ReadTracePCAPTolerant(r io.Reader, budget Budget) (*Trace, *IngestReport, error) {
-	return trace.ReadPCAPTolerant(r, budget)
-}
 
 // ReadTraceFile loads a .csv or .pcap trace from disk, strictly when
 // maxErr is 0 or tolerating up to maxErr malformed records otherwise.

@@ -95,7 +95,7 @@ func TestPublicTraceIO(t *testing.T) {
 	if err := darkvec.WriteTraceCSV(&csvBuf, sub); err != nil {
 		t.Fatal(err)
 	}
-	fromCSV, err := darkvec.ReadTraceCSV(&csvBuf)
+	fromCSV, _, err := darkvec.ReadTraceCSV(&csvBuf, darkvec.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ func TestPublicTraceIO(t *testing.T) {
 	if err := darkvec.WriteTracePCAP(&pcapBuf, sub); err != nil {
 		t.Fatal(err)
 	}
-	fromPCAP, skipped, err := darkvec.ReadTracePCAP(&pcapBuf)
+	fromPCAP, rep, err := darkvec.ReadTracePCAP(&pcapBuf, darkvec.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 0 || fromPCAP.Len() != sub.Len() {
-		t.Fatalf("pcap roundtrip: %d/%d, skipped %d", fromPCAP.Len(), sub.Len(), skipped)
+	if !rep.Clean() || fromPCAP.Len() != sub.Len() {
+		t.Fatalf("pcap roundtrip: %d/%d, %s", fromPCAP.Len(), sub.Len(), rep)
 	}
 	// The Mirai fingerprint must survive the pcap round trip.
 	for i := range sub.Events {

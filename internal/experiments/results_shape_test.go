@@ -43,6 +43,34 @@ func TestCommittedResultsShape(t *testing.T) {
 		{"table3.csv", "at 5d ip2vec > dante; 30d dante accuracy not a number", func(num numFunc, _ [][]string) bool {
 			return num("accuracy", "ip2vec", "5d") > num("accuracy", "dante", "5d") && math.IsNaN(num("accuracy", "dante", "30d"))
 		}},
+		{"table4.csv", "macro F over the nine named classes: domain ≥ auto ≥ single", func(num numFunc, rows [][]string) bool {
+			macro := func(def string) float64 {
+				sum, n := 0.0, 0
+				for _, r := range rows {
+					if r[0] != "unknown" && r[1] == def {
+						sum, n = sum+num("f-score", r[0], def), n+1
+					}
+				}
+				if n != 9 {
+					return math.NaN()
+				}
+				return sum / 9
+			}
+			return macro("domain") >= macro("auto") && macro("auto") >= macro("single")
+		}},
+		{"table4.csv", "stretchoid F < 0.5 under single and auto, ≥ 0.9 under domain", func(num numFunc, _ [][]string) bool {
+			f := func(def string) float64 { return num("f-score", "stretchoid", def) }
+			return f("single") < 0.5 && f("auto") < 0.5 && f("domain") >= 0.9
+		}},
+		{"table5.csv", "≥ 7 distinct unknownN groups are some cluster's best-group-match (unknown2 is not)", func(_ numFunc, rows [][]string) bool {
+			groups := map[string]bool{}
+			for _, r := range rows {
+				if g, _, _ := strings.Cut(r[4], "-"); strings.HasPrefix(g, "unknown") { // r[4]: best-group-match
+					groups[g] = true
+				}
+			}
+			return len(groups) >= 7
+		}},
 		{"ablation-deltat.csv", "10m–1h within 0.05, 4h and 12h below all three", func(num numFunc, _ [][]string) bool {
 			flat := []float64{num("accuracy", "10m0s"), num("accuracy", "30m0s"), num("accuracy", "1h0m0s")}
 			lo := slices.Min(flat)

@@ -99,15 +99,6 @@ type IngestStats struct {
 // Record counts one successfully parsed record.
 func (r *IngestReport) Record() { r.read.Add(1) }
 
-// RecordN counts n successfully parsed records at once — bulk accounting
-// for readers that materialise a batch before reporting.
-func (r *IngestReport) RecordN(n int64) { r.read.Add(n) }
-
-// SkipN counts n skipped records without charging a budget or retaining an
-// error sample — bulk accounting for pre-counted batches (e.g. the strict
-// pcap reader, which tallies undecodable frames itself).
-func (r *IngestReport) SkipN(n int64) { r.skipped.Add(n) }
-
 // Read returns the number of records successfully parsed so far.
 func (r *IngestReport) Read() int64 { return r.read.Load() }
 

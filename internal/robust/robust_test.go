@@ -40,7 +40,7 @@ func TestRateBudgetRespectsMinSample(t *testing.T) {
 	if err := rep.Skip(b, errors.New("early junk")); err != nil {
 		t.Fatalf("early skip aborted: %v", err)
 	}
-	rep.RecordN(98) // 1 skipped of 99 seen: still under sample threshold
+	rep.read.Add(98) // 1 skipped of 99 seen: still under sample threshold
 	if err := rep.Skip(b, errors.New("second")); err == nil {
 		// 2/100 = 2% > 1% at exactly MinSample: must abort.
 		t.Fatal("rate over budget at MinSample must abort")
@@ -49,7 +49,7 @@ func TestRateBudgetRespectsMinSample(t *testing.T) {
 
 func TestRateBudgetUnderThreshold(t *testing.T) {
 	var rep IngestReport
-	rep.RecordN(10_000)
+	rep.read.Add(10_000)
 	b := DefaultBudget()
 	for i := 0; i < 50; i++ { // 50/10050 ≈ 0.5% < 1%
 		if err := rep.Skip(b, errors.New("sporadic")); err != nil {
@@ -60,7 +60,7 @@ func TestRateBudgetUnderThreshold(t *testing.T) {
 
 func TestSampleErrorsCapped(t *testing.T) {
 	var rep IngestReport
-	rep.RecordN(1 << 20)
+	rep.read.Add(1 << 20)
 	b := DefaultBudget()
 	for i := 0; i < 100; i++ {
 		if err := rep.Skip(b, errors.New("e")); err != nil {
@@ -74,7 +74,7 @@ func TestSampleErrorsCapped(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	var rep IngestReport
-	rep.RecordN(10)
+	rep.read.Add(10)
 	if !rep.Clean() {
 		t.Fatal("untouched report must be clean")
 	}
@@ -95,7 +95,7 @@ func TestReportString(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	var rep IngestReport
-	rep.RecordN(7)
+	rep.read.Add(7)
 	_ = rep.Skip(Budget{MaxErrors: 10}, errors.New("junk"))
 	rep.Truncate(errors.New("cut"))
 	snap := rep.Snapshot()

@@ -466,7 +466,8 @@ func (in *Ingestor) Follow(path string, poll time.Duration) error {
 	var (
 		f       *os.File
 		br      *bufio.Reader
-		pending []byte
+		pending []byte // the current line's bytes, kept only up to the cap
+		lineLen int    // the current line's length so far
 		pos     int64
 	)
 	defer func() {
@@ -485,7 +486,7 @@ func (in *Ingestor) Follow(path string, poll time.Duration) error {
 		}
 		f = nf
 		br = bufio.NewReader(f)
-		pending = pending[:0]
+		pending, lineLen = pending[:0], 0
 		pos = 0
 		return nil
 	}
@@ -501,21 +502,29 @@ func (in *Ingestor) Follow(path string, poll time.Duration) error {
 				continue
 			}
 		}
-		chunk, err := br.ReadBytes('\n')
+		// An oversize line is discarded as it streams past: only the first
+		// MaxLineBytes+1 bytes (the newline included) are ever held.
+		chunk, err := br.ReadSlice('\n')
 		pos += int64(len(chunk))
-		pending = append(pending, chunk...)
+		lineLen += len(chunk)
+		if lineLen <= in.cfg.MaxLineBytes+1 {
+			pending = append(pending, chunk...)
+		}
 		if err == nil {
-			line := string(pending[:len(pending)-1]) // strip \n
-			pending = pending[:0]
-			if len(line) > in.cfg.MaxLineBytes {
+			line, oversize := pending, lineLen > in.cfg.MaxLineBytes+1
+			pending, lineLen = pending[:0], 0
+			if oversize {
 				if berr := in.report.Skip(in.cfg.Budget, fmt.Errorf("%s: line exceeds %d bytes", path, in.cfg.MaxLineBytes)); berr != nil {
 					return berr
 				}
 				continue
 			}
-			if cerr := in.consumeLine(line, path, bucket); cerr != nil {
+			if cerr := in.consumeLine(string(line[:len(line)-1]), path, bucket); cerr != nil { // strip \n
 				return cerr
 			}
+			continue
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
 			continue
 		}
 		if !errors.Is(err, io.EOF) {

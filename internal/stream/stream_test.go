@@ -336,6 +336,43 @@ func TestIngestorFollowTail(t *testing.T) {
 	}
 }
 
+// TestIngestorFollowOversizeLineBounded: Follow enforces MaxLineBytes while
+// it reads — a 32 MiB line under the default 4 KiB cap is discarded as it
+// streams past and charged once, and the valid line after it is read,
+// without ever buffering the oversize line.
+func TestIngestorFollowOversizeLineBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "feed.csv")
+	data := make([]byte, 32<<20, 32<<20+64)
+	for i := range data {
+		data[i] = 'x'
+	}
+	data = append(data, '\n')
+	data = append(data, line(1, "1.1.1.1")+"\n"...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data = nil
+	in := New(Config{Budget: robust.Budget{MaxErrors: 10}})
+	defer in.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() { done <- in.Follow(path, 10*time.Millisecond) }()
+	waitFor(t, 10*time.Second, func() bool { return in.Window().Len() == 1 }, "line after the oversize one admitted")
+	runtime.ReadMemStats(&after)
+	in.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+	if read, skipped := in.Report().Read(), in.Report().Skipped(); read != 1 || skipped != 1 {
+		t.Errorf("read %d, skipped %d; want 1 and 1", read, skipped)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("following a 32 MiB line allocated %d bytes, want at most 1 MiB", grew)
+	}
+}
+
 func TestIngestorCloseDrainsAndStopsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	in, addr := startTCP(t, Config{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -83,7 +84,7 @@ func TestWindowVantageFlushRebootSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reboot: seed a fresh window from the file, as startIngest does with -in.
-	seed, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()))
+	seed, _, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +121,40 @@ func TestIngestorVantageOnReaderSource(t *testing.T) {
 	got := vantageOf(in.Window().Snapshot())
 	if got["1.1.1.1"] != "east" || got["2.2.2.2"] != "far" {
 		t.Fatalf("vantages = %v", got)
+	}
+}
+
+// TestFileAndFeedReadWriteCSVAlike: the same WriteCSV bytes read as a file
+// (trace.ReadCSV) and as a live feed (Consume; sockets and -follow parse
+// their lines the same way) give the same events: an untagged row, a plain
+// tag, and tags holding a quote or starting with a space, which the format
+// carries literally.
+func TestFileAndFeedReadWriteCSVAlike(t *testing.T) {
+	mk := func(ts int64, src, vantage string) trace.Event {
+		e, err := trace.ParseCSVLine(fmt.Sprintf("%d,%s,10.0.0.1,23,tcp,0", ts, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Vantage = trace.MustVantage(vantage)
+		return e
+	}
+	want := []trace.Event{mk(1, "1.1.1.1", ""), mk(2, "2.2.2.2", "north"), mk(3, "3.3.3.3", `a"b`), mk(4, "4.4.4.4", " lead")}
+	var buf bytes.Buffer
+	if err := trace.New(slices.Clone(want)).WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, _, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()), robust.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(Config{})
+	defer in.Close()
+	if err := in.Consume(bytes.NewReader(buf.Bytes()), "feed"); err != nil {
+		t.Fatal(err)
+	}
+	in.Close()
+	fromFeed := in.Window().Snapshot().Events
+	if !slices.Equal(fromFile.Events, want) || !slices.Equal(fromFeed, want) {
+		t.Fatalf("WriteCSV bytes %q\nread as a file: %v\nread as a feed: %v\nwant: %v", buf.String(), fromFile.Events, fromFeed, want)
 	}
 }

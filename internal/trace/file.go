@@ -7,40 +7,23 @@ import (
 	"github.com/darkvec/darkvec/internal/robust"
 )
 
-// ReadFile loads a trace from a .csv or .pcap path (dispatching on the
-// extension) and reports what the ingestion saw. maxErr == 0 is strict:
-// the first malformed record aborts, matching ReadCSV/ReadPCAP exactly.
-// maxErr > 0 tolerates up to that many bad records in skip-and-count mode,
-// and a capture cut off mid-record yields its intact prefix with the
-// report's Truncated flag set. All commands ingest through this helper so
-// operators get the same error-budget semantics and ingest report
-// everywhere.
+// ReadFile loads a trace from a .pcap path through ReadPCAP, or from any
+// other path through ReadCSV, under robust.Budget{MaxErrors: maxErr}, and
+// reports what the ingestion saw. maxErr == 0 is strict: the first
+// malformed record aborts. maxErr > 0 tolerates up to that many bad records
+// in skip-and-count mode, and an input cut off mid-record yields its intact
+// prefix with the report's Truncated flag set. All commands ingest through
+// this helper so operators get the same error-budget semantics and ingest
+// report everywhere.
 func ReadFile(path string, maxErr int64) (*Trace, *robust.IngestReport, error) {
-	rep := &robust.IngestReport{}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, rep, err
+		return nil, &robust.IngestReport{}, err
 	}
 	defer f.Close()
-	isPcap := strings.HasSuffix(path, ".pcap")
-	if maxErr > 0 {
-		budget := robust.Budget{MaxErrors: maxErr}
-		if isPcap {
-			return ReadPCAPTolerant(f, budget)
-		}
-		return ReadCSVTolerant(f, budget)
+	budget := robust.Budget{MaxErrors: maxErr}
+	if strings.HasSuffix(path, ".pcap") {
+		return ReadPCAP(f, budget)
 	}
-	var tr *Trace
-	if isPcap {
-		var skipped int
-		tr, skipped, err = ReadPCAP(f)
-		rep.SkipN(int64(skipped))
-	} else {
-		tr, err = ReadCSV(f)
-	}
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.RecordN(int64(tr.Len()))
-	return tr, rep, nil
+	return ReadCSV(f, budget)
 }

@@ -14,6 +14,7 @@ import (
 
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
+	"github.com/darkvec/darkvec/internal/robust"
 )
 
 // TestEventSize pins the 24-byte, pointer-free event: every copy of a
@@ -178,7 +179,7 @@ func TestSortLeavesOrderedTraceAlone(t *testing.T) {
 
 // TestReadFileAllocatesEventsOnce: reading a file sizes the event slice
 // from the file's length, so the read allocates the slice it returns plus
-// the csv.Reader's per-record strings — and none of the discarded backing
+// one string per line — and none of the discarded backing
 // arrays append growth leaves behind, which the same bytes read through a
 // plain io.Reader (no length to size from) still pay.
 func TestReadFileAllocatesEventsOnce(t *testing.T) {
@@ -193,7 +194,7 @@ func TestReadFileAllocatesEventsOnce(t *testing.T) {
 	}
 	slice := uint64(tr.Len()) * uint64(unsafe.Sizeof(Event{}))
 	grown := allocated(func() {
-		if _, err := ReadCSV(struct{ io.Reader }{bytes.NewReader(file.Bytes())}); err != nil {
+		if _, _, err := ReadCSV(struct{ io.Reader }{bytes.NewReader(file.Bytes())}, robust.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,10 +63,10 @@ func emptyFullVantageTable() {
 	}
 }
 
-// FuzzStreamCSVTolerant fuzzes the stream framing layer: arbitrary byte
-// soup after a valid header must never panic the budgeted scanner, and the
-// accounting invariant — every event delivered to the callback is counted
-// as read — must hold on every input.
+// FuzzStreamCSVTolerant fuzzes ReadCSV's line framing: arbitrary byte
+// soup after a valid header must never panic the budgeted reader, every
+// event it returns is counted as read, and writing the result back with
+// WriteCSV and re-reading it strictly gives the same events.
 func FuzzStreamCSVTolerant(f *testing.F) {
 	f.Add([]byte("100,1.1.1.1,198.18.0.1,23,tcp,0\n"))
 	f.Add([]byte("100,1.1.1.1,198.18.0.1,23,tcp,0"))
@@ -74,17 +76,25 @@ func FuzzStreamCSVTolerant(f *testing.F) {
 	f.Add([]byte{0x00, 0xff, 0x0a, 0x2c, 0x2c})
 	f.Add([]byte("\n\n\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		emptyFullVantageTable()
 		in := CSVHeaderLine + "\n" + string(body)
-		delivered := int64(0)
-		rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{MaxErrors: 1 << 40}, func(Event) error {
-			delivered++
-			return nil
-		})
+		tr, rep, err := ReadCSV(strings.NewReader(in), robust.Budget{MaxErrors: 1 << 40})
 		if err != nil {
 			return
 		}
-		if rep.Read() != delivered {
-			t.Fatalf("report read %d != delivered %d", rep.Read(), delivered)
+		if rep.Read() != int64(tr.Len()) {
+			t.Fatalf("report read %d != returned %d", rep.Read(), tr.Len())
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := ReadCSV(&buf, robust.Budget{})
+		if err != nil {
+			t.Fatalf("re-reading WriteCSV output: %v", err)
+		}
+		if !slices.Equal(back.Events, tr.Events) {
+			t.Fatalf("WriteCSV round trip: %+v != %+v", back.Events, tr.Events)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -15,25 +15,18 @@ import (
 	"github.com/darkvec/darkvec/internal/robust"
 )
 
-// csvHeader is the column layout of the on-disk trace format, mirroring the
-// anonymised dataset released with the paper (timestamp, source, darknet
-// destination, destination port, protocol) plus the Mirai fingerprint bit so
-// labeled experiments don't need the raw payloads.
-var csvHeader = []string{"ts", "src_ip", "dst_ip", "dst_port", "proto", "mirai"}
-
-// csvHeaderV is csvHeader extended with the optional vantage column used
-// by multi-vantage traces. Readers accept either layout; writers pick the
-// extended one only when at least one event carries a tag, so
-// single-vantage files stay byte-identical to the historical format.
-var csvHeaderV = []string{"ts", "src_ip", "dst_ip", "dst_port", "proto", "mirai", "vantage"}
-
-// CSVHeaderLine is the header row of the CSV interchange format, which is
-// also the line protocol spoken by live stream sources (one record per
-// line, header optional).
+// CSVHeaderLine is the header row of the CSV interchange format, mirroring
+// the anonymised dataset released with the paper (timestamp, source,
+// darknet destination, destination port, protocol) plus the Mirai
+// fingerprint bit so labeled experiments don't need the raw payloads. The
+// same format is the line protocol spoken by live stream sources (one
+// record per line, header optional).
 const CSVHeaderLine = "ts,src_ip,dst_ip,dst_port,proto,mirai"
 
 // CSVHeaderLineVantage is the header row of the vantage-tagged variant.
-const CSVHeaderLineVantage = "ts,src_ip,dst_ip,dst_port,proto,mirai,vantage"
+// Writers pick it only when at least one event carries a tag, so
+// single-vantage files keep the six-column layout.
+const CSVHeaderLineVantage = CSVHeaderLine + ",vantage"
 
 // Tagged reports whether any event carries a vantage tag.
 func (t *Trace) Tagged() bool {
@@ -45,46 +38,38 @@ func (t *Trace) Tagged() bool {
 	return false
 }
 
-// WriteCSV writes the trace in the repository's CSV interchange format.
-// A trace holding at least one vantage-tagged event is written with the
-// extended seven-column header; untagged traces keep the historical
-// six-column layout byte for byte.
+// WriteCSV writes the trace in the repository's CSV interchange format, one
+// AppendCSV line per event. A trace holding at least one vantage-tagged
+// event is written with the extended seven-column header, and its untagged
+// rows carry an empty seventh column; untagged traces keep the six-column
+// layout.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	hdr := csvHeader
 	tagged := t.Tagged()
+	hdr := CSVHeaderLine + "\n"
 	if tagged {
-		hdr = csvHeaderV
+		hdr = CSVHeaderLineVantage + "\n"
 	}
-	if err := cw.Write(hdr); err != nil {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(hdr); err != nil {
 		return err
 	}
-	rec := make([]string, len(hdr))
+	var line []byte
 	for _, e := range t.Events {
-		rec[0] = strconv.FormatInt(e.Ts, 10)
-		rec[1] = e.Src.String()
-		rec[2] = e.Dst.String()
-		rec[3] = strconv.Itoa(int(e.Port))
-		rec[4] = e.Proto.String()
-		if e.Mirai {
-			rec[5] = "1"
-		} else {
-			rec[5] = "0"
+		line = e.AppendCSV(line[:0])
+		if tagged && e.Vantage == 0 {
+			line = append(line, ',')
 		}
-		if tagged {
-			rec[6] = e.Vantage.String()
-		}
-		if err := cw.Write(rec); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // AppendCSV appends the event's CSV interchange line (without a trailing
-// newline) to dst — the allocation-free formatter live sources use to
-// stream events over the wire.
+// newline) to dst — the allocation-free formatter WriteCSV and the live
+// sources share.
 func (e Event) AppendCSV(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, e.Ts, 10)
 	dst = append(dst, ',')
@@ -107,38 +92,80 @@ func (e Event) AppendCSV(dst []byte) []byte {
 	return dst
 }
 
-// ReadCSV parses a trace written by WriteCSV. Events are re-sorted by
-// timestamp on load.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	tr, _, err := readCSV(r, nil)
-	return tr, err
-}
-
-// readCSV materialises a scan. When r is a regular file the event slice is
-// allocated once, sized from the file's length over the mean line length of
-// its head: growing by append would allocate several times the final slice
-// in discarded backing arrays, and on a boot-time seed that garbage sets
-// the heap goal the whole process then lives under.
-func readCSV(r io.Reader, budget *robust.Budget) (*Trace, *robust.IngestReport, error) {
-	var events []Event
+// ReadCSV reads a trace in the CSV interchange format under an error budget
+// and reports what the read saw. Events are re-sorted by timestamp.
+//
+// The first non-blank line is the header: six or seven comma-separated
+// fields, the first "ts". A missing or malformed header is a wrong file and
+// always an error. Every further line goes through ParseCSVLine, the parser
+// the live sources use, so a file and a feed of the same bytes give the
+// same events. The format has no quoting: a field is the bytes between two
+// commas, taken literally. Blank lines and a trailing \r are ignored. A line
+// that fails to parse is charged to the budget. A final line with no
+// newline that fails to parse is a write cut short — a file still being
+// written, an interrupted copy — so a non-strict budget records it as a
+// truncation and keeps the intact prefix; a strict one refuses it like any
+// other bad line.
+func ReadCSV(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, error) {
+	rep := &robust.IngestReport{}
 	hint := eventsHint(r)
-	rep, err := streamCSV(r, budget, func(e Event) error {
-		if events == nil { // on the first record: a wrong or empty file reserves nothing
-			events = make([]Event, 0, hint)
+	br := bufio.NewReaderSize(r, 64<<10)
+	var events []Event
+	header := false
+	for n := 1; ; n++ {
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull { // a line longer than the buffer: copy it out whole
+			head := bytes.Clone(raw)
+			raw, err = br.ReadBytes('\n')
+			raw = append(head, raw...)
 		}
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return nil, rep, err
+		if err != nil && err != io.EOF {
+			return nil, rep, fmt.Errorf("trace: reading csv line %d: %w", n, err)
+		}
+		// The one allocation per line: the string ParseCSVLine reads,
+		// without the line end (one byte can cost a larger size class).
+		line := string(bytes.TrimSuffix(bytes.TrimSuffix(raw, []byte{'\n'}), []byte{'\r'}))
+		switch {
+		case line == "":
+		case !header:
+			if f := strings.Count(line, ",") + 1; (f != 6 && f != 7) || !strings.HasPrefix(line, "ts,") {
+				return nil, rep, fmt.Errorf("trace: unexpected csv header %q", line)
+			}
+			header = true
+		default:
+			e, perr := ParseCSVLine(line)
+			if perr != nil {
+				perr = fmt.Errorf("csv line %d: %w", n, perr)
+				if err == io.EOF && !budget.Strict() {
+					rep.Truncate(perr)
+				} else if berr := rep.Skip(budget, perr); berr != nil {
+					return nil, rep, fmt.Errorf("trace: %w", berr)
+				}
+				break
+			}
+			if events == nil { // on the first record: a wrong or empty file reserves nothing
+				events = make([]Event, 0, hint)
+			}
+			rep.Record()
+			events = append(events, e)
+		}
+		if err == io.EOF {
+			break
+		}
+	}
+	if !header {
+		return nil, rep, errors.New("trace: csv header missing")
 	}
 	return New(events), rep, nil
 }
 
-// eventsHint estimates how many records r holds: 0 unless r is a regular
-// file, else its size divided by the mean line length of its first 64 KiB,
-// plus 1/64 slack so lines a little shorter further in do not cost a
-// regrow. A wrong guess only costs what append always cost.
+// eventsHint estimates how many records r holds, so ReadCSV allocates its
+// event slice once: growing by append would allocate several times the
+// final slice in discarded backing arrays, and on a boot-time seed that
+// garbage sets the heap goal the whole process then lives under. It is 0
+// unless r is a regular file, else its size divided by the mean line length
+// of its first 64 KiB, plus 1/64 slack so lines a little shorter further in
+// do not cost a regrow. A wrong guess only costs what append always cost.
 func eventsHint(r io.Reader) int {
 	f, ok := r.(interface {
 		io.ReaderAt
@@ -162,131 +189,6 @@ func eventsHint(r io.Reader) int {
 	return int(est + est/64 + 1)
 }
 
-// ErrStop lets a StreamCSV callback end iteration early without an error.
-var ErrStop = errors.New("trace: stop streaming")
-
-// StreamCSV feeds each CSV event to fn without materialising the trace —
-// the path for month-scale captures that do not fit in memory (statistics
-// passes, filters, format conversion). fn returning ErrStop ends the scan
-// cleanly; any other error aborts and is returned. The scan is strict: the
-// first malformed record aborts. Use StreamCSVTolerant for dirty captures.
-// A complete final line without a trailing newline parses normally.
-func StreamCSV(r io.Reader, fn func(Event) error) error {
-	_, err := streamCSV(r, nil, fn)
-	return err
-}
-
-// StreamCSVTolerant is StreamCSV with an error budget: malformed records
-// are skipped and counted in the returned IngestReport, and the scan only
-// aborts (with an error wrapping robust.ErrBudgetExceeded) when the budget
-// is exhausted. A malformed header always aborts — that is a wrong file,
-// not a dirty one. An unparsable final record immediately followed by EOF
-// is recorded as a truncation (tail-follow sources deliver partial final
-// lines routinely), not charged against the budget.
-func StreamCSVTolerant(r io.Reader, budget robust.Budget, fn func(Event) error) (*robust.IngestReport, error) {
-	return streamCSV(r, &budget, fn)
-}
-
-// streamCSV is the shared scan loop; budget == nil selects the historical
-// strict behaviour (first bad record aborts with the bare error).
-func streamCSV(r io.Reader, budget *robust.Budget, fn func(Event) error) (*robust.IngestReport, error) {
-	rep := &robust.IngestReport{}
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	// Records validate their own field count (6 or 7 columns): a tagged
-	// trace may legitimately mix vantage-tagged and untagged rows, which
-	// the reader's per-file count enforcement would reject wholesale.
-	cr.FieldsPerRecord = -1
-	hdr, err := cr.Read()
-	if err != nil {
-		return rep, fmt.Errorf("trace: reading csv header: %w", err)
-	}
-	if (len(hdr) != len(csvHeader) && len(hdr) != len(csvHeaderV)) || hdr[0] != "ts" {
-		return rep, fmt.Errorf("trace: unexpected csv header %v", hdr)
-	}
-	// pend holds one record read ahead of the loop: distinguishing a
-	// truncated final line from a mid-stream malformed one requires
-	// peeking at the next read, and the peeked record must then be
-	// processed normally. With ReuseRecord the peeked slice stays valid
-	// exactly until the next cr.Read(), which the loop order guarantees.
-	var (
-		pendRec  []string
-		pendErr  error
-		havePend bool
-	)
-	for line := 2; ; line++ {
-		var rec []string
-		var err error
-		if havePend {
-			rec, err, havePend = pendRec, pendErr, false
-		} else {
-			rec, err = cr.Read()
-		}
-		if err == io.EOF {
-			return rep, nil
-		}
-		if err != nil {
-			var perr *csv.ParseError
-			if budget != nil && errors.As(err, &perr) {
-				// Shape errors (wrong field count, stray quote) are
-				// per-line recoverable; the reader resynchronises on the
-				// next line — unless this was the input's final record, in
-				// which case the line was cut off mid-write (a partial
-				// tail from a live file or interrupted copy) and the
-				// intact prefix is a successful ingest.
-				pendRec, pendErr = cr.Read()
-				if pendErr == io.EOF {
-					rep.Truncate(err)
-					return rep, nil
-				}
-				havePend = true
-				if berr := rep.Skip(*budget, err); berr != nil {
-					return rep, fmt.Errorf("trace: %w", berr)
-				}
-				continue
-			}
-			return rep, err
-		}
-		e, err := parseCSVRecord(rec)
-		if err != nil {
-			err = fmt.Errorf("trace: csv line %d: %w", line, err)
-			if budget != nil {
-				// A wrong field count on the input's final record is a line
-				// cut off mid-write (the csv.Reader no longer enforces the
-				// count itself, so the shape error surfaces here): the
-				// intact prefix is a successful ingest, exactly like the
-				// ParseError branch above.
-				if errors.Is(err, errFieldCount) {
-					pendRec, pendErr = cr.Read()
-					if pendErr == io.EOF {
-						rep.Truncate(err)
-						return rep, nil
-					}
-					havePend = true
-				}
-				if berr := rep.Skip(*budget, err); berr != nil {
-					return rep, fmt.Errorf("trace: %w", berr)
-				}
-				continue
-			}
-			return rep, err
-		}
-		rep.Record()
-		if err := fn(e); err != nil {
-			if errors.Is(err, ErrStop) {
-				return rep, nil
-			}
-			return rep, err
-		}
-	}
-}
-
-// ReadCSVTolerant parses a trace under an error budget, returning the
-// loaded trace together with the ingest report. See StreamCSVTolerant.
-func ReadCSVTolerant(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, error) {
-	return readCSV(r, &budget)
-}
-
 // IsCSVHeader reports whether line is the interchange format's header row
 // (either the six-column layout or the vantage-tagged seven-column one), so
 // line-oriented sources can skip a header pasted into a live stream
@@ -296,28 +198,26 @@ func IsCSVHeader(line string) bool {
 	return line == CSVHeaderLine || line == CSVHeaderLineVantage
 }
 
-// ParseCSVLine parses one line of the CSV interchange format (no header,
-// no trailing newline) — the per-line entry point of the live stream
-// sources, which frame records themselves and cannot afford a csv.Reader
-// per connection. A trailing \r (CRLF framing) is tolerated. A seventh
-// field, when present, is the sender-side vantage tag.
+// ParseCSVLine parses one line of the CSV interchange format (no header, no
+// trailing newline): six fields, or seven when the last is the sender-side
+// vantage tag. A trailing \r (CRLF framing) is tolerated. It is the one
+// record parser — ReadCSV, the stream sockets and the tail-follow source
+// all call it — and a well-formed line allocates nothing.
 func ParseCSVLine(line string) (Event, error) {
 	line = strings.TrimSuffix(line, "\r")
-	fields := strings.Split(line, ",")
-	return parseCSVRecord(fields)
-}
-
-// errFieldCount marks a record whose very shape is wrong (field count),
-// as opposed to one whose values do not parse. The tolerant scanner uses
-// the distinction to tell a mid-write truncation from a dirty line.
-var errFieldCount = errors.New("wrong field count")
-
-func parseCSVRecord(rec []string) (Event, error) {
+	var rec [7]string
+	n := 0
+	for ; n < len(rec)-1; n++ {
+		i := strings.IndexByte(line, ',')
+		if i < 0 {
+			break
+		}
+		rec[n], line = line[:i], line[i+1:]
+	}
+	rec[n], n = line, n+1
 	var e Event
-	if len(rec) != len(csvHeader) && len(rec) != len(csvHeaderV) {
-		// The line-protocol path, fuzzers, and (with per-record count
-		// enforcement off) the csv.Reader path all land here.
-		return e, fmt.Errorf("%w: %d fields, want %d or %d", errFieldCount, len(rec), len(csvHeader), len(csvHeaderV))
+	if n < 6 || strings.IndexByte(line, ',') >= 0 {
+		return e, fmt.Errorf("%d fields, want 6 or 7", n+strings.Count(line, ","))
 	}
 	ts, err := strconv.ParseInt(rec[0], 10, 64)
 	if err != nil {
@@ -347,7 +247,7 @@ func parseCSVRecord(rec []string) (Event, error) {
 		return e, fmt.Errorf("bad proto %q", rec[4])
 	}
 	var vantage VantageID
-	if len(rec) == len(csvHeaderV) {
+	if n == 7 {
 		if vantage, err = InternVantage(rec[6]); err != nil {
 			return e, err
 		}

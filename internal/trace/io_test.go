@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
+	"github.com/darkvec/darkvec/internal/robust"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -17,7 +20,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	back, _, err := ReadCSV(&buf, robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := tr.WriteCSV(&buf); err != nil {
 			return false
 		}
-		back, err := ReadCSV(&buf)
+		back, _, err := ReadCSV(&buf, robust.Budget{})
 		if err != nil {
 			return false
 		}
@@ -84,13 +87,14 @@ func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
 		"",        // no header
 		"a,b,c\n", // wrong header
-		"ts,src_ip,dst_ip,dst_port,proto,mirai\nx,1.1.1.1,2.2.2.2,80,tcp,0\n",    // bad ts
-		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,bogus,2.2.2.2,80,tcp,0\n",      // bad ip
-		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,1.1.1.1,2.2.2.2,99999,tcp,0\n", // bad port
-		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,1.1.1.1,2.2.2.2,80,gre,0\n",    // bad proto
+		"ts,src_ip,dst_ip,dst_port,proto,mirai\nx,1.1.1.1,2.2.2.2,80,tcp,0\n",     // bad ts
+		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,bogus,2.2.2.2,80,tcp,0\n",       // bad ip
+		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,1.1.1.1,2.2.2.2,99999,tcp,0\n",  // bad port
+		"ts,src_ip,dst_ip,dst_port,proto,mirai\n1,1.1.1.1,2.2.2.2,80,gre,0\n",     // bad proto
+		"ts,src_ip,dst_ip,dst_port,proto,mirai\n\"1\",1.1.1.1,2.2.2.2,80,tcp,0\n", // quoted ts: the format has no quoting
 	}
 	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadCSV(strings.NewReader(in), robust.Budget{}); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -103,12 +107,12 @@ func TestPCAPRoundTrip(t *testing.T) {
 	if err := tr.WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, skipped, err := ReadPCAP(&buf)
+	back, rep, err := ReadPCAP(&buf, robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 0 {
-		t.Fatalf("skipped = %d", skipped)
+	if !rep.Clean() {
+		t.Fatalf("report = %s", rep)
 	}
 	if back.Len() != tr.Len() {
 		t.Fatalf("len = %d, want %d", back.Len(), tr.Len())
@@ -135,7 +139,7 @@ func TestPCAPMiraiFingerprintDerivation(t *testing.T) {
 	if err := New(events).WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := ReadPCAP(&buf)
+	back, _, err := ReadPCAP(&buf, robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestPCAPMiraiFingerprintDerivation(t *testing.T) {
 }
 
 func TestReadPCAPGarbage(t *testing.T) {
-	if _, _, err := ReadPCAP(bytes.NewReader(make([]byte, 40))); err == nil {
+	if _, _, err := ReadPCAP(bytes.NewReader(make([]byte, 40)), robust.DefaultBudget()); err == nil {
 		t.Fatal("garbage capture must fail")
 	}
 }
@@ -156,38 +160,44 @@ func TestStreamCSV(t *testing.T) {
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var count int
-	if err := StreamCSV(bytes.NewReader(buf.Bytes()), func(e Event) error {
-		count++
-		return nil
-	}); err != nil {
+	got, rep, err := ReadCSV(bytes.NewReader(buf.Bytes()), robust.Budget{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != tr.Len() {
-		t.Fatalf("streamed %d events, want %d", count, tr.Len())
-	}
-	// Early stop via ErrStop.
-	count = 0
-	if err := StreamCSV(bytes.NewReader(buf.Bytes()), func(e Event) error {
-		count++
-		if count == 2 {
-			return ErrStop
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("early stop at %d, want 2", count)
-	}
-	// Callback errors propagate.
-	wantErr := errBoom{}
-	err := StreamCSV(bytes.NewReader(buf.Bytes()), func(Event) error { return wantErr })
-	if err != wantErr {
-		t.Fatalf("error = %v", err)
+	if got.Len() != tr.Len() || rep.Read() != int64(tr.Len()) {
+		t.Fatalf("read %d events (report %s), want %d", got.Len(), rep, tr.Len())
 	}
 }
 
-type errBoom struct{}
-
-func (errBoom) Error() string { return "boom" }
+// TestWriteCSVBytesPinned pins WriteCSV's bytes, an untagged trace and a
+// tagged one whose untagged rows carry an empty seventh column, to the
+// digests the encoding/csv writer produced.
+func TestWriteCSVBytesPinned(t *testing.T) {
+	untagged := scanTrace(20000, 500, 50, 11)
+	tagged := scanTrace(20000, 500, 50, 12)
+	north, south := MustVantage("north"), MustVantage("south")
+	for i := range tagged.Events {
+		switch i % 3 {
+		case 1:
+			tagged.Events[i].Vantage = north
+		case 2:
+			tagged.Events[i].Vantage = south
+		}
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		sha  string
+	}{
+		{"untagged", untagged, "fbbcc4d5b518fe4f00770bb4189fe647bbc4d26d48e25026f7a5fa868ee20413"},
+		{"tagged", tagged, "0d1e83ade491730b038d9a4c699b0ee79f69f74192c8837a9d8ad3e36a372236"},
+	} {
+		var buf bytes.Buffer
+		if err := c.tr.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.sha {
+			t.Errorf("%s: WriteCSV sha256 = %x, want %s", c.name, sum, c.sha)
+		}
+	}
+}

@@ -8,42 +8,37 @@ import (
 )
 
 // TestStreamCSVFinalLineNoNewline is the tail-follow regression: a
-// complete final record without a trailing newline must parse in both
-// strict and tolerant mode.
+// complete final record without a trailing newline must parse under a
+// strict budget and under a non-strict one.
 func TestStreamCSVFinalLineNoNewline(t *testing.T) {
 	in := csvHdrLine + "\n" +
 		"100,1.1.1.1,198.18.0.1,23,tcp,0\n" +
 		"200,2.2.2.2,198.18.0.2,445,tcp,1" // no \n
-	events, err := streamAll(t, in)
+	events, _, err := readAll(in, robust.Budget{})
 	if err != nil {
 		t.Fatalf("strict scan: %v", err)
 	}
 	if len(events) != 2 || events[1].Ts != 200 || !events[1].Mirai {
 		t.Fatalf("events = %+v", events)
 	}
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{}, func(Event) error { return nil })
+	_, rep, err := readAll(in, robust.Budget{MaxErrors: 1})
 	if err != nil || rep.Read() != 2 || !rep.Clean() {
 		t.Fatalf("tolerant scan: rep=%s err=%v", rep, err)
 	}
 }
 
 // TestStreamCSVPartialFinalLine: a final line cut off mid-record (what a
-// tail-follow source or an interrupted copy delivers) is a truncation in
-// tolerant mode — the intact prefix is kept, nothing is charged against
-// the budget — while strict mode still rejects it.
+// tail-follow source or an interrupted copy delivers) is a truncation under
+// a non-strict budget — the intact prefix is kept, nothing is charged
+// against the budget — while a strict budget still rejects it.
 func TestStreamCSVPartialFinalLine(t *testing.T) {
 	in := csvHdrLine + "\n" +
 		"100,1.1.1.1,198.18.0.1,23,tcp,0\n" +
 		"200,2.2.2.2,198.18" // cut mid-record
-	if _, err := streamAll(t, in); err == nil {
+	if _, _, err := readAll(in, robust.Budget{}); err == nil {
 		t.Fatal("strict scan must reject a partial final line")
 	}
-	var events []Event
-	// A strict zero budget: the truncation must not count as a skip.
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{}, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
+	events, rep, err := readAll(in, robust.Budget{MaxErrors: 1})
 	if err != nil {
 		t.Fatalf("tolerant scan: %v", err)
 	}
@@ -63,11 +58,7 @@ func TestStreamCSVGarbageThenPartialTail(t *testing.T) {
 		"complete garbage\n" +
 		"300,3.3.3.3,198.18.0.3,80,tcp,0\n" +
 		"400,4.4.4.4,198" // cut
-	var events []Event
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{MaxErrors: 5}, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
+	events, rep, err := readAll(in, robust.Budget{MaxErrors: 5})
 	if err != nil {
 		t.Fatalf("tolerant scan: %v", err)
 	}
@@ -116,7 +107,7 @@ func TestEventAppendCSVMatchesWriteCSV(t *testing.T) {
 	for _, e := range tr.Events {
 		lines = append(lines, string(e.AppendCSV(nil)))
 	}
-	got, err := ReadCSV(strings.NewReader(CSVHeaderLine + "\n" + strings.Join(lines, "\n") + "\n"))
+	got, _, err := ReadCSV(strings.NewReader(CSVHeaderLine+"\n"+strings.Join(lines, "\n")+"\n"), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

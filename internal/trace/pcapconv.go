@@ -86,66 +86,16 @@ func ephemeralPort(src netutil.IPv4, dst uint16) uint16 {
 	return uint16(49152 + h%16384)
 }
 
-// ReadPCAP decodes a libpcap capture back into a Trace, re-deriving the
-// Mirai fingerprint from TCP sequence numbers exactly like the paper's
-// labeling step does on the real trace. Non-IPv4 or unsupported packets are
-// skipped and counted; a capture where every packet fails to decode is an
-// error.
-func ReadPCAP(r io.Reader) (*Trace, int, error) {
-	pr, err := pcapio.NewReader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if pr.LinkType() != pcapio.LinkTypeEthernet {
-		return nil, 0, fmt.Errorf("trace: unsupported link type %d", pr.LinkType())
-	}
-	var (
-		events  []Event
-		skipped int
-		parser  packet.Parser
-		decoded []packet.LayerType
-	)
-	for {
-		hdr, data, err := pr.ReadPacket()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, skipped, err
-		}
-		if err := parser.DecodeLayers(data, &decoded); err != nil {
-			skipped++
-			continue
-		}
-		e := Event{
-			Ts:    hdr.Ts.Unix(),
-			Src:   parser.IP.SrcIP,
-			Dst:   parser.IP.DstIP,
-			Proto: parser.IP.Protocol,
-		}
-		switch parser.IP.Protocol {
-		case packet.IPProtocolTCP:
-			e.Port = parser.TCP.DstPort
-			e.Mirai = parser.TCP.Seq == uint32(parser.IP.DstIP)
-		case packet.IPProtocolUDP:
-			e.Port = parser.UDP.DstPort
-		}
-		events = append(events, e)
-	}
-	if len(events) == 0 && skipped > 0 {
-		return nil, skipped, errors.New("trace: no decodable packets in capture")
-	}
-	return New(events), skipped, nil
-}
-
-// ReadPCAPTolerant decodes a capture under an error budget. Packets that
-// fail to decode are skipped and counted against the budget; a capture
-// that ends mid-record (pcapio.ErrTruncated) — or whose record stream is
-// corrupted beyond resynchronisation — yields its intact prefix with the
-// report's Truncated flag set instead of a hard failure. Only an unusable
-// global header, an exhausted budget or a fully undecodable capture
-// return an error.
-func ReadPCAPTolerant(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, error) {
+// ReadPCAP decodes a libpcap capture back into a Trace under an error
+// budget, re-deriving the Mirai fingerprint from TCP sequence numbers
+// exactly like the paper's labeling step does on the real trace. A packet
+// that fails to decode (non-IPv4, unsupported, garbage) is charged to the
+// budget. A capture that ends mid-record (pcapio.ErrTruncated), or whose
+// record stream is corrupted beyond resynchronisation, keeps its intact
+// prefix with the report's Truncated flag set when the budget is not
+// strict, and is an error when it is. An unusable global header, an
+// exhausted budget or a capture with no decodable packet is an error.
+func ReadPCAP(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, error) {
 	rep := &robust.IngestReport{}
 	pr, err := pcapio.NewReader(r)
 	if err != nil {
@@ -164,19 +114,18 @@ func ReadPCAPTolerant(r io.Reader, budget robust.Budget) (*Trace, *robust.Ingest
 		if errors.Is(err, io.EOF) {
 			break
 		}
-		if errors.Is(err, pcapio.ErrTruncated) {
-			rep.Truncate(err)
-			break
-		}
 		if err != nil {
-			// A corrupt record header (implausible length, reader fault)
-			// loses the framing for good: there is no record boundary to
-			// resynchronise on. Keep the intact prefix, flag the report.
+			// A cut record or a corrupt record header (implausible length,
+			// reader fault) loses the framing for good: there is no record
+			// boundary to resynchronise on.
+			if budget.Strict() {
+				return nil, rep, err
+			}
 			rep.Truncate(err)
 			break
 		}
 		if err := parser.DecodeLayers(data, &decoded); err != nil {
-			if berr := rep.Skip(budget, fmt.Errorf("trace: packet %d: %w", rep.Read()+rep.Skipped()+1, err)); berr != nil {
+			if berr := rep.Skip(budget, fmt.Errorf("packet %d: %w", rep.Read()+rep.Skipped()+1, err)); berr != nil {
 				return nil, rep, fmt.Errorf("trace: %w", berr)
 			}
 			continue

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,36 +17,34 @@ import (
 
 const csvHdrLine = "ts,src_ip,dst_ip,dst_port,proto,mirai"
 
-// collect streams r strictly and returns the events, failing on error.
-func streamAll(t *testing.T, in string) ([]Event, error) {
-	t.Helper()
-	var events []Event
-	err := StreamCSV(strings.NewReader(in), func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
-	return events, err
+// readAll reads in through ReadCSV under budget and returns its events.
+func readAll(in string, budget robust.Budget) ([]Event, *robust.IngestReport, error) {
+	tr, rep, err := ReadCSV(strings.NewReader(in), budget)
+	if err != nil {
+		return nil, rep, err
+	}
+	return tr.Events, rep, nil
 }
 
 func TestStreamCSVEmptyFile(t *testing.T) {
-	if _, err := streamAll(t, ""); err == nil {
+	if _, _, err := readAll("", robust.Budget{}); err == nil {
 		t.Fatal("empty file must fail in strict mode (no header)")
 	}
-	if _, err := StreamCSVTolerant(strings.NewReader(""), robust.DefaultBudget(), func(Event) error { return nil }); err == nil {
+	if _, _, err := readAll("", robust.DefaultBudget()); err == nil {
 		t.Fatal("empty file must fail even under a budget: missing header is a wrong file")
 	}
 }
 
 func TestStreamCSVHeaderOnly(t *testing.T) {
 	for _, in := range []string{csvHdrLine, csvHdrLine + "\n"} {
-		events, err := streamAll(t, in)
+		events, _, err := readAll(in, robust.Budget{})
 		if err != nil {
 			t.Fatalf("header-only strict: %v", err)
 		}
 		if len(events) != 0 {
 			t.Fatalf("header-only produced %d events", len(events))
 		}
-		rep, err := StreamCSVTolerant(strings.NewReader(in), robust.DefaultBudget(), func(Event) error { return nil })
+		_, rep, err := readAll(in, robust.DefaultBudget())
 		if err != nil || rep.Read() != 0 || rep.Skipped() != 0 {
 			t.Fatalf("header-only budgeted: rep=%+v err=%v", rep, err)
 		}
@@ -55,14 +55,14 @@ func TestStreamCSVCRLF(t *testing.T) {
 	in := csvHdrLine + "\r\n" +
 		"100,1.1.1.1,198.18.0.1,23,tcp,0\r\n" +
 		"200,2.2.2.2,198.18.0.2,445,tcp,1\r\n"
-	events, err := streamAll(t, in)
+	events, _, err := readAll(in, robust.Budget{})
 	if err != nil {
 		t.Fatalf("CRLF strict: %v", err)
 	}
 	if len(events) != 2 || events[0].Ts != 100 || !events[1].Mirai {
 		t.Fatalf("CRLF events = %+v", events)
 	}
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.DefaultBudget(), func(Event) error { return nil })
+	_, rep, err := readAll(in, robust.DefaultBudget())
 	if err != nil || rep.Read() != 2 || rep.Skipped() != 0 {
 		t.Fatalf("CRLF budgeted: rep=%+v err=%v", rep, err)
 	}
@@ -70,12 +70,12 @@ func TestStreamCSVCRLF(t *testing.T) {
 
 func TestStreamCSVTrailingBlankLine(t *testing.T) {
 	in := csvHdrLine + "\n100,1.1.1.1,198.18.0.1,23,tcp,0\n\n"
-	events, err := streamAll(t, in)
+	events, _, err := readAll(in, robust.Budget{})
 	if err != nil || len(events) != 1 {
 		t.Fatalf("trailing blank strict: %d events, %v", len(events), err)
 	}
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{}, func(Event) error { return nil })
-	if err != nil || rep.Read() != 1 {
+	_, rep, err := readAll(in, robust.Budget{MaxErrors: 1})
+	if err != nil || rep.Read() != 1 || rep.Skipped() != 0 {
 		t.Fatalf("trailing blank budgeted: rep=%+v err=%v", rep, err)
 	}
 }
@@ -88,16 +88,12 @@ func TestStreamCSVMidFileGarbage(t *testing.T) {
 		"300,3.3.3.3,198.18.0.3,80,tcp,0\n"
 
 	// Strict: aborts on the first garbage line.
-	if _, err := streamAll(t, in); err == nil {
+	if _, _, err := readAll(in, robust.Budget{}); err == nil {
 		t.Fatal("mid-file garbage must fail in strict mode")
 	}
 
 	// Budgeted: both bad lines are skipped, the good ones survive.
-	var events []Event
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{MaxErrors: 10}, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
+	events, rep, err := readAll(in, robust.Budget{MaxErrors: 10})
 	if err != nil {
 		t.Fatalf("budgeted scan: %v", err)
 	}
@@ -112,7 +108,7 @@ func TestStreamCSVMidFileGarbage(t *testing.T) {
 	}
 
 	// A budget of one error is blown by the second bad line.
-	_, err = StreamCSVTolerant(strings.NewReader(in), robust.Budget{MaxErrors: 1}, func(Event) error { return nil })
+	_, _, err = readAll(in, robust.Budget{MaxErrors: 1})
 	if !errors.Is(err, robust.ErrBudgetExceeded) {
 		t.Fatalf("exhausted budget error = %v", err)
 	}
@@ -135,23 +131,23 @@ func TestReadCSVTolerantEqualsManualClean(t *testing.T) {
 	clean := append([]string{lines[0]}, lines[1], lines[3])
 	clean = append(clean, lines[5:]...)
 
-	got, rep, err := ReadCSVTolerant(strings.NewReader(strings.Join(dirty, "\n")+"\n"), robust.Budget{MaxErrors: 5})
+	got, rep, err := readAll(strings.Join(dirty, "\n")+"\n", robust.Budget{MaxErrors: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Skipped() != 2 {
 		t.Fatalf("skipped = %d", rep.Skipped())
 	}
-	want, err := ReadCSV(strings.NewReader(strings.Join(clean, "\n") + "\n"))
+	want, _, err := readAll(strings.Join(clean, "\n")+"\n", robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("len %d != %d", got.Len(), want.Len())
+	if len(got) != len(want) {
+		t.Fatalf("len %d != %d", len(got), len(want))
 	}
-	for i := range want.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got.Events[i], want.Events[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -167,7 +163,7 @@ func TestReadCSVTolerantCorruptedBytes(t *testing.T) {
 	hdrLen := int64(len(csvHdrLine) + 1)
 	// Damage a byte every ~150 bytes, past the header.
 	r := faultio.Corrupt(bytes.NewReader(buf.Bytes()), hdrLen+40, 150, 0x04)
-	got, rep, err := ReadCSVTolerant(r, robust.Budget{MaxRate: 0.5, MinSample: 10})
+	got, rep, err := ReadCSV(r, robust.Budget{MaxRate: 0.5, MinSample: 10})
 	if err != nil {
 		t.Fatalf("budgeted ingest of corrupted stream: %v (report %s)", err, rep.String())
 	}
@@ -189,9 +185,9 @@ func TestStreamCSVStallingSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := faultio.Stall(bytes.NewReader(buf.Bytes()), 32, time.Millisecond)
-	rep, err := StreamCSVTolerant(r, robust.Budget{}, func(Event) error { return nil })
-	if err != nil || int(rep.Read()) != tr.Len() {
-		t.Fatalf("stalling source: read %d, %v", rep.Read(), err)
+	_, rep, err := ReadCSV(r, robust.Budget{MaxErrors: 1})
+	if err != nil || int(rep.Read()) != tr.Len() || rep.Skipped() != 0 {
+		t.Fatalf("stalling source: read %d, skipped %d, %v", rep.Read(), rep.Skipped(), err)
 	}
 }
 
@@ -204,7 +200,7 @@ func TestReadPCAPTolerantTruncated(t *testing.T) {
 	// Cut the capture mid-record: keep the global header plus 10.5 records'
 	// worth of bytes (each synthesised TCP frame is 16 hdr + 54 data bytes).
 	cut := faultio.Truncate(bytes.NewReader(buf.Bytes()), 24+10*(16+54)+30)
-	got, rep, err := ReadPCAPTolerant(cut, robust.DefaultBudget())
+	got, rep, err := ReadPCAP(cut, robust.DefaultBudget())
 	if err != nil {
 		t.Fatalf("tolerant truncated ingest: %v", err)
 	}
@@ -229,48 +225,70 @@ func TestReadPCAPTolerantTruncated(t *testing.T) {
 		}
 	}
 
-	// Strict ReadPCAP must refuse the same capture, with ErrTruncated.
+	// A strict budget must refuse the same capture.
 	cut2 := faultio.Truncate(bytes.NewReader(buf.Bytes()), 24+10*(16+54)+30)
-	if _, _, err := ReadPCAP(cut2); err == nil {
+	if _, _, err := ReadPCAP(cut2, robust.Budget{}); err == nil {
 		t.Fatal("strict ReadPCAP must fail on a truncated capture")
 	}
 }
 
-func TestReadPCAPTolerantGarbagePackets(t *testing.T) {
-	// Hand-append records whose payloads are not decodable frames: the
-	// budgeted reader skips them and keeps the real ones.
-	tr := sampleTrace()
+// garbageCapture is sampleTrace as a capture followed by two well-framed
+// records whose payloads are not decodable frames.
+func garbageCapture(t *testing.T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WritePCAP(&buf); err != nil {
+	if err := sampleTrace().WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pw := pcapioAppend(t, &buf)
-	_ = pw
-	got, rep, err := ReadPCAPTolerant(bytes.NewReader(buf.Bytes()), robust.Budget{MaxErrors: 5})
+	// Record header: ts=1, frac=0, caplen=origlen=6; payload is junk.
+	for i := 0; i < 2; i++ {
+		buf.Write([]byte{
+			1, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 6, 0, 0, 0,
+			0xde, 0xad, 0xbe, 0xef, 0x00, byte(i),
+		})
+	}
+	return buf.Bytes()
+}
+
+func TestReadPCAPTolerantGarbagePackets(t *testing.T) {
+	// The budgeted reader skips the junk frames and keeps the real ones.
+	got, rep, err := ReadPCAP(bytes.NewReader(garbageCapture(t)), robust.Budget{MaxErrors: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Skipped() != 2 {
 		t.Fatalf("skipped = %d, want 2 garbage frames", rep.Skipped())
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("kept %d events, want %d", got.Len(), tr.Len())
+	if got.Len() != sampleTrace().Len() {
+		t.Fatalf("kept %d events, want %d", got.Len(), sampleTrace().Len())
 	}
 }
 
-// pcapioAppend tacks two undecodable-but-well-framed records onto a
-// capture by rewriting it with the same writer settings.
-func pcapioAppend(t *testing.T, buf *bytes.Buffer) struct{} {
-	t.Helper()
-	// Record header: ts=1, frac=0, caplen=origlen=6; payload is junk.
-	for i := 0; i < 2; i++ {
-		rec := []byte{
-			1, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 6, 0, 0, 0,
-			0xde, 0xad, 0xbe, 0xef, 0x00, byte(i),
-		}
-		buf.Write(rec)
+// TestReadFilePCAPBudgetMonotone: a bigger budget never refuses a capture a
+// smaller one accepts. Two undecodable frames are two charges: a strict
+// read and a budget of one refuse the file, a budget of two or more reads
+// its six events.
+func TestReadFilePCAPBudgetMonotone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "junk.pcap")
+	if err := os.WriteFile(path, garbageCapture(t), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return struct{}{}
+	accepted := false
+	for maxErr := int64(0); maxErr <= 3; maxErr++ {
+		tr, rep, err := ReadFile(path, maxErr)
+		if accepted && err != nil {
+			t.Errorf("maxErr %d refuses what a smaller budget accepted: %v", maxErr, err)
+		}
+		if want := maxErr >= 2; (err == nil) != want {
+			t.Errorf("maxErr %d: accepted %v, want %v (%v)", maxErr, err == nil, want, err)
+		}
+		if err == nil {
+			accepted = true
+			if tr.Len() != 6 || rep.Read() != 6 || rep.Skipped() != 2 {
+				t.Errorf("maxErr %d: %d events, %s; want 6 read, 2 skipped", maxErr, tr.Len(), rep)
+			}
+		}
+	}
 }
 
 // manyEvents builds n TCP events over 50 repeating senders so the CSV is

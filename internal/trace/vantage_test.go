@@ -34,7 +34,7 @@ func TestWriteCSVTaggedRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), CSVHeaderLineVantage+"\n") {
 		t.Fatalf("tagged trace must write the extended header, got %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
-	got, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+	got, _, err := ReadCSV(bytes.NewReader(buf.Bytes()), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReadCSVMixedFieldCounts(t *testing.T) {
 	in := CSVHeaderLineVantage + "\n" +
 		"100,1.1.1.1,198.18.0.1,23,tcp,0,north\n" +
 		"200,2.2.2.2,198.18.0.2,445,tcp,1\n"
-	tr, err := ReadCSV(strings.NewReader(in))
+	tr, _, err := ReadCSV(strings.NewReader(in), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReadCSVMixedFieldCounts(t *testing.T) {
 	}
 	// The historical header over tagged rows also parses.
 	in = CSVHeaderLine + "\n" + "100,1.1.1.1,198.18.0.1,23,tcp,0,north\n"
-	tr, err = ReadCSV(strings.NewReader(in))
+	tr, _, err = ReadCSV(strings.NewReader(in), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +96,13 @@ func TestParseCSVLineBadVantage(t *testing.T) {
 }
 
 // TestStreamCSVTolerantTaggedTruncation: the partial-final-line truncation
-// semantics survive the variable-field-count reader — a seven-field file
-// cut mid-record is a truncation, not a budget hit.
+// semantics hold for a seven-field file — one cut mid-record is a
+// truncation, not a budget hit.
 func TestStreamCSVTolerantTaggedTruncation(t *testing.T) {
 	in := CSVHeaderLineVantage + "\n" +
 		"100,1.1.1.1,198.18.0.1,23,tcp,0,north\n" +
 		"200,2.2.2.2,198.18" // cut mid-record
-	var events []Event
-	rep, err := StreamCSVTolerant(strings.NewReader(in), robust.Budget{}, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
+	events, rep, err := readAll(in, robust.Budget{MaxErrors: 1})
 	if err != nil {
 		t.Fatalf("tolerant scan: %v", err)
 	}
@@ -225,7 +221,7 @@ func TestVantageFormatsUnchanged(t *testing.T) {
 		"01f1536500000000630200c0820012c63500110000",
 		"02f1536500000000077100cb010012c600000100016e",
 	}
-	tr, err := ReadCSV(strings.NewReader(file))
+	tr, _, err := ReadCSV(strings.NewReader(file), robust.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
