@@ -79,7 +79,7 @@ func (d *daemon) captureGeneration(g *generation) (*drift.Snapshot, error) {
 	if !d.driftEnabled() {
 		return nil, nil
 	}
-	in := d.trainInterner()
+	in := d.ing.Window().Interner()
 	idFn := func(word string) (uint32, bool) {
 		ip, err := netutil.ParseIPv4(word)
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 	"github.com/darkvec/darkvec/internal/wal"
 )
 
-// live reports whether the daemon ingests a live feed instead of (or in
-// addition to) a static trace file.
+// live reports whether the daemon has a live source that keeps its window
+// rolling after -in seeded it.
 func (o *options) live() bool { return o.ingest != "" || o.follow != "" }
 
 // parsePolicy maps the -ingestpolicy flag to a stream.DropPolicy.
@@ -43,12 +43,16 @@ func listenIngest(addr string) (net.Listener, error) {
 	return net.Listen("tcp", addr)
 }
 
-// startIngest builds the ingestor, rebuilds its window (-in seed, then WAL
-// replay), and starts the configured sources. The ingestor is live
-// immediately; events buffer in the window until the retrain loop picks
-// them up.
+// startIngest builds the ingestor every daemon trains on, rebuilds its
+// window (-in seed, then WAL replay), and starts the configured live
+// sources. The ingestor is live immediately; events buffer in the window
+// until a cycle snapshots them.
 func (d *daemon) startIngest() error {
 	o := d.o
+	seed, err := d.seedWindow()
+	if err != nil {
+		return err
+	}
 	policy, err := parsePolicy(o.ingestPolicy)
 	if err != nil {
 		return err
@@ -70,6 +74,14 @@ func (d *daemon) startIngest() error {
 		Rate:        o.ingestRate,
 		StallAfter:  o.ingestStall,
 		Logf:        o.logf,
+	}
+	if !o.live() {
+		// Nothing can add to the window, so it is exactly the file: a ring
+		// sized to the seed, no age eviction, no feed to fall silent, and no
+		// event floor under the first cycle.
+		cfg.Window = stream.WindowConfig{MaxEvents: len(seed), MaxAge: -1}
+		cfg.StallAfter = -1
+		d.o.ingestMin = 0
 	}
 	if o.wal != "" {
 		fsync := o.walFsync
@@ -116,11 +128,7 @@ func (d *daemon) startIngest() error {
 	// expired in the running window. Seeds bypass the wire pipeline and the
 	// WAL: the log holds live-accepted events only, so replay never doubles
 	// a seed.
-	if o.in != "" {
-		if err := d.seedWindow(); err != nil {
-			return err
-		}
-	}
+	d.ing.Window().AddBatch(seed)
 
 	// The WAL holds everything accepted up to the stop (per fsync policy).
 	// Replayed events are accounted as parsed records so /v1/ingest shows
@@ -169,17 +177,21 @@ func (d *daemon) startIngest() error {
 	return nil
 }
 
-// seedWindow copies the -in base trace into the window. The file's events
-// live only inside this call: the ring is the one copy the daemon keeps, so
-// by the first cycle the file trace is garbage, not a second window.
-func (d *daemon) seedWindow() error {
+// seedWindow reads the -in base trace (none without -in), the one read of
+// it a daemon makes, and logs how much of the -maxerr budget it consumed.
+// The file's events live only until startIngest copies them into the ring:
+// that is the one copy the daemon keeps, so by the first cycle the file
+// trace is garbage, not a second window.
+func (d *daemon) seedWindow() ([]trace.Event, error) {
+	if d.o.in == "" {
+		return nil, nil
+	}
 	tr, rep, err := trace.ReadFile(d.o.in, d.o.maxErr)
 	if err != nil {
-		return fmt.Errorf("seed from -in: %w", err)
+		return nil, fmt.Errorf("seed from -in: %w", err)
 	}
-	d.ing.Window().AddBatch(tr.Events)
 	d.o.logf("seeded window with %d events from %s (%s)", tr.Len(), d.o.in, rep)
-	return nil
+	return tr.Events, nil
 }
 
 // handleIngest serves /v1/ingest: the pipeline's full counter set —
@@ -237,7 +249,7 @@ func (d *daemon) stale() (bool, string) {
 			causes = append(causes, cause{"stale_model", "retrain failed (serving the last good model)"})
 		}
 	}
-	if d.ing != nil && d.ing.Stalled() {
+	if d.ing.Stalled() {
 		causes = append(causes, cause{"ingest_stalled", fmt.Sprintf("live feed silent for %s", d.ing.Silence().Round(1e9))})
 	}
 	if d.walLog != nil {

@@ -10,18 +10,20 @@
 // before training starts, so liveness probes answer immediately while the
 // readiness probe flips only once the model is servable. Dirty inputs can
 // be tolerated with -maxerr (skip-and-count under an error budget; the
-// ingest report is printed every time -in is read). SIGINT/SIGTERM trigger
-// a graceful shutdown: a static daemon's first training run is cancelled
-// (the next boot trains again, or boots from the store) or in-flight
-// requests are drained before exit. Every request runs behind panic
+// ingest report is printed once, when -in seeds the window). SIGINT/SIGTERM
+// trigger a graceful shutdown: a static daemon's first training run is
+// cancelled (the next boot trains again, or boots from the store) or
+// in-flight requests are drained before exit. Every request runs behind panic
 // recovery, a per-request timeout (-timeout) and an in-flight concurrency
 // cap (-maxinflight).
 //
-// Every generation, the first included, comes out of one cycle: source
-// (window snapshot | -in) → train (warm under -warm when a generation is in
-// memory, cold otherwise) → eval space → view (labels, clusters, silhouette:
-// taken once, read by the gate, the baseline and the API server) → drift
-// gate (once a baseline exists) → publish → swap → baseline. On an empty
+// Every daemon trains on its window: -in seeds it once at boot, and a live
+// source (-ingest / -follow) keeps it rolling; without one it holds exactly
+// the file. Every generation, the first included, comes out of one cycle:
+// window snapshot → train (warm under -warm when a generation is in memory,
+// cold otherwise) → eval space → view (labels, clusters, silhouette: taken
+// once, read by the gate, the baseline and the API server) → drift gate
+// (once a baseline exists) → publish → swap → baseline. On an empty
 // store a static daemon runs it once before anything else; with -retrain, a
 // background supervisor runs it periodically off the serving path — at once
 // when nothing is serving yet, as in a live daemon off an empty store — and
@@ -29,8 +31,8 @@
 // failed cycle costs depends only on whether a generation is serving:
 //
 //	fails at      nothing serving                  a generation serving
-//	source/train  static: exit with the error;     it keeps serving, degraded;
-//	              live: not ready, retried         retried
+//	train         no live source: exit with the    it keeps serving, degraded;
+//	              error; live: not ready, retried  retried
 //	drift gate    (no baseline, nothing to judge)  same, and drift_rejected
 //	publish       in-memory model serves           it keeps serving, degraded;
 //	              unversioned, degraded; retried   retried
@@ -96,7 +98,6 @@ import (
 
 	"github.com/darkvec/darkvec/internal/apiserver"
 	"github.com/darkvec/darkvec/internal/core"
-	"github.com/darkvec/darkvec/internal/corpus"
 	"github.com/darkvec/darkvec/internal/drift"
 	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/federation"
@@ -140,8 +141,8 @@ type options struct {
 	// it never blocks serving.
 	annMin int // build the index at >= this many senders (1 = always, 0 = never)
 
-	// Live ingestion (see ingest.go). Either source makes the daemon
-	// retrain on the rolling window instead of re-reading -in.
+	// Live ingestion (see ingest.go). Either source keeps the window -in
+	// seeded rolling; without one the window is exactly the file.
 	ingest        string        // live-feed listener: host:port or unix:/path ("" = off)
 	follow        string        // tail-follow this file as a live source ("" = off)
 	ingestRate    float64       // per-source admission rate, events/sec (0 = unlimited)
@@ -204,7 +205,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.maxInFlight, "maxinflight", apiserver.DefaultMaxInFlight, "max concurrent requests before shedding (0 = unlimited)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
 	fs.StringVar(&o.store, "store", "", "model store directory (versioned, checksummed artifacts)")
-	fs.DurationVar(&o.retrain, "retrain", 0, "background retrain interval (0 = never; requires -store)")
+	fs.DurationVar(&o.retrain, "retrain", 0, "background retrain interval (0 = never)")
 	fs.BoolVar(&o.warm, "warm", false, "warm-start retrains: seed from the previous generation's vectors and train only the window delta (falls back to cold on any mismatch)")
 	fs.IntVar(&o.keep, "keep", 3, "model store generations kept after each publish")
 	fs.IntVar(&o.retrainFail, "retrainfail", 5, "consecutive retrain failures before the circuit breaker gives up")
@@ -238,24 +239,25 @@ func main() {
 	var o options
 	o.register(flag.CommandLine)
 	flag.Parse()
-	if o.in == "" && !o.live() {
-		flag.Usage()
-		os.Exit(2)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "darkvecd:", err)
+		if errors.Is(err, errNoSource) {
+			os.Exit(2) // a usage error, like the flag parser's
+		}
 		os.Exit(1)
 	}
 }
+
+var errNoSource = errors.New("missing -in trace (or a live source: -ingest / -follow)")
 
 // validate rejects nonsensical flags before any expensive work: training
 // parameters must be positive and the listen address well-formed, so a
 // typo fails in milliseconds rather than after a long training run.
 func (o *options) validate() error {
 	if o.in == "" && !o.live() {
-		return errors.New("missing -in trace (or a live source: -ingest / -follow)")
+		return errNoSource
 	}
 	if o.dim <= 0 {
 		return fmt.Errorf("invalid -dim %d: must be > 0", o.dim)
@@ -288,12 +290,6 @@ func (o *options) validate() error {
 	}
 	if o.retrain < 0 {
 		return fmt.Errorf("invalid -retrain %s: must be >= 0", o.retrain)
-	}
-	// A live daemon may retrain without a store (in-memory swaps only);
-	// a static one re-reads the same file, so retraining is pointless
-	// unless the result is also persisted.
-	if o.retrain > 0 && o.store == "" && !o.live() {
-		return errors.New("-retrain requires -store")
 	}
 	if o.warm && o.retrain <= 0 {
 		return errors.New("-warm requires -retrain > 0: warm seeding applies to background retrains")
@@ -440,19 +436,16 @@ func run(ctx context.Context, o options) error {
 	}
 	d.initDrift()
 
-	if o.live() {
-		// Rebuild the rolling window (optional -in base trace, then the WAL)
-		// before the listener binds, so /v1/ingest never shows a half-replayed
-		// window.
-		if err := d.startIngest(); err != nil {
-			return err
-		}
-		// The shutdown sequence, run after the HTTP drain so /v1/ingest
-		// answers to the last. LIFO: the ingestor closes first (draining
-		// the queue through the WAL), then the WAL is flushed and closed.
-		defer d.closeWAL()
-		defer d.ing.Close()
+	// Build the window (the -in seed, then the WAL) before the listener
+	// binds, so /v1/ingest never shows a half-replayed window.
+	if err := d.startIngest(); err != nil {
+		return err
 	}
+	// The shutdown sequence, run after the HTTP drain so /v1/ingest answers
+	// to the last. LIFO: the ingestor closes first (draining the queue
+	// through the WAL), then the WAL is flushed and closed.
+	defer d.closeWAL()
+	defer d.ing.Close()
 
 	// Bind before the long training run: liveness probes and fast 503s for
 	// not-yet-ready traffic beat a connection-refused black hole.
@@ -466,11 +459,9 @@ func run(ctx context.Context, o options) error {
 		fmt.Fprintln(w, `{"status":"live"}`)
 	})
 	mux.HandleFunc("GET /healthz/ready", d.handleReady)
-	if d.ing != nil {
-		// Ungated: ingest accounting must answer while the first model is
-		// still training.
-		mux.HandleFunc("GET /v1/ingest", d.handleIngest)
-	}
+	// Ungated: ingest accounting must answer while the first model is still
+	// training.
+	mux.HandleFunc("GET /v1/ingest", d.handleIngest)
 	// Ungated for the same reason: the drift trajectory and gate decisions
 	// must be inspectable while a candidate is still training.
 	mux.HandleFunc("GET /v1/drift", d.handleDrift)
@@ -480,7 +471,7 @@ func run(ctx context.Context, o options) error {
 	mux.Handle("GET /v1/intern", federation.NewInternHandler(federation.InternSource{
 		Vantage: o.vantage,
 		Epoch:   d.epoch,
-		Table:   d.trainInterner().Table(),
+		Table:   d.ing.Window().Interner().Table(),
 		Generation: func() string {
 			if v := d.status.version.Load(); v != 0 {
 				return modelstore.Version(v).String()
@@ -524,29 +515,27 @@ func run(ctx context.Context, o options) error {
 
 	// Prefer booting from the store: after a crash (even kill -9 mid-
 	// publish) the newest intact generation serves immediately. On an empty
-	// store a static daemon runs its first cycle here, because with nothing
-	// serving and nothing that could change the input a failure is final; a
-	// live daemon leaves it to the retrain loop, whose supervisor retries as
-	// the window fills. A cycle that failed but left a generation serving (a
-	// first publish that did not verify) has logged why and, with -retrain,
-	// is retried there too.
-	booted, err := d.bootFromStore()
-	if err == nil && !booted && !o.live() {
-		err = d.cycle(ctx)
-	}
-	if err != nil && !d.gate.Ready() {
-		httpSrv.Close()
-		<-serveErr
-		if errors.Is(err, context.Canceled) {
-			// Interrupted by SIGINT/SIGTERM: a graceful exit. Nothing is
-			// left behind; the next boot trains again.
-			o.logf("training interrupted")
-			return nil
+	// store a daemon with no live source runs its first cycle here, because
+	// with nothing serving and nothing that could change the window a
+	// failure is final; a live daemon leaves it to the retrain loop, whose
+	// supervisor retries as the window fills. A cycle that failed but left a
+	// generation serving (a first publish that did not verify) has logged
+	// why and, with -retrain, is retried there too.
+	if !d.bootFromStore() && !o.live() {
+		if err := d.cycle(ctx); err != nil && !d.gate.Ready() {
+			httpSrv.Close()
+			<-serveErr
+			if errors.Is(err, context.Canceled) {
+				// Interrupted by SIGINT/SIGTERM: a graceful exit. Nothing
+				// is left behind; the next boot trains again.
+				o.logf("training interrupted")
+				return nil
+			}
+			return err
 		}
-		return err
 	}
 	var retrainDone chan struct{}
-	if o.retrain > 0 && (d.st != nil || o.live()) {
+	if o.retrain > 0 {
 		retrainDone = make(chan struct{})
 		go func() {
 			defer close(retrainDone)
@@ -596,7 +585,7 @@ type daemon struct {
 	feeds  map[string][]netutil.IPv4
 	gate   *robust.Gate
 	st     *modelstore.Store // nil when unmanaged
-	ing    *stream.Ingestor  // nil when not ingesting live
+	ing    *stream.Ingestor  // the window every generation trains on
 	walLog *wal.Log          // nil when ingestion is not WAL-backed
 	status modelStatus
 
@@ -616,23 +605,6 @@ type daemon struct {
 
 	readyOnce sync.Once
 	readyFn   func() // announced on the first model swap
-
-	internOnce sync.Once
-	intern     *corpus.Interner
-}
-
-// trainInterner returns the sender id space shared by every training run
-// of this daemon: the live window's interner when ingesting, otherwise a
-// daemon-scoped one. Sharing it keeps token ids stable across retrains so
-// recurring senders are interned exactly once per process. Training runs
-// are sequential (boot, then the retrain loop guarded by its supervisor),
-// which is the sharing discipline corpus.Interner requires.
-func (d *daemon) trainInterner() *corpus.Interner {
-	if d.ing != nil {
-		return d.ing.Window().Interner()
-	}
-	d.internOnce.Do(func() { d.intern = corpus.NewInterner() })
-	return d.intern
 }
 
 // handleReady reports serving health: 503 while the first model is still
@@ -667,22 +639,20 @@ func (d *daemon) handleReady(w http.ResponseWriter, _ *http.Request) {
 		reasons = append(reasons, "ann_degraded")
 		resp["ann_error"] = e
 	}
-	if d.ing != nil {
-		st := d.ing.Stats()
-		resp["ingest"] = st
-		if st.Stalled {
-			// The model still answers, but it is aging against a silent
-			// feed — degraded, with the silence spelled out.
-			reasons = append(reasons, "ingest_stalled")
-			resp["ingest_stalled"] = true
-		}
-		if d.walLog != nil && st.LogFailed > 0 {
-			// Events reached the window without confirmed durability (a
-			// failed append or fsync): serving continues, but a crash now
-			// would lose them — degraded, not dead.
-			reasons = append(reasons, "wal_degraded")
-			resp["wal_failed"] = st.LogFailed
-		}
+	st := d.ing.Stats()
+	resp["ingest"] = st
+	if st.Stalled {
+		// The model still answers, but it is aging against a silent feed —
+		// degraded, with the silence spelled out.
+		reasons = append(reasons, "ingest_stalled")
+		resp["ingest_stalled"] = true
+	}
+	if d.walLog != nil && st.LogFailed > 0 {
+		// Events reached the window without confirmed durability (a failed
+		// append or fsync): serving continues, but a crash now would lose
+		// them — degraded, not dead.
+		reasons = append(reasons, "wal_degraded")
+		resp["wal_failed"] = st.LogFailed
 	}
 	// Sorted by cause name, so the list is deterministic however the causes
 	// accumulated — aggregators and alert rules can match on position.
@@ -696,30 +666,14 @@ func (d *daemon) handleReady(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// source returns the trace a generation is built on: a live daemon
-// snapshots the rolling window through the active-sender filter, a static
-// one re-reads -in and logs how much of the -maxerr budget that consumed.
-func (d *daemon) source() (*trace.Trace, error) {
-	if d.ing != nil {
-		return d.ing.Window().SnapshotActive(d.o.ingestMinPkts), nil
-	}
-	tr, rep, err := trace.ReadFile(d.o.in, d.o.maxErr)
-	if err != nil {
-		return nil, err
-	}
-	d.o.logf("%s", rep.String())
-	return tr, nil
-}
-
 // bootFromStore serves the newest intact generation without retraining —
 // the crash-recovery path. Artifacts whose outer frame is intact but whose
 // payload fails model parsing are quarantined and the next older
 // generation is tried; an empty store reports false and the first cycle
-// trains. The trace is sourced only once a model was found, so a boot
-// reads -in once either way.
-func (d *daemon) bootFromStore() (bool, error) {
+// trains.
+func (d *daemon) bootFromStore() bool {
 	if d.st == nil {
-		return false, nil
+		return false
 	}
 	for {
 		rc, v, err := d.st.OpenLatest()
@@ -727,7 +681,7 @@ func (d *daemon) bootFromStore() (bool, error) {
 			if !errors.Is(err, modelstore.ErrEmpty) {
 				d.o.logf("store: %v", err)
 			}
-			return false, nil
+			return false
 		}
 		m, lerr := w2v.Load(rc)
 		rc.Close()
@@ -737,17 +691,14 @@ func (d *daemon) bootFromStore() (bool, error) {
 			continue
 		}
 		d.o.logf("booted from store generation %s; skipping initial training", v)
-		tr, err := d.source()
-		if err != nil {
-			return false, err
-		}
+		tr := d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
 		d.seedInterner(m.Words())
 		g := d.look(tr, core.EmbeddingFromModel(m, tr, d.cfg))
 		// No baseline at boot, so nothing to fail: see gateCheck.
 		snap, _ := d.captureGeneration(g)
 		d.serve(g, v, nil)
 		d.acceptGeneration(snap, nil, v)
-		return true, nil
+		return true
 	}
 }
 
@@ -757,7 +708,7 @@ func (d *daemon) bootFromStore() (bool, error) {
 // are skipped — the export is a sender table. Ids differ from the previous
 // process's anyway; the fresh epoch forces mirrors to re-sync regardless.
 func (d *daemon) seedInterner(words []string) {
-	in := d.trainInterner()
+	in := d.ing.Window().Interner()
 	for _, w := range words {
 		if ip, err := netutil.ParseIPv4(w); err == nil {
 			in.Intern(ip)
@@ -878,24 +829,21 @@ func (d *daemon) serve(g *generation, v modelstore.Version, how *apiserver.Retra
 }
 
 // cycle is the one way the daemon produces a generation, the first
-// included: source a trace, train (warm from the serving generation when
-// -warm asked for it, cold otherwise), take one look at the eval space, gate
-// it against the drift baseline, publish with load-back verification, swap.
-// What a failure
-// costs follows from whether a generation is serving (the table in the
-// package comment); a returned error reaches the retrain supervisor's
-// backoff and breaker, or ends a static daemon that has nothing to serve.
+// included: snapshot the window, train (warm from the serving generation
+// when -warm asked for it, cold otherwise), take one look at the eval space,
+// gate it against the drift baseline, publish with load-back verification,
+// swap. What a failure costs follows from whether a generation is serving
+// (the table in the package comment); a returned error reaches the retrain
+// supervisor's backoff and breaker, or ends a daemon with no live source
+// that has nothing to serve.
 func (d *daemon) cycle(ctx context.Context) error {
 	fail := func(err error) error {
 		d.status.stale.Store(true)
 		d.status.lastErr.Store(err.Error())
 		return err
 	}
-	tr, err := d.source()
-	if err != nil {
-		return fail(fmt.Errorf("ingest: %w", err))
-	}
-	if d.ing != nil && tr.Len() < d.o.ingestMin {
+	tr := d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
+	if tr.Len() < d.o.ingestMin {
 		// A thin window is a fact about the darknet, not a failure:
 		// skip the cycle without burning the breaker or flagging
 		// degraded, and try again next tick.
@@ -908,7 +856,7 @@ func (d *daemon) cycle(ctx context.Context) error {
 	// corrupt matrices — anything tagged w2v.ErrWarmSeed) forfeits only
 	// the speedup: the cycle retries cold and the fallback reason rides
 	// the decision log and /v1/model.
-	topts := core.TrainOpts{Context: ctx, Interner: d.trainInterner()}
+	topts := core.TrainOpts{Context: ctx, Interner: d.ing.Window().Interner()}
 	warmFallback := ""
 	if d.o.warm && d.prev != nil {
 		topts.Warm = &w2v.WarmSeed{Prev: d.prev, PrevPerm: d.prev.Perm}

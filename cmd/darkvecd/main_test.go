@@ -282,8 +282,9 @@ func TestSigtermDuringTraining(t *testing.T) {
 }
 
 // TestRunTolerantIngest: a trace with injected garbage rows is rejected in
-// strict mode but served under a -maxerr budget, and every cycle that
-// re-reads the file — not only the first — reports what the budget absorbed.
+// strict mode but served under a -maxerr budget. The file is read once, when
+// it seeds the window, so the budget report is logged once however many
+// cycles train on it.
 func TestRunTolerantIngest(t *testing.T) {
 	dir := t.TempDir()
 	cleanPath, tr := writeTestTrace(t, dir)
@@ -311,7 +312,7 @@ func TestRunTolerantIngest(t *testing.T) {
 	o.retrain = 10 * time.Millisecond
 	var mu sync.Mutex
 	var reports []string
-	sourced := 0
+	cycles := 0
 	o.logf = func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -319,7 +320,7 @@ func TestRunTolerantIngest(t *testing.T) {
 			reports = append(reports, s)
 		}
 		if strings.HasPrefix(format, "training on") {
-			sourced++
+			cycles++
 		}
 	}
 	retrained := make(chan struct{}, 1)
@@ -343,8 +344,8 @@ func TestRunTolerantIngest(t *testing.T) {
 	stopDaemon(t, cancel, runErr)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(reports) < 3 || len(reports) != sourced {
-		t.Fatalf("%d ingest reports for %d cycles that read the file, want one each (boot + >= 2 retrains)", len(reports), sourced)
+	if len(reports) != 1 || cycles < 3 {
+		t.Fatalf("%d ingest reports over %d cycles, want one (the seed read) under boot + >= 2 retrains", len(reports), cycles)
 	}
 	for _, r := range reports {
 		if !strings.Contains(r, "2 skipped") {

@@ -312,7 +312,6 @@ func TestValidateStoreFlags(t *testing.T) {
 		mutate func(*options)
 	}{
 		{"negative retrain", func(o *options) { o.retrain = -time.Second }},
-		{"retrain without store", func(o *options) { o.retrain = time.Minute }},
 		{"negative keep", func(o *options) { o.store = "s"; o.keep = -1 }},
 		{"negative retrainfail", func(o *options) { o.retrainFail = -1 }},
 	}
@@ -328,5 +327,10 @@ func TestValidateStoreFlags(t *testing.T) {
 	good.retrain = time.Hour
 	if err := good.validate(); err != nil {
 		t.Fatalf("valid store options rejected: %v", err)
+	}
+	// Without a store, retrained generations swap in memory.
+	good.store = ""
+	if err := good.validate(); err != nil {
+		t.Fatalf("storeless retrain rejected: %v", err)
 	}
 }
