@@ -141,6 +141,55 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceSort measures the stable timestamp sort every trace
+// constructor ends in, on the serve-wide benchmark's 260,933-event shape:
+// a seeded permutation (the worst case), and the ordered trace with 1 % of
+// its events delivered up to 1,000 events late, as a ring fed by several
+// vantages or a late link holds them.
+func BenchmarkTraceSort(b *testing.B) {
+	ordered := darkvec.Simulate(darkvec.SimConfig{Seed: 1, Days: 2, Scale: 0.1, Rate: 0.1}).Trace.Events
+	r := netutil.NewRand(3)
+	shuffled := slices.Clone(ordered)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	late := slices.Clone(ordered)
+	for i := range late {
+		if r.Intn(100) == 0 {
+			j := min(len(late)-1, i+1+r.Intn(1000))
+			e := late[i]
+			copy(late[i:j], late[i+1:j+1])
+			late[j] = e
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []darkvec.Event
+	}{{"shuffled", shuffled}, {"late", late}} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr := &darkvec.Trace{Events: make([]darkvec.Event, len(tc.events))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(tr.Events, tc.events)
+				b.StartTimer()
+				tr.Sort()
+			}
+		})
+	}
+}
+
+// BenchmarkAppendCSV measures the one CSV line formatter behind WriteCSV,
+// darkgen -live and the benchmark's firehose, per line.
+func BenchmarkAppendCSV(b *testing.B) {
+	events := darkvec.Simulate(darkvec.SimConfig{Seed: 1, Days: 5, Scale: 0.02, Rate: 0.05}).Trace.Events
+	line := make([]byte, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line = events[i%len(events)].AppendCSV(line[:0])
+	}
+}
+
 // BenchmarkCorpusBuild measures §5.2 sequence construction on the
 // interned integer token path: serial, parallel (GOMAXPROCS workers, asked
 // for: the automatic choice is serial below 2¹⁸ events), and the automatic

@@ -296,9 +296,10 @@ func TestWarmCrashMidRetrainChaos(t *testing.T) {
 	}
 
 	// Zero dropped requests: hammer the API during the warm cycle.
-	hammerStop := make(chan struct{})
+	hammerStop, hammerDone := make(chan struct{}), make(chan struct{})
 	hammerBad := make(chan string, 1)
 	go func() {
+		defer close(hammerDone)
 		for {
 			select {
 			case <-hammerStop:
@@ -331,6 +332,11 @@ func TestWarmCrashMidRetrainChaos(t *testing.T) {
 		t.Fatalf("post-crash retrain mode = %q", mr.Retrain.Mode)
 	}
 	close(hammerStop)
+	<-hammerDone
+	// Retire the keep-alive connections before the deferred stop: a
+	// connection the client dialed but never sent a request on counts as
+	// busy to the server's drain for its first five seconds.
+	http.DefaultClient.CloseIdleConnections()
 	select {
 	case bad := <-hammerBad:
 		t.Fatalf("request dropped during post-crash warm cycle: %s", bad)

@@ -57,14 +57,27 @@ func MustParseIPv4(s string) IPv4 {
 // String returns the dotted-quad form.
 func (ip IPv4) String() string {
 	var b [15]byte
-	buf := strconv.AppendUint(b[:0], uint64(ip>>24), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>16&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>8&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip&0xff), 10)
-	return string(buf)
+	return string(ip.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form to dst, digit by digit, and returns
+// the extended slice; it allocates only if dst must grow.
+func (ip IPv4) AppendTo(dst []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b := byte(ip >> shift)
+		switch {
+		case b >= 100:
+			dst = append(dst, '0'+b/100, '0'+b/10%10, '0'+b%10)
+		case b >= 10:
+			dst = append(dst, '0'+b/10, '0'+b%10)
+		default:
+			dst = append(dst, '0'+b)
+		}
+		if shift > 0 {
+			dst = append(dst, '.')
+		}
+	}
+	return dst
 }
 
 // Octets returns the four address bytes in network order.

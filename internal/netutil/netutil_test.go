@@ -2,6 +2,7 @@ package netutil
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -46,6 +47,47 @@ func TestIPv4StringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// strconvIPv4 is the dotted quad through strconv, the reference AppendTo
+// is held to.
+func strconvIPv4(ip IPv4) string {
+	var b []byte
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(ip>>shift&0xff), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return string(b)
+}
+
+// TestIPv4AppendTo: every digit-count boundary in every octet position
+// formats as strconv does, appends after existing bytes, the longest
+// address fits String's 15-byte buffer without growing it, and random
+// addresses round-trip through ParseIPv4.
+func TestIPv4AppendTo(t *testing.T) {
+	var b [15]byte
+	if n := testing.AllocsPerRun(100, func() { IPv4(0xffffffff).AppendTo(b[:0]) }); n != 0 {
+		t.Errorf("AppendTo of 255.255.255.255 into 15 bytes allocates %v times, want 0", n)
+	}
+	for pos := 0; pos < 4; pos++ {
+		for _, octet := range []uint32{0, 9, 10, 99, 100, 255} {
+			ip := IPv4(octet<<(8*pos) | 0x01010101&^(0xff<<(8*pos)))
+			if got, want := string(ip.AppendTo([]byte("x"))), "x"+strconvIPv4(ip); got != want {
+				t.Errorf("AppendTo(%#08x) = %q, want %q", uint32(ip), got, want)
+			}
+		}
+	}
+	r := NewRand(29)
+	var buf []byte
+	for i := 0; i < 10000; i++ {
+		ip := IPv4(r.Uint32())
+		buf = ip.AppendTo(buf[:0])
+		if back, err := ParseIPv4(string(buf)); err != nil || back != ip || string(buf) != strconvIPv4(ip) {
+			t.Fatalf("%#08x formats as %q, parses back as %#08x (%v)", uint32(ip), buf, uint32(back), err)
+		}
 	}
 }
 

@@ -23,3 +23,21 @@ func TestParseCSVLineAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendCSVAllocs: the one formatter behind WriteCSV and the live
+// sources writes both addresses digit by digit into dst, so a line,
+// untagged or tagged, allocates nothing once dst has room.
+func TestAppendCSVAllocs(t *testing.T) {
+	e, err := ParseCSVLine("1614643200,203.0.113.255,198.18.0.10,23,tcp,1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagged := e
+	tagged.Vantage = MustVantage("north")
+	buf := make([]byte, 0, 128)
+	for _, e := range []Event{e, tagged} {
+		if n := testing.AllocsPerRun(100, func() { buf = e.AppendCSV(buf[:0]) }); n != 0 {
+			t.Errorf("AppendCSV(%q) allocates %v times, want 0", buf, n)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -154,7 +155,7 @@ func TestSummaryAllocsIndependentOfSenderPortPairs(t *testing.T) {
 
 // TestSortLeavesOrderedTraceAlone: the common input is already in order
 // (a ring snapshot, a file WriteCSV wrote) and costs one linear look, not a
-// reflective stable sort; an out-of-order one is still sorted stably.
+// stable sort; an out-of-order one is still sorted stably.
 func TestSortLeavesOrderedTraceAlone(t *testing.T) {
 	tr := scanTrace(50000, 100, 10, 4)
 	if n := testing.AllocsPerRun(5, tr.Sort); n != 0 {
@@ -174,6 +175,67 @@ func TestSortLeavesOrderedTraceAlone(t *testing.T) {
 	}
 	if want := []uint16{4, 1, 3, 5, 2}; !reflect.DeepEqual(ports, want) {
 		t.Errorf("stable order by ts = %v, want %v", ports, want)
+	}
+}
+
+// sortShapes returns the event orders Sort must handle, each event made
+// distinguishable by its sender (its index), so the reference comparison
+// sees how ties were broken.
+func sortShapes() map[string][]Event {
+	const n = 5000
+	rng := rand.New(rand.NewSource(6))
+	shape := func(ts func(i int) int64) []Event {
+		events := make([]Event, n)
+		for i := range events {
+			events[i] = Event{Ts: day0 + ts(i), Src: netutil.IPv4(i), Proto: packet.IPProtocolTCP}
+		}
+		return events
+	}
+	late := shape(func(i int) int64 { return int64(i / 2) })
+	for i := range late {
+		if rng.Intn(100) == 0 {
+			late[i].Ts -= 1 + rng.Int63n(300)
+		}
+	}
+	outlier := shape(func(i int) int64 { return int64(i / 2) })
+	outlier[0].Ts = day0 + 1e9
+	return map[string][]Event{
+		"empty":            nil,
+		"one":              shape(func(int) int64 { return 0 })[:1],
+		"reversed":         shape(func(i int) int64 { return int64((n - i) / 4) }),
+		"all-equal":        shape(func(int) int64 { return 0 }),
+		"shuffled-ties":    shape(func(int) int64 { return rng.Int63n(n / 10) }),
+		"late-1pct":        late,
+		"far-future-first": outlier,
+	}
+}
+
+// TestSortMatchesStableReference: Sort orders every shape exactly as the
+// reflective sort.SliceStable does, ties in input order.
+func TestSortMatchesStableReference(t *testing.T) {
+	for name, events := range sortShapes() {
+		want := slices.Clone(events)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Ts < want[j].Ts })
+		tr := &Trace{Events: events}
+		tr.Sort()
+		if !slices.Equal(tr.Events, want) {
+			t.Errorf("%s: Sort differs from the stable reference", name)
+		}
+	}
+}
+
+// TestSortAllocatesNothing: an out-of-order trace is sorted in place, with
+// no scratch buffer — at paper scale an event-sized buffer is another
+// window copy on the peak heap.
+func TestSortAllocatesNothing(t *testing.T) {
+	reversed := scanTrace(50000, 100, 10, 4).Events
+	slices.Reverse(reversed)
+	tr := &Trace{Events: make([]Event, len(reversed))}
+	if n := testing.AllocsPerRun(5, func() {
+		copy(tr.Events, reversed)
+		tr.Sort()
+	}); n != 0 {
+		t.Errorf("Sort of a reversed trace allocates %v times, want 0", n)
 	}
 }
 

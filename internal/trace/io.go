@@ -68,14 +68,14 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // AppendCSV appends the event's CSV interchange line (without a trailing
-// newline) to dst — the allocation-free formatter WriteCSV and the live
-// sources share.
+// newline) to dst — the formatter WriteCSV and the live sources share. It
+// allocates only if dst must grow (TestAppendCSVAllocs).
 func (e Event) AppendCSV(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, e.Ts, 10)
 	dst = append(dst, ',')
-	dst = append(dst, e.Src.String()...)
+	dst = e.Src.AppendTo(dst)
 	dst = append(dst, ',')
-	dst = append(dst, e.Dst.String()...)
+	dst = e.Dst.AppendTo(dst)
 	dst = append(dst, ',')
 	dst = strconv.AppendUint(dst, uint64(e.Port), 10)
 	dst = append(dst, ',')

@@ -6,6 +6,8 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -79,13 +81,15 @@ func New(events []Event) *Trace {
 	return t
 }
 
-// Sort re-establishes timestamp order. The usual inputs — a snapshot of an
-// in-order ring, a file WriteCSV wrote — are already in order, and one
-// linear look says so before the stable sort's reflective swaps.
+// Sort re-establishes timestamp order, stably and in place. The usual
+// inputs — a snapshot of an in-order ring, a file WriteCSV wrote — are
+// already in order, and one linear look says so. The sort allocates no
+// scratch: at paper scale an event-sized buffer is one more window copy on
+// the peak heap (DESIGN.md "One sort, in place").
 func (t *Trace) Sort() {
 	for i := 1; i < len(t.Events); i++ {
 		if t.Events[i].Ts < t.Events[i-1].Ts {
-			sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
+			slices.SortStableFunc(t.Events, func(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) })
 			return
 		}
 	}
