@@ -1,13 +1,14 @@
 // Command darkvec runs the DarkVec pipeline on a darknet trace: it trains
-// the per-service Word2Vec embedding, then either classifies labeled
-// senders (semi-supervised, Leave-One-Out), extracts coordinated clusters
-// (unsupervised, k'-NN graph + Louvain), or both.
+// the per-service Word2Vec embedding, then reports both stages over the
+// final -evaldays: the classification of labeled senders (semi-supervised,
+// Leave-One-Out) and the coordinated clusters (unsupervised, k'-NN graph +
+// Louvain).
 //
 // Usage:
 //
-//	darkvec -in trace.csv -feeds feeds/ -mode classify
-//	darkvec -in trace.csv -mode cluster
-//	darkvec -in trace.csv -feeds feeds/ -mode both -model model.bin
+//	darkvec -in trace.csv -feeds feeds/
+//	darkvec -in trace.csv -evaldays 3
+//	darkvec -in trace.csv -feeds feeds/ -model model.bin
 //
 // Feeds are per-class IP lists (<class>.txt, one address per line); the
 // Mirai-like class is derived from the packet fingerprint automatically.
@@ -47,7 +48,6 @@ import (
 type options struct {
 	in       string
 	feedsDir string
-	mode     string
 	servKind string
 	servFile string
 	dim      int
@@ -68,7 +68,6 @@ type options struct {
 func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.in, "in", "", "input trace (.csv or .pcap)")
 	fs.StringVar(&o.feedsDir, "feeds", "", "directory of <class>.txt IP feeds")
-	fs.StringVar(&o.mode, "mode", "both", "classify | cluster | both")
 	fs.StringVar(&o.servKind, "services", "domain", "service definition: single | auto | domain")
 	fs.StringVar(&o.servFile, "services-file", "", "JSON port→service map overriding -services")
 	fs.IntVar(&o.dim, "dim", 50, "embedding dimension V")
@@ -87,11 +86,6 @@ func (o *options) register(fs *flag.FlagSet) {
 // fails in milliseconds rather than after a training run whose report
 // would be empty or describe an untrained model.
 func (o *options) validate() error {
-	switch o.mode {
-	case "classify", "cluster", "both":
-	default:
-		return fmt.Errorf("invalid -mode %q: must be classify, cluster or both", o.mode)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
@@ -216,7 +210,7 @@ func run(ctx context.Context, o options) error {
 	cfg.W2V.Epochs = o.epochs
 	cfg.W2V.Seed = o.seed
 
-	emb, err := core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{Context: ctx})
+	g, err := core.Generate(tr, gt, cfg, core.TrainOpts{Context: ctx}, o.evalDays)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Println("training interrupted; nothing written")
@@ -224,38 +218,30 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 	fmt.Printf("trained: vocab %d, %d skip-grams, %s\n",
-		emb.Model.Vocab.Size(), emb.SkipGrams, emb.TrainTime.Round(1e6))
+		g.Emb.Model.Vocab.Size(), g.Emb.SkipGrams, g.Emb.TrainTime.Round(1e6))
 
 	if o.modelOut != "" {
-		if err := writeModelFile(o.modelOut, emb.Model, o.saveWrap); err != nil {
+		if err := writeModelFile(o.modelOut, g.Emb.Model, o.saveWrap); err != nil {
 			return err
 		}
 		fmt.Printf("saved model to %s\n", o.modelOut)
 	}
 
-	eval := tr.LastDays(o.evalDays)
-	space, cov := emb.EvalSpace(eval, nil)
 	fmt.Printf("evaluation window: final %d day(s), %d senders in space, coverage %.1f%%\n",
-		o.evalDays, space.Len(), cov*100)
-
-	if o.mode == "classify" || o.mode == "both" {
-		rep := core.Evaluate(space, gt, o.k)
-		fmt.Printf("\n-- semi-supervised %d-NN (Leave-One-Out) --\n%s", o.k, rep)
+		o.evalDays, g.Space.Len(), g.Coverage*100)
+	fmt.Printf("\n-- semi-supervised %d-NN (Leave-One-Out) --\n%s", o.k, core.Evaluate(g.Space, gt, o.k))
+	v := g.View
+	fmt.Printf("\n-- unsupervised clustering (k'=%d + Louvain) --\n", o.kPrime)
+	fmt.Printf("clusters: %d, modularity: %.3f\n", v.Clusters, v.Modularity)
+	if v.Err != nil {
+		return v.Err
 	}
-	if o.mode == "cluster" || o.mode == "both" {
-		v := core.NewView(space, gt, o.kPrime, o.seed)
-		fmt.Printf("\n-- unsupervised clustering (k'=%d + Louvain) --\n", o.kPrime)
-		fmt.Printf("clusters: %d, modularity: %.3f\n", v.Clusters, v.Modularity)
-		if v.Err != nil {
-			return v.Err
+	for _, p := range v.Profiles(tr) {
+		if len(p.Senders) < 3 {
+			continue
 		}
-		for _, p := range v.Profiles(tr) {
-			if len(p.Senders) < 3 {
-				continue
-			}
-			fmt.Printf("C%-3d %5d senders  %4d ports  sil %5.2f  %s\n",
-				p.Cluster, len(p.Senders), p.Ports, p.AvgSil, p.Describe(labels.Unknown))
-		}
+		fmt.Printf("C%-3d %5d senders  %4d ports  sil %5.2f  %s\n",
+			p.Cluster, len(p.Senders), p.Ports, p.AvgSil, p.Describe(labels.Unknown))
 	}
 	return nil
 }

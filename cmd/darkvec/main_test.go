@@ -23,7 +23,7 @@ import (
 // baseOpts is a fast, valid configuration for tests.
 func baseOpts(in, feeds string) options {
 	return options{
-		in: in, feedsDir: feeds, mode: "both", servKind: "domain",
+		in: in, feedsDir: feeds, servKind: "domain",
 		dim: 16, window: 8, epochs: 2, k: 7, kPrime: 3, seed: 1, evalDays: 1,
 	}
 }
@@ -82,11 +82,11 @@ func TestRunBothModes(t *testing.T) {
 	}
 }
 
-func TestRunClassifyOnlyWithoutFeeds(t *testing.T) {
+func TestRunWithoutFeeds(t *testing.T) {
 	tracePath, _ := writeDataset(t)
 	// Without feeds, the Mirai fingerprint still provides one GT class.
 	o := baseOpts(tracePath, "")
-	o.mode, o.servKind, o.epochs = "classify", "auto", 1
+	o.servKind, o.epochs = "auto", 1
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunWithCustomServiceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := baseOpts(tracePath, "")
-	o.mode, o.servFile, o.epochs = "classify", svcPath, 1
+	o.servFile, o.epochs = svcPath, 1
 	if err := run(ctx, o); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRunTolerantIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := baseOpts(dirtyPath, "")
-	o.mode, o.epochs = "classify", 1
+	o.epochs = 1
 	if err := run(ctx, o); err == nil {
 		t.Fatal("strict ingest of a dirty trace must fail")
 	}
@@ -171,8 +171,6 @@ func TestValidateFlags(t *testing.T) {
 		mutate func(*options)
 		want   string
 	}{
-		{"misspelt mode", func(o *options) { o.mode = "clasify" }, `invalid -mode "clasify"`},
-		{"empty mode", func(o *options) { o.mode = "" }, `invalid -mode ""`},
 		{"zero dim", func(o *options) { o.dim = 0 }, "invalid -dim 0: must be > 0"},
 		{"negative window", func(o *options) { o.window = -1 }, "invalid -window -1: must be > 0"},
 		{"zero epochs", func(o *options) { o.epochs = 0 }, "invalid -epochs 0: must be > 0"},
@@ -190,8 +188,8 @@ func TestValidateFlags(t *testing.T) {
 		}
 	}
 
-	// The training-state flags are gone, not ignored.
-	for _, args := range [][]string{{"-checkpoint", "x"}, {"-resume"}} {
+	// The training-state flags and -mode are gone, not ignored.
+	for _, args := range [][]string{{"-checkpoint", "x"}, {"-resume"}, {"-mode", "both"}} {
 		fs := flag.NewFlagSet("darkvec", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		new(options).register(fs)
@@ -228,30 +226,19 @@ func TestRunInterruptedLeavesNothing(t *testing.T) {
 	}
 	before := dirNames(t, dir)
 
-	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stdout.Close()
-	defer func(orig *os.File) { os.Stdout = orig }(os.Stdout)
-	os.Stdout = stdout
-
 	// An epoch budget no run finishes: ingest of this trace takes a few
 	// milliseconds, so the cancel lands mid-train; were it to land earlier
 	// the outcome asserted below is the same.
 	o := baseOpts(tracePath, "")
-	o.mode, o.epochs, o.modelOut = "classify", 1<<20, modelPath
+	o.epochs, o.modelOut = 1<<20, modelPath
 	ctx, cancel := context.WithCancel(context.Background())
 	defer time.AfterFunc(200*time.Millisecond, cancel).Stop()
-	if err := run(ctx, o); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run = %v, want context.Canceled", err)
-	}
-
-	printed, err := os.ReadFile(stdout.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(printed), "training interrupted; nothing written") {
+	printed := captureStdout(t, func() {
+		if err := run(ctx, o); !errors.Is(err, context.Canceled) {
+			t.Errorf("interrupted run = %v, want context.Canceled", err)
+		}
+	})
+	if !strings.Contains(printed, "training interrupted; nothing written") {
 		t.Errorf("stdout lacks the interruption line:\n%s", printed)
 	}
 	if after := dirNames(t, dir); !reflect.DeepEqual(after, before) {
@@ -269,7 +256,7 @@ func TestModelSaveAtomic(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.bin")
 	o := baseOpts(tracePath, "")
-	o.mode, o.epochs, o.modelOut = "classify", 1, modelPath
+	o.epochs, o.modelOut = 1, modelPath
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +295,6 @@ func TestVerifyCommand(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.bin")
 	o := baseOpts(tracePath, "")
-	o.mode = "classify"
 	o.modelOut = modelPath
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/drift"
 	"github.com/darkvec/darkvec/internal/modelstore"
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -75,7 +76,7 @@ func (d *daemon) initDrift() {
 // comparison: the space, clustering and classes of its view — the one
 // serve() swaps in — and interner ids as stable matching keys so the same
 // sender is recognised across retrains. nil, nil with the gate off.
-func (d *daemon) captureGeneration(g *generation) (*drift.Snapshot, error) {
+func (d *daemon) captureGeneration(g *core.Generation) (*drift.Snapshot, error) {
 	if !d.driftEnabled() {
 		return nil, nil
 	}
@@ -92,7 +93,7 @@ func (d *daemon) captureGeneration(g *generation) (*drift.Snapshot, error) {
 	d.drift.seq++
 	name := fmt.Sprintf("candidate-%d", d.drift.seq)
 	d.drift.mu.Unlock()
-	return drift.Capture(g.space, g.view.Assign, name, g.view.GateClass, idFn)
+	return drift.Capture(g.Space, g.View.Assign, name, g.View.GateClass, idFn)
 }
 
 // gateCheck freezes a candidate and, once a baseline exists, compares the
@@ -101,7 +102,7 @@ func (d *daemon) captureGeneration(g *generation) (*drift.Snapshot, error) {
 // fail: the snapshot comes back alone — or nil when the gate is off or the
 // view cannot be frozen, which serve reports once ("clusters unavailable")
 // and leaves the gate waiting for a generation it can freeze.
-func (d *daemon) gateCheck(g *generation) (*drift.Snapshot, *drift.Report, []string, error) {
+func (d *daemon) gateCheck(g *core.Generation) (*drift.Snapshot, *drift.Report, []string, error) {
 	snap, err := d.captureGeneration(g)
 	d.drift.mu.Lock()
 	prev := d.drift.prev

@@ -106,7 +106,6 @@ import (
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/robust"
 	"github.com/darkvec/darkvec/internal/stream"
-	"github.com/darkvec/darkvec/internal/trace"
 	"github.com/darkvec/darkvec/internal/w2v"
 	"github.com/darkvec/darkvec/internal/wal"
 )
@@ -420,6 +419,7 @@ func run(ctx context.Context, o options) error {
 	}
 
 	cfg := core.DefaultConfig()
+	cfg.KPrime = o.kPrime
 	cfg.W2V.Dim = o.dim
 	cfg.W2V.Window = o.window
 	cfg.W2V.Epochs = o.epochs
@@ -693,7 +693,7 @@ func (d *daemon) bootFromStore() bool {
 		d.o.logf("booted from store generation %s; skipping initial training", v)
 		tr := d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
 		d.seedInterner(m.Words())
-		g := d.look(tr, core.EmbeddingFromModel(m, tr, d.cfg))
+		g := core.Look(tr, core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg, d.o.evalDays)
 		// No baseline at boot, so nothing to fail: see gateCheck.
 		snap, _ := d.captureGeneration(g)
 		d.serve(g, v, nil)
@@ -775,52 +775,30 @@ func (d *daemon) buildANN(space *embed.Space) string {
 	return ""
 }
 
-// generation is a model on its way into serving, whether a cycle trained it
-// or boot loaded it from the store: the trace it describes, its eval-window
-// space, and the one view taken of that space.
-type generation struct {
-	tr    *trace.Trace
-	emb   *core.Embedding
-	space *embed.Space
-	cov   float64
-	view  *core.View
-}
-
-// look projects a model over the final -evaldays and takes the one view of
-// that space. The drift gate freezes it and serve hands it to the API
-// server: what was judged is what is served, clustered once.
-func (d *daemon) look(tr *trace.Trace, emb *core.Embedding) *generation {
-	g := &generation{tr: tr, emb: emb}
-	g.space, g.cov = emb.EvalSpace(tr.LastDays(d.o.evalDays), nil)
-	gt := labels.Build(tr, d.feeds)
-	rpprof.Do(context.Background(), rpprof.Labels("darkvec_phase", "cluster"), func(context.Context) {
-		g.view = core.NewView(g.space, gt, d.o.kPrime, d.o.seed)
-	})
-	return g
-}
-
-// serve swaps a generation into the gate. The swap is atomic: in-flight
-// requests finish on the generation they started with, new ones land on the
-// fresh model, nothing is dropped. how is what /v1/model reports about the
+// serve swaps a generation — trained by a cycle or loaded from the store —
+// into the gate. The drift gate judged its view, and the API server serves
+// that same view: clustered once. The swap is atomic: in-flight requests
+// finish on the generation they started with, new ones land on the fresh
+// model, nothing is dropped. how is what /v1/model reports about the
 // training run (nil for a generation loaded from the store).
-func (d *daemon) serve(g *generation, v modelstore.Version, how *apiserver.RetrainInfo) {
+func (d *daemon) serve(g *core.Generation, v modelstore.Version, how *apiserver.RetrainInfo) {
 	ver := ""
 	if v != 0 {
 		ver = v.String()
 	}
 	var annErr string
 	rpprof.Do(context.Background(), rpprof.Labels("darkvec_phase", "index-build"), func(context.Context) {
-		annErr = d.buildANN(g.space)
+		annErr = d.buildANN(g.Space)
 	})
-	d.prev = g.emb.Model
+	d.prev = g.Emb.Model
 	d.gate.Set(apiserver.New(apiserver.Config{
-		View: g.view, Trace: g.tr,
+		View: g.View, Trace: g.Trace,
 		RequestTimeout: d.o.reqTimeout, MaxInFlight: d.o.maxInFlight,
 		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: how,
 	}))
 	d.status.annErr.Store(annErr)
 	d.status.version.Store(uint64(v))
-	d.o.logf("serving %d senders (coverage %.0f%%)", g.space.Len(), g.cov*100)
+	d.o.logf("serving %d senders (coverage %.0f%%)", g.Space.Len(), g.Coverage*100)
 	d.readyOnce.Do(func() {
 		if d.readyFn != nil {
 			d.readyFn()
@@ -829,13 +807,13 @@ func (d *daemon) serve(g *generation, v modelstore.Version, how *apiserver.Retra
 }
 
 // cycle is the one way the daemon produces a generation, the first
-// included: snapshot the window, train (warm from the serving generation
-// when -warm asked for it, cold otherwise), take one look at the eval space,
-// gate it against the drift baseline, publish with load-back verification,
-// swap. What a failure costs follows from whether a generation is serving
-// (the table in the package comment); a returned error reaches the retrain
-// supervisor's backoff and breaker, or ends a daemon with no live source
-// that has nothing to serve.
+// included: snapshot the window, core.Generate (train warm from the serving
+// generation when -warm asked for it, cold otherwise, and take the one look
+// at the eval space), gate it against the drift baseline, publish with
+// load-back verification, swap. What a failure costs follows from whether a
+// generation is serving (the table in the package comment); a returned
+// error reaches the retrain supervisor's backoff and breaker, or ends a
+// daemon with no live source that has nothing to serve.
 func (d *daemon) cycle(ctx context.Context) error {
 	fail := func(err error) error {
 		d.status.stale.Store(true)
@@ -852,12 +830,10 @@ func (d *daemon) cycle(ctx context.Context) error {
 	}
 
 	// Warm start: seed from the serving generation when -warm asked for
-	// it. A seed the trainer rejects (id-space mismatch, dimension change,
-	// corrupt matrices — anything tagged w2v.ErrWarmSeed) forfeits only
-	// the speedup: the cycle retries cold and the fallback reason rides
-	// the decision log and /v1/model.
+	// it. A seed the trainer refuses (id-space mismatch, dimension change,
+	// corrupt matrices) forfeits only the speedup: Generate retries cold
+	// and the fallback reason rides the decision log and /v1/model.
 	topts := core.TrainOpts{Context: ctx, Interner: d.ing.Window().Interner()}
-	warmFallback := ""
 	if d.o.warm && d.prev != nil {
 		topts.Warm = &w2v.WarmSeed{Prev: d.prev, PrevPerm: d.prev.Perm}
 		if d.o.warmSeedHook != nil {
@@ -865,28 +841,22 @@ func (d *daemon) cycle(ctx context.Context) error {
 		}
 	}
 	d.o.logf("training on %d events (%d days)...", tr.Len(), tr.Days())
-	trainStart := time.Now()
-	emb, err := core.TrainEmbeddingOpts(tr, d.cfg, topts)
-	if err != nil && topts.Warm != nil && errors.Is(err, w2v.ErrWarmSeed) {
-		d.o.logf("retrain: warm seed unusable, falling back to cold: %v", err)
-		warmFallback = err.Error()
-		topts.Warm = nil
-		emb, err = core.TrainEmbeddingOpts(tr, d.cfg, topts)
-	}
+	g, err := core.Generate(tr, labels.Build(tr, d.feeds), d.cfg, topts, d.o.evalDays)
 	if err != nil {
 		return fail(fmt.Errorf("train: %w", err))
 	}
-	trainDur := time.Since(trainStart)
+	if g.WarmFallback != "" {
+		d.o.logf("retrain: fell back to a cold train: %s", g.WarmFallback)
+	}
+	trainDur := g.Emb.TrainTime
 	mode := "cold"
-	if ws := emb.Model.Warm; ws != nil {
+	if ws := g.Emb.Model.Warm; ws != nil {
 		mode = "warm"
 		d.o.logf("retrain: warm start seeded %d rows (%d fresh, %d retired), delta %.1f%% -> %d/%d epochs in %s",
 			ws.Seeded, ws.Fresh, ws.Retired, ws.DeltaFrac*100, ws.Epochs, d.o.epochs, trainDur.Round(time.Millisecond))
 	} else {
 		d.o.logf("trained in %s", trainDur.Round(time.Millisecond))
 	}
-
-	g := d.look(tr, emb)
 
 	// The quality gate runs before publish: a drifted candidate is never
 	// persisted, never swapped in, and fails the cycle exactly like a
@@ -910,7 +880,7 @@ func (d *daemon) cycle(ctx context.Context) error {
 	var pubErr error
 	if d.st != nil {
 		rpprof.Do(ctx, rpprof.Labels("darkvec_phase", "publish"), func(context.Context) {
-			v, pubErr = d.publishVerified(emb)
+			v, pubErr = d.publishVerified(g.Emb)
 		})
 		if pubErr != nil {
 			if d.gate.Ready() {
@@ -925,11 +895,11 @@ func (d *daemon) cycle(ctx context.Context) error {
 		}
 	}
 	d.serve(g, v, &apiserver.RetrainInfo{
-		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: emb.Epochs, WarmFallback: warmFallback,
+		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: g.Emb.Epochs, WarmFallback: g.WarmFallback,
 	})
 	var extra []string
-	if warmFallback != "" {
-		extra = append(extra, "warm_fallback: "+warmFallback)
+	if g.WarmFallback != "" {
+		extra = append(extra, "warm_fallback: "+g.WarmFallback)
 	}
 	d.acceptGeneration(snap, rep, v, extra...)
 	if pubErr != nil {

@@ -254,22 +254,19 @@ type Clustering struct {
 	Assign     []int // per space row
 	Clusters   int
 	Modularity float64
-	Graph      *graphx.Graph
 }
 
 // Cluster builds the k′-NN graph over the space and extracts Louvain
-// communities (§7.1–7.2).
+// communities (§7.1–7.2). The graph is dropped.
 func Cluster(space *embed.Space, kPrime int, seed uint64) Clustering {
 	if kPrime <= 0 {
 		kPrime = 3
 	}
-	g := graphx.KNNGraph(space, kPrime)
-	res := louvain.Run(g, louvain.Options{Seed: seed})
+	res := louvain.Run(graphx.KNNGraph(space, kPrime), louvain.Options{Seed: seed})
 	return Clustering{
 		Assign:     res.Community,
 		Clusters:   res.Communities,
 		Modularity: res.Modularity,
-		Graph:      g,
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // slides one day at a time over the trace, and each step is trained twice —
 // cold from scratch, and warm-seeded from the previous step's model (the
 // darkvecd -warm path: surviving senders keep their vectors, only the
-// window delta is retrained). The table is the wall-clock and accuracy
+// window delta is retrained). Both are one core.Generate, as in the daemon.
+// The table is the training-time (Embedding.TrainTime) and accuracy
 // trajectory of both strategies over the same windows, which is the
 // evidence that warm chaining compounds its savings without compounding
 // error.
@@ -38,59 +39,38 @@ func (e *Env) Rolling() (Result, error) {
 	}
 
 	var prevWarm *w2v.Model
-	var warmTotal, coldTotal time.Duration
+	total := map[string]time.Duration{}
 	for w := 0; w < steps; w++ {
 		lo := day0 + int64(w)*86400
-		hi := lo + int64(winDays)*86400
-		tr := e.Full.Window(lo, hi)
-		winName := fmt.Sprintf("d%d-d%d", w, w+winDays)
-		evalDay := tr.LastDays(1)
-
-		// Cold: every step pays the full epoch budget.
-		t0 := time.Now()
-		cold, err := core.TrainEmbeddingOpts(tr, cfg, core.TrainOpts{Interner: in})
-		if err != nil {
-			return Result{}, fmt.Errorf("rolling: cold step %d: %w", w, err)
-		}
-		coldWall := time.Since(t0)
-		coldTotal += coldWall
-
-		// Warm: chained — each step seeds from the previous *warm* model,
-		// so seeding error would compound here if it existed.
-		topts := core.TrainOpts{Interner: in}
-		if prevWarm != nil {
-			topts.Warm = &w2v.WarmSeed{Prev: prevWarm, PrevPerm: prevWarm.Perm}
-		}
-		t0 = time.Now()
-		warm, err := core.TrainEmbeddingOpts(tr, cfg, topts)
-		if err != nil {
-			return Result{}, fmt.Errorf("rolling: warm step %d: %w", w, err)
-		}
-		warmWall := time.Since(t0)
-		warmTotal += warmWall
-		prevWarm = warm.Model
-
-		for _, row := range []struct {
-			name string
-			emb  *core.Embedding
-			wall time.Duration
-		}{
-			{"cold", cold, coldWall},
-			{"warm", warm, warmWall},
-		} {
-			space, cov := row.emb.EvalSpace(evalDay, nil)
-			rep := core.Evaluate(space, e.GT, e.Opts.K)
+		tr := e.Full.Window(lo, lo+int64(winDays)*86400)
+		// Cold pays the full epoch budget every step. Warm is chained: each
+		// step seeds from the previous *warm* model, so seeding error would
+		// compound here if it existed.
+		for _, strategy := range []string{"cold", "warm"} {
+			topts := core.TrainOpts{Interner: in}
+			if strategy == "warm" && prevWarm != nil {
+				topts.Warm = &w2v.WarmSeed{Prev: prevWarm, PrevPerm: prevWarm.Perm}
+			}
+			g, err := core.Generate(tr, e.GT, cfg, topts, 1)
+			if err != nil {
+				return Result{}, fmt.Errorf("rolling: %s step %d: %w", strategy, w, err)
+			}
+			if strategy == "warm" {
+				prevWarm = g.Emb.Model
+			}
+			total[strategy] += g.Emb.TrainTime
+			rep := core.Evaluate(g.Space, e.GT, e.Opts.K)
 			r.Rows = append(r.Rows, []string{
-				winName, row.name, itoa(row.emb.Epochs),
-				i64(row.wall.Milliseconds()), pct(cov), f2(rep.Accuracy),
+				fmt.Sprintf("d%d-d%d", w, w+winDays), strategy, itoa(g.Emb.Epochs),
+				i64(g.Emb.TrainTime.Milliseconds()), pct(g.Coverage), f2(rep.Accuracy),
 			})
 		}
 	}
 
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("warm chain total %s vs cold total %s (x%.1f) over %d steps",
-			warmTotal.Round(time.Millisecond), coldTotal.Round(time.Millisecond),
-			float64(coldTotal)/float64(warmTotal), steps),
+			total["warm"].Round(time.Millisecond), total["cold"].Round(time.Millisecond),
+			float64(total["cold"])/float64(total["warm"]), steps),
 		"step 0 has no previous generation, so its warm row is a cold train — the chain's honest startup cost",
 	)
 	return r, nil
