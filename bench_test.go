@@ -128,16 +128,28 @@ func BenchmarkNeighbourPurity(b *testing.B)      { benchExperiment(b, "neighbour
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkSimulate measures synthetic trace generation.
+// BenchmarkSimulate measures synthetic trace generation: a small trace on a
+// fresh seed per iteration, and the serve-wide benchmark's dataset.
 func BenchmarkSimulate(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := darkvec.Simulate(darkvec.SimConfig{
-			Seed: uint64(i + 1), Days: 5, Scale: 0.02, Rate: 0.05,
+	for _, tc := range []struct {
+		name string
+		cfg  darkvec.SimConfig
+	}{
+		{"small", darkvec.SimConfig{Days: 5, Scale: 0.02, Rate: 0.05}},
+		{"serve-wide", darkvec.SimConfig{Seed: 1, Days: 2, Scale: 0.1, Rate: 0.1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := tc.cfg
+				if cfg.Seed == 0 {
+					cfg.Seed = uint64(i + 1)
+				}
+				if darkvec.Simulate(cfg).Trace.Len() == 0 {
+					b.Fatal("empty trace")
+				}
+			}
 		})
-		if out.Trace.Len() == 0 {
-			b.Fatal("empty trace")
-		}
 	}
 }
 

@@ -125,7 +125,7 @@ func Attack(cfg AttackConfig) (*AttackOutput, error) {
 		return nil, fmt.Errorf("darksim: unknown attack kind %q", cfg.Kind)
 	}
 	return &AttackOutput{
-		Trace:     trace.New(g.events),
+		Trace:     g.trace(),
 		Attackers: attackers,
 		Config:    cfg,
 	}, nil

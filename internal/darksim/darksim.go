@@ -109,7 +109,7 @@ func Generate(cfg Config) *Output {
 		g.background()
 		g.backscatter()
 	}
-	g.out.Trace = trace.New(g.events)
+	g.out.Trace = g.trace()
 	return g.out
 }
 
@@ -141,6 +141,29 @@ func (g *gen) emit(ts int64, src netutil.IPv4, key trace.PortKey, mirai bool) {
 		Proto: key.Proto,
 		Mirai: mirai,
 	})
+}
+
+// trace hands the emitted events over in time order. emit admits only
+// [Start, horizon), so one stable counting pass keyed by the second since
+// Start orders them: ties keep emission order, the bytes a stable sort
+// gives. Its event-sized buffer lives only here, never in a daemon's window
+// (DESIGN.md "One sort, in place"), and New's look finds nothing to do.
+func (g *gen) trace() *trace.Trace {
+	start := g.cfg.Start
+	next := make([]int32, g.horizon()-start+1)
+	for _, e := range g.events {
+		next[e.Ts-start+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]trace.Event, len(g.events))
+	for _, e := range g.events {
+		out[next[e.Ts-start]] = e
+		next[e.Ts-start]++
+	}
+	g.events = nil
+	return trace.New(out)
 }
 
 // allocIP returns an unused address inside pool (or anywhere routable-ish

@@ -2,10 +2,12 @@ package darksim
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
+	"github.com/darkvec/darkvec/internal/trace"
 )
 
 // tiny returns a fast configuration for tests.
@@ -307,6 +309,42 @@ func TestEventPortProfiles(t *testing.T) {
 	}
 	if total == 0 || float64(adb)/float64(total) < 0.6 {
 		t.Fatalf("unknown4 5555/tcp share = %d/%d", adb, total)
+	}
+}
+
+// TestGenTraceMatchesStableReference holds the generator's counting pass to
+// sort.SliceStable of what emit kept: timestamps in random order, many ties
+// among distinct events, both ends of the span, and stamps outside it that
+// emit must drop.
+func TestGenTraceMatchesStableReference(t *testing.T) {
+	cfg := Config{Seed: 9, Days: 2, Start: 1614556800 + 777}.withDefaults()
+	g := &gen{cfg: cfg, rng: netutil.NewRand(cfg.Seed)}
+	r := netutil.NewRand(11)
+	start, horizon := cfg.Start, g.horizon()
+	stamps := []int64{start, horizon - 1, start - 1, horizon, start - 86400, horizon + 3600}
+	for i := 0; i < 5000; i++ {
+		ts := start + r.Int63n(40)*3617 // 40 distinct seconds inside the span, ~125 events each
+		if r.Intn(4) == 0 {
+			ts = stamps[r.Intn(len(stamps))]
+		}
+		g.emit(ts, netutil.IPv4(i+1), tcpKey(uint16(i%7)), i%3 == 0)
+	}
+	want := append([]trace.Event(nil), g.events...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Ts < want[j].Ts })
+	for _, e := range want {
+		if e.Ts < start || e.Ts >= horizon {
+			t.Fatalf("emit kept ts %d outside [%d, %d)", e.Ts, start, horizon)
+		}
+	}
+	if want[0].Ts != start || want[len(want)-1].Ts != horizon-1 {
+		t.Fatalf("span ends not exercised: first %d last %d", want[0].Ts, want[len(want)-1].Ts)
+	}
+	got := g.trace()
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Fatalf("counting pass differs from the stable reference (%d vs %d events)", got.Len(), len(want))
+	}
+	if g.events != nil {
+		t.Error("trace kept the unordered events")
 	}
 }
 

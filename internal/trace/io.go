@@ -39,17 +39,18 @@ func (t *Trace) Tagged() bool {
 }
 
 // WriteCSV writes the trace in the repository's CSV interchange format, one
-// AppendCSV line per event. A trace holding at least one vantage-tagged
-// event is written with the extended seven-column header, and its untagged
-// rows carry an empty seventh column; untagged traces keep the six-column
-// layout.
+// AppendCSV line per event, through a 64 KiB buffer like ReadCSV's reader
+// (the 4 KiB default costs a write call every ≈ 80 lines). A trace holding
+// at least one vantage-tagged event is written with the extended
+// seven-column header, and its untagged rows carry an empty seventh column;
+// untagged traces keep the six-column layout.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	tagged := t.Tagged()
 	hdr := CSVHeaderLine + "\n"
 	if tagged {
 		hdr = CSVHeaderLineVantage + "\n"
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.WriteString(hdr); err != nil {
 		return err
 	}
