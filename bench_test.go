@@ -41,6 +41,7 @@ import (
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/services"
+	"github.com/darkvec/darkvec/internal/stream"
 	"github.com/darkvec/darkvec/internal/w2v"
 	"github.com/darkvec/darkvec/internal/wal"
 )
@@ -200,6 +201,38 @@ func BenchmarkAppendCSV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		line = events[i%len(events)].AppendCSV(line[:0])
 	}
+}
+
+// BenchmarkWindowCut measures what a retrain cycle holds the live window's
+// lock for, on the serve-wide benchmark's shape: its 260,933 events fed
+// through a 190,000-event ring, which wraps. cut_ns is Window.Cut (the
+// trainable copy, the /v1/stats summary and the span, in one acquisition),
+// snapshot_ns the SnapshotActive(1) copy it replaces, and cut/snapshot their
+// ratio. Each call's time is its lock hold plus, after the unlock, one
+// linear order check of its copy (the ring arrives in order) and, for the
+// cut, two date formats.
+func BenchmarkWindowCut(b *testing.B) {
+	events := darkvec.Simulate(darkvec.SimConfig{Seed: 1, Days: 2, Scale: 0.1, Rate: 0.1}).Trace.Events
+	w := stream.NewWindow(stream.WindowConfig{MaxEvents: 190000, MaxAge: -1})
+	w.AddBatch(events)
+	minPackets := core.DefaultConfig().MinPackets
+	var cutT, snapT time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		cut := w.Cut(1, minPackets)
+		cutT += time.Since(start)
+		start = time.Now()
+		snap := w.SnapshotActive(1)
+		snapT += time.Since(start)
+		if cut.Stats.Packets != snap.Len() {
+			b.Fatalf("cut summarises %d events, the snapshot holds %d", cut.Stats.Packets, snap.Len())
+		}
+	}
+	b.ReportMetric(float64(cutT.Nanoseconds())/float64(b.N), "cut_ns")
+	b.ReportMetric(float64(snapT.Nanoseconds())/float64(b.N), "snapshot_ns")
+	b.ReportMetric(float64(cutT)/float64(snapT), "cut/snapshot")
 }
 
 // BenchmarkCorpusBuild measures §5.2 sequence construction on the

@@ -210,7 +210,7 @@ func run(ctx context.Context, o options) error {
 	cfg.W2V.Epochs = o.epochs
 	cfg.W2V.Seed = o.seed
 
-	g, err := core.Generate(tr, gt, cfg, core.TrainOpts{Context: ctx}, o.evalDays)
+	g, err := core.Generate(tr, tr.LastDays(o.evalDays), gt, cfg, core.TrainOpts{Context: ctx})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Println("training interrupted; nothing written")

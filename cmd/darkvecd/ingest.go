@@ -46,7 +46,7 @@ func listenIngest(addr string) (net.Listener, error) {
 // startIngest builds the ingestor every daemon trains on, rebuilds its
 // window (-in seed, then WAL replay), and starts the configured live
 // sources. The ingestor is live immediately; events buffer in the window
-// until a cycle snapshots them.
+// until a cycle cuts them.
 func (d *daemon) startIngest() error {
 	o := d.o
 	seed, err := d.seedWindow()

@@ -20,15 +20,16 @@
 // Every daemon trains on its window: -in seeds it once at boot, and a live
 // source (-ingest / -follow) keeps it rolling; without one it holds exactly
 // the file. Every generation, the first included, comes out of one cycle:
-// window snapshot → train (warm under -warm when a generation is in memory,
-// cold otherwise) → eval space → view (labels, clusters, silhouette: taken
-// once, read by the gate, the baseline and the API server) → drift gate
-// (once a baseline exists) → publish → swap → baseline. On an empty
-// store a static daemon runs it once before anything else; with -retrain, a
-// background supervisor runs it periodically off the serving path — at once
-// when nothing is serving yet, as in a live daemon off an empty store — and
-// rolls each new model in atomically, with zero dropped requests. What a
-// failed cycle costs depends only on whether a generation is serving:
+// window cut (the trainable senders' events, one copy) → train (warm
+// under -warm when a generation is in memory, cold otherwise) → eval space
+// → view (labels, clusters, silhouette: taken once, read by the gate, the
+// baseline and the API server) → drift gate (once a baseline exists) →
+// publish → swap → baseline. On an empty store a static daemon runs it
+// once before anything else; with -retrain, a background supervisor runs
+// it periodically off the serving path — at once when nothing is serving
+// yet, as in a live daemon off an empty store — and rolls each new model
+// in atomically, with zero dropped requests. What a failed cycle costs
+// depends only on whether a generation is serving:
 //
 //	fails at      nothing serving                  a generation serving
 //	train         no live source: exit with the    it keeps serving, degraded;
@@ -106,6 +107,7 @@ import (
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/robust"
 	"github.com/darkvec/darkvec/internal/stream"
+	"github.com/darkvec/darkvec/internal/trace"
 	"github.com/darkvec/darkvec/internal/w2v"
 	"github.com/darkvec/darkvec/internal/wal"
 )
@@ -691,12 +693,13 @@ func (d *daemon) bootFromStore() bool {
 			continue
 		}
 		d.o.logf("booted from store generation %s; skipping initial training", v)
-		tr := d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
+		cut := d.ing.Window().Cut(d.o.ingestMinPkts, d.cfg.MinPackets)
+		tr := cut.Trainable
 		d.seedInterner(m.Words())
-		g := core.Look(tr, core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg, d.o.evalDays)
+		g := core.Look(tr, cut.LastDays(d.o.evalDays), core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg)
 		// No baseline at boot, so nothing to fail: see gateCheck.
 		snap, _ := d.captureGeneration(g)
-		d.serve(g, v, nil)
+		d.serve(g, &cut.Stats, v, nil)
 		d.acceptGeneration(snap, nil, v)
 		return true
 	}
@@ -779,9 +782,10 @@ func (d *daemon) buildANN(space *embed.Space) string {
 // into the gate. The drift gate judged its view, and the API server serves
 // that same view: clustered once. The swap is atomic: in-flight requests
 // finish on the generation they started with, new ones land on the fresh
-// model, nothing is dropped. how is what /v1/model reports about the
-// training run (nil for a generation loaded from the store).
-func (d *daemon) serve(g *core.Generation, v modelstore.Version, how *apiserver.RetrainInfo) {
+// model, nothing is dropped. stats is the window cut's /v1/stats; how is
+// what /v1/model reports about the training run (nil for a generation
+// loaded from the store).
+func (d *daemon) serve(g *core.Generation, stats *trace.Stats, v modelstore.Version, how *apiserver.RetrainInfo) {
 	ver := ""
 	if v != 0 {
 		ver = v.String()
@@ -792,7 +796,7 @@ func (d *daemon) serve(g *core.Generation, v modelstore.Version, how *apiserver.
 	})
 	d.prev = g.Emb.Model
 	d.gate.Set(apiserver.New(apiserver.Config{
-		View: g.View, Trace: g.Trace,
+		View: g.View, Trace: g.Trace, Stats: stats,
 		RequestTimeout: d.o.reqTimeout, MaxInFlight: d.o.maxInFlight,
 		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: how,
 	}))
@@ -807,25 +811,26 @@ func (d *daemon) serve(g *core.Generation, v modelstore.Version, how *apiserver.
 }
 
 // cycle is the one way the daemon produces a generation, the first
-// included: snapshot the window, core.Generate (train warm from the serving
-// generation when -warm asked for it, cold otherwise, and take the one look
-// at the eval space), gate it against the drift baseline, publish with
-// load-back verification, swap. What a failure costs follows from whether a
-// generation is serving (the table in the package comment); a returned
-// error reaches the retrain supervisor's backoff and breaker, or ends a
-// daemon with no live source that has nothing to serve.
+// included: cut the window (its trainable senders' events, its /v1/stats),
+// core.Generate (train warm from the serving generation when -warm asked
+// for it, cold otherwise, and take the one look at the eval space), gate
+// it against the drift baseline, publish with load-back verification,
+// swap. What a failure costs follows from whether a generation is serving
+// (the table in the package comment); a returned error reaches the retrain
+// supervisor's backoff and breaker, or ends a daemon with no live source
+// that has nothing to serve.
 func (d *daemon) cycle(ctx context.Context) error {
 	fail := func(err error) error {
 		d.status.stale.Store(true)
 		d.status.lastErr.Store(err.Error())
 		return err
 	}
-	tr := d.ing.Window().SnapshotActive(d.o.ingestMinPkts)
-	if tr.Len() < d.o.ingestMin {
+	cut := d.ing.Window().Cut(d.o.ingestMinPkts, d.cfg.MinPackets)
+	if cut.Stats.Packets < d.o.ingestMin {
 		// A thin window is a fact about the darknet, not a failure:
 		// skip the cycle without burning the breaker or flagging
 		// degraded, and try again next tick.
-		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", tr.Len(), d.o.ingestMin)
+		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", cut.Stats.Packets, d.o.ingestMin)
 		return nil
 	}
 
@@ -840,8 +845,9 @@ func (d *daemon) cycle(ctx context.Context) error {
 			d.o.warmSeedHook(topts.Warm)
 		}
 	}
-	d.o.logf("training on %d events (%d days)...", tr.Len(), tr.Days())
-	g, err := core.Generate(tr, labels.Build(tr, d.feeds), d.cfg, topts, d.o.evalDays)
+	d.o.logf("training on %d events (%d days)...", cut.Stats.Packets, cut.Days())
+	tr := cut.Trainable
+	g, err := core.Generate(tr, cut.LastDays(d.o.evalDays), labels.Build(tr, d.feeds), d.cfg, topts)
 	if err != nil {
 		return fail(fmt.Errorf("train: %w", err))
 	}
@@ -894,7 +900,7 @@ func (d *daemon) cycle(ctx context.Context) error {
 			fail(pubErr)
 		}
 	}
-	d.serve(g, v, &apiserver.RetrainInfo{
+	d.serve(g, &cut.Stats, v, &apiserver.RetrainInfo{
 		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: g.Emb.Epochs, WarmFallback: g.WarmFallback,
 	})
 	var extra []string

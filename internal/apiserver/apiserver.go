@@ -37,7 +37,7 @@ type Server struct {
 	cls      *knn.Classifier // the generation's label table, resolved once
 	profiles []cluster.Profile
 	assign   []int
-	stats    trace.Stats
+	stats    *trace.Stats
 	version  string // model generation serving this instance, "" when unmanaged
 	annErr   string // why the ANN index is absent, "" when built or not requested
 	retrain  *RetrainInfo
@@ -65,7 +65,13 @@ type Config struct {
 	View  *core.View
 	Space *embed.Space
 	GT    *labels.Set
+	// Trace holds the served senders' events, for /v1/clusters.
 	Trace *trace.Trace
+	// Stats, when non-nil, is what /v1/stats serves: a summary the caller
+	// already has, over events Trace need not hold (darkvecd's window cut
+	// summarises every sender above -ingestminpkts, while Trace holds the
+	// trainable ones). nil summarises Trace.
+	Stats *trace.Stats
 	// KPrime controls the clustering exposed at /clusters (default 3).
 	KPrime int
 	// Seed for the clustering pass.
@@ -132,10 +138,15 @@ func New(cfg Config) *Server {
 	if v == nil {
 		v = core.NewView(cfg.Space, cfg.GT, cfg.KPrime, cfg.Seed)
 	}
+	stats := cfg.Stats
+	if stats == nil {
+		st := cfg.Trace.Summary(trace.TopTCPRows)
+		stats = &st
+	}
 	s := &Server{
 		space:   v.Space,
 		cls:     knn.NewClassifier(v.Space, v.Space.ANN(), v.Labels),
-		stats:   cfg.Trace.Summary(3),
+		stats:   stats,
 		version: cfg.ModelVersion,
 		annErr:  cfg.ANNError,
 		retrain: cfg.Retrain,

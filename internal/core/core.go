@@ -138,8 +138,7 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	active := tr.ActiveSenders(cfg.MinPackets)
-	filtered := tr.FilterSenders(active)
+	active, filtered := activeEvents(tr, cfg.MinPackets)
 	def, err := cfg.Definition(filtered)
 	if err != nil {
 		return nil, err
@@ -184,6 +183,25 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 		SkipGrams: corp.SkipGrams(model.Cfg.Window, cfg.W2V.PadToken != "") * int64(epochs),
 		Epochs:    epochs,
 	}, nil
+}
+
+// activeEvents counts tr's senders once and returns those with at least
+// minPackets events and the trace of their events: tr itself when every
+// sender qualifies (the daemon's window cut holds only trainable senders),
+// otherwise FilterSenders' exact-size copy.
+func activeEvents(tr *trace.Trace, minPackets int) (map[netutil.IPv4]bool, *trace.Trace) {
+	active := make(map[netutil.IPv4]bool)
+	kept := 0
+	for src, n := range tr.SenderCounts() {
+		if n >= minPackets {
+			active[src] = true
+			kept += n
+		}
+	}
+	if kept == tr.Len() {
+		return active, tr
+	}
+	return active, tr.FilterSenders(active)
 }
 
 // EmbeddingFromModel rebuilds the serving bookkeeping around a model that

@@ -26,23 +26,25 @@ type Generation struct {
 	WarmFallback string
 }
 
-// Look projects an embedding over the final evalDays of tr (Fig 6's
-// coverage) and takes the one view of that space (§7): k′ and the
-// clustering seed come from cfg.
-func Look(tr *trace.Trace, emb *Embedding, gt *labels.Set, cfg Config, evalDays int) *Generation {
+// Look projects an embedding over eval, the sub-trace of tr whose senders
+// are served — tr.LastDays(n) for the final n days — with Fig 6's coverage,
+// and takes the one view of that space (§7): k′ and the clustering seed
+// come from cfg.
+func Look(tr, eval *trace.Trace, emb *Embedding, gt *labels.Set, cfg Config) *Generation {
 	g := &Generation{Trace: tr, Emb: emb}
-	g.Space, g.Coverage = emb.EvalSpace(tr.LastDays(evalDays), nil)
+	g.Space, g.Coverage = emb.EvalSpace(eval, nil)
 	pprof.Do(context.Background(), pprof.Labels("darkvec_phase", "cluster"), func(context.Context) {
 		g.View = NewView(g.Space, gt, cfg.KPrime, cfg.W2V.Seed)
 	})
 	return g
 }
 
-// Generate is the DarkVec pipeline run once (§5–7): train on tr, then Look.
-// A warm seed the trainer refuses (w2v.ErrWarmSeed) forfeits only the
-// speedup: training retries once cold and the reason lands in WarmFallback.
-// Any other training error, cancellation included, is returned as is.
-func Generate(tr *trace.Trace, gt *labels.Set, cfg Config, opts TrainOpts, evalDays int) (*Generation, error) {
+// Generate is the DarkVec pipeline run once (§5–7): train on tr, then Look
+// over eval. A warm seed the trainer refuses (w2v.ErrWarmSeed) forfeits only
+// the speedup: training retries once cold and the reason lands in
+// WarmFallback. Any other training error, cancellation included, is
+// returned as is.
+func Generate(tr, eval *trace.Trace, gt *labels.Set, cfg Config, opts TrainOpts) (*Generation, error) {
 	emb, err := TrainEmbeddingOpts(tr, cfg, opts)
 	fallback := ""
 	if errors.Is(err, w2v.ErrWarmSeed) {
@@ -53,7 +55,7 @@ func Generate(tr *trace.Trace, gt *labels.Set, cfg Config, opts TrainOpts, evalD
 	if err != nil {
 		return nil, err
 	}
-	g := Look(tr, emb, gt, cfg, evalDays)
+	g := Look(tr, eval, emb, gt, cfg)
 	g.WarmFallback = fallback
 	return g, nil
 }

@@ -51,7 +51,7 @@ func (e *Env) Rolling() (Result, error) {
 			if strategy == "warm" && prevWarm != nil {
 				topts.Warm = &w2v.WarmSeed{Prev: prevWarm, PrevPerm: prevWarm.Perm}
 			}
-			g, err := core.Generate(tr, e.GT, cfg, topts, 1)
+			g, err := core.Generate(tr, tr.LastDays(1), e.GT, cfg, topts)
 			if err != nil {
 				return Result{}, fmt.Errorf("rolling: %s step %d: %w", strategy, w, err)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/darkvec/darkvec/internal/corpus"
 	"github.com/darkvec/darkvec/internal/netutil"
+	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
@@ -151,9 +152,8 @@ func (w *Window) reserveLocked(extra int) {
 		newCap *= 2
 	}
 	nb := make([]trace.Event, min(newCap, w.cfg.MaxEvents))
-	for i := 0; i < w.n; i++ {
-		nb[i] = w.buf[(w.head+i)%len(w.buf)]
-	}
+	runs := w.runsLocked()
+	copy(nb[copy(nb, runs[0]):], runs[1])
 	w.buf = nb
 	w.head = 0
 }
@@ -227,9 +227,9 @@ func (w *Window) Interner() *corpus.Interner {
 // window keeps rolling underneath it.
 func (w *Window) Snapshot() *trace.Trace {
 	w.mu.Lock()
-	events := make([]trace.Event, w.n)
-	for i := 0; i < w.n; i++ {
-		events[i] = w.buf[(w.head+i)%len(w.buf)]
+	events := make([]trace.Event, 0, w.n)
+	for _, run := range w.runsLocked() {
+		events = append(events, run...)
 	}
 	w.mu.Unlock()
 	return trace.New(events)
@@ -241,14 +241,106 @@ func (w *Window) Snapshot() *trace.Trace {
 func (w *Window) SnapshotActive(minPackets int) *trace.Trace {
 	w.mu.Lock()
 	events := make([]trace.Event, 0, w.n)
-	for i := 0; i < w.n; i++ {
-		e := w.buf[(w.head+i)%len(w.buf)]
-		if w.counts[e.Src] >= minPackets {
-			events = append(events, e)
+	for _, run := range w.runsLocked() {
+		for _, e := range run {
+			if w.counts[e.Src] >= minPackets {
+				events = append(events, e)
+			}
 		}
 	}
 	w.mu.Unlock()
 	return trace.New(events)
+}
+
+// Cut is one generation's input, taken from the window under one lock
+// acquisition (Window.Cut).
+type Cut struct {
+	// Trainable holds, time-ordered, the events of every sender with at
+	// least the cut's training threshold of buffered packets: the events
+	// the trainer keeps of SnapshotActive(minPackets), in the same order,
+	// copied once into a slice of exactly their number.
+	Trainable *trace.Trace
+	// Stats is the Table 1 summary (trace.TopTCPRows top TCP ports) of the
+	// events of senders with at least minPackets buffered packets —
+	// SnapshotActive(minPackets).Summary(trace.TopTCPRows) without the copy.
+	Stats trace.Stats
+	// First and Last are the smallest and largest Ts of those events.
+	First, Last int64
+}
+
+// Days returns the number of UTC days the minPackets events span.
+func (c Cut) Days() int {
+	if c.Stats.Packets == 0 {
+		return 0
+	}
+	return trace.DaysSpanned(c.First, c.Last)
+}
+
+// LastDays returns the trainable events of the final n UTC days of the
+// minPackets events: the day boundary is the newest such event's, which a
+// one-packet sender may hold, not the newest trainable one's.
+func (c Cut) LastDays(n int) *trace.Trace {
+	if c.Stats.Packets == 0 {
+		return &trace.Trace{}
+	}
+	return c.Trainable.DaysEndingAt(n, c.Last)
+}
+
+// Cut takes a generation's input from the ring under one lock acquisition:
+// the events of senders with ≥ max(minPackets, trainPackets) buffered
+// packets in one exact-size slice, the summary of the ≥ minPackets events
+// read where they lie, and their span. One pass copies and counts (dense
+// port tables, no map operation per event beyond the sender-count lookup
+// SnapshotActive makes too); a second counts the top rows' sources.
+// Nothing else of the window is copied.
+func (w *Window) Cut(minPackets, trainPackets int) Cut {
+	train := max(minPackets, trainPackets)
+	var tl trace.Tally
+	w.mu.Lock()
+	kept, sources := 0, 0
+	for _, c := range w.counts {
+		if c >= minPackets {
+			sources++
+		}
+		if c >= train {
+			kept += c
+		}
+	}
+	events := make([]trace.Event, 0, kept)
+	runs := w.runsLocked()
+	for _, run := range runs {
+		for i := range run {
+			c := w.counts[run[i].Src]
+			if c < minPackets {
+				continue
+			}
+			tl.Add(&run[i])
+			if c >= train {
+				events = append(events, run[i])
+			}
+		}
+	}
+	tl.Rank(trace.TopTCPRows, packet.IPProtocolTCP)
+	for _, run := range runs {
+		for i := range run {
+			if row := tl.RowOf(&run[i]); row >= 0 && (minPackets <= 1 || w.counts[run[i].Src] >= minPackets) {
+				tl.CountSource(row, run[i].Src)
+			}
+		}
+	}
+	w.mu.Unlock()
+	first, last := tl.Span()
+	return Cut{Trainable: trace.New(events), Stats: tl.Stats(sources), First: first, Last: last}
+}
+
+// runsLocked returns the buffered events in arrival order as the ring's two
+// contiguous runs (the second empty unless the ring wraps).
+func (w *Window) runsLocked() [2][]trace.Event {
+	end := w.head + w.n
+	if end <= len(w.buf) {
+		return [2][]trace.Event{w.buf[w.head:end], nil}
+	}
+	return [2][]trace.Event{w.buf[w.head:], w.buf[:end-len(w.buf)]}
 }
 
 // Stats returns a point-in-time summary.

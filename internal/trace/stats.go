@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -16,61 +19,15 @@ type PortStat struct {
 	Sources      int     // distinct senders targeting the port
 }
 
-// TopPorts returns the n busiest port keys by packet count, optionally
-// restricted to one protocol (proto == 0 means all).
-func (t *Trace) TopPorts(n int, proto packet.IPProtocol) []PortStat {
-	return t.topPorts(t.PortCounts(), n, proto)
-}
+// TopTCPRows is how many top TCP ports a Table 1 summary lists (the paper
+// shows 3): the rows of /v1/stats.
+const TopTCPRows = 3
 
-// topPorts ranks already-counted port keys, then counts distinct sources
-// for the rows it returns only: one more pass over the events and a set
-// bounded by senders × rows, where a per-port sender set for every port
-// (PortSenders) grows with events × ports to fill in three rows.
-func (t *Trace) topPorts(counts map[PortKey]int, n int, proto packet.IPProtocol) []PortStat {
-	total := len(t.Events)
-	stats := make([]PortStat, 0, len(counts))
-	for k, c := range counts {
-		if proto != 0 && k.Proto != proto {
-			continue
-		}
-		stats = append(stats, PortStat{
-			Key:          k,
-			Packets:      c,
-			TrafficShare: float64(c) / float64(total),
-		})
-	}
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].Packets != stats[j].Packets {
-			return stats[i].Packets > stats[j].Packets
-		}
-		if stats[i].Key.Port != stats[j].Key.Port {
-			return stats[i].Key.Port < stats[j].Key.Port
-		}
-		return stats[i].Key.Proto < stats[j].Key.Proto
-	})
-	if n > 0 && len(stats) > n {
-		stats = stats[:n]
-	}
-	row := make(map[PortKey]int, len(stats))
-	for i, st := range stats {
-		row[st.Key] = i
-	}
-	type srcRow struct {
-		src netutil.IPv4
-		row int
-	}
-	seen := make(map[srcRow]struct{})
-	for _, e := range t.Events {
-		i, ok := row[e.Key()]
-		if !ok {
-			continue
-		}
-		if _, dup := seen[srcRow{e.Src, i}]; !dup {
-			seen[srcRow{e.Src, i}] = struct{}{}
-			stats[i].Sources++
-		}
-	}
-	return stats
+// TopPorts returns the n busiest port keys by packet count (all of them
+// when n <= 0), optionally restricted to one protocol (proto == 0 means
+// all).
+func (t *Trace) TopPorts(n int, proto packet.IPProtocol) []PortStat {
+	return t.tally(n, proto, nil).top
 }
 
 // Stats summarises a trace the way the paper's Table 1 does.
@@ -83,21 +40,207 @@ type Stats struct {
 }
 
 // Summary computes Table 1 style statistics; topN controls how many top TCP
-// ports are reported (the paper shows 3).
+// ports are reported (the paper shows 3, TopTCPRows).
 func (t *Trace) Summary(topN int) Stats {
-	first, last := t.Span()
-	counts := t.PortCounts()
-	s := Stats{
-		Packets: len(t.Events),
-		Sources: len(t.SenderCounts()),
-		Ports:   len(counts),
-		TopTCP:  t.topPorts(counts, topN, packet.IPProtocolTCP),
+	var senders keySet
+	return t.tally(topN, packet.IPProtocolTCP, &senders).Stats(senders.n)
+}
+
+// tally runs the Tally sequence over the trace, adding each sender to
+// senders when it is non-nil.
+func (t *Trace) tally(n int, proto packet.IPProtocol, senders *keySet) *Tally {
+	tl := new(Tally)
+	for i := range t.Events {
+		tl.Add(&t.Events[i])
+		if senders != nil {
+			senders.add(uint64(t.Events[i].Src))
+		}
 	}
-	if len(t.Events) > 0 {
-		s.FirstDay = TimeOf(first).Format("2006-01-02")
-		s.LastDay = TimeOf(last).Format("2006-01-02")
+	tl.Rank(n, proto)
+	for i := range t.Events {
+		if row := tl.RowOf(&t.Events[i]); row >= 0 {
+			tl.CountSource(row, t.Events[i].Src)
+		}
+	}
+	return tl
+}
+
+// Tally accumulates a Table 1 summary of events offered one at a time, so a
+// holder that is not a Trace — the live window's ring — summarises its
+// events where they lie. Packets per port key live in dense per-protocol
+// tables, an array index per event where a map would hash, and the ranking
+// keeps its top rows instead of sorting every key. The sequence is: Add
+// every event; Rank; offer every event again to RowOf, and CountSource the
+// ones on a ranked row; then Stats. Trace.Summary and TopPorts are that
+// sequence over a trace.
+type Tally struct {
+	packets     int
+	first, last int64
+	// ports holds, per protocol, packets per port; Rank overwrites each
+	// ranked key's count with −(row + 1). A port's count fits an int32:
+	// 2^31 events to one port is 48 GiB of window.
+	ports [256][]int32
+	keys  int // distinct port keys, counted by Rank
+	top   []PortStat
+	pairs keySet // (sender, row) pairs already counted into top[row].Sources
+}
+
+// Add counts one event.
+func (t *Tally) Add(e *Event) {
+	if t.packets == 0 || e.Ts < t.first {
+		t.first = e.Ts
+	}
+	if t.packets == 0 || e.Ts > t.last {
+		t.last = e.Ts
+	}
+	t.packets++
+	k := e.Key()
+	tab := t.ports[k.Proto]
+	if tab == nil {
+		// ICMP has one key (Key maps its port to 0).
+		size := 1 << 16
+		if k.Proto == packet.IPProtocolICMPv4 {
+			size = 1
+		}
+		tab = make([]int32, size)
+		t.ports[k.Proto] = tab
+	}
+	tab[k.Port]++
+}
+
+// Span returns the smallest and largest Ts added, (0, 0) when none was.
+func (t *Tally) Span() (first, last int64) { return t.first, t.last }
+
+// Rank selects the n busiest port keys (all of them when n <= 0) of proto
+// (0 means all) by packet count, ties broken by port then protocol, and
+// marks the ranked keys in the tables for RowOf.
+func (t *Tally) Rank(n int, proto packet.IPProtocol) {
+	t.top = make([]PortStat, 0, max(n, 0))
+	for p, tab := range t.ports {
+		for port, c := range tab {
+			if c == 0 {
+				continue
+			}
+			t.keys++
+			if proto != 0 && packet.IPProtocol(p) != proto {
+				continue
+			}
+			st := PortStat{
+				Key:          PortKey{uint16(port), packet.IPProtocol(p)},
+				Packets:      int(c),
+				TrafficShare: float64(c) / float64(t.packets),
+			}
+			if n <= 0 {
+				t.top = append(t.top, st)
+				continue
+			}
+			i := len(t.top)
+			for i > 0 && comparePorts(st, t.top[i-1]) < 0 {
+				i--
+			}
+			if i == n {
+				continue
+			}
+			if len(t.top) < n {
+				t.top = append(t.top, PortStat{})
+			}
+			copy(t.top[i+1:], t.top[i:])
+			t.top[i] = st
+		}
+	}
+	if n <= 0 {
+		slices.SortFunc(t.top, comparePorts)
+	}
+	for i, st := range t.top {
+		t.ports[st.Key.Proto][st.Key.Port] = -int32(i + 1)
+	}
+}
+
+// comparePorts orders a ranking: more packets first, then lower port, then
+// lower protocol number.
+func comparePorts(a, b PortStat) int {
+	if a.Packets != b.Packets {
+		return cmp.Compare(b.Packets, a.Packets)
+	}
+	if a.Key.Port != b.Key.Port {
+		return cmp.Compare(a.Key.Port, b.Key.Port)
+	}
+	return cmp.Compare(a.Key.Proto, b.Key.Proto)
+}
+
+// RowOf returns the ranked row e's port key holds, -1 when it holds none.
+// Only meaningful after Rank.
+func (t *Tally) RowOf(e *Event) int {
+	k := e.Key()
+	tab := t.ports[k.Proto]
+	if tab == nil || tab[k.Port] >= 0 {
+		return -1
+	}
+	return int(-tab[k.Port]) - 1
+}
+
+// CountSource counts src as a source of the ranked row, once however many
+// of its events are offered.
+func (t *Tally) CountSource(row int, src netutil.IPv4) {
+	if t.pairs.add(uint64(src)<<32 | uint64(row)) {
+		t.top[row].Sources++
+	}
+}
+
+// Stats returns the summary: sources is the distinct senders among the
+// events added, which the holder knows better than a tally (the window
+// keeps per-sender counts); TopTCP is the ranking, so a Table 1 summary
+// ranks packet.IPProtocolTCP.
+func (t *Tally) Stats(sources int) Stats {
+	s := Stats{Packets: t.packets, Sources: sources, Ports: t.keys, TopTCP: t.top}
+	if t.packets > 0 {
+		s.FirstDay = TimeOf(t.first).Format("2006-01-02")
+		s.LastDay = TimeOf(t.last).Format("2006-01-02")
 	}
 	return s
+}
+
+// keySet is an open-addressing set of uint64 keys (linear probing,
+// Fibonacci hashing). Its allocation follows the distinct keys it holds,
+// doubling at half load, never the number of offers — and, unlike a map's,
+// it is the same on every run.
+type keySet struct {
+	slots []uint64 // key + 1; 0 marks an empty slot
+	shift uint     // 64 − log2(len(slots))
+	n     int
+}
+
+// add inserts k (which must not be the maximum uint64) and reports whether
+// it was new.
+func (s *keySet) add(k uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	k++
+	mask := len(s.slots) - 1
+	for i := int((k * 0x9e3779b97f4a7c15) >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		}
+	}
+}
+
+func (s *keySet) grow() {
+	old := s.slots
+	size := max(2*len(old), 64)
+	s.slots = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.n = 0
+	for _, k := range old {
+		if k != 0 {
+			s.add(k - 1)
+		}
+	}
 }
 
 // CumulativeSenders returns, for each day d (0-based), the number of

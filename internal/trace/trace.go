@@ -121,7 +121,14 @@ func (t *Trace) LastDays(n int) *Trace {
 		return &Trace{}
 	}
 	_, last := t.Span()
-	end := dayStart(last) + 86400
+	return t.DaysEndingAt(n, last)
+}
+
+// DaysEndingAt returns the sub-trace covering the n whole UTC days that end
+// with the day of ts: LastDays anchored on a timestamp the trace need not
+// hold, such as the newest event of a larger trace this one was cut from.
+func (t *Trace) DaysEndingAt(n int, ts int64) *Trace {
+	end := dayStart(ts) + 86400
 	return t.Window(end-int64(n)*86400, end)
 }
 
@@ -150,6 +157,12 @@ func (t *Trace) Days() int {
 		return 0
 	}
 	first, last := t.Span()
+	return DaysSpanned(first, last)
+}
+
+// DaysSpanned returns the number of UTC days from the day of first to the
+// day of last, both included.
+func DaysSpanned(first, last int64) int {
 	return int(dayStart(last)-dayStart(first))/86400 + 1
 }
 
@@ -175,11 +188,21 @@ func (t *Trace) ActiveSenders(minPackets int) map[netutil.IPv4]bool {
 }
 
 // FilterSenders returns a new trace containing only events whose sender is
-// in keep.
+// in keep, in a slice of exactly their number: one pass looks each event's
+// sender up and marks the kept events in a bitmap (one bit per event), the
+// second copies the marked ones.
 func (t *Trace) FilterSenders(keep map[netutil.IPv4]bool) *Trace {
-	out := make([]Event, 0, len(t.Events))
-	for _, e := range t.Events {
+	marks := make([]uint64, (len(t.Events)+63)/64)
+	n := 0
+	for i, e := range t.Events {
 		if keep[e.Src] {
+			marks[i/64] |= 1 << (i % 64)
+			n++
+		}
+	}
+	out := make([]Event, 0, n)
+	for i, e := range t.Events {
+		if marks[i/64]&(1<<(i%64)) != 0 {
 			out = append(out, e)
 		}
 	}

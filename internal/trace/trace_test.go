@@ -94,8 +94,8 @@ func TestSenderCountsAndActive(t *testing.T) {
 		t.Fatalf("active = %v", active)
 	}
 	filtered := tr.FilterSenders(active)
-	if filtered.Len() != 3 {
-		t.Fatalf("filtered = %d", filtered.Len())
+	if filtered.Len() != 3 || cap(filtered.Events) != 3 {
+		t.Fatalf("filtered = %d events in a slice of cap %d, want 3 in 3", filtered.Len(), cap(filtered.Events))
 	}
 }
 
