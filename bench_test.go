@@ -203,6 +203,21 @@ func BenchmarkAppendCSV(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteCSV measures writing the serve-wide benchmark's seed trace,
+// 260,933 events, as CSV to a discarding writer: the formatter plus
+// WriteCSV's buffering, per trace and per line.
+func BenchmarkWriteCSV(b *testing.B) {
+	tr := darkvec.Simulate(darkvec.SimConfig{Seed: 1, Days: 2, Scale: 0.1, Rate: 0.1}).Trace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/line")
+}
+
 // BenchmarkWindowCut measures what a retrain cycle holds the live window's
 // lock for, on the serve-wide benchmark's shape: its 260,933 events fed
 // through a 190,000-event ring, which wraps. cut_ns is Window.Cut (the

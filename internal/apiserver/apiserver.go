@@ -37,7 +37,7 @@ type Server struct {
 	cls      *knn.Classifier // the generation's label table, resolved once
 	profiles []cluster.Profile
 	assign   []int
-	stats    *trace.Stats
+	stats    trace.Stats
 	version  string // model generation serving this instance, "" when unmanaged
 	annErr   string // why the ANN index is absent, "" when built or not requested
 	retrain  *RetrainInfo
@@ -70,7 +70,8 @@ type Config struct {
 	// Stats, when non-nil, is what /v1/stats serves: a summary the caller
 	// already has, over events Trace need not hold (darkvecd's window cut
 	// summarises every sender above -ingestminpkts, while Trace holds the
-	// trainable ones). nil summarises Trace.
+	// trainable ones). nil summarises Trace. New copies it, so the
+	// Server holds no pointer into the caller's memory.
 	Stats *trace.Stats
 	// KPrime controls the clustering exposed at /clusters (default 3).
 	KPrime int
@@ -138,10 +139,11 @@ func New(cfg Config) *Server {
 	if v == nil {
 		v = core.NewView(cfg.Space, cfg.GT, cfg.KPrime, cfg.Seed)
 	}
-	stats := cfg.Stats
-	if stats == nil {
-		st := cfg.Trace.Summary(trace.TopTCPRows)
-		stats = &st
+	var stats trace.Stats
+	if cfg.Stats != nil {
+		stats = *cfg.Stats
+	} else {
+		stats = cfg.Trace.Summary(trace.TopTCPRows)
 	}
 	s := &Server{
 		space:   v.Space,
@@ -205,7 +207,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.stats)
+	writeJSON(w, http.StatusOK, &s.stats)
 }
 
 // senderParams parses the query string once: ?ip= validated and resolved

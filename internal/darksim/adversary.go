@@ -101,11 +101,7 @@ func Attack(cfg AttackConfig) (*AttackOutput, error) {
 		Darknet: cfg.Darknet,
 	}.withDefaults()
 	cfg.Start, cfg.Darknet = base.Start, base.Darknet
-	g := &gen{
-		cfg:  base,
-		rng:  netutil.NewRand(cfg.Seed*0x6c62272e + 41),
-		used: make(map[netutil.IPv4]bool),
-	}
+	g := newGen(base, cfg.Seed*0x6c62272e+41, cfg.Senders)
 	attackers := make([]netutil.IPv4, cfg.Senders)
 	for i := range attackers {
 		// Global addresses: sybils and mimics spread across the address

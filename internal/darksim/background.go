@@ -65,11 +65,19 @@ func (g *gen) drawProfile(pool []trace.PortKey) bgProfile {
 	}
 }
 
+// backgroundSizes returns how many always-on and churning uncoordinated
+// senders background emits.
+func backgroundSizes(cfg Config) (alwaysOn, churny int) {
+	return cfg.scaled(bgAlwaysOnAtScale1, 20), cfg.scaled(bgChurnAtScale1, 40)
+}
+
+// backscatterSize returns how many sub-threshold senders backscatter emits.
+func backscatterSize(cfg Config) int { return cfg.scaled(backscatterAtScale, 100) }
+
 // background emits the uncoordinated active senders.
 func (g *gen) background() {
 	tailPool := portPool(99, 4000) // shared long-tail scatter
-	alwaysOn := g.scaled(bgAlwaysOnAtScale1, 20)
-	churny := g.scaled(bgChurnAtScale1, 40)
+	alwaysOn, churny := backgroundSizes(g.cfg)
 
 	emitDays := func(src netutil.IPv4, prof bgProfile, first, last int) {
 		for day := first; day < last; day++ {
@@ -103,7 +111,7 @@ func (g *gen) background() {
 // attacks replying into the darknet, plus misconfigured one-shot senders.
 // Roughly 36% of all sources send exactly one packet (§3.1, Fig 2a).
 func (g *gen) backscatter() {
-	n := g.scaled(backscatterAtScale, 100)
+	n := backscatterSize(g.cfg)
 	span := int64(g.cfg.Days) * 86400
 	for i := 0; i < n; i++ {
 		src := g.allocIP(netutil.Subnet{})

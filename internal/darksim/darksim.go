@@ -92,15 +92,11 @@ type Output struct {
 // Generate builds a dataset. The same Config always yields the same bytes.
 func Generate(cfg Config) *Output {
 	cfg = cfg.withDefaults()
-	g := &gen{
-		cfg:  cfg,
-		rng:  netutil.NewRand(cfg.Seed),
-		used: make(map[netutil.IPv4]bool),
-		out: &Output{
-			Feeds:  map[string][]netutil.IPv4{},
-			Groups: map[string][]netutil.IPv4{},
-			Config: cfg,
-		},
+	g := newGen(cfg, cfg.Seed, senderBudget(cfg))
+	g.out = &Output{
+		Feeds:  map[string][]netutil.IPv4{},
+		Groups: map[string][]netutil.IPv4{},
+		Config: cfg,
 	}
 	for _, spec := range groupSpecs() {
 		g.runGroup(spec)
@@ -113,13 +109,47 @@ func Generate(cfg Config) *Output {
 	return g.out
 }
 
+// senderBudget returns how many addresses Generate allocates under cfg:
+// every group's members and /24 bases, then the background and backscatter
+// senders.
+func senderBudget(cfg Config) int {
+	n := 0
+	for _, spec := range groupSpecs() {
+		n += spec.size(cfg) + spec.spread24
+	}
+	if !cfg.NoBackground {
+		alwaysOn, churny := backgroundSizes(cfg)
+		n += alwaysOn + churny + backscatterSize(cfg)
+	}
+	return n
+}
+
+// chunkEvents is how many events one emission chunk holds (96 KiB).
+const chunkEvents = 4096
+
 // gen carries generation state.
 type gen struct {
-	cfg    Config
-	rng    *netutil.Rand
-	used   map[netutil.IPv4]bool
-	events []trace.Event
+	cfg  Config
+	rng  *netutil.Rand
+	used map[netutil.IPv4]bool
+	// chunks hold the emitted events in emission order, each chunkEvents
+	// long but the last: a full chunk is never copied or regrown.
+	chunks [][]trace.Event
+	// perSec[s+1] counts the events emitted at second s since Start, the
+	// histogram trace's counting pass starts from.
+	perSec []int32
 	out    *Output
+}
+
+// newGen starts a generation over cfg's span, its address set presized
+// for senders addresses.
+func newGen(cfg Config, seed uint64, senders int) *gen {
+	return &gen{
+		cfg:    cfg,
+		rng:    netutil.NewRand(seed),
+		used:   make(map[netutil.IPv4]bool, senders),
+		perSec: make([]int32, int64(cfg.Days)*86400+1),
+	}
 }
 
 func (g *gen) horizon() int64 { return g.cfg.Start + int64(g.cfg.Days)*86400 }
@@ -133,7 +163,11 @@ func (g *gen) emit(ts int64, src netutil.IPv4, key trace.PortKey, mirai bool) {
 	if key.Proto != packet.IPProtocolTCP {
 		mirai = false // the fingerprint is a TCP sequence-number trick
 	}
-	g.events = append(g.events, trace.Event{
+	if len(g.chunks) == 0 || len(g.chunks[len(g.chunks)-1]) == chunkEvents {
+		g.chunks = append(g.chunks, make([]trace.Event, 0, chunkEvents))
+	}
+	last := &g.chunks[len(g.chunks)-1]
+	*last = append(*last, trace.Event{
 		Ts:    ts,
 		Src:   src,
 		Dst:   dst,
@@ -141,28 +175,31 @@ func (g *gen) emit(ts int64, src netutil.IPv4, key trace.PortKey, mirai bool) {
 		Proto: key.Proto,
 		Mirai: mirai,
 	})
+	g.perSec[ts-g.cfg.Start+1]++
 }
 
 // trace hands the emitted events over in time order. emit admits only
-// [Start, horizon), so one stable counting pass keyed by the second since
-// Start orders them: ties keep emission order, the bytes a stable sort
-// gives. Its event-sized buffer lives only here, never in a daemon's window
-// (DESIGN.md "One sort, in place"), and New's look finds nothing to do.
+// [Start, horizon) and counts each second, so one stable scatter keyed by
+// the second since Start orders them: ties keep emission order, the bytes a
+// stable sort gives. Each chunk is released once scattered, so the
+// collector may reclaim the emission copy while the ordered one fills. The
+// chunks live only here, never in a daemon's window (DESIGN.md "One sort, in
+// place", "Emission without growth"), and New's look finds nothing to do.
 func (g *gen) trace() *trace.Trace {
-	start := g.cfg.Start
-	next := make([]int32, g.horizon()-start+1)
-	for _, e := range g.events {
-		next[e.Ts-start+1]++
-	}
+	next := g.perSec
 	for i := 1; i < len(next); i++ {
 		next[i] += next[i-1]
 	}
-	out := make([]trace.Event, len(g.events))
-	for _, e := range g.events {
-		out[next[e.Ts-start]] = e
-		next[e.Ts-start]++
+	out := make([]trace.Event, next[len(next)-1])
+	start := g.cfg.Start
+	for i, chunk := range g.chunks {
+		for _, e := range chunk {
+			out[next[e.Ts-start]] = e
+			next[e.Ts-start]++
+		}
+		g.chunks[i] = nil
 	}
-	g.events = nil
+	g.chunks, g.perSec = nil, nil
 	return trace.New(out)
 }
 
@@ -196,8 +233,8 @@ func (g *gen) allocIP(pool netutil.Subnet) netutil.IPv4 {
 }
 
 // scaled applies the population scale with a floor.
-func (g *gen) scaled(n, floor int) int {
-	v := int(math.Round(float64(n) * g.cfg.Scale))
+func (c Config) scaled(n, floor int) int {
+	v := int(math.Round(float64(n) * c.Scale))
 	if v < floor {
 		v = floor
 	}

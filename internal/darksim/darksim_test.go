@@ -318,7 +318,7 @@ func TestEventPortProfiles(t *testing.T) {
 // emit must drop.
 func TestGenTraceMatchesStableReference(t *testing.T) {
 	cfg := Config{Seed: 9, Days: 2, Start: 1614556800 + 777}.withDefaults()
-	g := &gen{cfg: cfg, rng: netutil.NewRand(cfg.Seed)}
+	g := newGen(cfg, cfg.Seed, 0)
 	r := netutil.NewRand(11)
 	start, horizon := cfg.Start, g.horizon()
 	stamps := []int64{start, horizon - 1, start - 1, horizon, start - 86400, horizon + 3600}
@@ -329,7 +329,10 @@ func TestGenTraceMatchesStableReference(t *testing.T) {
 		}
 		g.emit(ts, netutil.IPv4(i+1), tcpKey(uint16(i%7)), i%3 == 0)
 	}
-	want := append([]trace.Event(nil), g.events...)
+	var want []trace.Event
+	for _, chunk := range g.chunks {
+		want = append(want, chunk...)
+	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Ts < want[j].Ts })
 	for _, e := range want {
 		if e.Ts < start || e.Ts >= horizon {
@@ -343,7 +346,7 @@ func TestGenTraceMatchesStableReference(t *testing.T) {
 	if !reflect.DeepEqual(got.Events, want) {
 		t.Fatalf("counting pass differs from the stable reference (%d vs %d events)", got.Len(), len(want))
 	}
-	if g.events != nil {
+	if g.chunks != nil {
 		t.Error("trace kept the unordered events")
 	}
 }

@@ -254,13 +254,18 @@ func samplePort(r *netutil.Rand, named []weightedPort, pool []trace.PortKey) tra
 	return tcpKey(0)
 }
 
-// runGroup allocates members and emits the group's events.
-func (g *gen) runGroup(spec groupSpec) {
-	n := g.scaled(spec.senders, spec.floor)
+// size returns how many members the group has under cfg.
+func (spec groupSpec) size(cfg Config) int {
+	n := cfg.scaled(spec.senders, spec.floor)
 	if spec.teams > 0 && n < 2*spec.teams {
 		n = 2 * spec.teams
 	}
-	members := g.allocMembers(spec, n)
+	return n
+}
+
+// runGroup allocates members and emits the group's events.
+func (g *gen) runGroup(spec groupSpec) {
+	members := g.allocMembers(spec, spec.size(g.cfg))
 	g.record(spec, members)
 	pool := portPool(spec.poolSeed, spec.poolPorts)
 	perDay := g.rate(spec.perDay, 0.6)

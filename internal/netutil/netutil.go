@@ -5,8 +5,10 @@
 package netutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -54,31 +56,54 @@ func MustParseIPv4(s string) IPv4 {
 	return ip
 }
 
+// MaxIPv4Len is the length of the longest dotted quad, 255.255.255.255.
+const MaxIPv4Len = 15
+
 // String returns the dotted-quad form.
 func (ip IPv4) String() string {
-	var b [15]byte
-	return string(ip.AppendTo(b[:0]))
+	var b [MaxIPv4Len]byte
+	return string(b[:ip.Put(b[:])])
 }
 
-// AppendTo appends the dotted-quad form to dst, digit by digit, and returns
-// the extended slice; it allocates only if dst must grow.
+// AppendTo appends the dotted-quad form to dst and returns the extended
+// slice; it allocates only if dst must grow.
 func (ip IPv4) AppendTo(dst []byte) []byte {
-	for shift := 24; shift >= 0; shift -= 8 {
-		b := byte(ip >> shift)
-		switch {
-		case b >= 100:
-			dst = append(dst, '0'+b/100, '0'+b/10%10, '0'+b%10)
-		case b >= 10:
-			dst = append(dst, '0'+b/10, '0'+b%10)
-		default:
-			dst = append(dst, '0'+b)
-		}
-		if shift > 0 {
-			dst = append(dst, '.')
-		}
-	}
-	return dst
+	n := len(dst)
+	dst = slices.Grow(dst, MaxIPv4Len)
+	return dst[:n+ip.Put(dst[n:n+MaxIPv4Len])]
 }
+
+// Put writes the dotted-quad form into b, which must hold MaxIPv4Len bytes,
+// and returns how many of them it used; the bytes of b past that are
+// scratch. Each octet is one lookup in octetText: the first three are one
+// four-byte store each, their dot included.
+func (ip IPv4) Put(b []byte) int {
+	_ = b[MaxIPv4Len-1]
+	n := 0
+	for shift := 24; shift > 0; shift -= 8 {
+		w := octetText[byte(ip>>shift)]
+		binary.LittleEndian.PutUint32(b[n:], uint32(w))
+		n += int(w >> 32)
+	}
+	// The last octet has no dot, and starts at byte 12 at the latest: three
+	// single bytes fit b where a four-byte store would not.
+	w := octetText[byte(ip)]
+	b[n], b[n+1], b[n+2] = byte(w), byte(w>>8), byte(w>>16)
+	return n + int(w>>32) - 1
+}
+
+// octetText holds, for each octet, its decimal digits and a dot in the low
+// four bytes (little-endian, first digit lowest) and the number of those
+// bytes in use, the dot counted, above them.
+var octetText = func() (t [256]uint64) {
+	for i := range t {
+		s := strconv.Itoa(i) + "."
+		var w [4]byte
+		copy(w[:], s)
+		t[i] = uint64(binary.LittleEndian.Uint32(w[:])) | uint64(len(s))<<32
+	}
+	return t
+}()
 
 // Octets returns the four address bytes in network order.
 func (ip IPv4) Octets() [4]byte {

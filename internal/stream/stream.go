@@ -94,6 +94,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Clock overrides time.Now for deterministic tests.
 	Clock func() time.Time
+	// sleep waits out a throttle or poll delay on Clock's time line, or
+	// until ctx ends; nil means a timer. A test driving Clock by hand
+	// sets both, so a sleep advances the time the token bucket reads.
+	sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (c Config) withDefaults() Config {
@@ -114,6 +118,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
+	}
+	if c.sleep == nil {
+		c.sleep = timerSleep
 	}
 	return c
 }
@@ -409,15 +416,19 @@ func (in *Ingestor) consumeLine(line, name string, bucket *tokenBucket) error {
 	return nil
 }
 
-// sleep is a ctx-aware sleep for throttle waits.
-func (in *Ingestor) sleep(d time.Duration) error {
+// sleep waits d, for a throttle or a poll, on the ingestor's clock; it
+// returns early with the context's error on shutdown.
+func (in *Ingestor) sleep(d time.Duration) error { return in.cfg.sleep(in.ctx, d) }
+
+// timerSleep is a ctx-aware sleep on the wall clock.
+func timerSleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return nil
-	case <-in.ctx.Done():
-		return in.ctx.Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,25 +157,48 @@ func TestIngestorOversizeLineCut(t *testing.T) {
 	}
 }
 
+// fakeClock is a hand-driven clock: Now reads it, and a sleep advances it
+// by the time slept instead of waiting.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) sleep(ctx context.Context, d time.Duration) error {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+	return ctx.Err()
+}
+
 func TestIngestorThrottleBackpressure(t *testing.T) {
-	// 50 events at 1000/s with burst 10: at least 40 must be throttled and
-	// the drain takes >= ~40ms of accumulated waits; nothing is lost.
-	in, addr := startTCP(t, Config{Rate: 1000, Burst: 10})
+	// 50 events at 1000/s with burst 10 on a clock only the throttle
+	// moves: the burst admits 10, each of the other 40 waits exactly one
+	// token's 1ms, and nothing is lost. The clock starts at the wall
+	// clock's time, as the connection's read deadline is set from it.
+	clock := &fakeClock{now: time.Now()}
+	start := clock.Now()
+	in, addr := startTCP(t, Config{Rate: 1000, Burst: 10, Clock: clock.Now, sleep: clock.sleep})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	for i := 0; i < 50; i++ {
 		fmt.Fprintf(conn, "%s\n", line(int64(i), "1.1.1.1"))
 	}
 	conn.Close()
 	waitFor(t, 5*time.Second, func() bool { return in.Window().Len() == 50 }, "all events admitted")
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("drained 50 events in %v; throttle applied no backpressure", elapsed)
+	if st := in.Stats(); st.Throttled != 40 {
+		t.Errorf("Throttled = %d, want 40", st.Throttled)
 	}
-	if st := in.Stats(); st.Throttled < 30 {
-		t.Errorf("Throttled = %d, want >= 30", st.Throttled)
+	if waited := clock.Now().Sub(start); waited != 40*time.Millisecond {
+		t.Errorf("throttle waited %v in all, want 40ms", waited)
 	}
 }
 

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/darkvec/darkvec/internal/netutil"
+	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/robust"
 )
 
@@ -46,6 +49,39 @@ func FuzzParseCSVRecord(f *testing.F) {
 		}
 		if len(e.Vantage.String()) > MaxVantageLen {
 			t.Fatalf("%q admitted a %d-byte vantage tag", line, len(e.Vantage.String()))
+		}
+	})
+}
+
+// FuzzAppendCSVRoundTrip fuzzes the formatter from the event side: every
+// event's line is the strconv reference's, and one with a protocol the
+// format names parses back to the same event; any other protocol's line is
+// refused by the parser.
+func FuzzAppendCSVRoundTrip(f *testing.F) {
+	f.Add(int64(1614556800), uint32(0xcb0071ff), uint32(0xc612000a), uint16(23), uint8(6), true, false)
+	f.Add(int64(0), uint32(0), uint32(0xffffffff), uint16(0), uint8(17), false, true)
+	f.Add(int64(9_999_999_999), uint32(0x0a090063), uint32(0x640a0901), uint16(65535), uint8(1), false, false)
+	f.Add(int64(-1), uint32(1), uint32(2), uint16(99), uint8(47), true, true)
+	f.Add(int64(math.MaxInt64), uint32(0x64646464), uint32(0x09090909), uint16(100), uint8(6), false, false)
+	north := MustVantage("north")
+	f.Fuzz(func(t *testing.T, ts int64, src, dst uint32, port uint16, proto uint8, mirai, tagged bool) {
+		e := Event{Ts: ts, Src: netutil.IPv4(src), Dst: netutil.IPv4(dst), Port: port, Proto: packet.IPProtocol(proto), Mirai: mirai}
+		if tagged {
+			e.Vantage = north
+		}
+		line := string(e.AppendCSV(nil))
+		if want := referenceCSV(e); line != want {
+			t.Fatalf("AppendCSV(%+v) = %q, want %q", e, line, want)
+		}
+		back, err := ParseCSVLine(line)
+		if protoText(e.Proto) == "" {
+			if err == nil {
+				t.Fatalf("%q parsed with an unknown protocol", line)
+			}
+			return
+		}
+		if err != nil || back != e {
+			t.Fatalf("%q parses back as %+v (%v), want %+v", line, back, err, e)
 		}
 	})
 }

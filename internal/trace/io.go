@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -40,10 +41,11 @@ func (t *Trace) Tagged() bool {
 
 // WriteCSV writes the trace in the repository's CSV interchange format, one
 // AppendCSV line per event, through a 64 KiB buffer like ReadCSV's reader
-// (the 4 KiB default costs a write call every ≈ 80 lines). A trace holding
-// at least one vantage-tagged event is written with the extended
-// seven-column header, and its untagged rows carry an empty seventh column;
-// untagged traces keep the six-column layout.
+// (the 4 KiB default costs a write call every ≈ 80 lines). Each line is
+// formatted straight into the buffer's free space. A trace holding at least
+// one vantage-tagged event is written with the extended seven-column
+// header, and its untagged rows carry an empty seventh column; untagged
+// traces keep the six-column layout.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	tagged := t.Tagged()
 	hdr := CSVHeaderLine + "\n"
@@ -54,9 +56,17 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	if _, err := bw.WriteString(hdr); err != nil {
 		return err
 	}
-	var line []byte
 	for _, e := range t.Events {
-		line = e.AppendCSV(line[:0])
+		// Room for the longest in-place line and its tag first, so the
+		// line stays in the buffer and Write moves nothing. A line on
+		// AppendCSV's strconv path may still outgrow it, at the cost of
+		// one copy.
+		if bw.Available() < maxCSVLine+1+MaxVantageLen+2 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		line := e.AppendCSV(bw.AvailableBuffer())
 		if tagged && e.Vantage == 0 {
 			line = append(line, ',')
 		}
@@ -68,10 +78,51 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxCSVLine is the longest line AppendCSV writes in place: a ten-digit
+// timestamp, two 15-byte addresses, a five-digit port, "icmp" and the Mirai
+// bit, with their five commas. A vantage tag is appended after it.
+const maxCSVLine = 10 + 1 + netutil.MaxIPv4Len + 1 + netutil.MaxIPv4Len + 1 + 5 + 1 + 4 + 2
+
+// maxInPlaceTs is the largest timestamp AppendCSV writes in place.
+const maxInPlaceTs = 9_999_999_999
+
 // AppendCSV appends the event's CSV interchange line (without a trailing
 // newline) to dst — the formatter WriteCSV and the live sources share. It
-// allocates only if dst must grow (TestAppendCSVAllocs).
+// reserves maxCSVLine bytes once and writes each field by index: the
+// timestamp and port two digits at a time, each address octet by table.
+// A timestamp outside [0, maxInPlaceTs] or an unknown protocol takes the
+// strconv path instead. It allocates only if dst must grow
+// (TestAppendCSVAllocs).
 func (e Event) AppendCSV(dst []byte) []byte {
+	proto := protoText(e.Proto)
+	if e.Ts < 0 || e.Ts > maxInPlaceTs || proto == "" {
+		return e.appendCSVStrconv(dst)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, maxCSVLine)
+	b := dst[n : n+maxCSVLine]
+	i := putTimestamp(b, uint64(e.Ts))
+	b[i] = ','
+	i++
+	i += e.Src.Put(b[i : i+netutil.MaxIPv4Len])
+	b[i] = ','
+	i++
+	i += e.Dst.Put(b[i : i+netutil.MaxIPv4Len])
+	b[i] = ','
+	i++
+	i += putDecimal(b[i:], uint32(e.Port))
+	b[i] = ','
+	i++
+	i += copy(b[i:], proto)
+	b[i], b[i+1] = ',', '0'
+	if e.Mirai {
+		b[i+1] = '1'
+	}
+	return e.appendVantage(dst[:n+i+2])
+}
+
+// appendCSVStrconv is AppendCSV for the lines it does not write in place.
+func (e Event) appendCSVStrconv(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, e.Ts, 10)
 	dst = append(dst, ',')
 	dst = e.Src.AppendTo(dst)
@@ -86,12 +137,83 @@ func (e Event) AppendCSV(dst []byte) []byte {
 	} else {
 		dst = append(dst, ",0"...)
 	}
+	return e.appendVantage(dst)
+}
+
+// appendVantage appends the event's vantage column, if it has a tag.
+func (e Event) appendVantage(dst []byte) []byte {
 	if e.Vantage != 0 {
 		dst = append(dst, ',')
 		dst = append(dst, e.Vantage.String()...)
 	}
 	return dst
 }
+
+// protoText is the CSV name of the three protocols the format parses, their
+// packet.IPProtocol names, and "" for any other.
+func protoText(p packet.IPProtocol) string {
+	switch p {
+	case packet.IPProtocolTCP, packet.IPProtocolUDP, packet.IPProtocolICMPv4:
+		return p.String()
+	}
+	return ""
+}
+
+// putTimestamp writes v, at most maxInPlaceTs, in decimal at the start of b
+// and returns its length. A value of nine or ten digits (every Unix time
+// since 1973) is split at 10⁸, and its low eight digits written as four
+// pairs.
+func putTimestamp(b []byte, v uint64) int {
+	if v < 1e8 {
+		return putDecimal(b, uint32(v))
+	}
+	hi := uint32(v / 1e8)
+	n := putDecimal(b, hi)
+	lo := uint32(v - uint64(hi)*1e8)
+	d := b[n : n+8]
+	for i := 6; i >= 0; i -= 2 {
+		q := lo / 100
+		p := 2 * (lo - 100*q)
+		d[i], d[i+1] = digitPairs[p], digitPairs[p+1]
+		lo = q
+	}
+	return n + 8
+}
+
+// putDecimal writes v, below 10⁸, in decimal at the start of b and returns
+// its length: two digits per division, from the right.
+func putDecimal(b []byte, v uint32) int {
+	n := 1
+	for p := uint32(10); n < 8 && v >= p; p *= 10 {
+		n++
+	}
+	i := n
+	for v >= 100 {
+		q := v / 100
+		d := 2 * (v - 100*q)
+		i -= 2
+		b[i], b[i+1] = digitPairs[d], digitPairs[d+1]
+		v = q
+	}
+	if v >= 10 {
+		b[0], b[1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		b[0] = byte('0' + v)
+	}
+	return n
+}
+
+// digitPairs is "00" through "99", back to back.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
 
 // ReadCSV reads a trace in the CSV interchange format under an error budget
 // and reports what the read saw. Events are re-sorted by timestamp.

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"github.com/darkvec/darkvec/internal/netutil"
+	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/robust"
 )
 
@@ -118,6 +122,65 @@ func TestEventAppendCSVMatchesWriteCSV(t *testing.T) {
 		if got.Events[i] != tr.Events[i] {
 			t.Fatalf("event %d: %+v != %+v", i, got.Events[i], tr.Events[i])
 		}
+	}
+}
+
+// referenceCSV is the event's CSV line through fmt and strconv, the
+// reference AppendCSV is held to.
+func referenceCSV(e Event) string {
+	dotted := func(ip netutil.IPv4) string {
+		return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	}
+	mirai := 0
+	if e.Mirai {
+		mirai = 1
+	}
+	line := fmt.Sprintf("%d,%s,%s,%d,%s,%d", e.Ts, dotted(e.Src), dotted(e.Dst), e.Port, e.Proto, mirai)
+	if e.Vantage != 0 {
+		line += "," + e.Vantage.String()
+	}
+	return line
+}
+
+// TestAppendCSVMatchesReference: the in-place formatter writes what the
+// strconv reference does, byte for byte, at every digit-count boundary of
+// the timestamp, the port and each address octet, on both sides of the
+// in-place timestamp range, for the three known protocols and an unknown
+// one, with and without the Mirai bit and a vantage tag, and after bytes
+// already in dst.
+func TestAppendCSVMatchesReference(t *testing.T) {
+	north := MustVantage("north")
+	stamps := []int64{0, -1, 9, 10, 99_999_999, 1e8, 999_999_999, 1e9, 1614556800, 9_999_999_999, 1e10, math.MaxInt64, math.MinInt64}
+	ports := []uint16{0, 9, 10, 99, 100, 65535}
+	octets := []uint32{0, 9, 10, 99, 100, 255}
+	protos := []packet.IPProtocol{packet.IPProtocolTCP, packet.IPProtocolUDP, packet.IPProtocolICMPv4, 47}
+	var addrs []netutil.IPv4
+	for pos := 0; pos < 4; pos++ {
+		for _, o := range octets {
+			addrs = append(addrs, netutil.IPv4(o<<(8*pos)|0x01010101&^(0xff<<(8*pos))))
+		}
+	}
+	lines := 0
+	for _, ts := range stamps {
+		for i, port := range ports {
+			for _, proto := range protos {
+				for _, mirai := range []bool{false, true} {
+					for _, vantage := range []VantageID{0, north} {
+						for j, src := range addrs {
+							e := Event{Ts: ts, Src: src, Dst: addrs[(j*7+i)%len(addrs)] ^ 0xff, Port: port, Proto: proto, Mirai: mirai, Vantage: vantage}
+							want := "x," + referenceCSV(e)
+							if got := string(e.AppendCSV([]byte("x,"))); got != want {
+								t.Fatalf("AppendCSV(%+v) = %q, want %q", e, got, want)
+							}
+							lines++
+						}
+					}
+				}
+			}
+		}
+	}
+	if lines != len(stamps)*len(ports)*len(protos)*2*2*len(addrs) {
+		t.Fatalf("checked %d lines", lines)
 	}
 }
 
