@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -115,6 +116,7 @@ func TestValidateLiveFlags(t *testing.T) {
 		{"live without retrain", func(o *options) { o.retrain = 0 }},
 		{"bad policy", func(o *options) { o.ingestPolicy = "newest-first" }},
 		{"negative cap", func(o *options) { o.ingestCap = -1 }},
+		{"cap above int32", func(o *options) { o.ingestCap = math.MaxInt32; o.ingestCap++ }},
 		{"negative queue", func(o *options) { o.ingestQueue = -1 }},
 		{"negative ingestmin", func(o *options) { o.ingestMin = -1 }},
 		{"negative minpkts", func(o *options) { o.ingestMinPkts = -1 }},

@@ -83,6 +83,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -307,6 +308,9 @@ func (o *options) validate() error {
 		// nonsense (except -ingestage, where negative = unbounded).
 		if o.ingestCap < 0 {
 			return fmt.Errorf("invalid -ingestcap %d: must be >= 0", o.ingestCap)
+		}
+		if o.ingestCap > math.MaxInt32 {
+			return fmt.Errorf("invalid -ingestcap %d: must be <= %d", o.ingestCap, math.MaxInt32)
 		}
 		if o.ingestQueue < 0 {
 			return fmt.Errorf("invalid -ingestqueue %d: must be >= 0", o.ingestQueue)

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"math"
 	"sync"
+	"unsafe"
 
 	"github.com/darkvec/darkvec/internal/corpus"
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -9,12 +11,16 @@ import (
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
-// WindowConfig bounds a rolling window. Both limits are hard: the window
-// can never hold more than MaxEvents events, and never spans more than
-// MaxAge of event time, so memory stays bounded no matter how fast or how
-// long the feed runs.
+// WindowConfig bounds a rolling window. The event cap is hard: the window
+// never holds more than MaxEvents events, so memory stays bounded no matter
+// how fast or how long the feed runs. The age bound evicts from the head
+// only: an event falls out once it is the oldest-arrived one and more than
+// MaxAge older than the newest. A late arrival — older than events already
+// buffered — waits behind them, so the buffered events can span more than
+// MaxAge until the head reaches it.
 type WindowConfig struct {
-	// MaxEvents caps the buffered events (default 1<<20). The cap also
+	// MaxEvents caps the buffered events (default 1<<20, at most
+	// math.MaxInt32: a sender's packet count is an int32). The cap also
 	// bounds sender-cardinality bookkeeping: the per-sender count map can
 	// never exceed the number of buffered events.
 	MaxEvents int
@@ -29,6 +35,7 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 1 << 20
 	}
+	c.MaxEvents = min(c.MaxEvents, math.MaxInt32)
 	if c.MaxAge == 0 {
 		c.MaxAge = 24 * 3600
 	}
@@ -37,13 +44,23 @@ func (c WindowConfig) withDefaults() WindowConfig {
 
 // WindowStats is the /v1/ingest view of a window.
 type WindowStats struct {
-	Events     int   `json:"events"`
-	Senders    int   `json:"senders"`
+	Events  int `json:"events"`
+	Senders int `json:"senders"`
+	// FirstTs is the Ts of the oldest-arrived buffered event, the next one
+	// eviction takes; a late arrival behind it may be older. LastTs is the
+	// newest Ts ever added.
 	FirstTs    int64 `json:"first_ts"`
 	LastTs     int64 `json:"last_ts"`
 	EvictedAge int64 `json:"evicted_age"`
 	EvictedCap int64 `json:"evicted_cap"`
+	// RingBytes is the ring's size: its slots × 24 B. The ring lies outside
+	// the Go heap on unix builds, so runtime.MemStats and heap profiles do
+	// not count it; its pages become resident as the window fills them.
+	RingBytes int64 `json:"ring_bytes"`
 }
+
+// eventBytes is the ring's cost per slot.
+const eventBytes = int64(unsafe.Sizeof(trace.Event{}))
 
 // Window is a rolling, bounded, in-memory event store: the live-feed
 // equivalent of the paper's 1–30 day training window. Events are kept in
@@ -51,13 +68,21 @@ type WindowStats struct {
 // the oldest-arrived events are evicted and their senders' packet counts
 // decremented. All methods are safe for concurrent use.
 type Window struct {
-	mu     sync.Mutex
-	cfg    WindowConfig
-	buf    []trace.Event // ring; len(buf) is the current capacity
+	mu  sync.Mutex
+	cfg WindowConfig
+	// buf is the ring's events; len(buf) is the current capacity. Its
+	// memory belongs to ring, which reserveLocked unmaps when it regrows and
+	// a finalizer unmaps when the window is dropped. That is safe because
+	// buf is read and written only under mu, whose Unlock keeps the window
+	// and its ring reachable, and no slice of it outlives the lock: Cut,
+	// Snapshot and SnapshotActive copy events out; Stats and reserveLocked
+	// read them in place.
+	buf    []trace.Event
+	ring   *ring
 	head   int
 	n      int
-	counts map[netutil.IPv4]int
-	newest int64 // max event Ts ever added
+	counts map[netutil.IPv4]int32 // MaxEvents ≤ math.MaxInt32 bounds each
+	newest int64                  // max event Ts ever added
 
 	evictedAge int64
 	evictedCap int64
@@ -69,7 +94,7 @@ type Window struct {
 // NewWindow builds a window; the ring starts small and grows geometrically
 // up to MaxEvents, so an idle daemon does not pre-pay the cap.
 func NewWindow(cfg WindowConfig) *Window {
-	return &Window{cfg: cfg.withDefaults(), counts: make(map[netutil.IPv4]int)}
+	return &Window{cfg: cfg.withDefaults(), counts: make(map[netutil.IPv4]int32)}
 }
 
 // Add admits one event, evicting from the old end as needed to hold the
@@ -141,7 +166,8 @@ func (w *Window) retainedLocked(events []trace.Event) int {
 // reserveLocked makes room for extra more events with at most one ring
 // allocation. Capacities stay on the doubling ladder (1024·2^k, capped at
 // MaxEvents) whatever the batch sizes: a ring sized exactly to each batch
-// would be re-copied whole on every batch that follows.
+// would be re-copied whole on every batch that follows. The new ring is
+// filled before the old one is freed.
 func (w *Window) reserveLocked(extra int) {
 	need := min(w.n+extra, w.cfg.MaxEvents)
 	if need <= len(w.buf) {
@@ -151,11 +177,11 @@ func (w *Window) reserveLocked(extra int) {
 	for newCap < need {
 		newCap *= 2
 	}
-	nb := make([]trace.Event, min(newCap, w.cfg.MaxEvents))
+	r, nb := newRing(min(newCap, w.cfg.MaxEvents))
 	runs := w.runsLocked()
 	copy(nb[copy(nb, runs[0]):], runs[1])
-	w.buf = nb
-	w.head = 0
+	w.ring.free()
+	w.ring, w.buf, w.head = r, nb, 0
 }
 
 func (w *Window) evictLocked() {
@@ -169,11 +195,12 @@ func (w *Window) evictLocked() {
 	}
 }
 
-// AgeHorizon returns the event-time horizon (Unix seconds) below which the
-// hard age cap would evict an event on sight: newest − MaxAge. Anything
-// older is useless to a reboot, which makes this the WAL's compaction
-// bound. Returns 0 — "no horizon yet" — while the window is empty or when
-// the age bound is disabled.
+// AgeHorizon returns the event-time horizon (Unix seconds) newest − MaxAge:
+// the age bound evicts an event older than it as soon as that event is the
+// head. A late arrival older than the horizon waits behind younger events
+// until then (WindowConfig). The horizon is the WAL's compaction bound.
+// Returns 0 — "no horizon yet" — while the window is empty or when the age
+// bound is disabled.
 func (w *Window) AgeHorizon() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -204,7 +231,7 @@ func (w *Window) ActiveSenders(minPackets int) int {
 	defer w.mu.Unlock()
 	n := 0
 	for _, c := range w.counts {
-		if c >= minPackets {
+		if int(c) >= minPackets {
 			n++
 		}
 	}
@@ -243,7 +270,7 @@ func (w *Window) SnapshotActive(minPackets int) *trace.Trace {
 	events := make([]trace.Event, 0, w.n)
 	for _, run := range w.runsLocked() {
 		for _, e := range run {
-			if w.counts[e.Src] >= minPackets {
+			if int(w.counts[e.Src]) >= minPackets {
 				events = append(events, e)
 			}
 		}
@@ -299,18 +326,18 @@ func (w *Window) Cut(minPackets, trainPackets int) Cut {
 	w.mu.Lock()
 	kept, sources := 0, 0
 	for _, c := range w.counts {
-		if c >= minPackets {
+		if int(c) >= minPackets {
 			sources++
 		}
-		if c >= train {
-			kept += c
+		if int(c) >= train {
+			kept += int(c)
 		}
 	}
 	events := make([]trace.Event, 0, kept)
 	runs := w.runsLocked()
 	for _, run := range runs {
 		for i := range run {
-			c := w.counts[run[i].Src]
+			c := int(w.counts[run[i].Src])
 			if c < minPackets {
 				continue
 			}
@@ -323,7 +350,7 @@ func (w *Window) Cut(minPackets, trainPackets int) Cut {
 	tl.Rank(trace.TopTCPRows, packet.IPProtocolTCP)
 	for _, run := range runs {
 		for i := range run {
-			if row := tl.RowOf(&run[i]); row >= 0 && (minPackets <= 1 || w.counts[run[i].Src] >= minPackets) {
+			if row := tl.RowOf(&run[i]); row >= 0 && (minPackets <= 1 || int(w.counts[run[i].Src]) >= minPackets) {
 				tl.CountSource(row, run[i].Src)
 			}
 		}
@@ -352,6 +379,7 @@ func (w *Window) Stats() WindowStats {
 		Senders:    len(w.counts),
 		EvictedAge: w.evictedAge,
 		EvictedCap: w.evictedCap,
+		RingBytes:  int64(len(w.buf)) * eventBytes,
 	}
 	if w.n > 0 {
 		s.FirstTs = w.buf[w.head].Ts

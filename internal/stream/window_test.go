@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
@@ -203,4 +205,117 @@ func TestAddBatchReallocatesLogTimes(t *testing.T) {
 	if n := ringAllocs(w, batches); n != 1 { // counts the ring already there, and no other
 		t.Errorf("a full ring was reallocated %d more times", n-1)
 	}
+}
+
+// TestLateArrivalWaitsForTheHead: the age bound evicts from the head only.
+// An event older than the horizon that arrives behind younger ones stays
+// until it is the head, so the window can span more than MaxAge and
+// FirstTs is the oldest-arrived event, not the oldest one.
+func TestLateArrivalWaitsForTheHead(t *testing.T) {
+	w := NewWindow(WindowConfig{MaxEvents: 100, MaxAge: 100})
+	for _, ts := range []int64{1000, 500, 1001} {
+		w.Add(ev(ts, "1.2.3.4"))
+	}
+	st := w.Stats()
+	if st.Events != 3 || st.EvictedAge != 0 {
+		t.Fatalf("window holds %d events after %d age evictions, want 3 and 0", st.Events, st.EvictedAge)
+	}
+	if st.FirstTs != 1000 || st.LastTs != 1001 {
+		t.Errorf("FirstTs, LastTs = %d, %d; want 1000, 1001", st.FirstTs, st.LastTs)
+	}
+	snap := w.Snapshot()
+	if span := snap.Events[snap.Len()-1].Ts - snap.Events[0].Ts; span != 501 {
+		t.Errorf("window spans %d s, want 501 (more than MaxAge)", span)
+	}
+	if h := w.AgeHorizon(); h != 901 {
+		t.Errorf("AgeHorizon = %d, want 901 with an older event still buffered", h)
+	}
+	// Once the head expires, the late event is the head and goes with it.
+	w.Add(ev(1101, "1.2.3.4"))
+	if st := w.Stats(); st.Events != 2 || st.FirstTs != 1001 || st.EvictedAge != 2 {
+		t.Errorf("after the head expired: %+v, want 2 events from 1001 and 2 age evictions", st)
+	}
+}
+
+// TestWindowRingBytes: /v1/ingest's ring_bytes is the ring's slots × 24 B
+// along the doubling ladder, and stops at the cap.
+func TestWindowRingBytes(t *testing.T) {
+	w := NewWindow(WindowConfig{MaxEvents: 3000, MaxAge: -1})
+	var added int64
+	for _, step := range []struct{ added, slots int64 }{
+		{0, 0}, {1, 1024}, {1024, 1024}, {1025, 2048}, {2049, 3000}, {10000, 3000},
+	} {
+		for ; added < step.added; added++ {
+			w.Add(ev(added, "1.2.3.4"))
+		}
+		if got := w.Stats().RingBytes; got != step.slots*24 {
+			t.Errorf("after %d adds: ring_bytes = %d, want %d slots × 24 B", added, got, step.slots)
+		}
+	}
+}
+
+// TestWindowRingOutsideHeap: a full 1 M-event window barely moves the Go
+// heap, so the collector's pacing never doubles the ring.
+func TestWindowRingOutsideHeap(t *testing.T) {
+	if !ringOffHeap {
+		t.Skip("this build keeps window rings on the Go heap")
+	}
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := NewWindow(WindowConfig{MaxEvents: n, MaxAge: -1})
+	batch := make([]trace.Event, 4096)
+	for ts := 0; ts < n; ts += len(batch) {
+		for i := range batch {
+			batch[i] = trace.Event{Ts: int64(ts + i), Src: netutil.IPv4(i % 64), Proto: packet.IPProtocolTCP}
+		}
+		w.AddBatch(batch)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if w.Len() != n {
+		t.Fatalf("window holds %d events, want %d", w.Len(), n)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("filling a %d-event window grew HeapAlloc by %d B, want < 1 MiB (the ring is %d B)", n, grew, w.Stats().RingBytes)
+	}
+	runtime.KeepAlive(w)
+}
+
+// TestDroppedWindowReleasesItsRing: a window nobody holds gives its mapping
+// back once the collector finds it, and a window that regrows unmaps the
+// ring it outgrew at once.
+func TestDroppedWindowReleasesItsRing(t *testing.T) {
+	if !ringOffHeap {
+		t.Skip("this build keeps window rings on the Go heap")
+	}
+	settle := func() int64 {
+		for i := 0; i < 100 && mappedRingBytes() != 0; i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
+		return mappedRingBytes()
+	}
+	for i := 0; i < 1000; i++ {
+		w := NewWindow(WindowConfig{MaxEvents: 1 << 20, MaxAge: -1})
+		w.Add(ev(int64(i), "1.2.3.4"))
+	}
+	if got := mappedRingBytes(); got < 1000*1024*24 {
+		t.Fatalf("1000 windows hold %d mapped bytes, want at least %d", got, 1000*1024*24)
+	}
+	if got := settle(); got != 0 {
+		t.Fatalf("%d B still mapped after 1000 windows were dropped", got)
+	}
+
+	w := NewWindow(WindowConfig{MaxEvents: 1 << 20, MaxAge: -1})
+	w.AddBatch(seq(0, 1000))
+	if got := mappedRingBytes(); got != 1024*24 {
+		t.Errorf("one 1024-slot ring maps %d B, want %d", got, 1024*24)
+	}
+	w.AddBatch(seq(1000, 5000))
+	if got, want := mappedRingBytes(), w.Stats().RingBytes; got != want || want != 8192*24 {
+		t.Errorf("a regrown window maps %d B, want its %d-B ring only (8192 slots)", got, want)
+	}
+	runtime.KeepAlive(w)
 }

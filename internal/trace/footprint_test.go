@@ -26,6 +26,27 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// TestEventHasNoPointers: a window's ring lies outside the Go heap, where
+// the collector never scans, so an event must hold nothing that points.
+func TestEventHasNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.String, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	check("Event", reflect.TypeOf(Event{}))
+}
+
 // allocated returns the bytes fn allocates, garbage included.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
