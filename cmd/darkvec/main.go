@@ -236,7 +236,7 @@ func run(ctx context.Context, o options) error {
 	if v.Err != nil {
 		return v.Err
 	}
-	for _, p := range v.Profiles(tr) {
+	for _, p := range v.Profiles(g.Tally) {
 		if len(p.Senders) < 3 {
 			continue
 		}

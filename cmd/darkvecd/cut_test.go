@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,5 +73,76 @@ func TestServedGenerationDropsItsCut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("/v1/stats = %+v, want the served cut's %+v", got, want)
+	}
+}
+
+// epochCtx is a training context that watches for a collection: the
+// trainer checks its context's Err after every epoch, and each check runs
+// a bounded number of collections waiting for collected to close, noting
+// the first check that saw it.
+type epochCtx struct {
+	context.Context
+	collected    chan struct{}
+	checks, seen atomic.Int32
+}
+
+func (c *epochCtx) Err() error {
+	n := c.checks.Add(1)
+	if c.seen.Load() == 0 {
+		for try := 0; try < 20; try++ {
+			runtime.GC()
+			select {
+			case <-c.collected:
+				c.seen.Store(n)
+				return c.Context.Err()
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
+	return c.Context.Err()
+}
+
+// TestGenerationLetsGoOfItsEvents: a cycle hands its cut's trainable events
+// to core.Generate and keeps nothing of them, and Generate reads what its
+// look needs — the corpus, the eval senders, their port tally — before it
+// trains. So the cut's trace and its event array are garbage while the
+// model trains: their finalizers run before the trainer's last epoch ends.
+func TestGenerationLetsGoOfItsEvents(t *testing.T) {
+	o := baseOpts("")
+	o.epochs = 3
+	cfg := core.DefaultConfig()
+	cfg.W2V.Dim, cfg.W2V.Window, cfg.W2V.Epochs, cfg.W2V.Seed = o.dim, o.window, o.epochs, o.seed
+	var traceGone, eventsGone atomic.Bool
+	ctx := &epochCtx{Context: context.Background(), collected: make(chan struct{})}
+	o.onCut = func(cut stream.Cut) {
+		runtime.SetFinalizer(cut.Trainable, func(*trace.Trace) { traceGone.Store(true) })
+		runtime.SetFinalizer(&cut.Trainable.Events[0], func(*trace.Event) {
+			eventsGone.Store(true)
+			close(ctx.collected)
+		})
+	}
+	d := &daemon{o: o, cfg: cfg, gate: robust.NewGate()}
+	d.ing = stream.New(stream.Config{Window: stream.WindowConfig{MaxEvents: 1 << 16, MaxAge: -1}})
+	t.Cleanup(func() { d.ing.Close() })
+	d.ing.Window().AddBatch(darksim.Generate(darksim.Config{Seed: 3, Days: 2, Scale: 0.005, Rate: 0.05}).Trace.Events)
+
+	if err := d.cycle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !d.gate.Ready() {
+		t.Fatal("the cycle served nothing")
+	}
+	checks, seen := ctx.checks.Load(), ctx.seen.Load()
+	if checks < int32(o.epochs) {
+		t.Fatalf("the trainer checked its context %d times over %d epochs; the test needs one check per epoch", checks, o.epochs)
+	}
+	switch {
+	case seen == 0:
+		t.Fatalf("the cut's events stayed reachable through all %d epochs", checks)
+	case seen == checks:
+		t.Fatalf("the cut's events were collected only after the last of %d epochs", checks)
+	}
+	if !traceGone.Load() || !eventsGone.Load() {
+		t.Errorf("collected while training: trace %v, event array %v; want both", traceGone.Load(), eventsGone.Load())
 	}
 }

@@ -103,7 +103,7 @@ func (d *daemon) startIngest() error {
 				if d.ing == nil {
 					return 0
 				}
-				return d.ing.Window().AgeHorizon()
+				return d.ing.Window().CompactionHorizon()
 			},
 			// A CRC-intact record that does not decode as an event goes
 			// through the same quarantine budget as a malformed wire line:

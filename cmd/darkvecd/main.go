@@ -186,6 +186,7 @@ type options struct {
 	retrainSleep   func(context.Context, time.Duration) error               // test hook: no wall-clock sleeps
 	trainWrap      func(io.Writer) io.Writer                                // test hook: fault injection on publish
 	warmSeedHook   func(*w2v.WarmSeed)                                      // test hook: mutate (corrupt) the warm seed before training
+	onCut          func(stream.Cut)                                         // test hook: the window cut a generation is made from
 	walWrap        func(wal.SyncWriter) wal.SyncWriter                      // test hook: fault injection on WAL segments
 	annBuild       func(*embed.Space, embed.IVFOptions) (*embed.IVF, error) // test hook: fault injection on index builds
 }
@@ -697,16 +698,28 @@ func (d *daemon) bootFromStore() bool {
 			continue
 		}
 		d.o.logf("booted from store generation %s; skipping initial training", v)
-		cut := d.ing.Window().Cut(d.o.ingestMinPkts, d.cfg.MinPackets)
-		tr := cut.Trainable
+		stats, _, tr, eval := d.cut()
 		d.seedInterner(m.Words())
-		g := core.Look(tr, cut.LastDays(d.o.evalDays), core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg)
+		g := core.Look(tr, eval, core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg)
 		// No baseline at boot, so nothing to fail: see gateCheck.
 		snap, _ := d.captureGeneration(g)
-		d.serve(g, &cut.Stats, v, nil)
+		d.serve(g, &stats, v, nil)
 		d.acceptGeneration(snap, nil, v)
 		return true
 	}
+}
+
+// cut takes a generation's input from the window: the /v1/stats summary
+// and the day count, which the daemon keeps, and the trainable events and
+// their eval days, which it hands to core and does not keep — core reads
+// what its later stages need of them before it trains, so they are garbage
+// while the model trains.
+func (d *daemon) cut() (stats trace.Stats, days int, tr, eval *trace.Trace) {
+	c := d.ing.Window().Cut(d.o.ingestMinPkts, d.cfg.MinPackets)
+	if d.o.onCut != nil {
+		d.o.onCut(c)
+	}
+	return c.Stats, c.Days(), c.Trainable, c.LastDays(d.o.evalDays)
 }
 
 // seedInterner interns the IP-shaped vocabulary of a store-booted model so
@@ -800,7 +813,7 @@ func (d *daemon) serve(g *core.Generation, stats *trace.Stats, v modelstore.Vers
 	})
 	d.prev = g.Emb.Model
 	d.gate.Set(apiserver.New(apiserver.Config{
-		View: g.View, Trace: g.Trace, Stats: stats,
+		View: g.View, Tally: g.Tally, Stats: stats,
 		RequestTimeout: d.o.reqTimeout, MaxInFlight: d.o.maxInFlight,
 		Logf: d.o.logf, ModelVersion: ver, ANNError: annErr, Retrain: how,
 	}))
@@ -829,12 +842,12 @@ func (d *daemon) cycle(ctx context.Context) error {
 		d.status.lastErr.Store(err.Error())
 		return err
 	}
-	cut := d.ing.Window().Cut(d.o.ingestMinPkts, d.cfg.MinPackets)
-	if cut.Stats.Packets < d.o.ingestMin {
+	stats, days, tr, eval := d.cut()
+	if stats.Packets < d.o.ingestMin {
 		// A thin window is a fact about the darknet, not a failure:
 		// skip the cycle without burning the breaker or flagging
 		// degraded, and try again next tick.
-		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", cut.Stats.Packets, d.o.ingestMin)
+		d.o.logf("retrain: window holds %d trainable events (< -ingestmin %d); skipping cycle", stats.Packets, d.o.ingestMin)
 		return nil
 	}
 
@@ -849,9 +862,8 @@ func (d *daemon) cycle(ctx context.Context) error {
 			d.o.warmSeedHook(topts.Warm)
 		}
 	}
-	d.o.logf("training on %d events (%d days)...", cut.Stats.Packets, cut.Days())
-	tr := cut.Trainable
-	g, err := core.Generate(tr, cut.LastDays(d.o.evalDays), labels.Build(tr, d.feeds), d.cfg, topts)
+	d.o.logf("training on %d events (%d days)...", stats.Packets, days)
+	g, err := core.Generate(tr, eval, labels.Build(tr, d.feeds), d.cfg, topts)
 	if err != nil {
 		return fail(fmt.Errorf("train: %w", err))
 	}
@@ -904,7 +916,7 @@ func (d *daemon) cycle(ctx context.Context) error {
 			fail(pubErr)
 		}
 	}
-	d.serve(g, &cut.Stats, v, &apiserver.RetrainInfo{
+	d.serve(g, &stats, v, &apiserver.RetrainInfo{
 		Mode: mode, DurationSecs: trainDur.Seconds(), Epochs: g.Emb.Epochs, WarmFallback: g.WarmFallback,
 	})
 	var extra []string

@@ -1,18 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -353,6 +356,116 @@ func TestWALCompactionBoundedByWindowAge(t *testing.T) {
 	if len(segs) > int(st.WAL.Rotations) {
 		t.Errorf("on-disk WAL unbounded: %d segments after %d rotations and %d compactions",
 			len(segs), st.WAL.Rotations, st.WAL.Compacted)
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALCompactionKeepsHeldLateArrival: compaction deletes only what no
+// reboot needs. A seed event (seeds bypass the WAL) is the window's head at
+// Ts 1000 under a 100 s age bound; a late Ts 500 arrives behind it, is
+// sealed alone in its own segment, and stays in the window — the age bound
+// evicts from the head only. Ts 1001 then forces another rotation. After a
+// kill -9, the reboot's window must hold all three events again: the
+// segment holding 500 survived both rotations though its newest event is
+// below newest − MaxAge. The daemon runs in a child copy of the test binary
+// so that it can be killed.
+func TestWALCompactionKeepsHeldLateArrival(t *testing.T) {
+	const child = "DARKVECD_TEST_WAL_LATE_ARRIVAL_DIR"
+	lateOpts := func(dir string) options {
+		o := walOpts(dir)
+		o.in = filepath.Join(dir, "seed.csv")
+		o.ingestAge = 100 * time.Second
+		o.walSeg = 1 // every commit seals its segment
+		return o
+	}
+	if dir := os.Getenv(child); dir != "" {
+		o := lateOpts(dir)
+		o.onListen = func(addr string) { fmt.Printf("http %s\n", addr) }
+		o.onIngestListen = func(addr string) { fmt.Printf("ingest %s\n", addr) }
+		err := run(context.Background(), o)
+		t.Fatalf("the daemon returned before it was killed: %v", err)
+	}
+
+	dir := t.TempDir()
+	event := func(ts int64) trace.Event {
+		return trace.Event{Ts: ts, Src: netutil.IPv4(0x0a000001), Dst: netutil.IPv4(0xc0a80001), Port: 23, Proto: packet.IPProtocolTCP}
+	}
+	f, err := os.Create(filepath.Join(dir, "seed.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.New([]trace.Event{event(1000)}).WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWALCompactionKeepsHeldLateArrival$")
+	cmd.Env = append(os.Environ(), child+"="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addrs := make(chan [2]string, 1)
+	drained := make(chan struct{})
+	killed := false
+	kill := func() {
+		if !killed {
+			killed = true
+			cmd.Process.Kill() // SIGKILL on unix: no drain, no close
+			<-drained          // Wait closes the pipe: read it to EOF first
+			cmd.Wait()
+		}
+	}
+	t.Cleanup(kill)
+	go func() {
+		defer close(drained)
+		var a [2]string
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), "http "); ok {
+				a[0] = v
+			} else if v, ok := strings.CutPrefix(sc.Text(), "ingest "); ok {
+				a[1] = v
+			}
+			if a[0] != "" && a[1] != "" {
+				addrs <- a
+				break
+			}
+		}
+		io.Copy(io.Discard, stdout)
+	}()
+	var a [2]string
+	select {
+	case a = <-addrs:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the child daemon never bound its listeners")
+	}
+	base := "http://" + a[0]
+
+	for i, ts := range []int64{500, 1001} {
+		streamTrace(t, a[1], trace.New([]trace.Event{event(ts)}))
+		waitFor(t, fmt.Sprintf("Ts %d accepted", ts), func() bool { return getIngestStats(t, base).Accepted == int64(i+1) })
+	}
+	st := getIngestWAL(t, base)
+	if st.Window.Events != 3 || st.WAL == nil || st.WAL.Rotations < 2 {
+		t.Fatalf("test premise: the window holds all three events and each live one sealed its own segment: window %+v, wal %+v", st.Window, st.WAL)
+	}
+	kill()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	httpAddr, _, _, runErr := startLive(t, ctx, lateOpts(dir))
+	st = getIngestWAL(t, "http://"+httpAddr)
+	if st.Window.Events != 3 || st.WAL == nil || st.WAL.Replayed != 2 {
+		t.Errorf("rebuilt window holds %d events (wal %+v); want the seed and both live events, 500 included", st.Window.Events, st.WAL)
 	}
 	cancel()
 	if err := <-runErr; err != nil {

@@ -65,13 +65,17 @@ type Config struct {
 	View  *core.View
 	Space *embed.Space
 	GT    *labels.Set
-	// Trace holds the served senders' events, for /v1/clusters.
+	// Tally is the served senders' packets per port, for /v1/clusters
+	// (darkvecd hands over its generation's); nil tallies Trace.
+	Tally *cluster.PortTally
+	// Trace holds the served senders' events. New reads it only when Tally
+	// or Stats is nil, and keeps no pointer into it.
 	Trace *trace.Trace
 	// Stats, when non-nil, is what /v1/stats serves: a summary the caller
 	// already has, over events Trace need not hold (darkvecd's window cut
-	// summarises every sender above -ingestminpkts, while Trace holds the
-	// trainable ones). nil summarises Trace. New copies it, so the
-	// Server holds no pointer into the caller's memory.
+	// summarises every sender above -ingestminpkts). nil summarises Trace.
+	// New copies it, so the Server holds no pointer into the caller's
+	// memory.
 	Stats *trace.Stats
 	// KPrime controls the clustering exposed at /clusters (default 3).
 	KPrime int
@@ -164,7 +168,11 @@ func New(cfg Config) *Server {
 		}
 	case v.Space.Len() > 1:
 		s.assign = v.Assign
-		s.profiles = v.Profiles(cfg.Trace)
+		tally := cfg.Tally
+		if tally == nil {
+			tally = cluster.TallyWords(cfg.Trace, v.Space.Words)
+		}
+		s.profiles = v.Profiles(tally)
 	}
 	s.routes()
 	timeout := cfg.RequestTimeout

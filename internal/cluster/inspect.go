@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/darkvec/darkvec/internal/metrics"
 	"github.com/darkvec/darkvec/internal/netutil"
+	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
@@ -28,79 +30,132 @@ type Profile struct {
 	PortShare map[trace.PortKey]float64
 }
 
-// senderIndex lists, per sender of a space, the indices of its events in
-// trace order: a counting sort by sender over the space's senders only, at
-// four bytes an event (int32 indices: a trace of 2^31 events is 48 GiB of
-// them), where a per-sender copy of the events cost the whole window again
-// for every generation.
-type senderIndex struct {
-	slot  []int32        // space row → sender slot, -1 for a word that is no IPv4
-	ips   []netutil.IPv4 // slot → sender
-	start []int32        // slot → offset into idx; len = slots+1
-	idx   []int32        // event indices, grouped by slot, trace order within one
+// PortTally is what the §7.3 inspection reads of a trace: for each listed
+// sender, its packets per port key and whether any of them carried the
+// Mirai fingerprint. Dense slices, one (key, packets) pair per distinct
+// port a sender hit — 8 B a pair plus 9 B a sender — so a generation keeps
+// the tally of its served senders, not their events.
+type PortTally struct {
+	senders []netutil.IPv4  // ascending
+	mirai   []bool          // per sender
+	start   []int32         // sender → offset into keys and pkts; len = senders+1
+	keys    []trace.PortKey // per sender, ascending
+	pkts    []int32
 }
 
-func indexSenders(tr *trace.Trace, words []string) senderIndex {
-	x := senderIndex{slot: make([]int32, len(words)), ips: make([]netutil.IPv4, 0, len(words))}
-	slotOf := make(map[netutil.IPv4]int32, len(words))
-	for row, w := range words {
-		ip, err := netutil.ParseIPv4(w)
-		if err != nil {
-			x.slot[row] = -1
+// NewPortTally tallies tr's events of the listed senders (any order,
+// duplicates allowed); a listed sender with no events holds no ports. One
+// counting pass sizes each sender's run, a second scatters the events' port
+// keys into it (four bytes an event, dropped on return; int32 offsets: a
+// trace of 2^31 events is 48 GiB), and each run is sorted and
+// run-length encoded into exact-size pairs.
+func NewPortTally(tr *trace.Trace, senders []netutil.IPv4) *PortTally {
+	ips := slices.Clone(senders)
+	slices.Sort(ips)
+	ips = slices.Clip(slices.Compact(ips))
+	slotOf := make(map[netutil.IPv4]int32, len(ips))
+	for s, ip := range ips {
+		slotOf[ip] = int32(s)
+	}
+	t := &PortTally{senders: ips, mirai: make([]bool, len(ips)), start: make([]int32, len(ips)+1)}
+	for i := range tr.Events {
+		if s, ok := slotOf[tr.Events[i].Src]; ok {
+			t.start[s+1]++
+		}
+	}
+	for s := 1; s < len(t.start); s++ {
+		t.start[s] += t.start[s-1]
+	}
+	// Port keys as port<<8 | proto, so a run sorts as integers.
+	run := make([]uint32, t.start[len(ips)])
+	next := slices.Clone(t.start[:len(ips)])
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		s, ok := slotOf[e.Src]
+		if !ok {
 			continue
 		}
-		s, ok := slotOf[ip]
-		if !ok {
-			s = int32(len(x.ips))
-			slotOf[ip] = s
-			x.ips = append(x.ips, ip)
-		}
-		x.slot[row] = s
-	}
-	x.start = make([]int32, len(x.ips)+1)
-	for _, e := range tr.Events {
-		if s, ok := slotOf[e.Src]; ok {
-			x.start[s+1]++
+		k := e.Key()
+		run[next[s]] = uint32(k.Port)<<8 | uint32(k.Proto)
+		next[s]++
+		if e.Mirai {
+			t.mirai[s] = true
 		}
 	}
-	for s := 1; s < len(x.start); s++ {
-		x.start[s] += x.start[s-1]
-	}
-	x.idx = make([]int32, x.start[len(x.ips)])
-	next := append([]int32(nil), x.start[:len(x.ips)]...)
-	for i, e := range tr.Events {
-		if s, ok := slotOf[e.Src]; ok {
-			x.idx[next[s]] = int32(i)
-			next[s]++
+	pairs := 0
+	for s := range ips {
+		r := run[t.start[s]:t.start[s+1]]
+		slices.Sort(r)
+		for i := range r {
+			if i == 0 || r[i] != r[i-1] {
+				pairs++
+			}
 		}
 	}
-	return x
+	t.keys = make([]trace.PortKey, 0, pairs)
+	t.pkts = make([]int32, 0, pairs)
+	for s := range ips {
+		r := run[t.start[s]:t.start[s+1]]
+		t.start[s] = int32(len(t.keys))
+		for i, k := range r {
+			if i > 0 && k == r[i-1] {
+				t.pkts[len(t.pkts)-1]++
+				continue
+			}
+			t.keys = append(t.keys, trace.PortKey{Port: uint16(k >> 8), Proto: packet.IPProtocol(k)})
+			t.pkts = append(t.pkts, 1)
+		}
+	}
+	t.start[len(ips)] = int32(len(t.keys))
+	return t
 }
 
-// Inspect builds profiles for every cluster. words maps space rows to sender
-// strings; assign is the per-row cluster id; labels maps sender → GT class
-// (missing senders count as unknownLabel); sil is the per-row silhouette
-// (may be nil).
+// TallyWords is NewPortTally over the IPv4-shaped words of a space.
+func TallyWords(tr *trace.Trace, words []string) *PortTally {
+	senders := make([]netutil.IPv4, 0, len(words))
+	for _, w := range words {
+		if ip, err := netutil.ParseIPv4(w); err == nil {
+			senders = append(senders, ip)
+		}
+	}
+	return NewPortTally(tr, senders)
+}
+
+// slot returns ip's index in the tally, -1 when it is not listed.
+func (t *PortTally) slot(ip netutil.IPv4) int {
+	if s, ok := slices.BinarySearch(t.senders, ip); ok {
+		return s
+	}
+	return -1
+}
+
+// Inspect builds profiles for every cluster from the trace's events. words
+// maps space rows to sender strings; assign is the per-row cluster id;
+// labels maps sender → GT class (missing senders count as unknownLabel);
+// sil is the per-row silhouette (may be nil).
 func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, labels map[string]string, unknownLabel string) []Profile {
+	return TallyWords(tr, words).Inspect(words, assign, sil, labels, unknownLabel)
+}
+
+// Inspect is the package-level Inspect over a tally: a word the tally does
+// not list is a sender with no events.
+func (t *PortTally) Inspect(words []string, assign []int, sil []float64, labels map[string]string, unknownLabel string) []Profile {
 	byCluster := map[int][]int{}
 	for row, c := range assign {
 		byCluster[c] = append(byCluster[c], row)
 	}
-	index := indexSenders(tr, words)
 	ids := make([]int, 0, len(byCluster))
 	for c := range byCluster {
 		ids = append(ids, c)
 	}
 	sort.Ints(ids)
-	// portAgg is one port's share of a cluster. A sender's events are read
-	// in one run, so "a sender not yet counted for this port" is "not the
-	// sender that touched it last" — no per-port sender set. (Two words
-	// that parse to one address read that sender's run twice; reader marks
-	// the second reading so it adds packets, not senders.)
+	// portAgg is one port's share of a cluster. A sender holds one pair per
+	// port, so every pair read adds a sender — except when two words parse
+	// to one address: reader marks the second reading of a sender within a
+	// cluster, which adds packets, not senders.
 	type portAgg struct {
 		key           trace.PortKey
 		pkts, senders int
-		last          int32 // slot of the last sender counted
 	}
 	// One set of tables serves every cluster in turn, so the scratch is
 	// sized by the widest cluster, not by their sum.
@@ -108,7 +163,7 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 	var aggs []portAgg
 	sub24 := map[netutil.IPv4]bool{}
 	sub16 := map[netutil.IPv4]bool{}
-	reader := make([]int, len(index.ips)) // slot → 1 + index of the last cluster that read it
+	reader := make([]int, len(t.senders)) // sender → 1 + index of the last cluster that read it
 	var out []Profile
 	for ci, c := range ids {
 		rows := byCluster[c]
@@ -120,13 +175,10 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 		mirai := 0
 		var silSum float64
 		for _, row := range rows {
-			slot := index.slot[row]
-			if slot < 0 {
+			ip, err := netutil.ParseIPv4(words[row])
+			if err != nil {
 				continue
 			}
-			again := reader[slot] == ci+1
-			reader[slot] = ci + 1
-			ip := index.ips[slot]
 			p.Senders = append(p.Senders, ip)
 			sub24[ip.Subnet(24).Base] = true
 			sub16[ip.Subnet(16).Base] = true
@@ -138,29 +190,28 @@ func Inspect(tr *trace.Trace, words []string, assign []int, sil []float64, label
 			if sil != nil {
 				silSum += sil[row]
 			}
-			hasMirai := false
-			for _, i := range index.idx[index.start[slot]:index.start[slot+1]] {
-				e := &tr.Events[i]
-				p.Packets++
-				k := e.Key()
+			s := t.slot(ip)
+			if s < 0 {
+				continue
+			}
+			again := reader[s] == ci+1
+			reader[s] = ci + 1
+			if t.mirai[s] {
+				mirai++
+			}
+			for i := t.start[s]; i < t.start[s+1]; i++ {
+				k, n := t.keys[i], int(t.pkts[i])
+				p.Packets += n
 				ai, ok := ports[k]
 				if !ok {
 					ai = int32(len(aggs))
 					ports[k] = ai
-					aggs = append(aggs, portAgg{key: k, last: -1})
+					aggs = append(aggs, portAgg{key: k})
 				}
-				a := &aggs[ai]
-				a.pkts++
-				if a.last != slot && !again {
-					a.last = slot
-					a.senders++
+				aggs[ai].pkts += n
+				if !again {
+					aggs[ai].senders++
 				}
-				if e.Mirai {
-					hasMirai = true
-				}
-			}
-			if hasMirai {
-				mirai++
 			}
 		}
 		if len(p.Senders) == 0 {

@@ -128,25 +128,40 @@ func TrainEmbedding(tr *trace.Trace, cfg Config) (*Embedding, error) {
 // TrainEmbeddingOpts is TrainEmbedding with cancellation, a shared
 // interner and warm start — the controls the daemon's retrain cycle uses.
 func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding, error) {
-	if cfg.MinPackets == 0 {
-		cfg.MinPackets = 10
-	}
-	if cfg.DeltaT == 0 {
-		cfg.DeltaT = corpus.DefaultDeltaT
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	active, filtered := activeEvents(tr, cfg.MinPackets)
-	def, err := cfg.Definition(filtered)
+	in, err := prepare(tr, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	return in.train(cfg, opts)
+}
+
+// trainInput is all training reads of its trace: the senders that passed
+// the active filter and the corpus of their events. Once it is built the
+// events are no longer needed, and a retry trains on the same corpus.
+type trainInput struct {
+	active map[netutil.IPv4]bool
+	corp   *corpus.Corpus
+}
+
+// prepare filters tr's active senders and builds the per-service ΔT corpus
+// (§5.1–5.2) under opts' context and interner.
+func prepare(tr *trace.Trace, cfg Config, opts TrainOpts) (trainInput, error) {
+	cfg = cfg.withDefaults()
+	active, filtered := activeEvents(tr, cfg.MinPackets)
+	def, err := cfg.Definition(filtered)
+	if err != nil {
+		return trainInput{}, err
+	}
 	var corp *corpus.Corpus
-	pprof.Do(ctx, pprof.Labels("darkvec_phase", "corpus-build"), func(context.Context) {
+	pprof.Do(opts.context(), pprof.Labels("darkvec_phase", "corpus-build"), func(context.Context) {
 		corp = corpus.BuildOpts(filtered, def, cfg.DeltaT, corpus.Options{Interner: opts.Interner})
 	})
+	return trainInput{active: active, corp: corp}, nil
+}
+
+// train fits one Word2Vec model to the corpus (§5.3).
+func (in trainInput) train(cfg Config, opts TrainOpts) (*Embedding, error) {
+	corp := in.corp
 	start := time.Now()
 	// Integer token path end-to-end: hand the trainer the interned corpus
 	// directly so no sender string is re-hashed during vocabulary building
@@ -158,7 +173,8 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 		words = words[:len(corp.Counts)]
 	}
 	var model *w2v.Model
-	pprof.Do(ctx, pprof.Labels("darkvec_phase", "train"), func(context.Context) {
+	var err error
+	pprof.Do(opts.context(), pprof.Labels("darkvec_phase", "train"), func(context.Context) {
 		model, err = w2v.TrainEncodedWithOptions(w2v.Encoded{
 			Sequences: corp.TokenSequences(),
 			Words:     words,
@@ -178,11 +194,30 @@ func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding
 	return &Embedding{
 		Model:     model,
 		Corpus:    corp,
-		Active:    active,
+		Active:    in.active,
 		TrainTime: time.Since(start),
 		SkipGrams: corp.SkipGrams(model.Cfg.Window, cfg.W2V.PadToken != "") * int64(epochs),
 		Epochs:    epochs,
 	}, nil
+}
+
+// context is the run's context, background when none was given.
+func (o TrainOpts) context() context.Context {
+	if o.Context == nil {
+		return context.Background()
+	}
+	return o.Context
+}
+
+// withDefaults fills the paper's active threshold and ΔT where unset.
+func (c Config) withDefaults() Config {
+	if c.MinPackets == 0 {
+		c.MinPackets = 10
+	}
+	if c.DeltaT == 0 {
+		c.DeltaT = corpus.DefaultDeltaT
+	}
+	return c
 }
 
 // activeEvents counts tr's senders once and returns those with at least
@@ -211,9 +246,7 @@ func activeEvents(tr *trace.Trace, minPackets int) (map[netutil.IPv4]bool, *trac
 // the active-sender set is recomputed from the trace, which is what the
 // API layer actually needs.
 func EmbeddingFromModel(m *w2v.Model, tr *trace.Trace, cfg Config) *Embedding {
-	if cfg.MinPackets == 0 {
-		cfg.MinPackets = 10
-	}
+	cfg = cfg.withDefaults()
 	epochs := cfg.W2V.Epochs
 	if epochs == 0 {
 		epochs = 10
@@ -235,13 +268,26 @@ func (e *Embedding) EvalSpace(eval *trace.Trace, active map[netutil.IPv4]bool) (
 	if active == nil {
 		active = e.Active
 	}
-	present := map[string]bool{}
-	total, covered := 0, 0
-	for _, ip := range eval.Senders() {
-		if !active[ip] {
-			continue
+	return e.spaceOf(activeOf(eval.Senders(), active))
+}
+
+// activeOf filters senders, in place and in order, to those marked active.
+func activeOf(senders []netutil.IPv4, active map[netutil.IPv4]bool) []netutil.IPv4 {
+	out := senders[:0]
+	for _, ip := range senders {
+		if active[ip] {
+			out = append(out, ip)
 		}
-		total++
+	}
+	return out
+}
+
+// spaceOf is EvalSpace over an eval population already listed: the space
+// of the senders the model knows, and their share of the list.
+func (e *Embedding) spaceOf(senders []netutil.IPv4) (*embed.Space, float64) {
+	present := map[string]bool{}
+	covered := 0
+	for _, ip := range senders {
 		w := ip.String()
 		if _, ok := e.Model.Vocab.ID(w); ok {
 			present[w] = true
@@ -250,8 +296,8 @@ func (e *Embedding) EvalSpace(eval *trace.Trace, active map[netutil.IPv4]bool) (
 	}
 	space := embed.FromModel(e.Model, present)
 	var cov float64
-	if total > 0 {
-		cov = float64(covered) / float64(total)
+	if len(senders) > 0 {
+		cov = float64(covered) / float64(len(senders))
 	}
 	return space, cov
 }

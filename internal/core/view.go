@@ -5,7 +5,6 @@ import (
 	"github.com/darkvec/darkvec/internal/embed"
 	"github.com/darkvec/darkvec/internal/labels"
 	"github.com/darkvec/darkvec/internal/netutil"
-	"github.com/darkvec/darkvec/internal/trace"
 )
 
 // Labels resolves the space's words to ground-truth classes — the one place
@@ -53,13 +52,13 @@ func NewView(space *embed.Space, gt *labels.Set, kPrime int, seed uint64) *View 
 	return v
 }
 
-// Profiles runs the §7.3 cluster inspection against the trace the senders
-// came from; nil when the silhouette refused the space.
-func (v *View) Profiles(tr *trace.Trace) []cluster.Profile {
+// Profiles runs the §7.3 cluster inspection over the port tally of the
+// trace the senders came from; nil when the silhouette refused the space.
+func (v *View) Profiles(t *cluster.PortTally) []cluster.Profile {
 	if v.Err != nil {
 		return nil
 	}
-	return cluster.Inspect(tr, v.Space.Words, v.Assign, v.Sil, v.Labels, labels.Unknown)
+	return t.Inspect(v.Space.Words, v.Assign, v.Sil, v.Labels, labels.Unknown)
 }
 
 // GateClass is the drift gate's per-word class: "" for unlabeled senders and

@@ -113,7 +113,7 @@ func TestViewIsTheStagesItReplaces(t *testing.T) {
 		t.Fatal("view silhouette differs from cluster.Silhouette on its assignment")
 	}
 	want := cluster.Inspect(out.Trace, space.Words, cl.Assign, sil, referenceWordLabels(space, gt), labels.Unknown)
-	if got := v.Profiles(out.Trace); !reflect.DeepEqual(got, want) {
+	if got := v.Profiles(cluster.TallyWords(out.Trace, space.Words)); !reflect.DeepEqual(got, want) {
 		t.Fatal("view profiles differ from cluster.Inspect over the same inputs")
 	}
 }
@@ -137,7 +137,7 @@ func TestViewRefusedSilhouette(t *testing.T) {
 	if len(v.Assign) != space.Len() || len(v.Labels) != 3 {
 		t.Fatalf("assign %v / labels %v must survive a refused silhouette", v.Assign, v.Labels)
 	}
-	if p := v.Profiles(tr); p != nil {
+	if p := v.Profiles(cluster.TallyWords(tr, space.Words)); p != nil {
 		t.Fatalf("profiles of an unscored view = %v, want none", p)
 	}
 }

@@ -33,7 +33,7 @@ func (e *Env) unsupProfiles() ([]cluster.Profile, error) {
 		return nil, err
 	}
 	v := core.NewView(space, e.GT, e.Opts.KPrime, e.Opts.Seed)
-	return v.Profiles(e.Full), v.Err
+	return v.Profiles(cluster.TallyWords(e.Full, space.Words)), v.Err
 }
 
 // Fig10 sweeps k′ and reports the number of Louvain clusters and the

@@ -103,6 +103,34 @@ func TestLogFailureDegrades(t *testing.T) {
 	}
 }
 
+// TestCompactionHorizonCoversLateArrival: the WAL's bound is AgeHorizon
+// until a late arrival below it waits behind the head, then that event's
+// Ts; 0 wherever AgeHorizon is.
+func TestCompactionHorizonCoversLateArrival(t *testing.T) {
+	w := NewWindow(WindowConfig{MaxAge: 100})
+	if h := w.CompactionHorizon(); h != 0 {
+		t.Fatalf("empty window bound = %d, want 0", h)
+	}
+	w.Add(durEvent(1000, 23))
+	if h := w.CompactionHorizon(); h != 900 {
+		t.Fatalf("bound = %d, want AgeHorizon 900", h)
+	}
+	w.Add(durEvent(500, 23))
+	w.Add(durEvent(1001, 23))
+	if h := w.CompactionHorizon(); h != 500 {
+		t.Fatalf("bound = %d, want the held late arrival's 500", h)
+	}
+	w.Add(durEvent(1101, 23)) // the head expires, and the late event with it
+	if h := w.CompactionHorizon(); h != 1001 {
+		t.Fatalf("bound after the head expired = %d, want AgeHorizon 1001", h)
+	}
+	unbounded := NewWindow(WindowConfig{MaxAge: -1})
+	unbounded.Add(durEvent(1000, 23))
+	if h := unbounded.CompactionHorizon(); h != 0 {
+		t.Fatalf("unbounded window bound = %d, want 0", h)
+	}
+}
+
 func TestAgeHorizon(t *testing.T) {
 	w := NewWindow(WindowConfig{MaxAge: 100})
 	if h := w.AgeHorizon(); h != 0 {

@@ -198,16 +198,39 @@ func (w *Window) evictLocked() {
 // AgeHorizon returns the event-time horizon (Unix seconds) newest − MaxAge:
 // the age bound evicts an event older than it as soon as that event is the
 // head. A late arrival older than the horizon waits behind younger events
-// until then (WindowConfig). The horizon is the WAL's compaction bound.
-// Returns 0 — "no horizon yet" — while the window is empty or when the age
-// bound is disabled.
+// until then (WindowConfig). Returns 0 — "no horizon yet" — while the
+// window is empty or when the age bound is disabled.
 func (w *Window) AgeHorizon() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.ageHorizonLocked()
+}
+
+func (w *Window) ageHorizonLocked() int64 {
 	if w.n == 0 || w.cfg.MaxAge <= 0 {
 		return 0
 	}
 	return w.newest - w.cfg.MaxAge
+}
+
+// CompactionHorizon is the WAL's compaction bound: AgeHorizon, lowered to
+// the oldest buffered Ts when a late arrival below the horizon still waits
+// behind the head. No buffered event is older, so a log segment whose
+// newest event is below it holds nothing the window holds. One linear scan
+// of the buffer, run once per WAL rotation. 0 when AgeHorizon is.
+func (w *Window) CompactionHorizon() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	h := w.ageHorizonLocked()
+	if h == 0 {
+		return 0
+	}
+	for _, run := range w.runsLocked() {
+		for i := range run {
+			h = min(h, run[i].Ts)
+		}
+	}
+	return h
 }
 
 // Len returns the number of buffered events.

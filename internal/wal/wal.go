@@ -23,9 +23,10 @@
 // durable according to the sync policy. Recovery on Open scans every
 // segment and truncates a torn tail at the last valid record — a partial
 // write from a crash costs the torn record only, never a refusal to boot.
-// Compaction deletes sealed segments whose newest event has aged past the
-// window's hard age cap, so the on-disk history is bounded by exactly what
-// a reboot could ever need.
+// Compaction deletes sealed segments whose newest event is below the
+// window's horizon — past its age cap and older than any event it still
+// holds — so the on-disk history is bounded by exactly what a reboot could
+// ever need.
 package wal
 
 import (
@@ -129,9 +130,10 @@ type Options struct {
 	// Interval is the SyncInterval fsync cadence (default 1s).
 	Interval time.Duration
 	// Horizon, when non-nil, returns the event-time horizon (Unix seconds)
-	// below which history is useless — the window's hard age cap. After
-	// every rotation, sealed segments whose newest event is older are
-	// deleted. Returning 0 skips compaction.
+	// below which history is useless — the window's age cap, lowered to
+	// the oldest event it holds. After every rotation, sealed segments
+	// older than the one it sealed whose newest event is below the horizon
+	// are deleted. Returning 0 skips compaction.
 	Horizon func() int64
 	// Quarantine, when non-nil, receives records whose frame (length, CRC)
 	// is intact but whose payload does not decode as an event. Returning a
@@ -437,7 +439,11 @@ func (l *Log) maybeRotateLocked() error {
 	l.opts.Logf("wal: rotated to segment %08d", l.active.seq)
 	if l.opts.Horizon != nil {
 		if horizon := l.opts.Horizon(); horizon > 0 {
-			l.compactLocked(horizon)
+			// The segment just sealed holds the batch whose commit sealed
+			// it, which the writer applies only after the commit returns:
+			// the horizon cannot speak for it yet, so only older segments
+			// are judged.
+			l.compactLocked(horizon, len(l.sealed)-1)
 		}
 	}
 	return nil
@@ -465,18 +471,19 @@ func (l *Log) sealLocked() error {
 }
 
 // Compact deletes sealed segments whose newest event is older than
-// horizonTs (Unix seconds) — events the window's hard age cap would evict
-// on sight, so no reboot could ever need them. The active segment is never
-// touched. Returns how many segments were removed.
+// horizonTs (Unix seconds) — events the window no longer holds, so no
+// reboot could ever need them. The active segment is never touched.
+// Returns how many segments were removed.
 func (l *Log) Compact(horizonTs int64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.compactLocked(horizonTs)
+	return l.compactLocked(horizonTs, len(l.sealed))
 }
 
-func (l *Log) compactLocked(horizonTs int64) int {
+// compactLocked is Compact over the oldest n sealed segments.
+func (l *Log) compactLocked(horizonTs int64, n int) int {
 	removed := 0
-	for len(l.sealed) > 0 {
+	for removed < n {
 		seg := l.sealed[0]
 		if seg.maxTs >= horizonTs {
 			break // segments are time-ordered enough: newer ones can only be newer

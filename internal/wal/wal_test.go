@@ -250,6 +250,31 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestRotationKeepsTheSegmentItSeals: the batch whose commit seals a
+// segment is not applied to the window until the commit returns, so that
+// rotation judges only the segments sealed before it, whatever the horizon.
+func TestRotationKeepsTheSegmentItSeals(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{
+		SegmentBytes: 1, // every commit rotates
+		Horizon:      func() int64 { return 1 << 40 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, []trace.Event{ev(1, 23)})
+	if st := l.Stats(); st.Rotations != 1 || st.Compacted != 0 {
+		t.Fatalf("first rotation: %+v; want the sealed segment kept", st)
+	}
+	appendAll(t, l, []trace.Event{ev(2, 23)})
+	if st := l.Stats(); st.Rotations != 2 || st.Compacted != 1 {
+		t.Fatalf("second rotation: %+v; want the first segment compacted, the second kept", st)
+	}
+	if got := replayAll(t, l); len(got) != 1 || got[0].Ts != 2 {
+		t.Fatalf("replay = %+v, want the event of the segment the last rotation sealed", got)
+	}
+}
+
 func TestCompactNeverTouchesActive(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
