@@ -300,17 +300,3 @@ func (e *Env) Table4() (Result, error) {
 		"paper Table 4: single service fails on minority classes; auto/domain recover them; Stretchoid stays hardest")
 	return r, nil
 }
-
-// GTExtension exercises §6.4 on the domain embedding: Unknown senders that
-// classify into a GT class within its distance ceiling are promoted. Not a
-// numbered artefact in the paper, but the mechanism behind its "extending
-// the ground truth" findings; exposed for the examples and tests.
-func (e *Env) GTExtension() (map[string][]knn.Prediction, error) {
-	emb, err := e.Embedding(core.ServiceDomain, e.Opts.Days)
-	if err != nil {
-		return nil, err
-	}
-	space, _ := emb.EvalSpace(e.Last, e.Active)
-	preds := core.Predictions(space, e.GT, e.Opts.K)
-	return knn.ExtendGroundTruth(preds, labels.Unknown), nil
-}

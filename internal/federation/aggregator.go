@@ -433,12 +433,3 @@ func (a *Aggregator) handleSenders(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(resp.Vantages)
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// Vantage names the configured vantages, sorted.
-func (a *Aggregator) VantageNames() []string {
-	out := make([]string, len(a.vantages))
-	for i, v := range a.vantages {
-		out[i] = v.name
-	}
-	return out
-}

@@ -3,24 +3,20 @@ package packet
 import (
 	"testing"
 	"testing/quick"
-
-	"github.com/darkvec/darkvec/internal/netutil"
 )
 
-// TestDecodeNeverPanics feeds random byte soup to the fast parser: whatever
+// TestDecodeNeverPanics feeds random byte soup to the decoder: whatever
 // arrives on the wire, the decoder must fail cleanly, never crash. This is
 // the robustness property a darknet sensor lives or dies by — it receives
 // exclusively hostile input.
 func TestDecodeNeverPanics(t *testing.T) {
-	var p Parser
-	var decoded []LayerType
 	f := func(data []byte) bool {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("panic on %d bytes: %v", len(data), r)
 			}
 		}()
-		_ = p.DecodeLayers(data, &decoded)
+		_, _ = Decode(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -28,56 +24,40 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// TestDecodeMutatedFrames corrupts every single byte of a valid frame in
-// turn; decoding must either succeed or fail cleanly, and header lengths
-// must never send slicing out of bounds.
+// TestDecodeMutatedFrames corrupts every single byte of a valid frame, with
+// and without IPv4 options, in turn; decoding must either succeed or fail
+// cleanly, and header lengths must never send slicing out of bounds.
 func TestDecodeMutatedFrames(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 1234, 445, 99, []byte("payload"))
-	var p Parser
-	var decoded []LayerType
-	for i := range frame {
-		for _, delta := range []byte{0x01, 0x80, 0xff} {
-			mutated := append([]byte(nil), frame...)
-			mutated[i] ^= delta
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("panic mutating byte %d by %#x: %v", i, delta, r)
-					}
+	for _, frame := range [][]byte{buildFrame(IPProtocolTCP), withOptions(buildFrame(IPProtocolTCP), 8)} {
+		for i := range frame {
+			for _, delta := range []byte{0x01, 0x80, 0xff} {
+				mutated := append([]byte(nil), frame...)
+				mutated[i] ^= delta
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panic mutating byte %d by %#x: %v", i, delta, r)
+						}
+					}()
+					_, _ = Decode(mutated)
 				}()
-				_ = p.DecodeLayers(mutated, &decoded)
-			}()
+			}
 		}
 	}
 }
 
-// TestNewPacketNeverPanics is the owned-copy decoding path under the same
-// hostile input.
-func TestNewPacketNeverPanics(t *testing.T) {
-	f := func(data []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("panic: %v", r)
-			}
-		}()
-		_, _ = NewPacket(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTruncationSweep decodes every prefix of a valid frame.
+// TestTruncationSweep decodes every prefix of a valid frame: only those
+// that hold every header decode.
 func TestTruncationSweep(t *testing.T) {
 	for _, proto := range []IPProtocol{IPProtocolTCP, IPProtocolUDP, IPProtocolICMPv4} {
-		frame := buildFrame(t, proto, 50000, 23, 7, []byte{1, 2, 3, 4})
-		var p Parser
-		var decoded []LayerType
+		frame := buildFrame(proto)
+		headers := len(frame)
+		if proto == IPProtocolUDP {
+			headers-- // the one payload byte
+		}
 		for cut := 0; cut <= len(frame); cut++ {
-			err := p.DecodeLayers(frame[:cut], &decoded)
-			if cut == len(frame) && err != nil {
-				t.Fatalf("proto %v: full frame failed: %v", proto, err)
+			if _, err := Decode(frame[:cut]); (err == nil) != (cut >= headers) {
+				t.Fatalf("proto %v: %d of %d bytes: %v", proto, cut, len(frame), err)
 			}
 		}
 	}
@@ -86,22 +66,14 @@ func TestTruncationSweep(t *testing.T) {
 // TestChecksumDetectsCorruption verifies the IPv4 header checksum actually
 // catches bit flips in the header.
 func TestChecksumDetectsCorruption(t *testing.T) {
-	src := netutil.MustParseIPv4("10.0.0.1")
-	dst := netutil.MustParseIPv4("198.18.0.1")
-	ip := IPv4{TTL: 64, Protocol: IPProtocolUDP, SrcIP: src, DstIP: dst}
-	udp := UDP{SrcPort: 1, DstPort: 2}
-	raw := ip.SerializeTo(nil, udp.SerializeTo(nil, nil, src, dst))
-	orig := HeaderChecksum(raw[:20])
-	if orig != ip.Checksum {
-		t.Fatalf("serialized checksum inconsistent: %#04x vs %#04x", orig, ip.Checksum)
+	hdr := buildFrame(IPProtocolUDP)[ethLen : ethLen+ipLen]
+	if got := checksum(0, hdr); got != 0 {
+		t.Fatalf("written header checksum off by %#04x", got)
 	}
-	for i := 0; i < 20; i++ {
-		if i == 10 || i == 11 {
-			continue // the checksum field itself
-		}
-		mutated := append([]byte(nil), raw...)
+	for i := range hdr {
+		mutated := append([]byte(nil), hdr...)
 		mutated[i] ^= 0x55
-		if got := HeaderChecksum(mutated[:20]); got == orig {
+		if checksum(0, mutated) == 0 {
 			// A 16-bit ones-complement sum cannot catch every possible
 			// multi-bit change, but a single-byte XOR must always move it.
 			t.Fatalf("byte %d corruption not detected", i)

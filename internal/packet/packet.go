@@ -1,12 +1,8 @@
-// Package packet implements a small packet decoding and serialization
-// substrate in the style of gopacket: a Layer interface, concrete
-// Ethernet/IPv4/TCP/UDP/ICMPv4 layers, hashable Flow/Endpoint values, and an
-// allocation-free fast decoding path for the known darknet stack
-// (Ethernet → IPv4 → TCP|UDP|ICMPv4).
-//
-// The darknet pipeline only needs a handful of header fields, but the
-// decoder is a full, checksum-aware implementation so that pcap traces
-// written by the generator are valid captures that external tools can read.
+// Package packet decodes and encodes the one frame stack a darknet capture
+// carries: Ethernet → IPv4 → TCP|UDP|ICMPv4. DarkVec reads only a few
+// header fields of each packet, so a Frame is those fields; Decode fills
+// one without allocating and AppendFrame writes one back with valid
+// checksums, so a capture the generator writes is one external tools read.
 package packet
 
 import (
@@ -16,47 +12,6 @@ import (
 
 	"github.com/darkvec/darkvec/internal/netutil"
 )
-
-// LayerType identifies a protocol layer.
-type LayerType uint8
-
-// Known layer types.
-const (
-	LayerTypeNone LayerType = iota
-	LayerTypeEthernet
-	LayerTypeIPv4
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypeICMPv4
-	LayerTypePayload
-)
-
-// String returns the conventional protocol name.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeEthernet:
-		return "Ethernet"
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeICMPv4:
-		return "ICMPv4"
-	case LayerTypePayload:
-		return "Payload"
-	}
-	return "None"
-}
-
-// Layer is one decoded protocol layer. LayerContents is the header bytes,
-// LayerPayload everything the layer carries.
-type Layer interface {
-	LayerType() LayerType
-	LayerContents() []byte
-	LayerPayload() []byte
-}
 
 // IPProtocol is the IPv4 protocol number.
 type IPProtocol uint8
@@ -82,170 +37,170 @@ func (p IPProtocol) String() string {
 	return fmt.Sprintf("proto-%d", uint8(p))
 }
 
-// EtherType is the Ethernet payload type.
-type EtherType uint16
-
-// EtherTypeIPv4 is the only ethertype the darknet stack uses.
-const EtherTypeIPv4 EtherType = 0x0800
-
-// Errors returned by decoders.
+// Errors returned by Decode.
 var (
 	ErrTruncated   = errors.New("packet: truncated data")
 	ErrUnsupported = errors.New("packet: unsupported protocol")
 )
 
-// Ethernet is a decoded Ethernet II frame header.
-type Ethernet struct {
-	SrcMAC, DstMAC [6]byte
-	EtherType      EtherType
-
-	contents, payload []byte
+// Frame is the header fields of one Ethernet/IPv4/TCP|UDP|ICMPv4 frame.
+// The transport fields belong to Proto: ports and Seq to TCP, ports to UDP,
+// ICMPID and ICMPSeq to an ICMP echo; the others stay zero.
+type Frame struct {
+	Src, Dst         netutil.IPv4
+	Proto            IPProtocol
+	IPID             uint16
+	SrcPort, DstPort uint16
+	Seq              uint32 // TCP sequence number
+	ICMPID, ICMPSeq  uint16
 }
 
-// LayerType implements Layer.
-func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
+// Header lengths and fixed values of the frames AppendFrame writes.
+const (
+	ethLen        = 14
+	ipLen         = 20 // without options
+	tcpLen        = 20 // without options
+	udpLen        = 8
+	icmpLen       = 8
+	etherTypeIPv4 = 0x0800
+	ttl           = 64
+	tcpSyn        = 0x02
+	tcpWindow     = 14600
+	icmpEcho      = 8
+)
 
-// LayerContents implements Layer.
-func (e *Ethernet) LayerContents() []byte { return e.contents }
+// Locally administered placeholder MACs: a darknet is a passive sensor and
+// the link layer carries no analytical signal.
+var (
+	srcMAC = [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
+	dstMAC = [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
+)
 
-// LayerPayload implements Layer.
-func (e *Ethernet) LayerPayload() []byte { return e.payload }
-
-// DecodeFromBytes parses an Ethernet II header in place, retaining references
-// into data (no copy).
-func (e *Ethernet) DecodeFromBytes(data []byte) error {
-	if len(data) < 14 {
-		return fmt.Errorf("%w: ethernet needs 14 bytes, have %d", ErrTruncated, len(data))
+// Decode reads the frame's header fields from data. It skips IPv4 options,
+// honours the TCP data offset and bounds the transport header by the IPv4
+// total length when that length fits the data. Checksums are not verified.
+// A frame cut short is ErrTruncated; a non-IPv4 ethertype, an IP version
+// other than 4 or a transport other than TCP, UDP and ICMP is
+// ErrUnsupported.
+func Decode(data []byte) (Frame, error) {
+	var f Frame
+	if len(data) < ethLen {
+		return f, fmt.Errorf("%w: ethernet needs 14 bytes, have %d", ErrTruncated, len(data))
 	}
-	copy(e.DstMAC[:], data[0:6])
-	copy(e.SrcMAC[:], data[6:12])
-	e.EtherType = EtherType(binary.BigEndian.Uint16(data[12:14]))
-	e.contents, e.payload = data[:14], data[14:]
-	return nil
-}
-
-// SerializeTo appends the wire form of the header followed by payload.
-func (e *Ethernet) SerializeTo(b []byte, payload []byte) []byte {
-	b = append(b, e.DstMAC[:]...)
-	b = append(b, e.SrcMAC[:]...)
-	b = binary.BigEndian.AppendUint16(b, uint16(e.EtherType))
-	return append(b, payload...)
-}
-
-// IPv4 is a decoded IPv4 header. Options are retained verbatim.
-type IPv4 struct {
-	Version    uint8
-	IHL        uint8
-	TOS        uint8
-	Length     uint16
-	ID         uint16
-	Flags      uint8 // 3 bits
-	FragOffset uint16
-	TTL        uint8
-	Protocol   IPProtocol
-	Checksum   uint16
-	SrcIP      netutil.IPv4
-	DstIP      netutil.IPv4
-	Options    []byte
-
-	contents, payload []byte
-}
-
-// LayerType implements Layer.
-func (ip *IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// LayerContents implements Layer.
-func (ip *IPv4) LayerContents() []byte { return ip.contents }
-
-// LayerPayload implements Layer.
-func (ip *IPv4) LayerPayload() []byte { return ip.payload }
-
-// DecodeFromBytes parses an IPv4 header in place.
-func (ip *IPv4) DecodeFromBytes(data []byte) error {
-	if len(data) < 20 {
-		return fmt.Errorf("%w: ipv4 needs 20 bytes, have %d", ErrTruncated, len(data))
+	if et := binary.BigEndian.Uint16(data[12:14]); et != etherTypeIPv4 {
+		return f, fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, et)
 	}
-	ip.Version = data[0] >> 4
-	ip.IHL = data[0] & 0x0f
-	if ip.Version != 4 {
-		return fmt.Errorf("%w: ip version %d", ErrUnsupported, ip.Version)
+	ip := data[ethLen:]
+	if len(ip) < ipLen {
+		return f, fmt.Errorf("%w: ipv4 needs 20 bytes, have %d", ErrTruncated, len(ip))
 	}
-	hlen := int(ip.IHL) * 4
-	if hlen < 20 || len(data) < hlen {
-		return fmt.Errorf("%w: ipv4 header length %d", ErrTruncated, hlen)
+	if v := ip[0] >> 4; v != 4 {
+		return f, fmt.Errorf("%w: ip version %d", ErrUnsupported, v)
 	}
-	ip.TOS = data[1]
-	ip.Length = binary.BigEndian.Uint16(data[2:4])
-	ip.ID = binary.BigEndian.Uint16(data[4:6])
-	ff := binary.BigEndian.Uint16(data[6:8])
-	ip.Flags = uint8(ff >> 13)
-	ip.FragOffset = ff & 0x1fff
-	ip.TTL = data[8]
-	ip.Protocol = IPProtocol(data[9])
-	ip.Checksum = binary.BigEndian.Uint16(data[10:12])
-	ip.SrcIP = netutil.IPv4(binary.BigEndian.Uint32(data[12:16]))
-	ip.DstIP = netutil.IPv4(binary.BigEndian.Uint32(data[16:20]))
-	ip.Options = data[20:hlen]
-	end := int(ip.Length)
-	if end < hlen || end > len(data) {
-		end = len(data)
+	hlen := int(ip[0]&0x0f) * 4
+	if hlen < ipLen || len(ip) < hlen {
+		return f, fmt.Errorf("%w: ipv4 header length %d", ErrTruncated, hlen)
 	}
-	ip.contents, ip.payload = data[:hlen], data[hlen:end]
-	return nil
-}
-
-// HeaderChecksum computes the ones-complement checksum over hdr with the
-// checksum field zeroed.
-func HeaderChecksum(hdr []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		if i == 10 { // checksum field itself
-			continue
+	end := int(binary.BigEndian.Uint16(ip[2:4]))
+	if end < hlen || end > len(ip) {
+		end = len(ip)
+	}
+	l4 := ip[hlen:end]
+	f.IPID = binary.BigEndian.Uint16(ip[4:6])
+	f.Proto = IPProtocol(ip[9])
+	f.Src = netutil.IPv4(binary.BigEndian.Uint32(ip[12:16]))
+	f.Dst = netutil.IPv4(binary.BigEndian.Uint32(ip[16:20]))
+	switch f.Proto {
+	case IPProtocolTCP:
+		if len(l4) < tcpLen {
+			return f, fmt.Errorf("%w: tcp needs 20 bytes, have %d", ErrTruncated, len(l4))
 		}
-		sum += uint32(binary.BigEndian.Uint16(hdr[i : i+2]))
+		if off := int(l4[12]>>4) * 4; off < tcpLen || len(l4) < off {
+			return f, fmt.Errorf("%w: tcp header length %d", ErrTruncated, off)
+		}
+		f.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+		f.DstPort = binary.BigEndian.Uint16(l4[2:4])
+		f.Seq = binary.BigEndian.Uint32(l4[4:8])
+	case IPProtocolUDP:
+		if len(l4) < udpLen {
+			return f, fmt.Errorf("%w: udp needs 8 bytes, have %d", ErrTruncated, len(l4))
+		}
+		f.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+		f.DstPort = binary.BigEndian.Uint16(l4[2:4])
+	case IPProtocolICMPv4:
+		if len(l4) < icmpLen {
+			return f, fmt.Errorf("%w: icmpv4 needs 8 bytes, have %d", ErrTruncated, len(l4))
+		}
+		f.ICMPID = binary.BigEndian.Uint16(l4[4:6])
+		f.ICMPSeq = binary.BigEndian.Uint16(l4[6:8])
+	default:
+		return f, fmt.Errorf("%w: ip protocol %d", ErrUnsupported, uint8(f.Proto))
 	}
-	if len(hdr)%2 == 1 {
-		sum += uint32(hdr[len(hdr)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum>>16 + sum&0xffff
-	}
-	return ^uint16(sum)
+	return f, nil
 }
 
-// SerializeTo appends the wire form of the header followed by payload,
-// computing Length and Checksum.
-func (ip *IPv4) SerializeTo(b []byte, payload []byte) []byte {
-	hlen := 20 + len(ip.Options)
-	ip.IHL = uint8(hlen / 4)
-	ip.Version = 4
-	ip.Length = uint16(hlen + len(payload))
-	start := len(b)
-	b = append(b, ip.Version<<4|ip.IHL, ip.TOS)
-	b = binary.BigEndian.AppendUint16(b, ip.Length)
-	b = binary.BigEndian.AppendUint16(b, ip.ID)
-	b = binary.BigEndian.AppendUint16(b, uint16(ip.Flags)<<13|ip.FragOffset)
-	b = append(b, ip.TTL, byte(ip.Protocol))
-	b = binary.BigEndian.AppendUint16(b, 0) // checksum placeholder
-	b = binary.BigEndian.AppendUint32(b, uint32(ip.SrcIP))
-	b = binary.BigEndian.AppendUint32(b, uint32(ip.DstIP))
-	b = append(b, ip.Options...)
-	ip.Checksum = HeaderChecksum(b[start:])
-	binary.BigEndian.PutUint16(b[start+10:start+12], ip.Checksum)
-	return append(b, payload...)
+// AppendFrame appends f's wire form to b: an Ethernet II header between the
+// placeholder MACs, an option-free IPv4 header (TTL 64), and a bare TCP SYN
+// (window 14600), a UDP datagram carrying one zero byte, or an ICMP echo
+// request, every checksum filled in. Any other Proto gets no transport
+// header.
+func AppendFrame(b []byte, f Frame) []byte {
+	b = append(b, dstMAC[:]...)
+	b = append(b, srcMAC[:]...)
+	b = binary.BigEndian.AppendUint16(b, etherTypeIPv4)
+
+	ip := len(b)
+	b = append(b, 4<<4|ipLen/4, 0, 0, 0) // version, IHL, TOS, total length
+	b = binary.BigEndian.AppendUint16(b, f.IPID)
+	b = append(b, 0, 0, ttl, byte(f.Proto), 0, 0) // flags, TTL, protocol, checksum
+	b = binary.BigEndian.AppendUint32(b, uint32(f.Src))
+	b = binary.BigEndian.AppendUint32(b, uint32(f.Dst))
+
+	l4 := len(b)
+	switch f.Proto {
+	case IPProtocolTCP:
+		b = binary.BigEndian.AppendUint16(b, f.SrcPort)
+		b = binary.BigEndian.AppendUint16(b, f.DstPort)
+		b = binary.BigEndian.AppendUint32(b, f.Seq)
+		b = append(b, 0, 0, 0, 0, tcpLen/4<<4, tcpSyn) // ack, data offset, flags
+		b = binary.BigEndian.AppendUint16(b, tcpWindow)
+		b = append(b, 0, 0, 0, 0) // checksum, urgent pointer
+		sum := checksum(pseudoHeaderSum(f, len(b)-l4), b[l4:])
+		binary.BigEndian.PutUint16(b[l4+16:], sum)
+	case IPProtocolUDP:
+		b = binary.BigEndian.AppendUint16(b, f.SrcPort)
+		b = binary.BigEndian.AppendUint16(b, f.DstPort)
+		b = binary.BigEndian.AppendUint16(b, udpLen+1)
+		b = append(b, 0, 0, 0) // checksum, one payload byte
+		sum := checksum(pseudoHeaderSum(f, len(b)-l4), b[l4:])
+		if sum == 0 {
+			sum = 0xffff // RFC 768: a transmitted zero means "no checksum"
+		}
+		binary.BigEndian.PutUint16(b[l4+6:], sum)
+	case IPProtocolICMPv4:
+		b = append(b, icmpEcho, 0, 0, 0) // type, code, checksum
+		b = binary.BigEndian.AppendUint16(b, f.ICMPID)
+		b = binary.BigEndian.AppendUint16(b, f.ICMPSeq)
+		binary.BigEndian.PutUint16(b[l4+2:], checksum(0, b[l4:]))
+	}
+
+	binary.BigEndian.PutUint16(b[ip+2:], uint16(len(b)-ip))
+	binary.BigEndian.PutUint16(b[ip+10:], checksum(0, b[ip:l4]))
+	return b
 }
 
-// pseudoHeaderSum returns the partial checksum of the IPv4 pseudo-header used
-// by TCP and UDP.
-func pseudoHeaderSum(src, dst netutil.IPv4, proto IPProtocol, length int) uint32 {
-	sum := uint32(src>>16) + uint32(src&0xffff)
-	sum += uint32(dst>>16) + uint32(dst&0xffff)
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+// pseudoHeaderSum is the partial checksum of the IPv4 pseudo-header TCP
+// and UDP checksums cover.
+func pseudoHeaderSum(f Frame, length int) uint32 {
+	return uint32(f.Src>>16) + uint32(f.Src&0xffff) +
+		uint32(f.Dst>>16) + uint32(f.Dst&0xffff) +
+		uint32(f.Proto) + uint32(length)
 }
 
-func finishChecksum(sum uint32, data []byte) uint16 {
+// checksum is the Internet checksum (RFC 1071) of data, continuing the
+// partial sum sum. Over a header whose checksum field holds a correct
+// value it is zero.
+func checksum(sum uint32, data []byte) uint16 {
 	for i := 0; i+1 < len(data); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
 	}
@@ -256,182 +211,4 @@ func finishChecksum(sum uint32, data []byte) uint16 {
 		sum = sum>>16 + sum&0xffff
 	}
 	return ^uint16(sum)
-}
-
-// TCPFlags is the TCP flag byte (we keep only the low 8 flag bits).
-type TCPFlags uint8
-
-// TCP flag bits.
-const (
-	TCPFin TCPFlags = 1 << iota
-	TCPSyn
-	TCPRst
-	TCPPsh
-	TCPAck
-	TCPUrg
-)
-
-// TCP is a decoded TCP header.
-type TCP struct {
-	SrcPort, DstPort uint16
-	Seq, Ack         uint32
-	DataOffset       uint8
-	Flags            TCPFlags
-	Window           uint16
-	Checksum         uint16
-	Urgent           uint16
-	Options          []byte
-
-	contents, payload []byte
-}
-
-// LayerType implements Layer.
-func (t *TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// LayerContents implements Layer.
-func (t *TCP) LayerContents() []byte { return t.contents }
-
-// LayerPayload implements Layer.
-func (t *TCP) LayerPayload() []byte { return t.payload }
-
-// DecodeFromBytes parses a TCP header in place.
-func (t *TCP) DecodeFromBytes(data []byte) error {
-	if len(data) < 20 {
-		return fmt.Errorf("%w: tcp needs 20 bytes, have %d", ErrTruncated, len(data))
-	}
-	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	t.DstPort = binary.BigEndian.Uint16(data[2:4])
-	t.Seq = binary.BigEndian.Uint32(data[4:8])
-	t.Ack = binary.BigEndian.Uint32(data[8:12])
-	t.DataOffset = data[12] >> 4
-	hlen := int(t.DataOffset) * 4
-	if hlen < 20 || len(data) < hlen {
-		return fmt.Errorf("%w: tcp header length %d", ErrTruncated, hlen)
-	}
-	t.Flags = TCPFlags(data[13])
-	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.Checksum = binary.BigEndian.Uint16(data[16:18])
-	t.Urgent = binary.BigEndian.Uint16(data[18:20])
-	t.Options = data[20:hlen]
-	t.contents, t.payload = data[:hlen], data[hlen:]
-	return nil
-}
-
-// SerializeTo appends the wire form of the header followed by payload,
-// computing the checksum over the given pseudo-header addresses.
-func (t *TCP) SerializeTo(b []byte, payload []byte, src, dst netutil.IPv4) []byte {
-	hlen := 20 + len(t.Options)
-	if hlen%4 != 0 {
-		panic("packet: tcp options must pad to a 4-byte multiple")
-	}
-	t.DataOffset = uint8(hlen / 4)
-	start := len(b)
-	b = binary.BigEndian.AppendUint16(b, t.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, t.DstPort)
-	b = binary.BigEndian.AppendUint32(b, t.Seq)
-	b = binary.BigEndian.AppendUint32(b, t.Ack)
-	b = append(b, t.DataOffset<<4, byte(t.Flags))
-	b = binary.BigEndian.AppendUint16(b, t.Window)
-	b = binary.BigEndian.AppendUint16(b, 0) // checksum placeholder
-	b = binary.BigEndian.AppendUint16(b, t.Urgent)
-	b = append(b, t.Options...)
-	b = append(b, payload...)
-	seg := b[start:]
-	t.Checksum = finishChecksum(pseudoHeaderSum(src, dst, IPProtocolTCP, len(seg)), seg)
-	binary.BigEndian.PutUint16(b[start+16:start+18], t.Checksum)
-	return b
-}
-
-// UDP is a decoded UDP header.
-type UDP struct {
-	SrcPort, DstPort uint16
-	Length           uint16
-	Checksum         uint16
-
-	contents, payload []byte
-}
-
-// LayerType implements Layer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// LayerContents implements Layer.
-func (u *UDP) LayerContents() []byte { return u.contents }
-
-// LayerPayload implements Layer.
-func (u *UDP) LayerPayload() []byte { return u.payload }
-
-// DecodeFromBytes parses a UDP header in place.
-func (u *UDP) DecodeFromBytes(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("%w: udp needs 8 bytes, have %d", ErrTruncated, len(data))
-	}
-	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	u.Length = binary.BigEndian.Uint16(data[4:6])
-	u.Checksum = binary.BigEndian.Uint16(data[6:8])
-	u.contents, u.payload = data[:8], data[8:]
-	return nil
-}
-
-// SerializeTo appends the wire form, computing Length and Checksum.
-func (u *UDP) SerializeTo(b []byte, payload []byte, src, dst netutil.IPv4) []byte {
-	u.Length = uint16(8 + len(payload))
-	start := len(b)
-	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, u.DstPort)
-	b = binary.BigEndian.AppendUint16(b, u.Length)
-	b = binary.BigEndian.AppendUint16(b, 0)
-	b = append(b, payload...)
-	seg := b[start:]
-	u.Checksum = finishChecksum(pseudoHeaderSum(src, dst, IPProtocolUDP, len(seg)), seg)
-	if u.Checksum == 0 {
-		u.Checksum = 0xffff // RFC 768: transmitted zero means "no checksum"
-	}
-	binary.BigEndian.PutUint16(b[start+6:start+8], u.Checksum)
-	return b
-}
-
-// ICMPv4 is a decoded ICMPv4 header.
-type ICMPv4 struct {
-	Type, Code uint8
-	Checksum   uint16
-	ID, Seq    uint16
-
-	contents, payload []byte
-}
-
-// LayerType implements Layer.
-func (ic *ICMPv4) LayerType() LayerType { return LayerTypeICMPv4 }
-
-// LayerContents implements Layer.
-func (ic *ICMPv4) LayerContents() []byte { return ic.contents }
-
-// LayerPayload implements Layer.
-func (ic *ICMPv4) LayerPayload() []byte { return ic.payload }
-
-// DecodeFromBytes parses an ICMPv4 header in place.
-func (ic *ICMPv4) DecodeFromBytes(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("%w: icmpv4 needs 8 bytes, have %d", ErrTruncated, len(data))
-	}
-	ic.Type = data[0]
-	ic.Code = data[1]
-	ic.Checksum = binary.BigEndian.Uint16(data[2:4])
-	ic.ID = binary.BigEndian.Uint16(data[4:6])
-	ic.Seq = binary.BigEndian.Uint16(data[6:8])
-	ic.contents, ic.payload = data[:8], data[8:]
-	return nil
-}
-
-// SerializeTo appends the wire form, computing the checksum.
-func (ic *ICMPv4) SerializeTo(b []byte, payload []byte) []byte {
-	start := len(b)
-	b = append(b, ic.Type, ic.Code)
-	b = binary.BigEndian.AppendUint16(b, 0)
-	b = binary.BigEndian.AppendUint16(b, ic.ID)
-	b = binary.BigEndian.AppendUint16(b, ic.Seq)
-	b = append(b, payload...)
-	ic.Checksum = finishChecksum(0, b[start:])
-	binary.BigEndian.PutUint16(b[start+2:start+4], ic.Checksum)
-	return b
 }

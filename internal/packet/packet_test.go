@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -8,107 +9,82 @@ import (
 	"github.com/darkvec/darkvec/internal/netutil"
 )
 
-func buildFrame(t *testing.T, proto IPProtocol, srcPort, dstPort uint16, seq uint32, payload []byte) []byte {
-	t.Helper()
-	src := netutil.MustParseIPv4("10.1.2.3")
-	dst := netutil.MustParseIPv4("198.18.0.99")
-	var l4 []byte
+var (
+	testSrc = netutil.MustParseIPv4("10.1.2.3")
+	testDst = netutil.MustParseIPv4("198.18.0.99")
+)
+
+func buildFrame(proto IPProtocol) []byte {
+	f := Frame{Src: testSrc, Dst: testDst, Proto: proto, IPID: 42}
 	switch proto {
 	case IPProtocolTCP:
-		tcp := TCP{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Flags: TCPSyn, Window: 1024}
-		l4 = tcp.SerializeTo(nil, payload, src, dst)
+		f.SrcPort, f.DstPort, f.Seq = 40000, 23, 0xdeadbeef
 	case IPProtocolUDP:
-		udp := UDP{SrcPort: srcPort, DstPort: dstPort}
-		l4 = udp.SerializeTo(nil, payload, src, dst)
+		f.SrcPort, f.DstPort = 5353, 53
 	case IPProtocolICMPv4:
-		icmp := ICMPv4{Type: 8, ID: 7, Seq: 1}
-		l4 = icmp.SerializeTo(nil, payload)
+		f.ICMPID, f.ICMPSeq = 7, 1
 	}
-	ip := IPv4{TTL: 64, Protocol: proto, SrcIP: src, DstIP: dst, ID: 42}
-	eth := Ethernet{EtherType: EtherTypeIPv4}
-	return eth.SerializeTo(nil, ip.SerializeTo(nil, l4))
+	return AppendFrame(nil, f)
+}
+
+// roundTrip fails unless AppendFrame's bytes for want decode to want.
+func roundTrip(t *testing.T, want Frame) {
+	t.Helper()
+	got, err := Decode(AppendFrame(nil, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 40000, 23, 0xdeadbeef, []byte("hi"))
-	var p Parser
-	var decoded []LayerType
-	if err := p.DecodeLayers(frame, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeTCP}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded %v", decoded)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", decoded, want)
-		}
-	}
-	if p.TCP.SrcPort != 40000 || p.TCP.DstPort != 23 || p.TCP.Seq != 0xdeadbeef {
-		t.Errorf("tcp fields: %+v", p.TCP)
-	}
-	if p.TCP.Flags != TCPSyn {
-		t.Errorf("flags = %v", p.TCP.Flags)
-	}
-	if string(p.TCP.LayerPayload()) != "hi" {
-		t.Errorf("payload = %q", p.TCP.LayerPayload())
-	}
-	if p.IP.Protocol != IPProtocolTCP || p.IP.SrcIP.String() != "10.1.2.3" {
-		t.Errorf("ip fields: %+v", p.IP)
+	roundTrip(t, Frame{Src: testSrc, Dst: testDst, Proto: IPProtocolTCP, IPID: 42, SrcPort: 40000, DstPort: 23, Seq: 0xdeadbeef})
+	frame := buildFrame(IPProtocolTCP)
+	if flags := frame[ethLen+ipLen+13]; flags != tcpSyn {
+		t.Errorf("flags = %#x, want SYN", flags)
 	}
 }
 
 func TestUDPRoundTrip(t *testing.T) {
-	frame := buildFrame(t, IPProtocolUDP, 5353, 53, 0, []byte{1, 2, 3})
-	var p Parser
-	var decoded []LayerType
-	if err := p.DecodeLayers(frame, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded[len(decoded)-1] != LayerTypeUDP {
-		t.Fatalf("decoded %v", decoded)
-	}
-	if p.UDP.SrcPort != 5353 || p.UDP.DstPort != 53 {
-		t.Errorf("udp fields: %+v", p.UDP)
-	}
-	if p.UDP.Length != 8+3 {
-		t.Errorf("udp length = %d", p.UDP.Length)
+	roundTrip(t, Frame{Src: testSrc, Dst: testDst, Proto: IPProtocolUDP, IPID: 42, SrcPort: 5353, DstPort: 53})
+	frame := buildFrame(IPProtocolUDP)
+	if n := binary.BigEndian.Uint16(frame[ethLen+ipLen+4:]); n != udpLen+1 {
+		t.Errorf("udp length = %d", n)
 	}
 }
 
 func TestICMPRoundTrip(t *testing.T) {
-	frame := buildFrame(t, IPProtocolICMPv4, 0, 0, 0, nil)
-	var p Parser
-	var decoded []LayerType
-	if err := p.DecodeLayers(frame, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded[len(decoded)-1] != LayerTypeICMPv4 {
-		t.Fatalf("decoded %v", decoded)
-	}
-	if p.ICMP.Type != 8 || p.ICMP.ID != 7 {
-		t.Errorf("icmp fields: %+v", p.ICMP)
+	roundTrip(t, Frame{Src: testSrc, Dst: testDst, Proto: IPProtocolICMPv4, IPID: 42, ICMPID: 7, ICMPSeq: 1})
+	if typ := buildFrame(IPProtocolICMPv4)[ethLen+ipLen]; typ != icmpEcho {
+		t.Errorf("icmp type = %d, want echo request", typ)
 	}
 }
 
+// TestIPv4ChecksumValid checks every checksum AppendFrame fills in: the IPv4
+// header's, TCP's and UDP's over the pseudo-header, and ICMP's.
 func TestIPv4ChecksumValid(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 1, 2, 3, nil)
-	ipHdr := frame[14:34]
-	if got := HeaderChecksum(ipHdr); got != uint16(ipHdr[10])<<8|uint16(ipHdr[11]) {
-		t.Errorf("header checksum mismatch: computed %#04x", got)
+	for _, proto := range []IPProtocol{IPProtocolTCP, IPProtocolUDP, IPProtocolICMPv4} {
+		frame := buildFrame(proto)
+		ip, l4 := frame[ethLen:ethLen+ipLen], frame[ethLen+ipLen:]
+		if got := checksum(0, ip); got != 0 {
+			t.Errorf("%v: ipv4 header checksum off by %#04x", proto, got)
+		}
+		var sum uint32
+		if proto != IPProtocolICMPv4 {
+			sum = pseudoHeaderSum(Frame{Src: testSrc, Dst: testDst, Proto: proto}, len(l4))
+		}
+		if got := checksum(sum, l4); got != 0 {
+			t.Errorf("%v: transport checksum off by %#04x", proto, got)
+		}
 	}
 }
 
 func TestTruncatedErrors(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 1, 2, 3, nil)
-	var p Parser
-	var decoded []LayerType
+	frame := buildFrame(IPProtocolTCP)
 	for _, cut := range []int{0, 5, 13, 20, 33, 40, 50} {
-		if cut >= len(frame) {
-			continue
-		}
-		if err := p.DecodeLayers(frame[:cut], &decoded); err == nil {
+		if _, err := Decode(frame[:cut]); err == nil {
 			t.Errorf("cut=%d: expected error", cut)
 		} else if !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut=%d: error %v, want ErrTruncated", cut, err)
@@ -117,99 +93,71 @@ func TestTruncatedErrors(t *testing.T) {
 }
 
 func TestUnsupportedEtherType(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 1, 2, 3, nil)
+	frame := buildFrame(IPProtocolTCP)
 	frame[12], frame[13] = 0x86, 0xdd // IPv6
-	var p Parser
-	var decoded []LayerType
-	err := p.DecodeLayers(frame, &decoded)
-	if !errors.Is(err, ErrUnsupported) {
+	if _, err := Decode(frame); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("error = %v, want ErrUnsupported", err)
-	}
-	if len(decoded) != 1 || decoded[0] != LayerTypeEthernet {
-		t.Fatalf("decoded = %v, want just ethernet", decoded)
 	}
 }
 
 func TestUnsupportedIPProtocol(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 1, 2, 3, nil)
-	frame[14+9] = 47 // GRE
+	frame := buildFrame(IPProtocolTCP)
+	frame[ethLen+9] = 47 // GRE
 	// Fix the header checksum so only the protocol is "wrong".
-	frame[14+10], frame[14+11] = 0, 0
-	sum := HeaderChecksum(frame[14:34])
-	frame[14+10], frame[14+11] = byte(sum>>8), byte(sum)
-	var p Parser
-	var decoded []LayerType
-	if err := p.DecodeLayers(frame, &decoded); !errors.Is(err, ErrUnsupported) {
+	frame[ethLen+10], frame[ethLen+11] = 0, 0
+	binary.BigEndian.PutUint16(frame[ethLen+10:], checksum(0, frame[ethLen:ethLen+ipLen]))
+	if _, err := Decode(frame); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("error = %v, want ErrUnsupported", err)
 	}
 }
 
-func TestNewPacket(t *testing.T) {
-	frame := buildFrame(t, IPProtocolTCP, 4444, 445, 99, []byte("xyz"))
-	pkt, err := NewPacket(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkt.Layers) != 3 {
-		t.Fatalf("layers = %d", len(pkt.Layers))
-	}
-	if pkt.Layer(LayerTypeTCP) == nil || pkt.Layer(LayerTypeUDP) != nil {
-		t.Error("Layer lookup broken")
-	}
-	nl := pkt.NetworkLayer()
-	if nl == nil || nl.DstIP.String() != "198.18.0.99" {
-		t.Errorf("network layer: %+v", nl)
-	}
-	// The packet must own its bytes: mutating the input must not change it.
-	frame[30] = ^frame[30]
-	if pkt.NetworkLayer().DstIP.String() != "198.18.0.99" {
-		t.Error("NewPacket did not copy data")
-	}
-}
-
 func TestSerializeRoundTripProperty(t *testing.T) {
-	f := func(srcPort, dstPort uint16, seq uint32, srcIP, dstIP uint32, pay []byte) bool {
-		if len(pay) > 64 {
-			pay = pay[:64]
-		}
-		src, dst := netutil.IPv4(srcIP), netutil.IPv4(dstIP)
-		tcp := TCP{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Flags: TCPSyn | TCPAck, Window: 555}
-		l4 := tcp.SerializeTo(nil, pay, src, dst)
-		ip := IPv4{TTL: 61, Protocol: IPProtocolTCP, SrcIP: src, DstIP: dst}
-		eth := Ethernet{EtherType: EtherTypeIPv4}
-		frame := eth.SerializeTo(nil, ip.SerializeTo(nil, l4))
-		var p Parser
-		var decoded []LayerType
-		if err := p.DecodeLayers(frame, &decoded); err != nil {
-			return false
-		}
-		return p.TCP.SrcPort == srcPort && p.TCP.DstPort == dstPort &&
-			p.TCP.Seq == seq && p.IP.SrcIP == src && p.IP.DstIP == dst &&
-			len(p.TCP.LayerPayload()) == len(pay)
+	f := func(srcPort, dstPort uint16, seq uint32, srcIP, dstIP uint32, id uint16) bool {
+		want := Frame{Src: netutil.IPv4(srcIP), Dst: netutil.IPv4(dstIP), Proto: IPProtocolTCP,
+			IPID: id, SrcPort: srcPort, DstPort: dstPort, Seq: seq}
+		got, err := Decode(AppendFrame(nil, want))
+		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// withOptions inserts n bytes of IPv4 options into frame, fixing IHL and
+// the total length.
+func withOptions(frame []byte, n int) []byte {
+	l4 := ethLen + ipLen
+	out := append(append(frame[:l4:l4], make([]byte, n)...), frame[l4:]...)
+	out[ethLen] += byte(n / 4)
+	binary.BigEndian.PutUint16(out[ethLen+2:], binary.BigEndian.Uint16(out[ethLen+2:])+uint16(n))
+	return out
+}
+
+// TestIPv4Options: Decode skips IPv4 options to reach the transport header.
 func TestIPv4Options(t *testing.T) {
-	src, dst := netutil.MustParseIPv4("1.1.1.1"), netutil.MustParseIPv4("2.2.2.2")
-	ip := IPv4{TTL: 10, Protocol: IPProtocolUDP, SrcIP: src, DstIP: dst, Options: []byte{1, 1, 1, 1}}
-	udp := UDP{SrcPort: 1, DstPort: 2}
-	raw := ip.SerializeTo(nil, udp.SerializeTo(nil, nil, src, dst))
-	var got IPv4
-	if err := got.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{4, 40} {
+		got, err := Decode(withOptions(buildFrame(IPProtocolUDP), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SrcPort != 5353 || got.DstPort != 53 {
+			t.Errorf("%d option bytes: udp through options broken: %+v", n, got)
+		}
 	}
-	if got.IHL != 6 || len(got.Options) != 4 {
-		t.Fatalf("ihl=%d options=%v", got.IHL, got.Options)
+}
+
+// TestTCPDataOffset: Decode honours the data offset, accepting TCP options
+// the frame holds and refusing a header longer than the frame.
+func TestTCPDataOffset(t *testing.T) {
+	frame := append(buildFrame(IPProtocolTCP), 1, 1, 1, 1)
+	binary.BigEndian.PutUint16(frame[ethLen+2:], uint16(len(frame)-ethLen))
+	frame[ethLen+ipLen+12] = 6 << 4
+	if got, err := Decode(frame); err != nil || got.Seq != 0xdeadbeef {
+		t.Fatalf("six-word header: %+v, %v", got, err)
 	}
-	var u UDP
-	if err := u.DecodeFromBytes(got.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if u.DstPort != 2 {
-		t.Errorf("udp through options broken: %+v", u)
+	frame[ethLen+ipLen+12] = 7 << 4
+	if _, err := Decode(frame); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("header past the frame: %v, want ErrTruncated", err)
 	}
 }
 
@@ -224,12 +172,11 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func TestTCPOptionsPadding(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unpadded TCP options must panic")
-		}
-	}()
-	tcp := TCP{Options: []byte{1, 2, 3}}
-	tcp.SerializeTo(nil, nil, 0, 0)
+// TestDecodeAllocatesNothing holds the per-frame decode to zero
+// allocations.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	frame := buildFrame(IPProtocolTCP)
+	if n := testing.AllocsPerRun(100, func() { _, _ = Decode(frame) }); n != 0 {
+		t.Fatalf("Decode allocates %.0f times per frame", n)
+	}
 }

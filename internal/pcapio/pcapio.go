@@ -1,8 +1,10 @@
 // Package pcapio reads and writes the classic libpcap capture file format
 // (https://wiki.wireshark.org/Development/LibpcapFileFormat) from scratch
-// with encoding/binary. It supports both byte orders and both microsecond
-// and nanosecond timestamp resolutions, and streams packets without holding
-// the capture in memory.
+// with encoding/binary. The reader takes both byte orders and both
+// microsecond and nanosecond timestamp resolutions, since captures come from
+// outside; the writer always writes little-endian microseconds with a
+// 65535-byte snapshot length. Both stream packets without holding the
+// capture in memory.
 package pcapio
 
 import (
@@ -11,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -25,6 +28,15 @@ type LinkType uint32
 
 // LinkTypeEthernet is DLT_EN10MB, the only link type the darknet uses.
 const LinkTypeEthernet LinkType = 1
+
+const (
+	// snaplen is the snapshot length the writer advertises and cuts to.
+	snaplen = 65535
+	// maxCapLen bounds a record's captured length on read, whatever
+	// snapshot length the file claims: no link-layer frame comes near it,
+	// so a longer record is corrupt framing.
+	maxCapLen = 1 << 20
+)
 
 // ErrBadMagic is returned when the global header magic is unrecognised.
 var ErrBadMagic = errors.New("pcapio: unrecognised magic number")
@@ -45,30 +57,13 @@ type Header struct {
 // Writer emits a pcap stream. Create with NewWriter, then call WriteHeader
 // once followed by WritePacket per packet.
 type Writer struct {
-	w       *bufio.Writer
-	nanos   bool
-	snaplen uint32
-	wrote   bool
+	w     *bufio.Writer
+	wrote bool
+	hdr   [16]byte // record header scratch; on the stack it would escape
 }
 
-// NewWriter wraps w. Timestamps are written at microsecond resolution unless
-// WithNanos is applied.
-func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
-	pw := &Writer{w: bufio.NewWriter(w), snaplen: 65535}
-	for _, o := range opts {
-		o(pw)
-	}
-	return pw
-}
-
-// WriterOption configures a Writer.
-type WriterOption func(*Writer)
-
-// WithNanos selects nanosecond timestamp resolution.
-func WithNanos() WriterOption { return func(w *Writer) { w.nanos = true } }
-
-// WithSnaplen sets the advertised snapshot length.
-func WithSnaplen(n uint32) WriterOption { return func(w *Writer) { w.snaplen = n } }
+// NewWriter wraps w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
 
 // WriteHeader writes the global file header for the given link type.
 func (w *Writer) WriteHeader(link LinkType) error {
@@ -77,16 +72,12 @@ func (w *Writer) WriteHeader(link LinkType) error {
 	}
 	w.wrote = true
 	var hdr [24]byte
-	magic := uint32(MagicMicroseconds)
-	if w.nanos {
-		magic = MagicNanoseconds
-	}
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[0:4], MagicMicroseconds)
 	binary.LittleEndian.PutUint16(hdr[4:6], 2)  // version major
 	binary.LittleEndian.PutUint16(hdr[6:8], 4)  // version minor
 	binary.LittleEndian.PutUint32(hdr[8:12], 0) // thiszone
 	binary.LittleEndian.PutUint32(hdr[12:16], 0)
-	binary.LittleEndian.PutUint32(hdr[16:20], w.snaplen)
+	binary.LittleEndian.PutUint32(hdr[16:20], snaplen)
 	binary.LittleEndian.PutUint32(hdr[20:24], uint32(link))
 	_, err := w.w.Write(hdr[:])
 	return err
@@ -98,23 +89,13 @@ func (w *Writer) WritePacket(ts time.Time, data []byte) error {
 	if !w.wrote {
 		return errors.New("pcapio: WriteHeader not called")
 	}
-	capLen := uint32(len(data))
-	if capLen > w.snaplen {
-		capLen = w.snaplen
-	}
-	var hdr [16]byte
-	sec := uint32(ts.Unix())
-	var frac uint32
-	if w.nanos {
-		frac = uint32(ts.Nanosecond())
-	} else {
-		frac = uint32(ts.Nanosecond() / 1000)
-	}
-	binary.LittleEndian.PutUint32(hdr[0:4], sec)
-	binary.LittleEndian.PutUint32(hdr[4:8], frac)
+	capLen := uint32(min(len(data), snaplen))
+	hdr := w.hdr[:]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ts.Unix()))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(ts.Nanosecond()/1000))
 	binary.LittleEndian.PutUint32(hdr[8:12], capLen)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(data)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.w.Write(data[:capLen])
@@ -127,12 +108,12 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader consumes a pcap stream. It detects byte order and timestamp
 // resolution from the magic number.
 type Reader struct {
-	r       *bufio.Reader
-	order   binary.ByteOrder
-	nanos   bool
-	link    LinkType
-	snaplen uint32
-	buf     []byte
+	r     *bufio.Reader
+	order binary.ByteOrder
+	nanos bool
+	link  LinkType
+	hdr   [16]byte // record header scratch; on the stack it would escape
+	buf   []byte
 }
 
 // NewReader parses the global header of r and returns a packet reader.
@@ -157,7 +138,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magicLE)
 	}
-	pr.snaplen = pr.order.Uint32(hdr[16:20])
 	pr.link = LinkType(pr.order.Uint32(hdr[20:24]))
 	return pr, nil
 }
@@ -165,16 +145,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the capture's link-layer type.
 func (r *Reader) LinkType() LinkType { return r.link }
 
-// Snaplen returns the capture's snapshot length.
-func (r *Reader) Snaplen() uint32 { return r.snaplen }
-
 // ReadPacket returns the next packet. The returned data slice is reused on
 // the next call; copy it to retain. io.EOF marks a clean end of stream; a
 // stream that ends inside a record header or body yields an error wrapping
 // ErrTruncated instead.
 func (r *Reader) ReadPacket() (Header, []byte, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Header{}, nil, fmt.Errorf("pcapio: record header cut short: %w", ErrTruncated)
 		}
@@ -184,7 +161,7 @@ func (r *Reader) ReadPacket() (Header, []byte, error) {
 	frac := r.order.Uint32(hdr[4:8])
 	capLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
-	if capLen > r.snaplen && capLen > 1<<20 {
+	if capLen > maxCapLen {
 		return Header{}, nil, fmt.Errorf("pcapio: implausible capture length %d", capLen)
 	}
 	nanos := int64(frac)
@@ -196,16 +173,23 @@ func (r *Reader) ReadPacket() (Header, []byte, error) {
 		CapLen:  capLen,
 		OrigLen: origLen,
 	}
-	if cap(r.buf) < int(capLen) {
-		r.buf = make([]byte, capLen)
-	}
-	r.buf = r.buf[:capLen]
-	if n, err := io.ReadFull(r.r, r.buf); err != nil {
+	// The buffer grows with the bytes that arrive, not with the length the
+	// header claims, so a forged length costs at most twice what the file
+	// holds.
+	n := int(capLen)
+	buf := r.buf[:0]
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4096)))
+		m, err := io.ReadFull(r.r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Header{}, nil, fmt.Errorf("pcapio: packet body cut short at %d of %d bytes: %w",
-				n, capLen, ErrTruncated)
+				len(buf), n, ErrTruncated)
 		}
-		return Header{}, nil, fmt.Errorf("pcapio: reading packet body: %w", err)
+		if err != nil {
+			return Header{}, nil, fmt.Errorf("pcapio: reading packet body: %w", err)
+		}
 	}
-	return h, r.buf, nil
+	r.buf = buf
+	return h, buf, nil
 }

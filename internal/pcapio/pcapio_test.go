@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,43 +61,53 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// handCapture writes a capture header with the given byte order, magic and
+// snapshot length, then one record per body with wire length origLen (the
+// body's own length when zero).
+func handCapture(order binary.AppendByteOrder, magic, snaplen uint32, sec, frac, origLen uint32, bodies ...[]byte) []byte {
+	b := order.AppendUint32(nil, magic)
+	b = order.AppendUint16(b, 2)
+	b = order.AppendUint16(b, 4)
+	b = append(b, make([]byte, 8)...) // thiszone, sigfigs
+	b = order.AppendUint32(b, snaplen)
+	b = order.AppendUint32(b, uint32(LinkTypeEthernet))
+	for _, body := range bodies {
+		wire := origLen
+		if wire == 0 {
+			wire = uint32(len(body))
+		}
+		b = order.AppendUint32(b, sec)
+		b = order.AppendUint32(b, frac)
+		b = order.AppendUint32(b, uint32(len(body)))
+		b = order.AppendUint32(b, wire)
+		b = append(b, body...)
+	}
+	return b
+}
+
 func TestNanosecondResolution(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, WithNanos())
-	if err := w.WriteHeader(LinkTypeEthernet); err != nil {
-		t.Fatal(err)
-	}
-	ts := time.Date(2021, 3, 2, 0, 0, 0, 987654321, time.UTC)
-	if err := w.WritePacket(ts, []byte{0xff}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, _, err := r.ReadPacket()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Ts.Nanosecond() != 987654321 {
-		t.Fatalf("nanos = %d", hdr.Ts.Nanosecond())
+	for _, order := range []binary.AppendByteOrder{binary.LittleEndian, binary.BigEndian} {
+		capture := handCapture(order, MagicNanoseconds, 65535, 1614643200, 987654321, 0, []byte{0xff})
+		r, err := NewReader(bytes.NewReader(capture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, _, err := r.ReadPacket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Ts.Unix() != 1614643200 || hdr.Ts.Nanosecond() != 987654321 {
+			t.Fatalf("%v: ts = %v, nanos = %d", order, hdr.Ts, hdr.Ts.Nanosecond())
+		}
 	}
 }
 
+// TestSnaplenTruncation: the reader reports a record's captured and wire
+// lengths apart, and the writer cuts a packet to its 65535-byte snaplen
+// while keeping the wire length.
 func TestSnaplenTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, WithSnaplen(4))
-	if err := w.WriteHeader(LinkTypeEthernet); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(time.Unix(0, 0), []byte{1, 2, 3, 4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	r, err := NewReader(&buf)
+	capture := handCapture(binary.LittleEndian, MagicMicroseconds, 4, 0, 0, 6, []byte{1, 2, 3, 4})
+	r, err := NewReader(bytes.NewReader(capture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,27 +118,30 @@ func TestSnaplenTruncation(t *testing.T) {
 	if hdr.CapLen != 4 || hdr.OrigLen != 6 || len(data) != 4 {
 		t.Fatalf("caplen=%d origlen=%d len=%d", hdr.CapLen, hdr.OrigLen, len(data))
 	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteHeader(LinkTypeEthernet); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePacket(time.Unix(0, 0), make([]byte, 70000)); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if r, err = NewReader(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, data, err = r.ReadPacket(); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.CapLen != 65535 || hdr.OrigLen != 70000 || len(data) != 65535 {
+		t.Fatalf("written: caplen=%d origlen=%d len=%d", hdr.CapLen, hdr.OrigLen, len(data))
+	}
 }
 
 func TestBigEndianReading(t *testing.T) {
-	// Hand-craft a big-endian capture.
-	var buf bytes.Buffer
-	hdr := make([]byte, 24)
-	binary.BigEndian.PutUint32(hdr[0:4], MagicMicroseconds)
-	binary.BigEndian.PutUint16(hdr[4:6], 2)
-	binary.BigEndian.PutUint16(hdr[6:8], 4)
-	binary.BigEndian.PutUint32(hdr[16:20], 65535)
-	binary.BigEndian.PutUint32(hdr[20:24], uint32(LinkTypeEthernet))
-	buf.Write(hdr)
-	rec := make([]byte, 16)
-	binary.BigEndian.PutUint32(rec[0:4], 1000)
-	binary.BigEndian.PutUint32(rec[4:8], 500000)
-	binary.BigEndian.PutUint32(rec[8:12], 2)
-	binary.BigEndian.PutUint32(rec[12:16], 2)
-	buf.Write(rec)
-	buf.Write([]byte{0xaa, 0xbb})
-
-	r, err := NewReader(&buf)
+	capture := handCapture(binary.BigEndian, MagicMicroseconds, 65535, 1000, 500000, 0, []byte{0xaa, 0xbb})
+	r, err := NewReader(bytes.NewReader(capture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +337,56 @@ func TestReaderWithValidHeaderGarbageBody(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// forgedCapture is a 40-byte capture: a global header claiming snaplen
+// 0xffffffff and one record header claiming a body of capLen bytes that
+// never follows.
+func forgedCapture(capLen uint32) []byte {
+	capture := handCapture(binary.LittleEndian, MagicMicroseconds, 0xffffffff, 0, 0, 0, nil)
+	binary.LittleEndian.PutUint32(capture[24+8:], capLen)
+	binary.LittleEndian.PutUint32(capture[24+12:], capLen)
+	return capture
+}
+
+// TestForgedCaptureLength: a record length beyond any real frame is refused
+// as corrupt framing before a byte is allocated for it, whatever snaplen
+// the file's own header claims.
+func TestForgedCaptureLength(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(forgedCapture(64 << 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = r.ReadPacket()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible capture length") || errors.Is(err, ErrTruncated) {
+		t.Fatalf("error = %v, want an implausible capture length that is not ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("reading the forged record allocated %d bytes", n)
+	}
+}
+
+// TestBodyGrowsWithTheFile: a plausible record length whose body is cut
+// short costs memory in proportion to the bytes that arrived, not to the
+// length the header claims.
+func TestBodyGrowsWithTheFile(t *testing.T) {
+	capture := append(forgedCapture(1<<20), make([]byte, 100)...)
+	r, err := NewReader(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = r.ReadPacket()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("error = %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("a 100-byte body allocated %d bytes", n)
 	}
 }

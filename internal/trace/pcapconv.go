@@ -12,14 +12,6 @@ import (
 	"github.com/darkvec/darkvec/internal/robust"
 )
 
-// Fixed MACs for synthesised frames: a darknet is a passive sensor, the link
-// layer carries no analytical signal, so we use locally-administered
-// placeholder addresses.
-var (
-	srcMAC = [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
-	dstMAC = [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
-)
-
 // WritePCAP serialises the trace as a libpcap capture of fully-formed
 // Ethernet/IPv4/TCP|UDP|ICMP packets (checksums valid). Mirai-fingerprinted
 // events get TCP sequence number == destination IP, which is what the
@@ -31,7 +23,7 @@ func (t *Trace) WritePCAP(w io.Writer) error {
 	}
 	var buf []byte
 	for i, e := range t.Events {
-		buf = appendEventPacket(buf[:0], e, uint16(i))
+		buf = packet.AppendFrame(buf[:0], eventFrame(e, uint16(i)))
 		if err := pw.WritePacket(time.Unix(e.Ts, 0).UTC(), buf); err != nil {
 			return err
 		}
@@ -39,43 +31,24 @@ func (t *Trace) WritePCAP(w io.Writer) error {
 	return pw.Flush()
 }
 
-// appendEventPacket builds the on-the-wire bytes for one event.
-func appendEventPacket(b []byte, e Event, ipID uint16) []byte {
-	var l4 []byte
+// eventFrame is the packet one event stands for: a TCP SYN from a stable
+// ephemeral port, a UDP datagram, or an ICMP echo request.
+func eventFrame(e Event, ipID uint16) packet.Frame {
+	f := packet.Frame{Src: e.Src, Dst: e.Dst, Proto: e.Proto, IPID: ipID}
 	switch e.Proto {
 	case packet.IPProtocolTCP:
-		tcp := packet.TCP{
-			SrcPort: ephemeralPort(e.Src, e.Port),
-			DstPort: e.Port,
-			Flags:   packet.TCPSyn,
-			Window:  14600,
-		}
+		f.SrcPort, f.DstPort = ephemeralPort(e.Src, e.Port), e.Port
 		if e.Mirai {
-			tcp.Seq = uint32(e.Dst) // the Mirai scanner fingerprint
+			f.Seq = uint32(e.Dst) // the Mirai scanner fingerprint
 		} else {
-			tcp.Seq = uint32(e.Src)*2654435761 + uint32(e.Port)
+			f.Seq = uint32(e.Src)*2654435761 + uint32(e.Port)
 		}
-		l4 = tcp.SerializeTo(nil, nil, e.Src, e.Dst)
 	case packet.IPProtocolUDP:
-		udp := packet.UDP{
-			SrcPort: ephemeralPort(e.Src, e.Port),
-			DstPort: e.Port,
-		}
-		l4 = udp.SerializeTo(nil, []byte{0}, e.Src, e.Dst)
+		f.SrcPort, f.DstPort = ephemeralPort(e.Src, e.Port), e.Port
 	case packet.IPProtocolICMPv4:
-		icmp := packet.ICMPv4{Type: 8, Code: 0, ID: uint16(e.Src), Seq: 1}
-		l4 = icmp.SerializeTo(nil, nil)
+		f.ICMPID, f.ICMPSeq = uint16(e.Src), 1
 	}
-	ip := packet.IPv4{
-		TTL:      64,
-		ID:       ipID,
-		Protocol: e.Proto,
-		SrcIP:    e.Src,
-		DstIP:    e.Dst,
-	}
-	ipBytes := ip.SerializeTo(nil, l4)
-	eth := packet.Ethernet{SrcMAC: srcMAC, DstMAC: dstMAC, EtherType: packet.EtherTypeIPv4}
-	return eth.SerializeTo(b, ipBytes)
+	return f
 }
 
 // ephemeralPort picks a stable pseudo-random source port for a sender/target
@@ -104,11 +77,7 @@ func ReadPCAP(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, 
 	if pr.LinkType() != pcapio.LinkTypeEthernet {
 		return nil, rep, fmt.Errorf("trace: unsupported link type %d", pr.LinkType())
 	}
-	var (
-		events  []Event
-		parser  packet.Parser
-		decoded []packet.LayerType
-	)
+	var events []Event
 	for {
 		hdr, data, err := pr.ReadPacket()
 		if errors.Is(err, io.EOF) {
@@ -124,24 +93,16 @@ func ReadPCAP(r io.Reader, budget robust.Budget) (*Trace, *robust.IngestReport, 
 			rep.Truncate(err)
 			break
 		}
-		if err := parser.DecodeLayers(data, &decoded); err != nil {
+		f, err := packet.Decode(data)
+		if err != nil {
 			if berr := rep.Skip(budget, fmt.Errorf("packet %d: %w", rep.Read()+rep.Skipped()+1, err)); berr != nil {
 				return nil, rep, fmt.Errorf("trace: %w", berr)
 			}
 			continue
 		}
-		e := Event{
-			Ts:    hdr.Ts.Unix(),
-			Src:   parser.IP.SrcIP,
-			Dst:   parser.IP.DstIP,
-			Proto: parser.IP.Protocol,
-		}
-		switch parser.IP.Protocol {
-		case packet.IPProtocolTCP:
-			e.Port = parser.TCP.DstPort
-			e.Mirai = parser.TCP.Seq == uint32(parser.IP.DstIP)
-		case packet.IPProtocolUDP:
-			e.Port = parser.UDP.DstPort
+		e := Event{Ts: hdr.Ts.Unix(), Src: f.Src, Dst: f.Dst, Port: f.DstPort, Proto: f.Proto}
+		if f.Proto == packet.IPProtocolTCP {
+			e.Mirai = f.Seq == uint32(f.Dst)
 		}
 		rep.Record()
 		events = append(events, e)

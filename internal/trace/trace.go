@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -47,16 +48,11 @@ type PortKey struct {
 func (p PortKey) String() string { return portString(p) }
 
 func portString(p PortKey) string {
-	e := packet.Endpoint{Raw: uint32(p.Port)}
-	switch p.Proto {
-	case packet.IPProtocolTCP:
-		e.Type = packet.EndpointTCPPort
-	case packet.IPProtocolUDP:
-		e.Type = packet.EndpointUDPPort
-	default:
+	if p.Proto != packet.IPProtocolTCP && p.Proto != packet.IPProtocolUDP {
 		return "icmp"
 	}
-	return e.String()
+	b := strconv.AppendUint(make([]byte, 0, len("65535/tcp")), uint64(p.Port), 10)
+	return string(append(append(b, '/'), p.Proto.String()...))
 }
 
 // Key returns the event's PortKey.
@@ -143,12 +139,6 @@ func (t *Trace) FirstDays(n int) *Trace {
 }
 
 func dayStart(ts int64) int64 { return ts - ts%86400 }
-
-// Day returns the zero-based day index of ts relative to the trace start.
-func (t *Trace) Day(ts int64) int {
-	first, _ := t.Span()
-	return int((ts - dayStart(first)) / 86400)
-}
 
 // Days returns the number of whole days the trace spans (at least 1 for a
 // non-empty trace).
