@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/darkvec/darkvec/internal/metrics"
 	"github.com/darkvec/darkvec/internal/netutil"
 	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/trace"
@@ -260,20 +259,6 @@ func (t *PortTally) Inspect(words []string, assign []int, sil []float64, labels 
 		out = append(out, p)
 	}
 	return out
-}
-
-// PortJaccard returns the Jaccard index between the port sets of two
-// profiles (§7.3.1's inter-cluster overlap measure).
-func PortJaccard(a, b Profile) float64 {
-	sa := map[trace.PortKey]bool{}
-	sb := map[trace.PortKey]bool{}
-	for k := range a.PortShare {
-		sa[k] = true
-	}
-	for k := range b.PortShare {
-		sb[k] = true
-	}
-	return metrics.Jaccard(sa, sb)
 }
 
 // Describe produces a short Table 5 style description of the cluster using

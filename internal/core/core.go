@@ -165,9 +165,9 @@ func (in trainInput) train(cfg Config, opts TrainOpts) (*Embedding, error) {
 	start := time.Now()
 	// Integer token path end-to-end: hand the trainer the interned corpus
 	// directly so no sender string is re-hashed during vocabulary building
-	// or encoding. Byte-identical to training on corp.Sentences(). A shared
-	// interner may have grown since the build; ids past len(Counts) cannot
-	// appear in this corpus, so clip the word table to match.
+	// or encoding. The model does not depend on the interner's id order. A
+	// shared interner may have grown since the build; ids past len(Counts)
+	// cannot appear in this corpus, so clip the word table to match.
 	words := corp.Interner().Strings()
 	if len(words) > len(corp.Counts) {
 		words = words[:len(corp.Counts)]

@@ -173,47 +173,3 @@ func (s *Space) resolve(nn []Neighbor) []Similar {
 	}
 	return out
 }
-
-// Analogy solves a : b :: c : ? — the classic word2vec vector-offset query
-// (king - man + woman). It returns the k words nearest to
-// vec(b) - vec(a) + vec(c), excluding the three inputs. On darknet
-// embeddings this asks "which sender relates to c the way b relates to a"
-// (e.g. pivoting from one scan team to the corresponding member of another
-// team). ok is false when any input word is missing.
-func (s *Space) Analogy(a, b, c string, k int) ([]Similar, bool) {
-	ia, okA := s.index[a]
-	ib, okB := s.index[b]
-	ic, okC := s.index[c]
-	if !okA || !okB || !okC || k <= 0 {
-		return nil, false
-	}
-	q := make([]float32, s.Dim)
-	ra, rb, rc := s.Row(ia), s.Row(ib), s.Row(ic)
-	for d := 0; d < s.Dim; d++ {
-		q[d] = rb[d] - ra[d] + rc[d]
-	}
-	normalize(q)
-	// Over-select by the three excluded inputs, then drop them: removing at
-	// most three rows from the top-(k+3) leaves the exact top-k of the rest.
-	sc := scratchPool.Get().(*knnScratch)
-	s.scan(q, -1, k+3, sc, nil)
-	nn := sc.top.sorted()
-	scratchPool.Put(sc)
-	out := make([]Similar, 0, k)
-	for _, n := range nn {
-		if n.Row == ia || n.Row == ib || n.Row == ic {
-			continue
-		}
-		out = append(out, Similar{Word: s.Words[n.Row], Sim: n.Sim})
-		if len(out) == k {
-			break
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].Sim != out[y].Sim {
-			return out[x].Sim > out[y].Sim
-		}
-		return out[x].Word < out[y].Word
-	})
-	return out, true
-}

@@ -1,9 +1,7 @@
 package embed
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,8 +186,12 @@ func TestAllKNN(t *testing.T) {
 }
 
 func TestFromModel(t *testing.T) {
-	sentences := [][]string{{"a", "b", "a", "c"}, {"b", "c", "a"}}
-	m, err := w2v.Train(sentences, w2v.Config{Dim: 8, Window: 2, Epochs: 2, Seed: 1, PadToken: "NULL"})
+	enc := w2v.Encoded{ // {a b a c} {b c a}
+		Sequences: [][]int32{{0, 1, 0, 2}, {1, 2, 0}},
+		Words:     []string{"a", "b", "c"},
+		Counts:    []int64{3, 2, 2},
+	}
+	m, err := w2v.TrainEncodedWithOptions(enc, w2v.Config{Dim: 8, Window: 2, Epochs: 2, Seed: 1, PadToken: "NULL"}, w2v.TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,88 +229,6 @@ func TestMostSimilar(t *testing.T) {
 	}
 	if _, ok := s.MostSimilar("zzz", 2); ok {
 		t.Fatal("unknown word must report absence")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	s := space(t, []string{"1.2.3.4", "5.6.7.8", "9.9.9.9"},
-		[][]float32{{1, 2, 3}, {-4, 5, -6}, {0.5, 0.25, 0.125}})
-	var buf bytes.Buffer
-	if err := s.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != s.Len() || back.Dim != s.Dim {
-		t.Fatalf("shape: %d/%d vs %d/%d", back.Len(), back.Dim, s.Len(), s.Dim)
-	}
-	for i, w := range s.Words {
-		j, ok := back.Index(w)
-		if !ok {
-			t.Fatalf("word %q lost", w)
-		}
-		for d := 0; d < s.Dim; d++ {
-			if math.Abs(float64(s.Row(i)[d]-back.Row(j)[d])) > 1e-6 {
-				t.Fatalf("word %q dim %d: %v vs %v", w, d, s.Row(i)[d], back.Row(j)[d])
-			}
-		}
-	}
-}
-
-func TestReadTextErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"notanumber 3\nfoo 1 2 3\n",
-		"1 0\n",
-		"1 3\nfoo 1 2\n",    // wrong field count
-		"2 2\nfoo 1 2\n",    // fewer rows than promised
-		"1 2\nfoo 1 nope\n", // bad float
-	}
-	for i, in := range cases {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d must fail", i)
-		}
-	}
-}
-
-func TestReadTextEmptySpace(t *testing.T) {
-	s, err := ReadText(strings.NewReader("0 5\n"))
-	if err != nil || s.Len() != 0 {
-		t.Fatalf("empty space: %v, %v", s, err)
-	}
-}
-
-func TestAnalogy(t *testing.T) {
-	// Orthonormal-ish setup: b - a + c lands on d.
-	words := []string{"a", "b", "c", "d", "x"}
-	vecs := [][]float32{
-		{1, 0, 0}, // a
-		{0, 1, 0}, // b
-		{1, 0, 1}, // c : a shifted into the third axis
-		{0, 1, 1}, // d : b shifted the same way
-		{-1, -1, -1},
-	}
-	s := space(t, words, vecs)
-	got, ok := s.Analogy("a", "b", "c", 1)
-	if !ok || len(got) != 1 {
-		t.Fatalf("analogy = %v, %v", got, ok)
-	}
-	if got[0].Word != "d" {
-		t.Fatalf("a:b :: c:%s, want d (sims %v)", got[0].Word, got)
-	}
-	// Inputs are excluded even if nearest.
-	for _, sim := range got {
-		if sim.Word == "a" || sim.Word == "b" || sim.Word == "c" {
-			t.Fatal("analogy must exclude its inputs")
-		}
-	}
-	if _, ok := s.Analogy("a", "b", "missing", 1); ok {
-		t.Fatal("missing input must report absence")
-	}
-	if _, ok := s.Analogy("a", "b", "c", 0); ok {
-		t.Fatal("k=0 must report absence")
 	}
 }
 

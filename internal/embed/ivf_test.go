@@ -243,7 +243,7 @@ func TestIVFApproxFallsBackToExact(t *testing.T) {
 	if s.ANN() == nil {
 		t.Fatal("BuildIVF should attach")
 	}
-	s.SetANN(nil)
+	s.ann = nil
 	for _, r := range rows {
 		neighborsEqual(t, "detached single", [][]Neighbor{s.KNN(r, 7)}, [][]Neighbor{s.KNNApprox(r, 7)})
 	}

@@ -177,20 +177,6 @@ func (a *Aggregator) Run(ctx context.Context) {
 	wg.Wait()
 }
 
-// PollNow probes every vantage once, synchronously. Tests and boot paths
-// use it to reach a settled state without waiting out the poll interval.
-func (a *Aggregator) PollNow(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, v := range a.vantages {
-		wg.Add(1)
-		go func(v *vantage) {
-			defer wg.Done()
-			a.poll(ctx, v)
-		}(v)
-	}
-	wg.Wait()
-}
-
 func (a *Aggregator) pollLoop(ctx context.Context, v *vantage) {
 	a.poll(ctx, v)
 	ticker := time.NewTicker(a.cfg.Poll)

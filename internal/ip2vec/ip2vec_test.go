@@ -19,9 +19,9 @@ func mk(ts int64, src, dst string, port uint16) trace.Event {
 
 func TestPairsConstruction(t *testing.T) {
 	tr := trace.New([]trace.Event{mk(0, "1.1.1.1", "198.18.0.9", 23)})
-	pairs := Pairs(tr, nil)
-	if len(pairs) != 5 {
-		t.Fatalf("pairs = %d", len(pairs))
+	enc := pairs(tr, nil)
+	if len(enc.Sequences) != 5 {
+		t.Fatalf("pairs = %d", len(enc.Sequences))
 	}
 	want := [][2]string{
 		{"s:1.1.1.1", "d:198.18.0.9"},
@@ -30,9 +30,19 @@ func TestPairsConstruction(t *testing.T) {
 		{"p:23/tcp", "d:198.18.0.9"},
 		{"t:tcp", "d:198.18.0.9"},
 	}
-	for i, p := range pairs {
-		if len(p) != 2 || p[0] != want[i][0] || p[1] != want[i][1] {
+	for i, p := range enc.Sequences {
+		if len(p) != 2 || enc.Words[p[0]] != want[i][0] || enc.Words[p[1]] != want[i][1] {
 			t.Fatalf("pair %d = %v, want %v", i, p, want[i])
+		}
+	}
+	// Every word once in the table, counted by occurrence.
+	wantCounts := map[string]int64{"s:1.1.1.1": 3, "d:198.18.0.9": 3, "p:23/tcp": 2, "t:tcp": 2}
+	if len(enc.Words) != len(wantCounts) {
+		t.Fatalf("words = %v", enc.Words)
+	}
+	for id, w := range enc.Words {
+		if enc.Counts[id] != wantCounts[w] {
+			t.Fatalf("count(%s) = %d, want %d", w, enc.Counts[id], wantCounts[w])
 		}
 	}
 }

@@ -105,11 +105,6 @@ var octetText = func() (t [256]uint64) {
 	return t
 }()
 
-// Octets returns the four address bytes in network order.
-func (ip IPv4) Octets() [4]byte {
-	return [4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
-}
-
 // Subnet returns the /n network containing ip.
 func (ip IPv4) Subnet(bits int) Subnet {
 	if bits < 0 || bits > 32 {
@@ -262,12 +257,4 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

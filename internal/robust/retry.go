@@ -154,20 +154,6 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// State returns the breaker's current position.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Failures returns the current consecutive-failure streak.
-func (b *Breaker) Failures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails
-}
-
 // ErrGiveUp marks a Supervisor.Run that stopped retrying because its
 // circuit breaker is open. Use errors.Is.
 var ErrGiveUp = errors.New("robust: supervisor gave up (circuit breaker open)")

@@ -155,9 +155,6 @@ func (r *IngestReport) ErrorRate() float64 {
 	return float64(skipped) / float64(n)
 }
 
-// Clean reports a fully healthy ingest: nothing skipped, no truncation.
-func (r *IngestReport) Clean() bool { return r.Skipped() == 0 && !r.Truncated() }
-
 // Snapshot returns a consistent-enough point-in-time copy for JSON and
 // logging. Counters are read individually, so a snapshot taken mid-flight
 // may be off by in-flight records — exact once the sources have stopped.

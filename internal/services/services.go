@@ -153,12 +153,3 @@ func (d *Domain) Names() []string {
 
 // Kind implements Definition.
 func (d *Domain) Kind() string { return "domain" }
-
-// Table7 exposes the named-service port lists for documentation and tests.
-func Table7() map[string][]trace.PortKey {
-	out := make(map[string][]trace.PortKey, len(table7))
-	for name, keys := range table7 {
-		out[name] = append([]trace.PortKey(nil), keys...)
-	}
-	return out
-}

@@ -275,17 +275,6 @@ func (t *Trace) CumulativeSenders(minPackets int) []int {
 	return out
 }
 
-// SenderFirstSeen returns each sender's first event timestamp.
-func (t *Trace) SenderFirstSeen() map[netutil.IPv4]int64 {
-	m := make(map[netutil.IPv4]int64)
-	for _, e := range t.Events {
-		if _, ok := m[e.Src]; !ok {
-			m[e.Src] = e.Ts
-		}
-	}
-	return m
-}
-
 // ActivityRaster describes when each of a set of senders was active, at a
 // fixed bin width. It is the data behind the paper's activity-pattern
 // figures (1b, 9, 12–15): rows are senders in a caller-chosen order, columns

@@ -253,22 +253,5 @@ func (t *Trace) PortCounts() map[PortKey]int {
 	return m
 }
 
-// PortSenders returns the number of distinct senders per port key.
-func (t *Trace) PortSenders() map[PortKey]int {
-	seen := make(map[PortKey]map[netutil.IPv4]bool)
-	for _, e := range t.Events {
-		k := e.Key()
-		if seen[k] == nil {
-			seen[k] = make(map[netutil.IPv4]bool)
-		}
-		seen[k][e.Src] = true
-	}
-	out := make(map[PortKey]int, len(seen))
-	for k, s := range seen {
-		out[k] = len(s)
-	}
-	return out
-}
-
 // TimeOf converts a Unix-seconds timestamp to time.Time in UTC.
 func TimeOf(ts int64) time.Time { return time.Unix(ts, 0).UTC() }

@@ -19,17 +19,11 @@ type Encoded struct {
 	Counts    []int64
 }
 
-// TrainEncoded trains a model from a pre-encoded corpus, skipping the
-// string vocabulary pass entirely: the vocabulary is derived from the
-// frequency table and tokens are remapped caller-id → vocab-id through a
-// flat permutation slice. For a fixed seed the result is byte-identical
-// to Train over the equivalent string sentences.
-func TrainEncoded(enc Encoded, cfg Config) (*Model, error) {
-	return TrainEncodedWithOptions(enc, cfg, TrainOptions{})
-}
-
-// TrainEncodedWithOptions is TrainEncoded with cancellation and warm
-// start.
+// TrainEncodedWithOptions trains a model from a pre-encoded corpus. It is
+// the trainer's only entry: the vocabulary is derived from the frequency
+// table and tokens are remapped caller-id → vocab-id through a flat
+// permutation slice, so no word string is hashed. opts adds cancellation
+// and warm start.
 func TrainEncodedWithOptions(enc Encoded, cfg Config, opts TrainOptions) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if len(enc.Words) != len(enc.Counts) {
@@ -64,8 +58,7 @@ func TrainEncodedWithOptions(enc Encoded, cfg Config, opts TrainOptions) (*Model
 		}
 		opts.warmOldOf = oldOf
 	}
-	// Remap to vocabulary ids, dropping tokens the vocabulary dropped —
-	// the exact filtering Vocabulary.Encode applies on the string path.
+	// Remap to vocabulary ids, dropping tokens the vocabulary dropped.
 	seqs := make([][]int32, 0, len(enc.Sequences))
 	var totalTokens int64
 	for _, s := range enc.Sequences {

@@ -31,9 +31,39 @@ func encode(sentences [][]string) Encoded {
 	return enc
 }
 
-// TestTrainEncodedMatchesStringPath is the issue's byte-identity contract:
-// for a fixed seed the pre-encoded path must produce exactly the model the
-// string path does, across architectures and vocabulary-filtering modes.
+// train is the suite's sentence front: sentences interned by encode,
+// trained through the one entry.
+func train(sentences [][]string, cfg Config) (*Model, error) {
+	return TrainEncodedWithOptions(encode(sentences), cfg, TrainOptions{})
+}
+
+// shuffleIDs re-encodes enc under another id table: ids reversed, with a
+// zero-count word interleaved after every real one, as a long-lived
+// interner's table looks to a later corpus.
+func shuffleIDs(enc Encoded) Encoded {
+	n := len(enc.Words)
+	newID := func(id int32) int32 { return int32(2 * (n - 1 - int(id))) }
+	out := Encoded{Words: make([]string, 2*n), Counts: make([]int64, 2*n)}
+	for id, w := range enc.Words {
+		out.Words[newID(int32(id))] = w
+		out.Counts[newID(int32(id))] = enc.Counts[id]
+		out.Words[newID(int32(id))+1] = "spare-" + w
+	}
+	for _, s := range enc.Sequences {
+		seq := make([]int32, len(s))
+		for i, id := range s {
+			seq[i] = newID(id)
+		}
+		out.Sequences = append(out.Sequences, seq)
+	}
+	return out
+}
+
+// TestTrainEncodedMatchesStringPath: a model is a function of the
+// sentences' words, not of the caller's ids. The sentence front (train,
+// first-appearance ids) and the same corpus under a reversed id table with
+// spare zero-count ids save identical bytes, across architectures and
+// vocabulary-filtering modes.
 func TestTrainEncodedMatchesStringPath(t *testing.T) {
 	sentences := [][]string{
 		{"a", "b", "c", "a", "d"},
@@ -53,21 +83,21 @@ func TestTrainEncodedMatchesStringPath(t *testing.T) {
 		{"pad-present", func(c *Config) { c.PadToken = "a" }},
 		{"pad-synthetic", func(c *Config) { c.PadToken = "<nul>" }},
 	}
-	enc := encode(sentences)
+	shuffled := shuffleIDs(encode(sentences))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mut(&cfg)
-			sm, err := Train(sentences, cfg)
+			sm, err := train(sentences, cfg)
 			if err != nil {
-				t.Fatalf("string path: %v", err)
+				t.Fatalf("sentence front: %v", err)
 			}
-			em, err := TrainEncoded(enc, cfg)
+			em, err := TrainEncodedWithOptions(shuffled, cfg, TrainOptions{})
 			if err != nil {
-				t.Fatalf("encoded path: %v", err)
+				t.Fatalf("shuffled ids: %v", err)
 			}
 			if !bytes.Equal(saveBytes(t, sm), saveBytes(t, em)) {
-				t.Fatal("encoded path diverged from string path bytes")
+				t.Fatal("the caller's id order changed the model bytes")
 			}
 		})
 	}
@@ -83,11 +113,11 @@ func TestTrainEncodedZeroCountWords(t *testing.T) {
 		Counts:    []int64{0, 3, 0, 2},
 	}
 	cfg := Config{Dim: 4, Window: 2, Epochs: 1, Seed: 3}
-	em, err := TrainEncoded(enc, cfg)
+	em, err := TrainEncodedWithOptions(enc, cfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Train([][]string{{"x", "y", "x"}, {"y", "x"}}, cfg)
+	sm, err := train([][]string{{"x", "y", "x"}, {"y", "x"}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +131,21 @@ func TestTrainEncodedZeroCountWords(t *testing.T) {
 
 func TestTrainEncodedErrors(t *testing.T) {
 	cfg := Config{Dim: 4, Window: 2, Epochs: 1}
-	if _, err := TrainEncoded(Encoded{Words: []string{"a"}, Counts: []int64{1, 2}}, cfg); err == nil {
+	if _, err := TrainEncodedWithOptions(Encoded{Words: []string{"a"}, Counts: []int64{1, 2}}, cfg, TrainOptions{}); err == nil {
 		t.Fatal("mismatched tables must fail")
 	}
-	if _, err := TrainEncoded(Encoded{}, cfg); err == nil {
+	if _, err := TrainEncodedWithOptions(Encoded{}, cfg, TrainOptions{}); err == nil {
 		t.Fatal("empty corpus must fail")
 	}
-	if _, err := TrainEncoded(Encoded{
+	if _, err := TrainEncodedWithOptions(Encoded{
 		Sequences: [][]int32{{0, 9}},
 		Words:     []string{"a"},
 		Counts:    []int64{1},
-	}, cfg); err == nil {
+	}, cfg, TrainOptions{}); err == nil {
 		t.Fatal("out-of-range token id must fail")
 	}
 	cfg.Epochs = -3
-	if _, err := TrainEncoded(encode([][]string{{"a", "b"}}), cfg); err == nil {
+	if _, err := TrainEncodedWithOptions(encode([][]string{{"a", "b"}}), cfg, TrainOptions{}); err == nil {
 		t.Fatal("negative epochs must fail")
 	}
 }
@@ -126,11 +156,11 @@ func TestTrainEncodedErrors(t *testing.T) {
 func TestZeroConfigDeterministic(t *testing.T) {
 	enc := encode(twoTopicCorpus(64))
 	cfg := Config{Dim: 8, Window: 2, Epochs: 2}
-	a, err := TrainEncoded(enc, cfg)
+	a, err := TrainEncodedWithOptions(enc, cfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainEncoded(enc, cfg)
+	b, err := TrainEncodedWithOptions(enc, cfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,12 @@ package w2v
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,16 +37,16 @@ func smallConfig() Config {
 }
 
 // ioModel trains a tiny model for serialisation tests.
-func ioModel(t *testing.T) *Model {
+func ioModel(t testing.TB) *Model {
 	t.Helper()
-	m, err := Train(smallCorpus(), smallConfig())
+	m, err := train(smallCorpus(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func saveBytes(t *testing.T, m *Model) []byte {
+func saveBytes(t testing.TB, m *Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -138,4 +141,68 @@ func TestVerifyRejectsUnknownMagic(t *testing.T) {
 	if _, err := Verify(strings.NewReader("")); err == nil {
 		t.Fatal("empty file must fail")
 	}
+}
+
+// forgedModel is a 16-byte file whose header claims words × dim values and
+// whose data never follows.
+func forgedModel(words, dim uint32) []byte {
+	b := append([]byte(nil), fileMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, fileVersion)
+	b = binary.LittleEndian.AppendUint32(b, words)
+	return binary.LittleEndian.AppendUint32(b, dim)
+}
+
+// loadAllocs loads data and reports the bytes the load allocated.
+func loadAllocs(data []byte) (*Model, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	return m, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestLoadForgedHeader: a header claiming 2^24 words costs memory in
+// proportion to the bytes that arrived, not to the size it claims.
+func TestLoadForgedHeader(t *testing.T) {
+	for _, words := range []uint32{1 << 24, math.MaxUint32} {
+		_, n, err := loadAllocs(forgedModel(words, 1))
+		if err == nil || !strings.Contains(err.Error(), "truncated model") {
+			t.Fatalf("%d words: error = %v, want a truncated model", words, err)
+		}
+		if n >= 1<<20 {
+			t.Fatalf("%d words: loading a 16-byte file allocated %d bytes", words, n)
+		}
+	}
+}
+
+// TestLoadAllocatesSmallModelsOnce: a model within the presize bounds is
+// read into the slices the header sized, with no regrowth.
+func TestLoadAllocatesSmallModelsOnce(t *testing.T) {
+	m, err := Load(bytes.NewReader(saveBytes(t, ioModel(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(m.Syn0) != len(m.Syn0) || cap(m.Vocab.words) != m.Vocab.Size() {
+		t.Fatalf("Syn0 %d/%d, words %d/%d (len/cap)", len(m.Syn0), cap(m.Syn0), m.Vocab.Size(), cap(m.Vocab.words))
+	}
+}
+
+// FuzzLoad: Load never panics, a model it accepts is consistent, and it
+// allocates in proportion to its input plus the presize bounds, never to a
+// size a header claims.
+func FuzzLoad(f *testing.F) {
+	valid := saveBytes(f, ioModel(f))
+	f.Add(valid)
+	f.Add(valid[:len(valid)*2/3])
+	f.Add(forgedModel(1<<24, 1))
+	f.Add(forgedModel(3, 1<<16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, n, err := loadAllocs(data)
+		if err == nil && len(m.Syn0) != m.Vocab.Size()*m.Dim() {
+			t.Fatalf("accepted %d words × %d dims with %d values", m.Vocab.Size(), m.Dim(), len(m.Syn0))
+		}
+		if limit := uint64(2<<20 + 32*len(data)); n > limit {
+			t.Fatalf("%d input bytes allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+	})
 }

@@ -61,10 +61,10 @@ type Model struct {
 	Pairs int64
 
 	// Perm maps the caller's id space (the corpus interner's) to
-	// vocabulary rows, -1 for dropped ids. Recorded by the TrainEncoded
-	// entry points so the next generation can warm-start through a pure
-	// integer composition (WarmSeed.PrevPerm); nil on the string path and
-	// on models loaded from disk — Save does not persist it.
+	// vocabulary rows, -1 for dropped ids. Recorded by
+	// TrainEncodedWithOptions so the next generation can warm-start through
+	// a pure integer composition (WarmSeed.PrevPerm); nil on models loaded
+	// from disk — Save does not persist it.
 	Perm []int32
 
 	// Warm reports what warm seeding did when this model was trained from
@@ -90,35 +90,9 @@ type TrainOptions struct {
 	warmOldOf []int32
 }
 
-// Train builds the vocabulary from sentences and trains a model. Sentences
-// are slices of words. It is a thin string-front wrapper over the
-// pre-encoded training core — see TrainEncoded for the integer-token entry
-// point that skips the string vocabulary pass entirely.
-func Train(sentences [][]string, cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	vocab := BuildVocabulary(sentences, cfg.PadToken)
-	if vocab.Size() == 0 {
-		return nil, errors.New("w2v: empty vocabulary")
-	}
-	// Pre-encode sentences to id slices once.
-	enc := make([][]int32, 0, len(sentences))
-	var totalTokens int64
-	for _, s := range sentences {
-		ids := vocab.Encode(nil, s)
-		if len(ids) == 0 {
-			continue
-		}
-		totalTokens += int64(len(ids))
-		enc = append(enc, ids)
-	}
-	return trainPrepared(vocab, enc, totalTokens, cfg, TrainOptions{})
-}
-
-// trainPrepared is the shared training core: vocabulary and id-encoded
-// sentences in hand, run the epochs. cfg must already carry defaults.
-// Both the string path (Train) and the interned-id path (TrainEncoded)
-// land here, which is what makes their outputs byte-identical for a fixed
-// seed.
+// trainPrepared is the training core behind TrainEncodedWithOptions:
+// vocabulary and id-encoded sentences in hand, run the epochs. cfg must
+// already carry defaults.
 func trainPrepared(vocab *Vocabulary, enc [][]int32, totalTokens int64, cfg Config, opts TrainOptions) (*Model, error) {
 	ctx := opts.Context
 	if ctx == nil {

@@ -67,7 +67,7 @@ func TestTrainBytesPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			enc, opts := first, TrainOptions{}
 			if tc.warm {
-				prev, err := TrainEncoded(first, economy)
+				prev, err := TrainEncodedWithOptions(first, economy, TrainOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -41,7 +41,7 @@ type WarmSeed struct {
 	Prev *Model
 
 	// PrevPerm maps the caller's interner ids to Prev's vocabulary rows —
-	// the Perm the previous TrainEncoded call recorded. When set, the
+	// the Perm the previous training recorded. When set, the
 	// old↔new row mapping is a pure integer composition with the new
 	// permutation (zero string hashing); every mapped row is still
 	// verified word-for-word so an id-space mismatch (a rebuilt interner)

@@ -86,7 +86,7 @@ var warmCfg = Config{Dim: 12, Window: 3, Epochs: 6, Seed: 9}
 // seed.
 func TestWarmIdenticalWindowZeroEpochs(t *testing.T) {
 	encs := sharedEncode(window(0, 40, 30, 12), window(0, 40, 30, 12))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWarmIdenticalWindowZeroEpochs(t *testing.T) {
 // byte-for-byte with the string-matching fallback.
 func TestWarmOverlapSeedsAndBudgets(t *testing.T) {
 	encs := sharedEncode(window(0, 40, 30, 12), window(4, 40, 30, 12))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestWarmOverlapSeedsAndBudgets(t *testing.T) {
 // have no row in the new model at all.
 func TestWarmRetiresVanishedSenders(t *testing.T) {
 	encs := sharedEncode(window(0, 40, 30, 12), window(10, 40, 30, 12))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestWarmRetiresVanishedSenders(t *testing.T) {
 // to cold), never as a silent mis-seed or a panic.
 func TestWarmSeedErrors(t *testing.T) {
 	encs := sharedEncode(window(0, 20, 20, 10), window(2, 20, 20, 10))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestWarmSeedErrors(t *testing.T) {
 // matching with input vectors only — and must still succeed.
 func TestWarmFromLoadedModel(t *testing.T) {
 	encs := sharedEncode(window(0, 20, 20, 10), window(2, 20, 20, 10))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +268,11 @@ func TestWarmFromLoadedModel(t *testing.T) {
 // surviving heavy senders keep finite, non-degenerate vectors.
 func TestWarmQualityParity(t *testing.T) {
 	encs := sharedEncode(window(0, 40, 40, 12), window(4, 40, 40, 12))
-	prev, err := TrainEncoded(encs[0], warmCfg)
+	prev, err := TrainEncodedWithOptions(encs[0], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := TrainEncoded(encs[1], warmCfg)
+	cold, err := TrainEncodedWithOptions(encs[1], warmCfg, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
