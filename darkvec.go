@@ -119,8 +119,8 @@ type (
 )
 
 // Corpus is the word-sequence training input built from a trace (§5.2).
-// Sequences carry interned integer tokens; Sentences() materialises the
-// string view on demand.
+// Sequences carry interned integer tokens; Interner() maps them back to
+// sender addresses.
 type Corpus = corpus.Corpus
 
 // CorpusOptions tunes corpus construction: builder parallelism and an
