@@ -57,9 +57,6 @@ func (in *Interner) ID(ip netutil.IPv4) (uint32, bool) {
 	return id, ok
 }
 
-// Lookup resolves a token id to its dotted-quad string.
-func (in *Interner) Lookup(id uint32) string { return in.tab.Lookup(id) }
-
 // Len returns the number of interned senders (also the next id).
 func (in *Interner) Len() int { return in.tab.Len() }
 

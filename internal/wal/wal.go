@@ -562,9 +562,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes and fsyncs staged appends and closes the active segment.
 // The log stays on disk for the next boot's replay.
 func (l *Log) Close() error {
