@@ -21,7 +21,7 @@ import (
 // last retrain drift-rejected AND the live feed stalled.
 func degradedDaemon(t *testing.T) *daemon {
 	t.Helper()
-	d := &daemon{o: options{logf: func(string, ...any) {}}, gate: robust.NewGate()}
+	d := &daemon{o: options{testHooks: testHooks{logf: func(string, ...any) {}}}, gate: robust.NewGate()}
 	d.gate.Set(http.NotFoundHandler()) // any handler: makes the gate "ready"
 	d.status.lastErr.Store("candidate rejected")
 	d.status.stale.Store(true)

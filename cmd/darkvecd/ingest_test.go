@@ -28,7 +28,6 @@ func liveOpts() options {
 	o.ingest = "127.0.0.1:0"
 	o.retrain = 50 * time.Millisecond
 	o.ingestMin = 50
-	o.ingestMinPkts = 1
 	o.ingestStall = time.Hour // stall detection off unless a test wants it
 	return o
 }
@@ -119,7 +118,6 @@ func TestValidateLiveFlags(t *testing.T) {
 		{"cap above int32", func(o *options) { o.ingestCap = math.MaxInt32; o.ingestCap++ }},
 		{"negative queue", func(o *options) { o.ingestQueue = -1 }},
 		{"negative ingestmin", func(o *options) { o.ingestMin = -1 }},
-		{"negative minpkts", func(o *options) { o.ingestMinPkts = -1 }},
 		{"negative rate", func(o *options) { o.ingestRate = -1 }},
 	}
 	for _, tc := range cases {
