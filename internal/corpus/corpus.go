@@ -66,10 +66,6 @@ type Options struct {
 // and cheap to group by in the per-worker scan.
 const windowBits = 40
 
-func packCell(svcID uint32, window int64) uint64 {
-	return uint64(svcID)<<windowBits | uint64(window)
-}
-
 // svcRegistry assigns dense ids to service names, seeded from the
 // definition's stable Names order; lookup handles (and registers) any name
 // a definition produces beyond its declared set. Grouping uses the ids,

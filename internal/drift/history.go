@@ -59,16 +59,6 @@ func (h *History) Decisions() []Decision {
 	return append([]Decision(nil), h.recs...)
 }
 
-// Last returns the most recent decision, if any.
-func (h *History) Last() (Decision, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.recs) == 0 {
-		return Decision{}, false
-	}
-	return h.recs[len(h.recs)-1], true
-}
-
 // Len returns the number of retained decisions.
 func (h *History) Len() int {
 	h.mu.Lock()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/darkvec/darkvec/internal/core"
 	"github.com/darkvec/darkvec/internal/darksim"
@@ -225,23 +224,4 @@ func (e *Env) Fig9() (Result, error) {
 	r.Notes = append(r.Notes,
 		"paper: Stretchoid is irregular (random sequences), Engin-Umich is impulsive and synchronised")
 	return r, nil
-}
-
-// sortClassesBySize orders GT classes by descending sender population.
-func sortClassesBySize(gt *labels.Set, tr *trace.Trace) []string {
-	counts := map[string]int{}
-	for _, ip := range tr.Senders() {
-		counts[gt.Class(ip)]++
-	}
-	classes := make([]string, 0, len(counts))
-	for c := range counts {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool {
-		if counts[classes[i]] != counts[classes[j]] {
-			return counts[classes[i]] > counts[classes[j]]
-		}
-		return classes[i] < classes[j]
-	})
-	return classes
 }

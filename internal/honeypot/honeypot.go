@@ -123,15 +123,6 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// Attempts returns a snapshot of recorded attempts.
-func (s *Server) Attempts() []Attempt {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Attempt, len(s.attempts))
-	copy(out, s.attempts)
-	return out
-}
-
 // AttemptsBySource aggregates attempt counts per source.
 func (s *Server) AttemptsBySource() map[netutil.IPv4]int {
 	s.mu.Lock()

@@ -1,5 +1,7 @@
 package metrics
 
+import "sort"
+
 // Methods and functions only tests call live here, so the package
 // exports nothing that production code does not use.
 
@@ -33,3 +35,18 @@ func Jaccard[K comparable](a, b map[K]bool) float64 {
 	union := len(a) + len(b) - inter
 	return float64(inter) / float64(union)
 }
+
+// At returns P(X <= x).
+func (e ECDF) At(x float64) float64 {
+	if len(e.sorted) == 0 {
+		return 0
+	}
+	i := sort.SearchFloat64s(e.sorted, x)
+	for i < len(e.sorted) && e.sorted[i] == x {
+		i++
+	}
+	return float64(i) / float64(len(e.sorted))
+}
+
+// Len returns the sample count.
+func (e ECDF) Len() int { return len(e.sorted) }

@@ -146,18 +146,6 @@ func NewECDF(samples []float64) ECDF {
 	return ECDF{sorted: s}
 }
 
-// At returns P(X <= x).
-func (e ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the q-th quantile, q in [0,1].
 func (e ECDF) Quantile(q float64) float64 {
 	if len(e.sorted) == 0 {
@@ -175,9 +163,6 @@ func (e ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[i]
 }
-
-// Len returns the sample count.
-func (e ECDF) Len() int { return len(e.sorted) }
 
 // Elbow returns the index of the "elbow" of a decreasing curve ys: the point
 // with the maximum distance to the straight line joining the first and last

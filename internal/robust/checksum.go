@@ -79,9 +79,6 @@ func (c *ChecksumWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Sum returns the payload length and CRC32C accumulated so far.
-func (c *ChecksumWriter) Sum() (length uint64, crc uint32) { return c.n, c.crc }
-
 // WriteFooter appends the checksum footer sealing everything written so
 // far. Call exactly once, after the final payload byte.
 func (c *ChecksumWriter) WriteFooter() error {

@@ -19,3 +19,6 @@ func (b *Breaker) Failures() int {
 
 // Clean reports a fully healthy ingest: nothing skipped, no truncation.
 func (r *IngestReport) Clean() bool { return r.Skipped() == 0 && !r.Truncated() }
+
+// Sum returns the payload length and CRC32C accumulated so far.
+func (c *ChecksumWriter) Sum() (length uint64, crc uint32) { return c.n, c.crc }

@@ -71,23 +71,6 @@ func (q *queue) push(e trace.Event) (shed, evicted bool) {
 	return false, evicted
 }
 
-// pop blocks until an event is available or the queue is closed and
-// drained; ok == false means no more events will ever arrive.
-func (q *queue) pop() (e trace.Event, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.n == 0 {
-		return trace.Event{}, false
-	}
-	e = q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return e, true
-}
-
 // popBatch blocks like pop until at least one event is available, then
 // drains up to max events into dst (reused, returned re-sliced) without
 // blocking again. The consumer uses it to amortise the durability cost —

@@ -93,12 +93,13 @@ func (p SyncPolicy) String() string {
 	return "always"
 }
 
-// ParseSyncPolicy maps the -walfsync flag to a SyncPolicy.
+// ParseSyncPolicy maps the -walfsync flag to a SyncPolicy. "" is
+// SyncAlways, the zero SyncPolicy and the flag's default.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
+	case "", "always":
 		return SyncAlways, nil
-	case "", "interval":
+	case "interval":
 		return SyncInterval, nil
 	case "off":
 		return SyncOff, nil
@@ -195,7 +196,7 @@ type Stats struct {
 	DroppedBytes     int64 `json:"dropped_bytes"`
 }
 
-// Log is an open write-ahead log. Append/Commit/Replay/Compact/Close are
+// Log is an open write-ahead log. Append/Commit/Replay/Close are
 // safe for concurrent use; the intended writer is the single ingest
 // consumer goroutine, with HTTP handlers reading Stats concurrently.
 type Log struct {
@@ -470,17 +471,10 @@ func (l *Log) sealLocked() error {
 	return nil
 }
 
-// Compact deletes sealed segments whose newest event is older than
-// horizonTs (Unix seconds) — events the window no longer holds, so no
-// reboot could ever need them. The active segment is never touched.
-// Returns how many segments were removed.
-func (l *Log) Compact(horizonTs int64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.compactLocked(horizonTs, len(l.sealed))
-}
-
-// compactLocked is Compact over the oldest n sealed segments.
+// compactLocked deletes sealed segments, oldest first and at most n, while
+// their newest event is older than horizonTs (Unix seconds): events the
+// window no longer holds, so no reboot could ever need them. The active
+// segment is never touched. Returns how many segments were removed.
 func (l *Log) compactLocked(horizonTs int64, n int) int {
 	removed := 0
 	for removed < n {

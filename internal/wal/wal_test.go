@@ -432,7 +432,7 @@ func TestParseSyncPolicy(t *testing.T) {
 		{"always", SyncAlways, true},
 		{"interval", SyncInterval, true},
 		{"off", SyncOff, true},
-		{"", SyncInterval, true},
+		{"", SyncAlways, true},
 		{"fsync", 0, false},
 	} {
 		got, err := ParseSyncPolicy(tc.in)
