@@ -73,7 +73,7 @@ type Config struct {
 	Trace *trace.Trace
 	// Stats, when non-nil, is what /v1/stats serves: a summary the caller
 	// already has, over events Trace need not hold (darkvecd's window cut
-	// summarises every sender above -ingestminpkts). nil summarises Trace.
+	// summarises every buffered sender). nil summarises Trace.
 	// New copies it, so the Server holds no pointer into the caller's
 	// memory.
 	Stats *trace.Stats
