@@ -239,7 +239,7 @@ func BenchmarkWindowCut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		cut := w.Cut(1, minPackets)
+		cut := w.Cut(minPackets)
 		cutT += time.Since(start)
 		start = time.Now()
 		snap := w.SnapshotActive(1)

@@ -210,7 +210,7 @@ func run(ctx context.Context, o options) error {
 	cfg.W2V.Epochs = o.epochs
 	cfg.W2V.Seed = o.seed
 
-	g, err := core.Generate(tr, tr.LastDays(o.evalDays), gt, cfg, core.TrainOpts{Context: ctx})
+	g, err := core.Generate(tr.Cut(cfg.MinPackets), o.evalDays, gt, cfg, core.TrainOpts{Context: ctx})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Println("training interrupted; nothing written")

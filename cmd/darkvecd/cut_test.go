@@ -34,10 +34,9 @@ func TestServedGenerationDropsItsCut(t *testing.T) {
 	w.AddBatch(darksim.Generate(darksim.Config{Seed: 3, Days: 2, Scale: 0.005, Rate: 0.05}).Trace.Events)
 
 	serveCut := func(collected chan struct{}) trace.Stats {
-		cut := w.Cut(1, d.cfg.MinPackets)
+		cut := w.Cut(d.cfg.MinPackets)
 		runtime.SetFinalizer(cut.Trainable, func(*trace.Trace) { close(collected) })
-		tr := cut.Trainable
-		g, err := core.Generate(tr, cut.LastDays(o.evalDays), labels.Build(tr, nil), d.cfg, core.TrainOpts{})
+		g, err := core.Generate(cut, o.evalDays, labels.Build(cut.Trainable, nil), d.cfg, core.TrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func TestGenerationLetsGoOfItsEvents(t *testing.T) {
 	cfg.W2V.Dim, cfg.W2V.Window, cfg.W2V.Epochs, cfg.W2V.Seed = o.dim, o.window, o.epochs, o.seed
 	var traceGone, eventsGone atomic.Bool
 	ctx := &epochCtx{Context: context.Background(), collected: make(chan struct{})}
-	o.onCut = func(cut stream.Cut) {
+	o.onCut = func(cut trace.Cut) {
 		runtime.SetFinalizer(cut.Trainable, func(*trace.Trace) { traceGone.Store(true) })
 		runtime.SetFinalizer(&cut.Trainable.Events[0], func(*trace.Event) {
 			eventsGone.Store(true)

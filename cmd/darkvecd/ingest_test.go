@@ -282,13 +282,16 @@ func TestLiveIngestOverloadSoak(t *testing.T) {
 	}
 
 	streamWG.Wait()
-	// Let the queue drain, then stop the hammer.
+	// Let the queue drain and its books settle, then stop the hammer. An
+	// empty queue is not enough: the consumer pops a batch before it
+	// counts it accepted, and a parsed line is read before it is queued or
+	// dropped.
 	want := writers * total
 	deadline := time.Now().Add(60 * time.Second)
 	var st stream.Stats
 	for time.Now().Before(deadline) {
 		st = getIngestStats(t, base)
-		if st.Parse.Read == want && st.QueueDepth == 0 {
+		if st.Parse.Read == want && st.QueueDepth == 0 && st.Accepted+st.DroppedNewest+st.DroppedOldest == want {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -155,7 +155,7 @@ type testHooks struct {
 	retrainSleep   func(context.Context, time.Duration) error               // no wall-clock sleeps
 	trainWrap      func(io.Writer) io.Writer                                // fault injection on publish
 	warmSeedHook   func(*w2v.WarmSeed)                                      // mutate (corrupt) the warm seed before training
-	onCut          func(stream.Cut)                                         // the window cut a generation is made from
+	onCut          func(trace.Cut)                                          // the window cut a generation is made from
 	walWrap        func(wal.SyncWriter) wal.SyncWriter                      // fault injection on WAL segments
 	annBuild       func(*embed.Space, embed.IVFOptions) (*embed.IVF, error) // fault injection on index builds
 }
@@ -398,7 +398,7 @@ func (d *daemon) bootFromStore() bool {
 			continue
 		}
 		d.o.logf("booted from store generation %s; skipping initial training", v)
-		stats, _, tr, eval := d.cut()
+		c := d.cut()
 		// Intern the model's IP-shaped vocabulary, so the exported id space
 		// covers the generation actually serving, not just senders seen
 		// since boot. Synthetic tokens (the pad word, service markers) are
@@ -410,26 +410,25 @@ func (d *daemon) bootFromStore() bool {
 				in.Intern(ip)
 			}
 		}
-		g := core.Look(tr, eval, core.EmbeddingFromModel(m, tr, d.cfg), labels.Build(tr, d.feeds), d.cfg)
+		g := core.Look(c, d.o.evalDays, core.EmbeddingFromModel(m, c.Trainable, d.cfg), labels.Build(c.Trainable, d.feeds), d.cfg)
 		// No baseline at boot, so nothing to fail: see gateCheck.
 		snap, _ := d.captureGeneration(g)
-		d.serve(g, &stats, v, nil)
+		d.serve(g, &c.Stats, v, nil)
 		d.acceptGeneration(snap, nil, v)
 		return true
 	}
 }
 
-// cut takes a generation's input from the window: the /v1/stats summary
-// and the day count, which the daemon keeps, and the trainable events and
-// their eval days, which it hands to core and does not keep — core reads
-// what its later stages need of them before it trains, so they are garbage
-// while the model trains.
-func (d *daemon) cut() (stats trace.Stats, days int, tr, eval *trace.Trace) {
-	c := d.ing.Window().Cut(1, d.cfg.MinPackets)
+// cut takes a generation's input from the window. The daemon keeps its
+// /v1/stats summary and hands the rest to core — which reads what its later
+// stages need of the events before it trains, so they are garbage while the
+// model trains.
+func (d *daemon) cut() trace.Cut {
+	c := d.ing.Window().Cut(d.cfg.MinPackets)
 	if d.o.onCut != nil {
 		d.o.onCut(c)
 	}
-	return c.Stats, c.Days(), c.Trainable, c.LastDays(d.o.evalDays)
+	return c
 }
 
 // publishVerified publishes the model and immediately loads it back from
@@ -554,7 +553,8 @@ func (d *daemon) cycle(ctx context.Context) error {
 		d.status.lastErr.Store(err.Error())
 		return err
 	}
-	stats, days, tr, eval := d.cut()
+	c := d.cut()
+	stats := c.Stats // served after training, when nothing may hold the cut
 	if d.o.live() && stats.Packets < d.o.ingestMin {
 		// A thin live window is a fact about the darknet, not a failure
 		// (a static one is the whole file): skip the cycle without burning
@@ -574,8 +574,8 @@ func (d *daemon) cycle(ctx context.Context) error {
 			d.o.warmSeedHook(topts.Warm)
 		}
 	}
-	d.o.logf("training on %d events (%d days)...", stats.Packets, days)
-	g, err := core.Generate(tr, eval, labels.Build(tr, d.feeds), d.cfg, topts)
+	d.o.logf("training on %d events (%d days)...", stats.Packets, c.Days())
+	g, err := core.Generate(c, d.o.evalDays, labels.Build(c.Trainable, d.feeds), d.cfg, topts)
 	if err != nil {
 		return fail(fmt.Errorf("train: %w", err))
 	}

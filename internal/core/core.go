@@ -127,15 +127,16 @@ func TrainEmbedding(tr *trace.Trace, cfg Config) (*Embedding, error) {
 
 // TrainEmbeddingOpts is TrainEmbedding with cancellation, a shared
 // interner and warm start — the controls the daemon's retrain cycle uses.
+// It trains on tr.Cut(cfg.MinPackets).Trainable.
 func TrainEmbeddingOpts(tr *trace.Trace, cfg Config, opts TrainOpts) (*Embedding, error) {
-	in, err := prepare(tr, cfg, opts)
+	in, err := prepare(tr.Cut(cfg.withDefaults().MinPackets), cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	return in.train(cfg, opts)
 }
 
-// trainInput is all training reads of its trace: the senders that passed
+// trainInput is all training reads of its cut: the senders that passed
 // the active filter and the corpus of their events. Once it is built the
 // events are no longer needed, and a retry trains on the same corpus.
 type trainInput struct {
@@ -143,20 +144,19 @@ type trainInput struct {
 	corp   *corpus.Corpus
 }
 
-// prepare filters tr's active senders and builds the per-service ΔT corpus
-// (§5.1–5.2) under opts' context and interner.
-func prepare(tr *trace.Trace, cfg Config, opts TrainOpts) (trainInput, error) {
+// prepare builds the per-service ΔT corpus (§5.2) of c's trainable events
+// under opts' context and interner.
+func prepare(c trace.Cut, cfg Config, opts TrainOpts) (trainInput, error) {
 	cfg = cfg.withDefaults()
-	active, filtered := activeEvents(tr, cfg.MinPackets)
-	def, err := cfg.Definition(filtered)
+	def, err := cfg.Definition(c.Trainable)
 	if err != nil {
 		return trainInput{}, err
 	}
 	var corp *corpus.Corpus
 	pprof.Do(opts.context(), pprof.Labels("darkvec_phase", "corpus-build"), func(context.Context) {
-		corp = corpus.BuildOpts(filtered, def, cfg.DeltaT, corpus.Options{Interner: opts.Interner})
+		corp = corpus.BuildOpts(c.Trainable, def, cfg.DeltaT, corpus.Options{Interner: opts.Interner})
 	})
-	return trainInput{active: active, corp: corp}, nil
+	return trainInput{active: c.Active(), corp: corp}, nil
 }
 
 // train fits one Word2Vec model to the corpus (§5.3).
@@ -220,25 +220,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// activeEvents counts tr's senders once and returns those with at least
-// minPackets events and the trace of their events: tr itself when every
-// sender qualifies (the daemon's window cut holds only trainable senders),
-// otherwise FilterSenders' exact-size copy.
-func activeEvents(tr *trace.Trace, minPackets int) (map[netutil.IPv4]bool, *trace.Trace) {
-	active := make(map[netutil.IPv4]bool)
-	kept := 0
-	for src, n := range tr.SenderCounts() {
-		if n >= minPackets {
-			active[src] = true
-			kept += n
-		}
-	}
-	if kept == tr.Len() {
-		return active, tr
-	}
-	return active, tr.FilterSenders(active)
-}
-
 // EmbeddingFromModel rebuilds the serving bookkeeping around a model that
 // was loaded from disk rather than trained in-process — the kill-9
 // recovery path, where darkvecd boots from the model store and must serve
@@ -268,18 +249,14 @@ func (e *Embedding) EvalSpace(eval *trace.Trace, active map[netutil.IPv4]bool) (
 	if active == nil {
 		active = e.Active
 	}
-	return e.spaceOf(activeOf(eval.Senders(), active))
-}
-
-// activeOf filters senders, in place and in order, to those marked active.
-func activeOf(senders []netutil.IPv4, active map[netutil.IPv4]bool) []netutil.IPv4 {
-	out := senders[:0]
+	senders := eval.Senders()
+	kept := senders[:0]
 	for _, ip := range senders {
 		if active[ip] {
-			out = append(out, ip)
+			kept = append(kept, ip)
 		}
 	}
-	return out
+	return e.spaceOf(kept)
 }
 
 // spaceOf is EvalSpace over an eval population already listed: the space

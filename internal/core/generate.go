@@ -29,14 +29,14 @@ type Generation struct {
 	WarmFallback string
 }
 
-// Look projects an embedding over eval, the sub-trace of tr whose senders
-// are served — tr.LastDays(n) for the final n days — with Fig 6's coverage,
-// and takes the one view of that space (§7): k′ and the clustering seed
-// come from cfg. It reads the traces first — the eval senders emb counts
-// active, and their port tally over tr — and not after.
-func Look(tr, eval *trace.Trace, emb *Embedding, gt *labels.Set, cfg Config) *Generation {
-	senders := activeOf(eval.Senders(), emb.Active)
-	return look(senders, cluster.NewPortTally(tr, senders), emb, gt, cfg)
+// Look projects an embedding over the served senders — c's trainable
+// senders of its final evalDays days (Cut.LastDays) — with Fig 6's
+// coverage, and takes the one view of that space (§7): k′ and the
+// clustering seed come from cfg. It reads the cut first — the eval senders
+// and their port tally — and not after.
+func Look(c trace.Cut, evalDays int, emb *Embedding, gt *labels.Set, cfg Config) *Generation {
+	senders := c.LastDays(evalDays).Senders()
+	return look(senders, cluster.NewPortTally(c.Trainable, senders), emb, gt, cfg)
 }
 
 // look is Look over the eval senders and their tally.
@@ -49,21 +49,22 @@ func look(senders []netutil.IPv4, tally *cluster.PortTally, emb *Embedding, gt *
 	return g
 }
 
-// Generate is the DarkVec pipeline run once (§5–7): train on tr, then Look
-// over eval. Everything after training reads of the traces — the corpus,
-// the eval senders, their port tally — is taken before training starts, so
-// the caller's events are garbage while the model trains if the caller
-// holds them no longer. A warm seed the trainer refuses (w2v.ErrWarmSeed)
-// forfeits only the speedup: training retries once cold on the same corpus
-// and the reason lands in WarmFallback. Any other training error,
-// cancellation included, is returned as is.
-func Generate(tr, eval *trace.Trace, gt *labels.Set, cfg Config, opts TrainOpts) (*Generation, error) {
-	in, err := prepare(tr, cfg, opts)
+// Generate is the DarkVec pipeline run once (§5–7): train on c's trainable
+// events, then Look over its final evalDays days. Everything after training
+// reads of the cut — the corpus, the eval senders, their port tally — is
+// taken before training starts, so the caller's events are garbage while
+// the model trains if the caller holds them no longer. A warm seed the
+// trainer refuses (w2v.ErrWarmSeed) forfeits only the speedup: training
+// retries once cold on the same corpus and the reason lands in
+// WarmFallback. Any other training error, cancellation included, is
+// returned as is.
+func Generate(c trace.Cut, evalDays int, gt *labels.Set, cfg Config, opts TrainOpts) (*Generation, error) {
+	in, err := prepare(c, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	senders := activeOf(eval.Senders(), in.active)
-	tally := cluster.NewPortTally(tr, senders)
+	senders := c.LastDays(evalDays).Senders()
+	tally := cluster.NewPortTally(c.Trainable, senders)
 	emb, err := in.train(cfg, opts)
 	fallback := ""
 	if errors.Is(err, w2v.ErrWarmSeed) {

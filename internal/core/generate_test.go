@@ -86,7 +86,7 @@ func TestGenerateIsTheStagesItReplaces(t *testing.T) {
 	var gB *Generation
 	t.Run("cold and warm-chained", func(t *testing.T) {
 		inG, inH := corpus.NewInterner(), corpus.NewInterner()
-		gA, err := Generate(winA, winA.LastDays(1), gt, cfg, TrainOpts{Interner: inG})
+		gA, err := Generate(winA.Cut(cfg.MinPackets), 1, gt, cfg, TrainOpts{Interner: inG})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestGenerateIsTheStagesItReplaces(t *testing.T) {
 		}
 		checkLook(t, "cold", gA, space, cov, v)
 
-		gB, err = Generate(winB, winB.LastDays(1), gt, cfg, TrainOpts{Interner: inG, Warm: seed(gA.Emb.Model)})
+		gB, err = Generate(winB.Cut(cfg.MinPackets), 1, gt, cfg, TrainOpts{Interner: inG, Warm: seed(gA.Emb.Model)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestGenerateIsTheStagesItReplaces(t *testing.T) {
 		in, prev := chain(t)
 		bad := *prev
 		bad.Syn0 = bad.Syn0[:len(bad.Syn0)-1]
-		g, err := Generate(winB, winB.LastDays(1), gt, cfg, TrainOpts{Interner: in, Warm: seed(&bad)})
+		g, err := Generate(winB.Cut(cfg.MinPackets), 1, gt, cfg, TrainOpts{Interner: in, Warm: seed(&bad)})
 		if err != nil {
 			t.Fatalf("a refused seed must fall back, not fail: %v", err)
 		}
@@ -145,7 +145,7 @@ func TestGenerateIsTheStagesItReplaces(t *testing.T) {
 		in, prev := chain(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		g, err := Generate(winB, winB.LastDays(1), gt, cfg, TrainOpts{Context: ctx, Interner: in, Warm: seed(prev)})
+		g, err := Generate(winB.Cut(cfg.MinPackets), 1, gt, cfg, TrainOpts{Context: ctx, Interner: in, Warm: seed(prev)})
 		if !errors.Is(err, context.Canceled) || errors.Is(err, w2v.ErrWarmSeed) || g != nil {
 			t.Fatalf("cancelled Generate = %v, %v; want context.Canceled and no generation", g, err)
 		}
@@ -159,7 +159,7 @@ func TestGenerateIsTheStagesItReplaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		boot := Look(winB, winB.LastDays(1), EmbeddingFromModel(loaded, winB, cfg), gt, cfg)
+		boot := Look(winB.Cut(cfg.MinPackets), 1, EmbeddingFromModel(loaded, winB, cfg), gt, cfg)
 		checkLook(t, "boot", boot, gB.Space, gB.Coverage, gB.View)
 	})
 }
@@ -181,8 +181,8 @@ func TestEvalAnchorIsTheWindow(t *testing.T) {
 	w.Add(trace.Event{Ts: day0 + 3*86400 + 60, Src: 0xcb007101, Dst: events[0].Dst, Port: 23, Proto: packet.IPProtocolTCP})
 
 	const evalDays = 2
-	cut := w.Cut(1, cfg.MinPackets)
-	g, err := Generate(cut.Trainable, cut.LastDays(evalDays), labels.Build(cut.Trainable, out.Feeds), cfg, TrainOpts{})
+	cut := w.Cut(cfg.MinPackets)
+	g, err := Generate(cut, evalDays, labels.Build(cut.Trainable, out.Feeds), cfg, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,42 +199,5 @@ func TestEvalAnchorIsTheWindow(t *testing.T) {
 	checkLook(t, "cut", g, space, cov, NewView(space, gt, cfg.KPrime, cfg.W2V.Seed))
 	if naive, _ := emb.EvalSpace(cut.Trainable.LastDays(evalDays), nil); sameSpace(naive, space) {
 		t.Fatal("the trainable trace's own last days serve the same senders: the test does not exercise the anchor")
-	}
-}
-
-// TestTrainOnAllActiveTraceCopiesNothing: a trace whose every sender is
-// active — the daemon's cut — trains as it is: the filter hands back the
-// trace itself, so no event slice is allocated, and the model bytes are
-// those of a trace with inactive senders, which trains on an exact-size
-// filtered copy.
-func TestTrainOnAllActiveTraceCopiesNothing(t *testing.T) {
-	out := smallSim(t)
-	cfg := fastCfg()
-	cfg.W2V.Epochs = 1
-	first, _ := out.Trace.Span()
-	day0 := first - first%86400
-	tr := out.Trace.Window(day0, day0+3*86400)
-	active, copied := activeEvents(tr, cfg.MinPackets)
-	if copied == tr || copied.Len() == tr.Len() || cap(copied.Events) != copied.Len() {
-		t.Fatalf("trace with inactive senders: kept %d of %d events in a slice of cap %d; want an exact-size copy of fewer",
-			copied.Len(), tr.Len(), cap(copied.Events))
-	}
-	gotActive, same := activeEvents(copied, cfg.MinPackets)
-	if same != copied {
-		t.Error("an all-active trace was copied")
-	}
-	if !reflect.DeepEqual(gotActive, active) {
-		t.Error("the all-active trace's active senders differ from the full trace's")
-	}
-	a, err := TrainEmbeddingOpts(copied, cfg, TrainOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrainEmbeddingOpts(tr, cfg, TrainOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(modelBytes(t, a.Model), modelBytes(t, b.Model)) {
-		t.Error("training on the all-active trace and on the full trace wrote different models")
 	}
 }

@@ -21,7 +21,7 @@ func TestModelInvariances(t *testing.T) {
 	gt := labels.Build(out.Trace, out.Feeds)
 	generate := func(t *testing.T, tr *trace.Trace) ([]byte, []int) {
 		t.Helper()
-		g, err := Generate(tr, tr.LastDays(1), gt, cfg, TrainOpts{})
+		g, err := Generate(tr.Cut(cfg.MinPackets), 1, gt, cfg, TrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

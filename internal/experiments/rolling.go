@@ -42,7 +42,7 @@ func (e *Env) Rolling() (Result, error) {
 	total := map[string]time.Duration{}
 	for w := 0; w < steps; w++ {
 		lo := day0 + int64(w)*86400
-		tr := e.Full.Window(lo, lo+int64(winDays)*86400)
+		c := e.Full.Window(lo, lo+int64(winDays)*86400).Cut(cfg.MinPackets)
 		// Cold pays the full epoch budget every step. Warm is chained: each
 		// step seeds from the previous *warm* model, so seeding error would
 		// compound here if it existed.
@@ -51,7 +51,7 @@ func (e *Env) Rolling() (Result, error) {
 			if strategy == "warm" && prevWarm != nil {
 				topts.Warm = &w2v.WarmSeed{Prev: prevWarm, PrevPerm: prevWarm.Perm}
 			}
-			g, err := core.Generate(tr, tr.LastDays(1), e.GT, cfg, topts)
+			g, err := core.Generate(c, 1, e.GT, cfg, topts)
 			if err != nil {
 				return Result{}, fmt.Errorf("rolling: %s step %d: %w", strategy, w, err)
 			}

@@ -70,24 +70,22 @@ func rolledWindow(t *testing.T) *Window {
 // snapshot's.
 func TestWindowStatsMatchTraceSummary(t *testing.T) {
 	w := rolledWindow(t)
-	for _, p := range []int{0, 1, 2, 10} {
-		cut := w.Cut(p, 10)
-		snap := w.SnapshotActive(p)
-		if want := snap.Summary(trace.TopTCPRows); !reflect.DeepEqual(cut.Stats, want) {
-			t.Errorf("P=%d: cut stats %+v, SnapshotActive(P).Summary %+v", p, cut.Stats, want)
-		}
-		first, last := snap.Span()
-		if cut.First != first || cut.Last != last || cut.Days() != snap.Days() {
-			t.Errorf("P=%d: cut spans [%d, %d] over %d days, the snapshot [%d, %d] over %d",
-				p, cut.First, cut.Last, cut.Days(), first, last, snap.Days())
-		}
+	cut := w.Cut(10)
+	snap := w.Snapshot()
+	if want := snap.Summary(trace.TopTCPRows); !reflect.DeepEqual(cut.Stats, want) {
+		t.Errorf("cut stats %+v, Snapshot().Summary %+v", cut.Stats, want)
+	}
+	first, last := snap.Span()
+	if cut.First != first || cut.Last != last || cut.Days() != snap.Days() {
+		t.Errorf("cut spans [%d, %d] over %d days, the snapshot [%d, %d] over %d",
+			cut.First, cut.Last, cut.Days(), first, last, snap.Days())
 	}
 }
 
-// TestTrainableCutIsTheFilter: the trainable events are the ones the
-// trainer's own filter keeps of the full snapshot, event for event and in
-// the same order — equal timestamps that arrived out of order included —
-// in a slice of exactly their number.
+// TestTrainableCutIsTheFilter: the window's cut is the cut of its snapshot
+// — trainable events in the same order, equal timestamps that arrived out
+// of order included, per-sender counts, summary and span — and its
+// trainable events sit in a slice of exactly their number.
 func TestTrainableCutIsTheFilter(t *testing.T) {
 	w := rolledWindow(t)
 	full := w.Snapshot()
@@ -107,20 +105,16 @@ func TestTrainableCutIsTheFilter(t *testing.T) {
 	if late == 0 || ties == 0 {
 		t.Fatalf("window holds %d late arrivals and %d equal timestamps; want both", late, ties)
 	}
-	for _, p := range []int{0, 1, 2, 10, 15} {
-		train := max(p, 10)
-		cut := w.Cut(p, 10)
-		want := full.FilterSenders(full.ActiveSenders(train))
-		if len(want.Events) == 0 {
-			t.Fatalf("P=%d: nobody trainable; the window does not exercise the cut", p)
-		}
-		if !reflect.DeepEqual(cut.Trainable.Events, want.Events) {
-			t.Errorf("P=%d: cut holds %d events, FilterSenders(ActiveSenders(%d)) %d, or their order differs",
-				p, cut.Trainable.Len(), train, want.Len())
-		}
-		if c := cap(cut.Trainable.Events); c != cut.Trainable.Len() {
-			t.Errorf("P=%d: trainable slice has cap %d for %d events", p, c, cut.Trainable.Len())
-		}
+	cut, want := w.Cut(10), full.Cut(10)
+	if want.Trainable.Len() == 0 || want.Trainable.Len() == full.Len() {
+		t.Fatalf("%d of %d events trainable; the window does not exercise the cut", want.Trainable.Len(), full.Len())
+	}
+	if !reflect.DeepEqual(cut, want) {
+		t.Errorf("window cut (%d trainable events, stats %+v, span [%d, %d]) differs from the snapshot's (%d, %+v, [%d, %d])",
+			cut.Trainable.Len(), cut.Stats, cut.First, cut.Last, want.Trainable.Len(), want.Stats, want.First, want.Last)
+	}
+	if c := cap(cut.Trainable.Events); c != cut.Trainable.Len() {
+		t.Errorf("trainable slice has cap %d for %d events", c, cut.Trainable.Len())
 	}
 }
 
@@ -144,17 +138,15 @@ func TestCutAllocatesOneTrainableCopy(t *testing.T) {
 		}
 		return mallocs, bytes
 	}
-	var cut Cut
+	var cut trace.Cut
 	var events []trace.Event
-	for _, p := range []int{1, 2} {
-		kept := w.Cut(p, 10).Trainable.Len()
-		_, slice := measure(func() { events = make([]trace.Event, 0, kept) })
-		m1, b1 := measure(func() { cut = w.Cut(p, 10) })
-		m0, b0 := measure(func() { cut = w.Cut(p, 1<<30) })
-		if m1-m0 != 1 || b1-b0 != slice {
-			t.Errorf("P=%d: the trainable copy cost %d allocations and %d bytes; want 1 and %d (%d events × 24 B)",
-				p, m1-m0, b1-b0, slice, kept)
-		}
+	kept := w.Cut(10).Trainable.Len()
+	_, slice := measure(func() { events = make([]trace.Event, 0, kept) })
+	m1, b1 := measure(func() { cut = w.Cut(10) })
+	m0, b0 := measure(func() { cut = w.Cut(1 << 30) })
+	if m1-m0 != 1 || b1-b0 != slice {
+		t.Errorf("the trainable copy cost %d allocations and %d bytes; want 1 and %d (%d events × 24 B)",
+			m1-m0, b1-b0, slice, kept)
 	}
 	_, _ = cut, events
 }

@@ -1,13 +1,13 @@
 package stream
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"unsafe"
 
 	"github.com/darkvec/darkvec/internal/corpus"
 	"github.com/darkvec/darkvec/internal/netutil"
-	"github.com/darkvec/darkvec/internal/packet"
 	"github.com/darkvec/darkvec/internal/trace"
 )
 
@@ -291,85 +291,17 @@ func (w *Window) SnapshotActive(minPackets int) *trace.Trace {
 	return trace.New(events)
 }
 
-// Cut is one generation's input, taken from the window under one lock
-// acquisition (Window.Cut).
-type Cut struct {
-	// Trainable holds, time-ordered, the events of every sender with at
-	// least the cut's training threshold of buffered packets: the events
-	// the trainer keeps of SnapshotActive(minPackets), in the same order,
-	// copied once into a slice of exactly their number.
-	Trainable *trace.Trace
-	// Stats is the Table 1 summary (trace.TopTCPRows top TCP ports) of the
-	// events of senders with at least minPackets buffered packets —
-	// SnapshotActive(minPackets).Summary(trace.TopTCPRows) without the copy.
-	Stats trace.Stats
-	// First and Last are the smallest and largest Ts of those events.
-	First, Last int64
-}
-
-// Days returns the number of UTC days the minPackets events span.
-func (c Cut) Days() int {
-	if c.Stats.Packets == 0 {
-		return 0
-	}
-	return trace.DaysSpanned(c.First, c.Last)
-}
-
-// LastDays returns the trainable events of the final n UTC days of the
-// minPackets events: the day boundary is the newest such event's, which a
-// one-packet sender may hold, not the newest trainable one's.
-func (c Cut) LastDays(n int) *trace.Trace {
-	if c.Stats.Packets == 0 {
-		return &trace.Trace{}
-	}
-	return c.Trainable.DaysEndingAt(n, c.Last)
-}
-
 // Cut takes a generation's input from the ring under one lock acquisition:
-// the events of senders with ≥ max(minPackets, trainPackets) buffered
-// packets in one exact-size slice, the summary of the ≥ minPackets events
-// read where they lie, and their span. One pass copies and counts (dense
-// port tables, no map operation per event beyond the sender-count lookup
-// SnapshotActive makes too); a second counts the top rows' sources.
-// Nothing else of the window is copied.
-func (w *Window) Cut(minPackets, trainPackets int) Cut {
-	train := max(minPackets, trainPackets)
-	var tl trace.Tally
+// trace.CutEvents over the ring's two runs where they lie and a copy of the
+// per-sender counts. Nothing else of the window is copied, and the
+// trainable events are put in Ts order once the lock is released.
+func (w *Window) Cut(minPackets int) trace.Cut {
 	w.mu.Lock()
-	kept, sources := 0, 0
-	for _, c := range w.counts {
-		if int(c) >= minPackets {
-			sources++
-		}
-		if int(c) >= train {
-			kept += int(c)
-		}
-	}
-	events := make([]trace.Event, 0, kept)
 	runs := w.runsLocked()
-	for _, run := range runs {
-		for i := range run {
-			c := int(w.counts[run[i].Src])
-			if c < minPackets {
-				continue
-			}
-			tl.Add(&run[i])
-			if c >= train {
-				events = append(events, run[i])
-			}
-		}
-	}
-	tl.Rank(trace.TopTCPRows, packet.IPProtocolTCP)
-	for _, run := range runs {
-		for i := range run {
-			if row := tl.RowOf(&run[i]); row >= 0 && (minPackets <= 1 || int(w.counts[run[i].Src]) >= minPackets) {
-				tl.CountSource(row, run[i].Src)
-			}
-		}
-	}
+	c := trace.CutEvents(maps.Clone(w.counts), minPackets, runs[0], runs[1])
 	w.mu.Unlock()
-	first, last := tl.Span()
-	return Cut{Trainable: trace.New(events), Stats: tl.Stats(sources), First: first, Last: last}
+	c.Trainable.Sort()
+	return c
 }
 
 // runsLocked returns the buffered events in arrival order as the ring's two

@@ -27,7 +27,7 @@ const TopTCPRows = 3
 // when n <= 0), optionally restricted to one protocol (proto == 0 means
 // all).
 func (t *Trace) TopPorts(n int, proto packet.IPProtocol) []PortStat {
-	return t.tally(n, proto, nil).top
+	return tallyRuns(n, proto, nil, t.Events).top
 }
 
 // Stats summarises a trace the way the paper's Table 1 does.
@@ -43,50 +43,140 @@ type Stats struct {
 // ports are reported (the paper shows 3, TopTCPRows).
 func (t *Trace) Summary(topN int) Stats {
 	var senders keySet
-	return t.tally(topN, packet.IPProtocolTCP, &senders).Stats(senders.n)
+	tl := tallyRuns(topN, packet.IPProtocolTCP, func(e *Event) { senders.add(uint64(e.Src)) }, t.Events)
+	return tl.stats(senders.n)
 }
 
-// tally runs the Tally sequence over the trace, adding each sender to
-// senders when it is non-nil.
-func (t *Trace) tally(n int, proto packet.IPProtocol, senders *keySet) *Tally {
-	tl := new(Tally)
-	for i := range t.Events {
-		tl.Add(&t.Events[i])
-		if senders != nil {
-			senders.add(uint64(t.Events[i].Src))
+// Cut is a generation's input, the one home of the paper's active-sender
+// rule (≥ 10 packets, §3.1, §5.1) and of the eval anchor: the events of the
+// senders with at least MinPackets packets, which the pipeline trains on,
+// and the per-sender counts, summary and span of every event they were cut
+// from. (*Trace).Cut cuts a trace and the live window cuts its ring; both
+// run CutEvents.
+type Cut struct {
+	// Trainable holds, time-ordered, the events of every sender with at
+	// least MinPackets packets, in a slice of exactly their number.
+	Trainable  *Trace
+	MinPackets int
+	// Counts is packets per sender over every event.
+	Counts map[netutil.IPv4]int32
+	// Stats is the Table 1 summary (TopTCPRows top TCP ports) of every
+	// event.
+	Stats Stats
+	// First and Last are the smallest and largest Ts of every event.
+	First, Last int64
+}
+
+// Days returns the number of UTC days every event spans.
+func (c Cut) Days() int {
+	if c.Stats.Packets == 0 {
+		return 0
+	}
+	return DaysSpanned(c.First, c.Last)
+}
+
+// LastDays returns the trainable events of the final n UTC days of every
+// event: the day boundary is the newest event's, which a sender below
+// MinPackets may hold, not the newest trainable one's.
+func (c Cut) LastDays(n int) *Trace {
+	if c.Stats.Packets == 0 {
+		return &Trace{}
+	}
+	return c.Trainable.DaysEndingAt(n, c.Last)
+}
+
+// Active returns the set of Trainable's senders, read off Counts.
+func (c Cut) Active() map[netutil.IPv4]bool {
+	active := make(map[netutil.IPv4]bool)
+	for src, n := range c.Counts {
+		if int(n) >= c.MinPackets {
+			active[src] = true
 		}
 	}
-	tl.Rank(n, proto)
+	return active
+}
+
+// Cut cuts the trace at minPackets.
+func (t *Trace) Cut(minPackets int) Cut {
+	counts := make(map[netutil.IPv4]int32)
 	for i := range t.Events {
-		if row := tl.RowOf(&t.Events[i]); row >= 0 {
-			tl.CountSource(row, t.Events[i].Src)
+		counts[t.Events[i].Src]++
+	}
+	return CutEvents(counts, minPackets, t.Events)
+}
+
+// CutEvents cuts the events of runs, whose senders' packet counts are
+// counts (the Cut keeps the map), at minPackets: the summary's first pass
+// copies the trainable events, in the order offered, into one exact-size
+// slice. A caller that offers events out of Ts order sorts Trainable itself
+// (Trace.Sort), outside whatever lock it cut them under — the live window
+// cuts its ring's two runs where they lie.
+func CutEvents(counts map[netutil.IPv4]int32, minPackets int, runs ...[]Event) Cut {
+	kept := 0
+	for _, n := range counts {
+		if int(n) >= minPackets {
+			kept += int(n)
+		}
+	}
+	events := make([]Event, 0, kept)
+	tl := tallyRuns(TopTCPRows, packet.IPProtocolTCP, func(e *Event) {
+		if int(counts[e.Src]) >= minPackets {
+			events = append(events, *e)
+		}
+	}, runs...)
+	return Cut{
+		Trainable:  &Trace{Events: events},
+		MinPackets: minPackets,
+		Counts:     counts,
+		Stats:      tl.stats(len(counts)),
+		First:      tl.first,
+		Last:       tl.last,
+	}
+}
+
+// tallyRuns runs the tally sequence over the events of runs, offering each
+// event to each, when it is non-nil, on the first pass: add every event;
+// rank; offer every event again to rowOf, and countSource the ones on a
+// ranked row.
+func tallyRuns(n int, proto packet.IPProtocol, each func(*Event), runs ...[]Event) *tally {
+	tl := new(tally)
+	for _, run := range runs {
+		for i := range run {
+			tl.add(&run[i])
+			if each != nil {
+				each(&run[i])
+			}
+		}
+	}
+	tl.rank(n, proto)
+	for _, run := range runs {
+		for i := range run {
+			if row := tl.rowOf(&run[i]); row >= 0 {
+				tl.countSource(row, run[i].Src)
+			}
 		}
 	}
 	return tl
 }
 
-// Tally accumulates a Table 1 summary of events offered one at a time, so a
-// holder that is not a Trace — the live window's ring — summarises its
-// events where they lie. Packets per port key live in dense per-protocol
-// tables, an array index per event where a map would hash, and the ranking
-// keeps its top rows instead of sorting every key. The sequence is: Add
-// every event; Rank; offer every event again to RowOf, and CountSource the
-// ones on a ranked row; then Stats. Trace.Summary and TopPorts are that
-// sequence over a trace.
-type Tally struct {
+// tally accumulates a Table 1 summary of events offered one at a time.
+// Packets per port key live in dense per-protocol tables, an array index per
+// event where a map would hash, and the ranking keeps its top rows instead
+// of sorting every key.
+type tally struct {
 	packets     int
 	first, last int64
-	// ports holds, per protocol, packets per port; Rank overwrites each
+	// ports holds, per protocol, packets per port; rank overwrites each
 	// ranked key's count with −(row + 1). A port's count fits an int32:
 	// 2^31 events to one port is 48 GiB of window.
 	ports [256][]int32
-	keys  int // distinct port keys, counted by Rank
+	keys  int // distinct port keys, counted by rank
 	top   []PortStat
 	pairs keySet // (sender, row) pairs already counted into top[row].Sources
 }
 
-// Add counts one event.
-func (t *Tally) Add(e *Event) {
+// add counts one event.
+func (t *tally) add(e *Event) {
 	if t.packets == 0 || e.Ts < t.first {
 		t.first = e.Ts
 	}
@@ -108,13 +198,10 @@ func (t *Tally) Add(e *Event) {
 	tab[k.Port]++
 }
 
-// Span returns the smallest and largest Ts added, (0, 0) when none was.
-func (t *Tally) Span() (first, last int64) { return t.first, t.last }
-
-// Rank selects the n busiest port keys (all of them when n <= 0) of proto
+// rank selects the n busiest port keys (all of them when n <= 0) of proto
 // (0 means all) by packet count, ties broken by port then protocol, and
-// marks the ranked keys in the tables for RowOf.
-func (t *Tally) Rank(n int, proto packet.IPProtocol) {
+// marks the ranked keys in the tables for rowOf.
+func (t *tally) rank(n int, proto packet.IPProtocol) {
 	t.top = make([]PortStat, 0, max(n, 0))
 	for p, tab := range t.ports {
 		for port, c := range tab {
@@ -168,9 +255,9 @@ func comparePorts(a, b PortStat) int {
 	return cmp.Compare(a.Key.Proto, b.Key.Proto)
 }
 
-// RowOf returns the ranked row e's port key holds, -1 when it holds none.
-// Only meaningful after Rank.
-func (t *Tally) RowOf(e *Event) int {
+// rowOf returns the ranked row e's port key holds, -1 when it holds none.
+// Only meaningful after rank.
+func (t *tally) rowOf(e *Event) int {
 	k := e.Key()
 	tab := t.ports[k.Proto]
 	if tab == nil || tab[k.Port] >= 0 {
@@ -179,19 +266,18 @@ func (t *Tally) RowOf(e *Event) int {
 	return int(-tab[k.Port]) - 1
 }
 
-// CountSource counts src as a source of the ranked row, once however many
+// countSource counts src as a source of the ranked row, once however many
 // of its events are offered.
-func (t *Tally) CountSource(row int, src netutil.IPv4) {
+func (t *tally) countSource(row int, src netutil.IPv4) {
 	if t.pairs.add(uint64(src)<<32 | uint64(row)) {
 		t.top[row].Sources++
 	}
 }
 
-// Stats returns the summary: sources is the distinct senders among the
-// events added, which the holder knows better than a tally (the window
-// keeps per-sender counts); TopTCP is the ranking, so a Table 1 summary
-// ranks packet.IPProtocolTCP.
-func (t *Tally) Stats(sources int) Stats {
+// stats returns the summary: sources is the distinct senders among the
+// events added, which the caller counts; TopTCP is the ranking, so a
+// Table 1 summary ranks packet.IPProtocolTCP.
+func (t *tally) stats(sources int) Stats {
 	s := Stats{Packets: t.packets, Sources: sources, Ports: t.keys, TopTCP: t.top}
 	if t.packets > 0 {
 		s.FirstDay = TimeOf(t.first).Format("2006-01-02")
