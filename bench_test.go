@@ -462,20 +462,25 @@ func BenchmarkKNNBatch100k(b *testing.B) {
 		queries[i] = i * space.Len() / len(queries)
 	}
 	var exact [][]embed.Neighbor
-	run := func(b *testing.B, batch func([]int, int) [][]embed.Neighbor) (nn [][]embed.Neighbor) {
+	batch := func(search func([]int, int, []bool, func(int, []embed.Neighbor))) [][]embed.Neighbor {
+		nn := make([][]embed.Neighbor, len(queries))
+		search(queries, 10, nil, func(qi int, got []embed.Neighbor) { nn[qi] = append([]embed.Neighbor(nil), got...) })
+		return nn
+	}
+	run := func(b *testing.B, search func([]int, int, []bool, func(int, []embed.Neighbor))) (nn [][]embed.Neighbor) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			nn = batch(queries, 10)
+			nn = batch(search)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		return nn
 	}
-	b.Run("exact", func(b *testing.B) { exact = run(b, space.KNNBatch) })
+	b.Run("exact", func(b *testing.B) { exact = run(b, space.Search) })
 	b.Run("ivf", func(b *testing.B) {
-		ann := run(b, space.ANN().KNNBatch)
+		ann := run(b, space.ANN().Search)
 		if exact == nil {
-			exact = space.KNNBatch(queries, 10)
+			exact = batch(space.Search)
 		}
 		hit := 0
 		for q := range exact {

@@ -287,7 +287,7 @@ func Evaluate(space *embed.Space, set *labels.Set, k int) metrics.Report {
 
 // Predictions returns raw LOO k-NN predictions (for GT extension, §6.4).
 func Predictions(space *embed.Space, set *labels.Set, k int) []knn.Prediction {
-	return knn.Classify(space, Labels(space, set), k)
+	return knn.NewClassifier(space, nil, Labels(space, set)).All(k)
 }
 
 // Clustering is the unsupervised stage output.

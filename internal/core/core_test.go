@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/darksim"
@@ -136,6 +137,33 @@ func TestClusterStage(t *testing.T) {
 	cl1 := Cluster(space, 1, 1)
 	if cl1.Clusters < cl.Clusters {
 		t.Fatalf("k'=1 clusters %d should exceed k'=3 clusters %d", cl1.Clusters, cl.Clusters)
+	}
+}
+
+// TestClusterModularityBitsStable: Louvain sums in one order, so the same
+// space gives the same assignment and the same modularity bits on every
+// call and at any worker count.
+func TestClusterModularityBitsStable(t *testing.T) {
+	out := smallSim(t)
+	emb, err := TrainEmbedding(out.Trace, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, _ := emb.EvalSpace(out.Trace.LastDays(1), nil)
+	space.MaxProcs = 1
+	want := Cluster(space, 3, 1)
+	for _, procs := range []int{1, 2, 4} {
+		space.MaxProcs = procs
+		for i := 0; i < 100; i++ {
+			got := Cluster(space, 3, 1)
+			if math.Float64bits(got.Modularity) != math.Float64bits(want.Modularity) {
+				t.Fatalf("MaxProcs %d call %d: modularity %v (%#x), want %v (%#x)", procs, i,
+					got.Modularity, math.Float64bits(got.Modularity), want.Modularity, math.Float64bits(want.Modularity))
+			}
+			if !reflect.DeepEqual(got.Assign, want.Assign) {
+				t.Fatalf("MaxProcs %d call %d: assignment differs", procs, i)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,8 +40,7 @@ func sameSpace(a, b *embed.Space) bool {
 }
 
 // checkLook compares a generation's look with a space, coverage and view
-// built another way. Louvain's modularity sums in map order: it is compared
-// to rounding, not bitwise.
+// built another way, modularity bit for bit.
 func checkLook(t *testing.T, name string, g *Generation, space *embed.Space, cov float64, v *View) {
 	t.Helper()
 	if !sameSpace(g.Space, space) || g.Coverage != cov {
@@ -51,7 +49,7 @@ func checkLook(t *testing.T, name string, g *Generation, space *embed.Space, cov
 	}
 	gv := g.View
 	if !reflect.DeepEqual(gv.Assign, v.Assign) || !reflect.DeepEqual(gv.Labels, v.Labels) ||
-		!reflect.DeepEqual(gv.Sil, v.Sil) || gv.Clusters != v.Clusters || math.Abs(gv.Modularity-v.Modularity) > 1e-9 {
+		!reflect.DeepEqual(gv.Sil, v.Sil) || gv.Clusters != v.Clusters || gv.Modularity != v.Modularity {
 		t.Errorf("%s: view differs from the stages' NewView", name)
 	}
 }

@@ -222,33 +222,28 @@ func Compare(prev, next *Snapshot, o Options) (*Report, error) {
 
 	// Neighbourhood overlap over a deterministic sample of common senders.
 	if r.Common >= 2 {
-		candPrev := make([]int, len(pairs))
-		candNext := make([]int, len(pairs))
-		for i, p := range pairs {
-			candPrev[i] = p.p
-			candNext[i] = p.n
+		maskPrev := make([]bool, prev.Rows())
+		maskNext := make([]bool, next.Rows())
+		for _, p := range pairs {
+			maskPrev[p.p], maskNext[p.n] = true, true
 		}
-		sort.Ints(candPrev)
-		sort.Ints(candNext)
-		samples := len(pairs)
-		if samples > o.SampleLimit {
-			samples = o.SampleLimit
-		}
+		samples := min(len(pairs), o.SampleLimit)
 		qPrev := make([]int, samples)
 		qNext := make([]int, samples)
 		for i := 0; i < samples; i++ {
 			p := pairs[i*len(pairs)/samples]
 			qPrev[i], qNext[i] = p.p, p.n
 		}
-		k := o.K
-		if k > r.Common-1 {
-			k = r.Common - 1
+		k := min(o.K, r.Common-1)
+		neighbours := func(s *Snapshot, queries []int, mask []bool) []map[string]bool {
+			sets := make([]map[string]bool, len(queries))
+			s.space.Search(queries, k, mask, func(i int, nn []embed.Neighbor) { sets[i] = keysOf(s, nn) })
+			return sets
 		}
-		nnPrev := prev.space.KNNSubset(qPrev, candPrev, k)
-		nnNext := next.space.KNNSubset(qNext, candNext, k)
+		setsPrev, setsNext := neighbours(prev, qPrev, maskPrev), neighbours(next, qNext, maskNext)
 		var total float64
 		for i := 0; i < samples; i++ {
-			total += jaccard(keysOf(prev, nnPrev[i]), keysOf(next, nnNext[i]))
+			total += jaccard(setsPrev[i], setsNext[i])
 		}
 		r.NeighborhoodOverlap = total / float64(samples)
 		r.OverlapSamples = samples

@@ -2,9 +2,9 @@
 // DarkVec analyses need: an L2-normalised matrix keyed by word, cosine
 // similarity, and exact top-k nearest-neighbour search (the paper's
 // classifier and clustering both use exact cosine k-NN). The search engine
-// lives in knnbatch.go: scans over the row-major matrix through the vecmath
-// kernels, fanned out across workers for batch queries; ivf.go narrows the
-// rows a scan is offered.
+// lives in knnbatch.go: Search scans the row-major matrix through the
+// vecmath kernels, fanned out across workers; ivf.go's IVF.Search narrows
+// the rows a scan is offered.
 package embed
 
 import (
@@ -129,23 +129,7 @@ type Neighbor struct {
 // KNN returns the k rows most cosine-similar to row i, excluding i itself,
 // ordered by decreasing similarity. Ties break toward the lower row index
 // for determinism.
-func (s *Space) KNN(i, k int) []Neighbor { return s.KNNMasked(i, k, nil) }
-
-// KNNMasked is KNN drawn only from the rows mask marks (len(mask) == Len();
-// nil admits every row): the single-query form of KNNSubset, for callers
-// that resolve their candidate set once and query it many times. It runs
-// the same scan as KNN on pooled scratch, so a call allocates only the
-// neighbour list it returns.
-func (s *Space) KNNMasked(i, k int, mask []bool) []Neighbor {
-	if k <= 0 || s.Len() <= 1 {
-		return nil
-	}
-	sc := scratchPool.Get().(*knnScratch)
-	s.scan(s.Row(i), i, k, sc, mask)
-	nn := sc.top.sorted()
-	scratchPool.Put(sc)
-	return nn
-}
+func (s *Space) KNN(i, k int) []Neighbor { return collect(s.Search, []int{i}, k, nil)[0] }
 
 // Similar is a nearest-neighbour hit resolved to its word.
 type Similar struct {

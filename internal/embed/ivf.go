@@ -135,8 +135,7 @@ func (s *Space) BuildIVF(o IVFOptions) (*IVF, error) {
 		ix.centroids[i] = float32(v)
 	}
 	// Counting sort rows into their cells; scanning rows in ascending order
-	// keeps each member list ascending, which the determinism contract and
-	// the subset bitmap scan both rely on.
+	// keeps each member list ascending.
 	counts := make([]int32, cells)
 	for _, c := range assign {
 		counts[c]++
@@ -180,11 +179,11 @@ func (ix *IVF) calibrate() {
 	for i := range queries {
 		queries[i] = i * n / len(queries) // strided: deterministic, spans the space
 	}
-	exact := ix.s.KNNBatch(queries, k)
+	exact := collect(ix.s.Search, queries, k, nil)
 
 	recallAt := func(np int) float64 {
 		ix.nprobe = np
-		approx := ix.KNNBatch(queries, k)
+		approx := collect(ix.Search, queries, k, nil)
 		var hit, total int
 		for qi := range queries {
 			ids := make(map[int]bool, len(exact[qi]))
@@ -251,8 +250,8 @@ func (ix *IVF) Stats() IVFStats {
 
 // scan is the per-query cell-probe search: coarse centroid pass into the
 // scratch cell heap, then the probed cells' members into sc.top. mask, when
-// non-nil, restricts hits to marked rows (the classifier's labeled-subset
-// pass); self is excluded as in the exact engine.
+// non-nil, restricts hits to marked rows; self is excluded as in the exact
+// engine.
 func (ix *IVF) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
 	s := ix.s
 	dim := s.Dim
@@ -276,23 +275,14 @@ func (ix *IVF) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
 	}
 }
 
-// KNN returns the approximate k nearest neighbours of row i through the
-// index, same ordering contract as Space.KNN.
-func (ix *IVF) KNN(i, k int) []Neighbor { return ix.KNNMasked(i, k, nil) }
-
-// KNNMasked mirrors Space.KNNMasked through the index: the approximate top-k
-// of row i among the rows mask marks (nil admits every row), on pooled
-// scratch. The list is empty when the probed cells hold no marked row —
-// callers needing completeness (the classifier) re-run those exactly.
-func (ix *IVF) KNNMasked(i, k int, mask []bool) []Neighbor {
-	if k <= 0 || ix.s.Len() <= 1 {
-		return nil
-	}
-	sc := scratchPool.Get().(*knnScratch)
-	ix.scan(ix.s.Row(i), i, k, sc, mask)
-	nn := sc.top.sorted()
-	scratchPool.Put(sc)
-	return nn
+// Search is Space.Search through the index: the same contract, over the
+// rows of the probed cells only. A query whose probed cells hold no marked
+// row gets an empty list — callers needing completeness (the classifier)
+// re-run those through the exact engine.
+func (ix *IVF) Search(queries []int, k int, mask []bool, fn func(qi int, nn []Neighbor)) {
+	ix.s.search(queries, k, ix.approxPerQuery(), fn, func(q, k int, sc *knnScratch) {
+		ix.scan(ix.s.Row(q), q, k, sc, mask)
+	})
 }
 
 // approxPerQuery estimates the rows touched per query — the coarse centroid
@@ -306,39 +296,16 @@ func (ix *IVF) approxPerQuery() int {
 	return cells + ix.nprobe*(len(ix.members)/cells+1)
 }
 
-// KNNBatch is the batched form of KNN: one approximate scan per requested
-// row, fanned out across the space's workers, byte-identical to serial.
-func (ix *IVF) KNNBatch(rows []int, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(rows))
-	if k <= 0 || ix.s.Len() <= 1 {
-		return out
-	}
-	each(len(rows), ix.s.batchWorkers(len(rows), ix.approxPerQuery()), func(i int, sc *knnScratch) {
-		ix.scan(ix.s.Row(rows[i]), rows[i], k, sc, nil)
-		out[i] = sc.top.sorted()
-	})
-	return out
-}
+// KNN is Space.KNN through the index.
+func (ix *IVF) KNN(i, k int) []Neighbor { return collect(ix.Search, []int{i}, k, nil)[0] }
 
-// KNNSubsetEach mirrors Space.KNNSubsetEach through the index: for each
-// query row, the approximate top-k drawn only from candidate rows. fn runs
-// concurrently from the workers (never twice for the same qi) with a reused
-// neighbour slice. Queries whose probed cells contain no candidates receive
-// an empty list — callers needing completeness (the classifier) re-run
-// those through the exact subset pass.
+// KNNSubsetEach is Search with the marked rows given as a list.
 func (ix *IVF) KNNSubsetEach(queries, candidates []int, k int, fn func(qi int, nn []Neighbor)) {
-	if k <= 0 || len(queries) == 0 || len(candidates) == 0 {
-		return
-	}
-	cand := make([]bool, ix.s.Len())
+	mask := make([]bool, ix.s.Len())
 	for _, r := range candidates {
-		cand[r] = true
+		mask[r] = true
 	}
-	each(len(queries), ix.s.batchWorkers(len(queries), ix.approxPerQuery()), func(qi int, sc *knnScratch) {
-		ix.scan(ix.s.Row(queries[qi]), queries[qi], k, sc, cand)
-		sc.nn = sc.top.sortedInto(sc.nn)
-		fn(qi, sc.nn)
-	})
+	ix.Search(queries, k, mask, fn)
 }
 
 // KNNApprox answers through the attached index, or exactly when none is
@@ -348,15 +315,14 @@ func (ix *IVF) KNNSubsetEach(queries, candidates []int, k int, fn func(qi int, n
 // answer shorter than min(k, Len()-1) is re-run exactly and counted in
 // IVFStats.SimilarExactFallbacks.
 func (s *Space) KNNApprox(i, k int) []Neighbor {
-	if s.ann == nil {
-		return s.KNN(i, k)
-	}
-	nn := s.ann.KNN(i, k)
-	if len(nn) < min(k, s.Len()-1) {
+	q := []int{i}
+	if s.ann != nil {
+		if nn := collect(s.ann.Search, q, k, nil)[0]; len(nn) >= min(k, s.Len()-1) {
+			return nn
+		}
 		s.ann.shortReruns.Add(1)
-		return s.KNN(i, k)
 	}
-	return nn
+	return collect(s.Search, q, k, nil)[0]
 }
 
 // MostSimilarApprox is MostSimilar through KNNApprox.

@@ -77,10 +77,10 @@ func TestIVFDeterminismAcrossWorkers(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	want := ix.KNNBatch(rows, 10)
+	want := collect(ix.Search, rows, 10, nil)
 	for _, workers := range []int{2, 4, 7} {
 		s.MaxProcs = workers
-		got := ix.KNNBatch(rows, 10)
+		got := collect(ix.Search, rows, 10, nil)
 		neighborsEqual(t, fmt.Sprintf("workers=%d", workers), want, got)
 	}
 	// A rebuilt index over the same inputs reproduces the same answers.
@@ -90,7 +90,7 @@ func TestIVFDeterminismAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neighborsEqual(t, "rebuild", want, ix2.KNNBatch(rows, 10))
+	neighborsEqual(t, "rebuild", want, collect(ix2.Search, rows, 10, nil))
 }
 
 // TestIVFCalibratedRecallFloor builds with auto-calibration at the default
@@ -118,8 +118,8 @@ func TestIVFCalibratedRecallFloor(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	exact := s.KNNBatch(rows, 10)
-	approx := ix.KNNBatch(rows, 10)
+	exact := collect(s.Search, rows, 10, nil)
+	approx := collect(ix.Search, rows, 10, nil)
 	if r := recallAtK(exact, approx); r < 0.985 {
 		// The calibration sample guarantees >= 0.99 on the sample; the full
 		// space tracks it closely but is not bound by it — 0.985 is the
@@ -263,7 +263,7 @@ func TestIVFExhaustiveProbeMatchesExact(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	neighborsEqual(t, "exhaustive probe", s.KNNBatch(rows, 9), ix.KNNBatch(rows, 9))
+	neighborsEqual(t, "exhaustive probe", collect(s.Search, rows, 9, nil), collect(ix.Search, rows, 9, nil))
 }
 
 // TestIVFSubsetEach checks the candidate-restricted scan: hits only within
@@ -284,7 +284,7 @@ func TestIVFSubsetEach(t *testing.T) {
 			queries = append(queries, i)
 		}
 	}
-	want := s.KNNSubset(queries, candidates, 5)
+	want := subset(s.Search, s.Len(), queries, candidates, 5)
 	got := make([][]Neighbor, len(queries))
 	ix.KNNSubsetEach(queries, candidates, 5, func(qi int, nn []Neighbor) {
 		got[qi] = append([]Neighbor(nil), nn...)
@@ -312,13 +312,13 @@ func TestIVFSubsetEach(t *testing.T) {
 	})
 }
 
-// TestKNNMaskedMatchesBatchEngines pins the single-query masked entry points
-// to the batch engines: unmasked they are a one-row KNNBatch, masked they
-// are the one-query subset pass, on the exact engine and through an
-// index — including duplicated vectors, where only the
+// TestSearchOneQueryMatchesBatch pins a one-query Search to the same query
+// inside a batch of every row, on the exact engine and through an index,
+// masked and not, and the exact masked answer to a brute-force scan of the
+// candidate list — including duplicated vectors, where only the
 // (similarity desc, row asc) order separates candidates, and spaces too
 // small to have a neighbour.
-func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
+func TestSearchOneQueryMatchesBatch(t *testing.T) {
 	spaces := map[string]*Space{
 		"clustered": clusteredSpace(t, 700, 12, 8, 0.2, 29),
 		"ties":      tieSpace(t, 90, 6, 7),
@@ -328,18 +328,23 @@ func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
 	for name, s := range spaces {
 		var labeled []int
 		mask := make([]bool, s.Len())
+		rows := make([]int, s.Len())
 		for i := range mask {
+			rows[i] = i
 			if i%7 != 0 {
 				mask[i] = true
 				labeled = append(labeled, i)
 			}
 		}
 		for _, k := range []int{0, 1, 7} {
+			all, allMasked := collect(s.Search, rows, k, nil), collect(s.Search, rows, k, mask)
 			for i := 0; i < s.Len(); i++ {
 				neighborsEqual(t, fmt.Sprintf("%s exact unmasked row %d k=%d", name, i, k),
-					s.KNNBatch([]int{i}, k), [][]Neighbor{s.KNNMasked(i, k, nil)})
+					[][]Neighbor{all[i]}, collect(s.Search, []int{i}, k, nil))
 				neighborsEqual(t, fmt.Sprintf("%s exact masked row %d k=%d", name, i, k),
-					s.KNNSubset([]int{i}, labeled, k), [][]Neighbor{s.KNNMasked(i, k, mask)})
+					[][]Neighbor{allMasked[i]}, collect(s.Search, []int{i}, k, mask))
+				neighborsEqual(t, fmt.Sprintf("%s exact masked row %d k=%d vs brute force", name, i, k),
+					[][]Neighbor{bruteSubset(s, i, labeled, k)}, [][]Neighbor{allMasked[i]})
 			}
 		}
 		ix, err := s.BuildIVF(IVFOptions{Seed: 3, NProbe: 2})
@@ -347,15 +352,12 @@ func TestKNNMaskedMatchesBatchEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1, 7} {
+			all, allMasked := collect(ix.Search, rows, k, nil), collect(ix.Search, rows, k, mask)
 			for i := 0; i < s.Len(); i++ {
 				neighborsEqual(t, fmt.Sprintf("%s ivf unmasked row %d k=%d", name, i, k),
-					ix.KNNBatch([]int{i}, k), [][]Neighbor{ix.KNNMasked(i, k, nil)})
-				want := make([][]Neighbor, 1)
-				ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []Neighbor) {
-					want[0] = append([]Neighbor(nil), nn...)
-				})
+					[][]Neighbor{all[i]}, collect(ix.Search, []int{i}, k, nil))
 				neighborsEqual(t, fmt.Sprintf("%s ivf masked row %d k=%d", name, i, k),
-					want, [][]Neighbor{ix.KNNMasked(i, k, mask)})
+					[][]Neighbor{allMasked[i]}, collect(ix.Search, []int{i}, k, mask))
 			}
 		}
 	}

@@ -9,14 +9,17 @@ import (
 	"github.com/darkvec/darkvec/internal/vecmath"
 )
 
-// The k-NN engine: every search entry point — exact (KNN, KNNBatch, AllKNN,
-// KNNSubset, MostSimilar) and through the index (ivf.go) — offers candidate
-// rows to one fixed-size partial-selection heap, one dot product and one
-// push per candidate; exact and IVF search differ only in which rows they
-// offer. Batch entry points fan queries out through each; because a query's
-// result depends only on that query and the (immutable) matrix, and ties
-// break on the total order (similarity desc, row asc), the output is
-// byte-identical for any worker count.
+// The k-NN engine. Each engine has one search method with one signature:
+// Space.Search scans every row, IVF.Search (ivf.go) only the rows of the
+// probed cells. Both run through search, which caps k, fans queries out
+// through each, and offers candidate rows to one fixed-size
+// partial-selection heap, one dot product and one push per candidate; the
+// two differ only in which rows they offer. Because a query's result
+// depends only on that query and the (immutable) matrix, and ties break on
+// the total order (similarity desc, row asc), the output is byte-identical
+// for any worker count and does not depend on the order rows are offered.
+// KNN, AllKNN, MostSimilar and KNNApprox are list-returning forms over
+// Search; IVF.KNN and IVF.KNNSubsetEach are the same for the index.
 
 // Parallelism resolves the worker count the batched engine and the
 // row-parallel consumers (classifier, silhouette, k-means) use: MaxProcs
@@ -126,14 +129,9 @@ func (t *topK) pushSlow(row int, sim float64) {
 	}
 }
 
-// sorted returns the selected neighbours ordered by decreasing similarity
-// (ties toward the lower row), as a fresh slice.
-func (t *topK) sorted() []Neighbor {
-	return t.sortedInto(nil)
-}
-
-// sortedInto is sorted with a caller-owned buffer, so batch loops can reuse
-// one slice per worker instead of allocating per query.
+// sortedInto returns the selected neighbours ordered by decreasing
+// similarity (ties toward the lower row) in a caller-owned buffer, so batch
+// loops reuse one slice per worker instead of allocating per query.
 func (t *topK) sortedInto(buf []Neighbor) []Neighbor {
 	out := append(buf[:0], t.h...)
 	sort.Slice(out, func(a, b int) bool { return worse(out[b], out[a]) })
@@ -192,9 +190,57 @@ func each(n, workers int, fn func(i int, sc *knnScratch)) {
 	wg.Wait()
 }
 
+// searchFunc is the signature both engines' Search share.
+type searchFunc = func(queries []int, k int, mask []bool, fn func(qi int, nn []Neighbor))
+
+// Search finds, for each query row, the k rows most cosine-similar to it
+// among the rows mask marks (len(mask) == Len(); nil marks every row). The
+// query row never matches itself. Each list is ordered by similarity
+// descending, then row ascending. k <= 0 calls nothing; otherwise fn runs
+// exactly once per query, with the query's position qi in queries and its
+// list, which is empty when no row qualifies. The list is reused between
+// calls — copy it to retain it — and fn runs concurrently from the
+// engine's workers (never twice for the same qi), so it must touch only
+// qi-indexed state or its own locals. Output is byte-identical for any
+// worker count.
+func (s *Space) Search(queries []int, k int, mask []bool, fn func(qi int, nn []Neighbor)) {
+	s.search(queries, k, s.Len(), fn, func(q, k int, sc *knnScratch) {
+		s.scan(s.Row(q), q, k, sc, mask)
+	})
+}
+
+// search is the driver behind both engines' Search: perQuery estimates the
+// rows one query scans (for the auto-serial choice) and scan leaves a
+// query's top k in sc.top. k is capped at the rows a query can match before
+// anything sizes a heap.
+func (s *Space) search(queries []int, k, perQuery int, fn func(qi int, nn []Neighbor), scan func(q, k int, sc *knnScratch)) {
+	if k <= 0 {
+		return
+	}
+	k = min(k, s.Len()-1)
+	each(len(queries), s.batchWorkers(len(queries), perQuery), func(qi int, sc *knnScratch) {
+		sc.nn = sc.nn[:0]
+		if k > 0 {
+			scan(queries[qi], k, sc)
+			sc.nn = sc.top.sortedInto(sc.nn)
+		}
+		fn(qi, sc.nn)
+	})
+}
+
+// collect runs search and returns a copy of every query's list (nil where
+// it is empty, and every list nil when k <= 0).
+func collect(search searchFunc, queries []int, k int, mask []bool) [][]Neighbor {
+	out := make([][]Neighbor, len(queries))
+	search(queries, k, mask, func(qi int, nn []Neighbor) {
+		out[qi] = append([]Neighbor(nil), nn...)
+	})
+	return out
+}
+
 // scan leaves in sc.top the k rows most cosine-similar to the query vector
-// q, excluding row self (pass self < 0 to exclude nothing) and, when mask is
-// non-nil, every row it does not mark.
+// q, excluding row self and, when mask is non-nil, every row it does not
+// mark.
 func (s *Space) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
 	sc.top.reset(k)
 	n, dim := s.Len(), s.Dim
@@ -206,68 +252,13 @@ func (s *Space) scan(q []float32, self, k int, sc *knnScratch, mask []bool) {
 	}
 }
 
-// KNNBatch returns, for each requested row, its k nearest neighbours — the
-// same result as calling KNN per row, fanned out across Parallelism()
-// workers. Output is byte-identical to the serial path for any worker count.
-func (s *Space) KNNBatch(rows []int, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(rows))
-	if k <= 0 || s.Len() <= 1 {
-		return out
-	}
-	each(len(rows), s.batchWorkers(len(rows), s.Len()), func(i int, sc *knnScratch) {
-		s.scan(s.Row(rows[i]), rows[i], k, sc, nil)
-		out[i] = sc.top.sorted()
-	})
-	return out
-}
-
-// AllKNN computes KNN for every row. With rows ~ tens of thousands this is
-// the dominant O(n²·V) cost of the analysis stage (the §7 k'-NN graph sits
-// on it), so it fans out across Parallelism() workers; results are
-// byte-identical to the serial path regardless of worker count.
+// AllKNN returns the k nearest neighbours of every row, in row order. With
+// rows ~ tens of thousands this is the dominant O(n²·V) cost of the
+// analysis stage (the §7 k'-NN graph sits on it).
 func (s *Space) AllKNN(k int) [][]Neighbor {
 	rows := make([]int, s.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	return s.KNNBatch(rows, k)
-}
-
-// KNNSubset returns, for each query row, its k nearest neighbours drawn
-// only from the candidate rows (the query itself never matches) — the
-// labeled-neighbour-aware selection the LOO classifier needs, computed in
-// one pass instead of a rescan-and-filter loop. Both slices hold row
-// indices; candidates should be sorted ascending for the deterministic
-// tie-break to mean "lower row wins". Fans out across Parallelism()
-// workers; output is byte-identical for any worker count.
-func (s *Space) KNNSubset(queries, candidates []int, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(queries))
-	s.KNNSubsetEach(queries, candidates, k, func(qi int, nn []Neighbor) {
-		out[qi] = append([]Neighbor(nil), nn...)
-	})
-	return out
-}
-
-// KNNSubsetEach is KNNSubset in callback form: fn is invoked once per query
-// with the query's position qi in queries and its sorted neighbours. The
-// neighbour slice is reused between calls — copy it to retain it. fn runs
-// concurrently from the engine's workers (never twice for the same qi), so
-// it must only touch qi-indexed state or its own locals.
-func (s *Space) KNNSubsetEach(queries, candidates []int, k int, fn func(qi int, nn []Neighbor)) {
-	if k <= 0 || len(candidates) == 0 {
-		return
-	}
-	dim := s.Dim
-	each(len(queries), s.batchWorkers(len(queries), len(candidates)), func(qi int, sc *knnScratch) {
-		q := queries[qi]
-		qv := s.Row(q)
-		sc.top.reset(k)
-		for _, row := range candidates {
-			if row != q {
-				sc.top.push(row, float64(vecmath.Dot(qv, s.rows[row*dim:])))
-			}
-		}
-		sc.nn = sc.top.sortedInto(sc.nn)
-		fn(qi, sc.nn)
-	})
+	return collect(s.Search, rows, k, nil)
 }

@@ -2,6 +2,8 @@ package embed
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -54,9 +56,35 @@ func neighborsEqual(t *testing.T, what string, a, b [][]Neighbor) {
 	}
 }
 
+// subset is a search restricted to a candidate list: the list as a mask.
+func subset(search searchFunc, n int, queries, candidates []int, k int) [][]Neighbor {
+	mask := make([]bool, n)
+	for _, r := range candidates {
+		mask[r] = true
+	}
+	return collect(search, queries, k, mask)
+}
+
+// bruteSubset is the reference the engines are checked against: every
+// candidate but the query, sorted by (similarity desc, row asc), cut at k.
+func bruteSubset(s *Space, q int, candidates []int, k int) []Neighbor {
+	var all []Neighbor
+	for _, r := range candidates {
+		if r != q {
+			all = append(all, Neighbor{Row: r, Sim: s.Cosine(q, r)})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return worse(all[b], all[a]) })
+	if k <= 0 || len(all) == 0 {
+		return nil
+	}
+	return all[:min(k, len(all))]
+}
+
 // TestKNNBatchSerialParallelIdentical asserts the engine's determinism
-// contract on a tie-heavy space: for every worker count, KNNBatch, AllKNN
-// and KNNSubset return byte-identical results to the MaxProcs=1 serial pin.
+// contract on a tie-heavy space: for every worker count, a batch Search,
+// AllKNN and a candidate-restricted Search return byte-identical results to
+// the MaxProcs=1 serial pin.
 func TestKNNBatchSerialParallelIdentical(t *testing.T) {
 	s := tieSpace(t, 90, 6, 77)
 	rows := make([]int, s.Len())
@@ -65,28 +93,28 @@ func TestKNNBatchSerialParallelIdentical(t *testing.T) {
 	}
 	for _, k := range []int{1, 3, 7} {
 		s.MaxProcs = 1
-		serialBatch := s.KNNBatch(rows, k)
+		serialBatch := collect(s.Search, rows, k, nil)
 		serialAll := s.AllKNN(k)
-		serialSub := s.KNNSubset(rows[:40], rows[20:], k)
+		serialSub := subset(s.Search, s.Len(), rows[:40], rows[20:], k)
 		for _, workers := range []int{2, 3, 8} {
 			s.MaxProcs = workers
 			neighborsEqual(t, fmt.Sprintf("KNNBatch k=%d workers=%d", k, workers),
-				serialBatch, s.KNNBatch(rows, k))
+				serialBatch, collect(s.Search, rows, k, nil))
 			neighborsEqual(t, fmt.Sprintf("AllKNN k=%d workers=%d", k, workers),
 				serialAll, s.AllKNN(k))
 			neighborsEqual(t, fmt.Sprintf("KNNSubset k=%d workers=%d", k, workers),
-				serialSub, s.KNNSubset(rows[:40], rows[20:], k))
+				serialSub, subset(s.Search, s.Len(), rows[:40], rows[20:], k))
 		}
 		s.MaxProcs = 0
 	}
 }
 
-// TestKNNBatchMatchesKNN pins KNNBatch to the per-row KNN path: batching is
-// an execution strategy, not a semantic change.
+// TestKNNBatchMatchesKNN pins a batch Search to the per-row KNN path:
+// batching is an execution strategy, not a semantic change.
 func TestKNNBatchMatchesKNN(t *testing.T) {
 	s := tieSpace(t, 50, 4, 11)
 	rows := []int{0, 7, 13, 49}
-	batch := s.KNNBatch(rows, 5)
+	batch := collect(s.Search, rows, 5, nil)
 	for i, r := range rows {
 		single := s.KNN(r, 5)
 		if len(single) != len(batch[i]) {
@@ -140,7 +168,7 @@ func TestKNNSubsetExcludesQueryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.KNNSubset([]int{0}, []int{0, 1, 2}, 3)
+	res := subset(s.Search, s.Len(), []int{0}, []int{0, 1, 2}, 3)
 	if len(res[0]) != 2 {
 		t.Fatalf("got %d neighbours, want 2", len(res[0]))
 	}
@@ -149,25 +177,54 @@ func TestKNNSubsetExcludesQueryOnly(t *testing.T) {
 	}
 }
 
-// TestKNNBatchEdgeCases covers empty input, k<=0 and oversized k.
+// TestKNNBatchEdgeCases covers empty input, k<=0, oversized k and a mask
+// that marks nothing: k <= 0 calls nothing, and otherwise every query gets
+// exactly one call, empty when no row qualifies.
 func TestKNNBatchEdgeCases(t *testing.T) {
 	s := tieSpace(t, 10, 3, 5)
-	if out := s.KNNBatch(nil, 3); len(out) != 0 {
+	if out := collect(s.Search, nil, 3, nil); len(out) != 0 {
 		t.Fatalf("empty rows: %v", out)
 	}
-	out := s.KNNBatch([]int{0, 1}, 0)
+	out := collect(s.Search, []int{0, 1}, 0, nil)
 	if out[0] != nil || out[1] != nil {
 		t.Fatalf("k=0: %v", out)
 	}
 	// k larger than the space returns everything but self.
-	out = s.KNNBatch([]int{4}, 99)
+	out = collect(s.Search, []int{4}, 99, nil)
 	if len(out[0]) != s.Len()-1 {
 		t.Fatalf("oversized k returned %d of %d", len(out[0]), s.Len()-1)
 	}
-	var called bool
-	s.KNNSubsetEach(nil, []int{1}, 3, func(int, []Neighbor) { called = true })
-	s.KNNSubsetEach([]int{0}, nil, 3, func(int, []Neighbor) { called = true })
-	if called {
-		t.Fatal("degenerate KNNSubsetEach must not invoke fn")
+	calls := 0
+	s.Search(nil, 3, nil, func(int, []Neighbor) { calls++ })
+	s.Search([]int{0}, 0, nil, func(int, []Neighbor) { calls++ })
+	if calls != 0 {
+		t.Fatal("no queries or k <= 0 must not invoke fn")
+	}
+	s.Search([]int{0, 1}, 3, make([]bool, s.Len()), func(_ int, nn []Neighbor) {
+		calls++
+		if len(nn) != 0 {
+			t.Errorf("empty mask: %v", nn)
+		}
+	})
+	if calls != 2 {
+		t.Fatalf("empty mask: fn ran %d times for 2 queries", calls)
+	}
+}
+
+// TestKNNCapsKAtRows: k sizes the selection heap only after it is capped at
+// the rows a query can match, so an absurd k costs what k = Len()-1 costs.
+func TestKNNCapsKAtRows(t *testing.T) {
+	s := tieSpace(t, 50, 4, 3)
+	want := s.KNN(0, 49)
+	// Empty the scratch pool, so the call below pays for a fresh heap.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := s.KNN(0, 1<<20)
+	runtime.ReadMemStats(&after)
+	neighborsEqual(t, "k=1<<20 vs k=49", [][]Neighbor{want}, [][]Neighbor{got})
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
+		t.Fatalf("KNN(0, 1<<20) on %d rows allocated %d B, want < 64 KiB", s.Len(), b)
 	}
 }

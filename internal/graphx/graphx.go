@@ -6,6 +6,7 @@ package graphx
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/darkvec/darkvec/internal/embed"
 )
@@ -41,29 +42,44 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 
 // Undirected collapses the graph to a symmetric weighted graph: the weight
 // between u and v is the sum of both directed weights. Self-loops are kept.
-// Community detection operates on this view.
+// Every adjacency list is in ascending To, so every sum over it — and the
+// modularity community detection computes on this view — runs in one order.
 func (g *Graph) Undirected() *Graph {
-	und := New(g.N())
 	acc := make(map[int64]float64)
-	key := func(u, v int) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		return int64(u)<<32 | int64(v)
-	}
 	for u, es := range g.Out {
 		for _, e := range es {
-			acc[key(u, e.To)] += e.Weight
+			acc[PairKey(u, e.To)] += e.Weight
 		}
 	}
-	for k, w := range acc {
-		u, v := int(k>>32), int(k&0xffffffff)
-		und.Out[u] = append(und.Out[u], Edge{To: v, Weight: w})
+	return FromPairs(g.N(), acc)
+}
+
+// PairKey packs the unordered vertex pair {u, v} into one map key.
+func PairKey(u, v int) int64 {
+	if u > v {
+		u, v = v, u
+	}
+	return int64(u)<<32 | int64(v)
+}
+
+// FromPairs builds the symmetric graph whose edge {u, v} weighs
+// acc[PairKey(u, v)]. Keys are visited in ascending order, which leaves
+// every adjacency list in ascending To.
+func FromPairs(n int, acc map[int64]float64) *Graph {
+	keys := make([]int64, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	g := New(n)
+	for _, k := range keys {
+		u, v, w := int(k>>32), int(k&0xffffffff), acc[k]
+		g.Out[u] = append(g.Out[u], Edge{To: v, Weight: w})
 		if u != v {
-			und.Out[v] = append(und.Out[v], Edge{To: u, Weight: w})
+			g.Out[v] = append(g.Out[v], Edge{To: u, Weight: w})
 		}
 	}
-	return und
+	return g
 }
 
 // KNNGraph builds the paper's k′-NN graph over an embedding space: vertex i

@@ -8,10 +8,24 @@ import (
 	"github.com/darkvec/darkvec/internal/embed"
 )
 
-// The per-call implementation the Classifier replaced, kept verbatim as the
+// The per-call implementation the Classifier replaced, kept as the
 // reference the equivalence tests compare against: it resolves the label
 // table on every call and reaches the engines only through the batched
-// KNNSubsetEach entry points.
+// candidate-list search below.
+
+// subsetEach is the candidate-list search the reference was written
+// against: the candidates as a mask, and no call at all when there are
+// none.
+func subsetEach(search func([]int, int, []bool, func(int, []embed.Neighbor)), n int, queries, candidates []int, k int, fn func(qi int, nn []embed.Neighbor)) {
+	if len(candidates) == 0 {
+		return
+	}
+	mask := make([]bool, n)
+	for _, r := range candidates {
+		mask[r] = true
+	}
+	search(queries, k, mask, fn)
+}
 
 func refLabelRows(s *embed.Space, labels map[string]string) ([]string, []int) {
 	rowLabel := make([]string, s.Len())
@@ -37,11 +51,11 @@ func refClassify(s *embed.Space, ix *embed.IVF, labels map[string]string, k int)
 		tallyPool.Put(t)
 	}
 	if ix == nil {
-		s.KNNSubsetEach(labeled, labeled, k, voteAt)
+		subsetEach(s.Search, s.Len(), labeled, labeled, k, voteAt)
 		return preds
 	}
 	missed := make([]bool, len(labeled))
-	ix.KNNSubsetEach(labeled, labeled, k, func(qi int, nn []embed.Neighbor) {
+	subsetEach(ix.Search, s.Len(), labeled, labeled, k, func(qi int, nn []embed.Neighbor) {
 		if len(nn) == 0 {
 			missed[qi] = true
 			return
@@ -56,7 +70,7 @@ func refClassify(s *embed.Space, ix *embed.IVF, labels map[string]string, k int)
 		}
 	}
 	if len(rerun) > 0 {
-		s.KNNSubsetEach(rerun, labeled, k, func(ri int, nn []embed.Neighbor) { voteAt(rerunQI[ri], nn) })
+		subsetEach(s.Search, s.Len(), rerun, labeled, k, func(ri int, nn []embed.Neighbor) { voteAt(rerunQI[ri], nn) })
 	}
 	return preds
 }
@@ -73,7 +87,7 @@ func refClassifyOne(s *embed.Space, ix *embed.IVF, labels map[string]string, wor
 	p = vote(word, labels[word], nil, rowLabel, &t)
 	voted := false
 	if ix != nil {
-		ix.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
+		subsetEach(ix.Search, s.Len(), []int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
 			if len(nn) == 0 {
 				fellBack = true
 				return
@@ -83,7 +97,7 @@ func refClassifyOne(s *embed.Space, ix *embed.IVF, labels map[string]string, wor
 		})
 	}
 	if !voted {
-		s.KNNSubsetEach([]int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
+		subsetEach(s.Search, s.Len(), []int{i}, labeled, k, func(_ int, nn []embed.Neighbor) {
 			p = vote(word, labels[word], nn, rowLabel, &t)
 		})
 	}

@@ -94,18 +94,26 @@ func (c *Classifier) One(word string, k int) (Prediction, bool) {
 	if !ok {
 		return Prediction{}, false
 	}
-	var nn []embed.Neighbor
-	if k > 0 && len(c.labeled) > 0 {
-		if c.ix != nil {
-			if nn = c.ix.KNNMasked(i, k, c.mask); len(nn) == 0 {
-				c.fallbacks.Add(1)
+	if k <= 0 || len(c.labeled) == 0 {
+		return c.vote(i, nil), true
+	}
+	var p Prediction
+	voted := false
+	q := []int{i}
+	if c.ix != nil {
+		c.ix.Search(q, k, c.mask, func(_ int, nn []embed.Neighbor) {
+			if len(nn) > 0 {
+				p, voted = c.vote(i, nn), true
 			}
-		}
-		if len(nn) == 0 {
-			nn = c.s.KNNMasked(i, k, c.mask)
+		})
+		if !voted {
+			c.fallbacks.Add(1)
 		}
 	}
-	return c.vote(i, nn), true
+	if !voted {
+		c.s.Search(q, k, c.mask, func(_ int, nn []embed.Neighbor) { p = c.vote(i, nn) })
+	}
+	return p, true
 }
 
 // All predicts the class of every labeled word, Leave-One-Out style, in
@@ -116,16 +124,16 @@ func (c *Classifier) All(k int) []Prediction {
 		return nil
 	}
 	preds := make([]Prediction, len(c.labeled))
-	// KNNSubsetEach never invokes fn twice for the same qi, and each call
-	// only writes preds[qi], so the concurrent voting is race-free.
+	// Search never invokes fn twice for the same qi, and each call only
+	// writes preds[qi] or missed[qi], so the concurrent voting is race-free.
 	if c.ix == nil {
-		c.s.KNNSubsetEach(c.labeled, c.labeled, k, func(qi int, nn []embed.Neighbor) {
+		c.s.Search(c.labeled, k, c.mask, func(qi int, nn []embed.Neighbor) {
 			preds[qi] = c.vote(c.labeled[qi], nn)
 		})
 		return preds
 	}
 	missed := make([]bool, len(c.labeled))
-	c.ix.KNNSubsetEach(c.labeled, c.labeled, k, func(qi int, nn []embed.Neighbor) {
+	c.ix.Search(c.labeled, k, c.mask, func(qi int, nn []embed.Neighbor) {
 		if len(nn) == 0 {
 			missed[qi] = true
 			return
@@ -139,7 +147,7 @@ func (c *Classifier) All(k int) []Prediction {
 			rerunQI = append(rerunQI, qi)
 		}
 	}
-	c.s.KNNSubsetEach(rerun, c.labeled, k, func(ri int, nn []embed.Neighbor) {
+	c.s.Search(rerun, k, c.mask, func(ri int, nn []embed.Neighbor) {
 		preds[rerunQI[ri]] = c.vote(rerun[ri], nn)
 	})
 	return preds
@@ -225,11 +233,11 @@ func vote(word, truth string, votes []embed.Neighbor, rowLabel []string, t *tall
 	return p
 }
 
-// Evaluate runs Classify and builds the paper-style report: accuracy over
-// ground-truth classes only, with the Unknown class contributing votes and a
-// recall row but no precision/F-score.
+// Evaluate runs the exact Leave-One-Out pass and builds the paper-style
+// report: accuracy over ground-truth classes only, with the Unknown class
+// contributing votes and a recall row but no precision/F-score.
 func Evaluate(s *embed.Space, labels map[string]string, k int, unknownLabel string) metrics.Report {
-	preds := Classify(s, labels, k)
+	preds := NewClassifier(s, nil, labels).All(k)
 	truth := make([]string, len(preds))
 	pred := make([]string, len(preds))
 	for i, p := range preds {

@@ -146,9 +146,9 @@ func onePass(g *graphx.Graph, gamma float64, rng *netutil.Rand) ([]int, bool) {
 }
 
 // aggregate builds the community-level graph: one vertex per community,
-// edge weights summed, intra-community weight becoming self-loops.
+// edge weights summed, intra-community weight becoming self-loops, every
+// adjacency list in ascending To.
 func aggregate(g *graphx.Graph, comm []int, k int) *graphx.Graph {
-	agg := graphx.New(k)
 	acc := map[int64]float64{}
 	for v, es := range g.Out {
 		for _, e := range es {
@@ -158,21 +158,10 @@ func aggregate(g *graphx.Graph, comm []int, k int) *graphx.Graph {
 			if e.To != v {
 				w /= 2
 			}
-			cu, cv := comm[v], comm[e.To]
-			if cu > cv {
-				cu, cv = cv, cu
-			}
-			acc[int64(cu)<<32|int64(cv)] += w
+			acc[graphx.PairKey(comm[v], comm[e.To])] += w
 		}
 	}
-	for key, w := range acc {
-		u, v := int(key>>32), int(key&0xffffffff)
-		agg.Out[u] = append(agg.Out[u], graphx.Edge{To: v, Weight: w})
-		if u != v {
-			agg.Out[v] = append(agg.Out[v], graphx.Edge{To: u, Weight: w})
-		}
-	}
-	return agg
+	return graphx.FromPairs(k, acc)
 }
 
 // finalize compacts community ids by decreasing size and computes the final
@@ -214,10 +203,15 @@ func Modularity(g *graphx.Graph, comm []int, gamma float64) float64 {
 		gamma = 1
 	}
 	n := g.N()
+	ids := 0
+	for _, c := range comm {
+		ids = max(ids, c+1)
+	}
 	degree := make([]float64, n)
 	var m2 float64
-	inWeight := map[int]float64{}
-	totWeight := map[int]float64{}
+	// Per-community sums in slices, so the totals below run in id order.
+	inWeight := make([]float64, ids)
+	totWeight := make([]float64, ids)
 	for v := 0; v < n; v++ {
 		for _, e := range g.Out[v] {
 			if e.To == v {
