@@ -35,7 +35,6 @@ import (
 	"github.com/darkvec/darkvec/internal/experiments"
 	"github.com/darkvec/darkvec/internal/federation"
 	"github.com/darkvec/darkvec/internal/graphx"
-	"github.com/darkvec/darkvec/internal/intern"
 	"github.com/darkvec/darkvec/internal/knn"
 	"github.com/darkvec/darkvec/internal/louvain"
 	"github.com/darkvec/darkvec/internal/netutil"
@@ -692,9 +691,9 @@ func BenchmarkFederation(b *testing.B) {
 	var clients []*federation.Client
 	var cfgs []federation.VantageConfig
 	for vi, name := range []string{"north", "south", "west"} {
-		table, mine := intern.New(), map[string]knn.Prediction{}
+		table, mine := corpus.NewInterner(), map[string]knn.Prediction{}
 		for ip := range senders {
-			table.Intern(ip.String())
+			table.Intern(ip)
 		}
 		for i, p := range preds {
 			if i%3 != vi {

@@ -91,7 +91,7 @@ func buildVantageHandler(t *testing.T, name string, tr *trace.Trace, gen string)
 		fmt.Fprintln(w, `{"status":"ready"}`)
 	})
 	mux.Handle("GET /v1/intern", federation.NewInternHandler(federation.InternSource{
-		Vantage: name, Epoch: federation.NewEpoch(), Table: interner.Table(),
+		Vantage: name, Epoch: federation.NewEpoch(), Table: interner,
 		Generation: func() string { return gen },
 	}))
 	mux.Handle("/", api)

@@ -115,7 +115,7 @@ func (d *daemon) serveAPI() (srv *http.Server, serveErr chan error, err error) {
 	mux.Handle("GET /v1/intern", federation.NewInternHandler(federation.InternSource{
 		Vantage: o.vantage,
 		Epoch:   d.epoch,
-		Table:   d.ing.Window().Interner().Table(),
+		Table:   d.ing.Window().Interner(),
 		Generation: func() string {
 			if v := d.status.version.Load(); v != 0 {
 				return modelstore.Version(v).String()

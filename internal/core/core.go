@@ -167,11 +167,8 @@ func (in trainInput) train(cfg Config, opts TrainOpts) (*Embedding, error) {
 	// directly so no sender string is re-hashed during vocabulary building
 	// or encoding. The model does not depend on the interner's id order. A
 	// shared interner may have grown since the build; ids past len(Counts)
-	// cannot appear in this corpus, so clip the word table to match.
-	words := corp.Interner().Strings()
-	if len(words) > len(corp.Counts) {
-		words = words[:len(corp.Counts)]
-	}
+	// cannot appear in this corpus, so read only the ids it can hold.
+	words, _ := corp.Interner().Words(0, len(corp.Counts))
 	var model *w2v.Model
 	var err error
 	pprof.Do(opts.context(), pprof.Labels("darkvec_phase", "train"), func(context.Context) {

@@ -30,11 +30,12 @@ func TestTrainEmbeddingMatchesStringPath(t *testing.T) {
 	}
 	enc := w2v.Encoded{Sequences: make([][]int32, len(emb.Corpus.Sequences))}
 	ids := make(map[string]int32)
+	senders := emb.Corpus.Interner().Strings()
 	for i := len(emb.Corpus.Sequences) - 1; i >= 0; i-- {
 		toks := emb.Corpus.Sequences[i].Tokens
 		seq := make([]int32, len(toks))
 		for j := len(toks) - 1; j >= 0; j-- {
-			w := emb.Corpus.Interner().Table().Lookup(uint32(toks[j]))
+			w := senders[toks[j]]
 			id, ok := ids[w]
 			if !ok {
 				id = int32(len(enc.Words))

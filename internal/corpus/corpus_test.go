@@ -23,19 +23,21 @@ func ev(ts int64, src string, port uint16) trace.Event {
 // words materialises a sequence's dotted-quad words through the corpus's
 // interner.
 func words(c *Corpus, s Sequence) []string {
+	senders := c.Interner().Strings()
 	out := make([]string, len(s.Tokens))
 	for i, id := range s.Tokens {
-		out[i] = c.Interner().Table().Lookup(uint32(id))
+		out[i] = senders[id]
 	}
 	return out
 }
 
 // vocabulary maps each word of the corpus to its frequency.
 func vocabulary(c *Corpus) map[string]int64 {
+	senders := c.Interner().Strings()
 	v := make(map[string]int64)
 	for id, n := range c.Counts {
 		if n > 0 {
-			v[c.Interner().Table().Lookup(uint32(id))] = n
+			v[senders[id]] = n
 		}
 	}
 	return v

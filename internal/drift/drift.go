@@ -99,18 +99,16 @@ func Capture(space *embed.Space, assign []int, version string, class func(word s
 type Options struct {
 	// K is the neighbourhood size for the stability metric (default 10).
 	K int
-	// SampleLimit caps how many common senders are probed for
-	// neighbourhood overlap (default 512); sampling is a deterministic
-	// stride so repeated comparisons agree.
-	SampleLimit int
 }
+
+// sampleLimit caps how many common senders are probed for neighbourhood
+// overlap; sampling is a deterministic stride so repeated comparisons
+// agree.
+const sampleLimit = 512
 
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 10
-	}
-	if o.SampleLimit <= 0 {
-		o.SampleLimit = 512
 	}
 	return o
 }
@@ -227,7 +225,7 @@ func Compare(prev, next *Snapshot, o Options) (*Report, error) {
 		for _, p := range pairs {
 			maskPrev[p.p], maskNext[p.n] = true, true
 		}
-		samples := min(len(pairs), o.SampleLimit)
+		samples := min(len(pairs), sampleLimit)
 		qPrev := make([]int, samples)
 		qNext := make([]int, samples)
 		for i := 0; i < samples; i++ {

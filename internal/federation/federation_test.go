@@ -13,17 +13,18 @@ import (
 	"time"
 
 	"github.com/darkvec/darkvec/internal/apiserver"
-	"github.com/darkvec/darkvec/internal/intern"
+	"github.com/darkvec/darkvec/internal/corpus"
+	"github.com/darkvec/darkvec/internal/netutil"
 )
 
-// fakeVantage is an in-process vantage daemon: a real intern table behind
+// fakeVantage is an in-process vantage daemon: a real interner behind
 // the real InternHandler, plus canned readiness and classify answers. Its
 // state is swappable mid-test to simulate retrains and restarts.
 type fakeVantage struct {
 	name string
 
 	mu       sync.Mutex
-	tab      *intern.Table
+	tab      *corpus.Interner
 	epoch    string
 	gen      string
 	ready    bool
@@ -35,11 +36,8 @@ type fakeVantage struct {
 func newFakeVantage(t *testing.T, name string, senders ...string) *fakeVantage {
 	t.Helper()
 	v := &fakeVantage{
-		name: name, tab: intern.New(), epoch: name + "-epoch-1", gen: "v000001",
+		name: name, tab: interner(senders...), epoch: name + "-epoch-1", gen: "v000001",
 		ready: true, classify: map[string]apiserver.ClassifyResponse{},
-	}
-	for _, s := range senders {
-		v.tab.Intern(s)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz/ready", func(w http.ResponseWriter, _ *http.Request) {
@@ -82,10 +80,7 @@ func newFakeVantage(t *testing.T, name string, senders ...string) *fakeVantage {
 func (v *fakeVantage) restart(senders ...string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.tab = intern.New()
-	for _, s := range senders {
-		v.tab.Intern(s)
-	}
+	v.tab = interner(senders...)
 	v.epoch += "'"
 	v.gen = "v000002"
 }
@@ -94,6 +89,15 @@ func (v *fakeVantage) answer(ip, class string, votes int, sim float64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.classify[ip] = apiserver.ClassifyResponse{IP: ip, Class: class, Support: votes, AvgSim: sim}
+}
+
+// interner returns a fresh sender table holding senders in id order.
+func interner(senders ...string) *corpus.Interner {
+	tab := corpus.NewInterner()
+	for _, s := range senders {
+		tab.Intern(netutil.MustParseIPv4(s))
+	}
+	return tab
 }
 
 func testAggregator(t *testing.T, vs ...*fakeVantage) *Aggregator {
@@ -125,14 +129,11 @@ func getJSON(t *testing.T, h http.Handler, path string, out any) int {
 // honoured, and offsets past the end return an empty page with the right
 // Total.
 func TestInternHandlerPagination(t *testing.T) {
-	tab := intern.New()
 	var want []string
 	for i := 0; i < 10; i++ {
-		s := fmt.Sprintf("10.0.0.%d", i)
-		want = append(want, s)
-		tab.Intern(s)
+		want = append(want, fmt.Sprintf("10.0.0.%d", i))
 	}
-	h := NewInternHandler(InternSource{Vantage: "v", Epoch: "e", Table: tab})
+	h := NewInternHandler(InternSource{Vantage: "v", Epoch: "e", Table: interner(want...)})
 
 	var got []string
 	for off := 0; ; {
@@ -157,16 +158,20 @@ func TestInternHandlerPagination(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("paged senders = %v, want %v", got, want)
 	}
-	// Past the end: empty page, correct total.
-	var page InternPage
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/intern?offset=99", nil))
-	_ = json.Unmarshal(rec.Body.Bytes(), &page)
-	if page.Total != 10 || len(page.Senders) != 0 {
-		t.Fatalf("past-end page = %+v", page)
+	// Past the end, up to the largest offset: empty page, correct total.
+	for _, off := range []string{"99", "9223372036854775807"} {
+		var page InternPage
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/intern?offset="+off, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("offset=%s: %v", off, err)
+		}
+		if rec.Code != http.StatusOK || page.Total != 10 || page.Offset != 10 || len(page.Senders) != 0 {
+			t.Fatalf("offset=%s: %d, page = %+v", off, rec.Code, page)
+		}
 	}
 	// Bad params: 400.
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/intern?offset=-1", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("offset=-1 -> %d, want 400", rec.Code)
@@ -177,9 +182,7 @@ func TestInternHandlerPagination(t *testing.T) {
 // fetches (what a concurrent retrain does) never shifts an already-served
 // page — ids are append-only — and Total grows monotonically.
 func TestInternHandlerStableMidRetrain(t *testing.T) {
-	tab := intern.New()
-	tab.Intern("1.1.1.1")
-	tab.Intern("2.2.2.2")
+	tab := interner("1.1.1.1", "2.2.2.2")
 	h := NewInternHandler(InternSource{Vantage: "v", Epoch: "e", Table: tab})
 
 	fetch := func(off, limit int) InternPage {
@@ -193,8 +196,8 @@ func TestInternHandlerStableMidRetrain(t *testing.T) {
 	}
 	before := fetch(0, 2)
 	// A "retrain" interns two more senders.
-	tab.Intern("3.3.3.3")
-	tab.Intern("4.4.4.4")
+	tab.Intern(netutil.MustParseIPv4("3.3.3.3"))
+	tab.Intern(netutil.MustParseIPv4("4.4.4.4"))
 	after := fetch(0, 2)
 	if !reflect.DeepEqual(before.Senders, after.Senders) {
 		t.Fatalf("page 0 shifted mid-retrain: %v -> %v", before.Senders, after.Senders)

@@ -3,10 +3,11 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
-	"github.com/darkvec/darkvec/internal/intern"
+	"github.com/darkvec/darkvec/internal/corpus"
 )
 
 // Intern-export paging bounds.
@@ -15,7 +16,7 @@ const (
 	MaxInternPageLimit     = 65536
 )
 
-// InternSource describes the intern table a daemon exports at /v1/intern.
+// InternSource describes the sender table a daemon exports at /v1/intern.
 type InternSource struct {
 	// Vantage names the exporting vantage point.
 	Vantage string
@@ -24,13 +25,13 @@ type InternSource struct {
 	Epoch string
 	// Table is the live interner. It is append-only, so pages are served
 	// directly off it without snapshotting.
-	Table *intern.Table
+	Table *corpus.Interner
 	// Generation, when non-nil, reports the serving model generation; nil
 	// exports "".
 	Generation func() string
 }
 
-// NewInternHandler serves paged reads of an append-only intern table:
+// NewInternHandler serves paged reads of an append-only sender table:
 //
 //	GET /v1/intern?offset=0&limit=4096
 //
@@ -59,24 +60,20 @@ func NewInternHandler(src InternSource) http.Handler {
 			}
 			limit = min(v, MaxInternPageLimit)
 		}
-		// Reading Total first makes the page self-consistent: everything
-		// below Total is already immutable when the loop runs.
-		total := src.Table.Len()
+		// One range read cuts the page and its Total together. Clipping
+		// the offset first keeps offset+limit from overflowing; an offset
+		// that large is past any table, so the page is empty either way.
+		lo := min(offset, math.MaxInt-limit)
+		senders, total := src.Table.Words(lo, lo+limit)
 		page := InternPage{
 			Vantage: src.Vantage,
 			Epoch:   src.Epoch,
 			Total:   total,
 			Offset:  min(offset, total),
+			Senders: senders,
 		}
 		if src.Generation != nil {
 			page.Generation = src.Generation()
-		}
-		end := min(page.Offset+limit, total)
-		if end > page.Offset {
-			page.Senders = make([]string, 0, end-page.Offset)
-			for id := page.Offset; id < end; id++ {
-				page.Senders = append(page.Senders, src.Table.Lookup(uint32(id)))
-			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(page)

@@ -22,16 +22,11 @@ type Result struct {
 
 // Options tune the algorithm.
 type Options struct {
-	Resolution float64 // γ in the modularity formula; 0 means 1
-	MaxLevels  int     // aggregation levels cap; 0 means unlimited
-	Seed       uint64  // vertex visiting order shuffle seed; 0 means 1
+	Seed uint64 // vertex visiting order shuffle seed; 0 means 1
 }
 
 // Run detects communities on the undirected view of g.
 func Run(g *graphx.Graph, opts Options) Result {
-	if opts.Resolution == 0 {
-		opts.Resolution = 1
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -46,7 +41,7 @@ func Run(g *graphx.Graph, opts Options) Result {
 	level := 0
 	rng := netutil.NewRand(opts.Seed)
 	for {
-		comm, improved := onePass(cur, opts.Resolution, rng)
+		comm, improved := onePass(cur, rng)
 		if !improved && level > 0 {
 			break
 		}
@@ -68,19 +63,16 @@ func Run(g *graphx.Graph, opts Options) Result {
 		}
 		cur = aggregate(cur, comm, len(renum))
 		level++
-		if opts.MaxLevels > 0 && level >= opts.MaxLevels {
-			break
-		}
 		if cur.N() == len(renum) && cur.N() == 1 {
 			break
 		}
 	}
-	return finalize(und, node2final, opts.Resolution)
+	return finalize(und, node2final)
 }
 
 // onePass runs local move optimisation on g, returning the community of
 // each vertex and whether any move improved modularity.
-func onePass(g *graphx.Graph, gamma float64, rng *netutil.Rand) ([]int, bool) {
+func onePass(g *graphx.Graph, rng *netutil.Rand) ([]int, bool) {
 	n := g.N()
 	comm := make([]int, n)
 	degree := make([]float64, n)   // weighted degree incl. self-loops counted twice
@@ -118,15 +110,15 @@ func onePass(g *graphx.Graph, gamma float64, rng *netutil.Rand) ([]int, bool) {
 			old := comm[v]
 			commTot[old] -= degree[v]
 			// Gain of moving v into community c:
-			//   k_{v,in}(c) - γ·Σtot(c)·k_v / 2m
-			best, bestGain := old, links[old]-gamma*commTot[old]*degree[v]/m2
+			//   k_{v,in}(c) - Σtot(c)·k_v / 2m
+			best, bestGain := old, links[old]-commTot[old]*degree[v]/m2
 			cands := make([]int, 0, len(links))
 			for c := range links {
 				cands = append(cands, c)
 			}
 			sort.Ints(cands) // deterministic tie-breaking
 			for _, c := range cands {
-				gain := links[c] - gamma*commTot[c]*degree[v]/m2
+				gain := links[c] - commTot[c]*degree[v]/m2
 				if gain > bestGain+1e-12 {
 					best, bestGain = c, gain
 				}
@@ -166,7 +158,7 @@ func aggregate(g *graphx.Graph, comm []int, k int) *graphx.Graph {
 
 // finalize compacts community ids by decreasing size and computes the final
 // modularity on the original undirected graph.
-func finalize(und *graphx.Graph, comm []int, gamma float64) Result {
+func finalize(und *graphx.Graph, comm []int) Result {
 	sizes := map[int]int{}
 	for _, c := range comm {
 		sizes[c]++
@@ -192,16 +184,13 @@ func finalize(und *graphx.Graph, comm []int, gamma float64) Result {
 	return Result{
 		Community:   out,
 		Communities: len(ids),
-		Modularity:  Modularity(und, out, gamma),
+		Modularity:  Modularity(und, out),
 	}
 }
 
 // Modularity computes Newman modularity of an assignment on the undirected
 // view of g (pass an already-undirected graph to avoid re-symmetrising).
-func Modularity(g *graphx.Graph, comm []int, gamma float64) float64 {
-	if gamma == 0 {
-		gamma = 1
-	}
+func Modularity(g *graphx.Graph, comm []int) float64 {
 	n := g.N()
 	ids := 0
 	for _, c := range comm {
@@ -237,7 +226,7 @@ func Modularity(g *graphx.Graph, comm []int, gamma float64) float64 {
 		q += in / m2
 	}
 	for _, tot := range totWeight {
-		q -= gamma * (tot / m2) * (tot / m2)
+		q -= (tot / m2) * (tot / m2)
 	}
 	// Communities with no internal weight still contribute the -Σtot² term,
 	// handled above since totWeight covers all communities.

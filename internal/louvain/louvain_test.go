@@ -159,14 +159,14 @@ func TestModularityOfKnownPartition(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
 	und := g.Undirected()
-	q := Modularity(und, []int{0, 0, 1, 1}, 1)
+	q := Modularity(und, []int{0, 0, 1, 1})
 	if q < 0.499 || q > 0.501 {
 		t.Fatalf("Q = %v, want 0.5", q)
 	}
 	// Everything in one community: Q = 0 for this graph... actually
 	// Q = 1 - 1 = 0 only when a single community holds all edges and all
 	// degree: in = 2m, tot = 2m → Q = 1 - 1 = 0.
-	q = Modularity(und, []int{0, 0, 0, 0}, 1)
+	q = Modularity(und, []int{0, 0, 0, 0})
 	if q > 1e-9 || q < -1e-9 {
 		t.Fatalf("single community Q = %v, want 0", q)
 	}
@@ -184,35 +184,7 @@ func TestLouvainBeatsRandomPartition(t *testing.T) {
 	for i := range random {
 		random[i] = rng.Intn(4)
 	}
-	if Modularity(und, random, 1) >= res.Modularity {
+	if Modularity(und, random) >= res.Modularity {
 		t.Fatal("Louvain must beat a random partition")
-	}
-}
-
-func TestResolutionParameter(t *testing.T) {
-	// Higher resolution favours more, smaller communities.
-	g := graphx.New(12)
-	clique(g, []int{0, 1, 2, 3, 4, 5}, 1)
-	clique(g, []int{6, 7, 8, 9, 10, 11}, 1)
-	g.AddEdge(0, 6, 0.8)
-	g.AddEdge(1, 7, 0.8)
-	low := Run(g, Options{Resolution: 0.1})
-	high := Run(g, Options{Resolution: 4})
-	if high.Communities < low.Communities {
-		t.Fatalf("resolution 4 gave %d communities, resolution 0.1 gave %d",
-			high.Communities, low.Communities)
-	}
-}
-
-func TestMaxLevelsCap(t *testing.T) {
-	g := graphx.New(9)
-	clique(g, []int{0, 1, 2}, 1)
-	clique(g, []int{3, 4, 5}, 1)
-	clique(g, []int{6, 7, 8}, 1)
-	g.AddEdge(2, 3, 0.1)
-	g.AddEdge(5, 6, 0.1)
-	res := Run(g, Options{MaxLevels: 1})
-	if res.Communities == 0 {
-		t.Fatal("capped run must still produce communities")
 	}
 }

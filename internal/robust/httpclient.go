@@ -33,9 +33,6 @@ type RetryClient struct {
 	Breaker *Breaker
 	// MaxAttempts caps attempts per Do call (default 3).
 	MaxAttempts int
-	// RetryStatus reports whether a response status code is a transient
-	// failure worth retrying; nil retries 5xx.
-	RetryStatus func(code int) bool
 	// Sleep waits between attempts; nil uses SleepContext. Tests inject a
 	// recording clock.
 	Sleep func(context.Context, time.Duration) error
@@ -46,13 +43,6 @@ func (c *RetryClient) maxAttempts() int {
 		return 3
 	}
 	return c.MaxAttempts
-}
-
-func (c *RetryClient) retryStatus(code int) bool {
-	if c.RetryStatus != nil {
-		return c.RetryStatus(code)
-	}
-	return code >= 500
 }
 
 // Get issues a GET to url under the retry discipline.
@@ -107,7 +97,7 @@ func (c *RetryClient) Do(req *http.Request) (*http.Response, error) {
 			}
 		}
 		resp, err := client.Do(attemptReq)
-		if err == nil && !c.retryStatus(resp.StatusCode) {
+		if err == nil && resp.StatusCode < 500 {
 			if c.Breaker != nil {
 				c.Breaker.Success()
 			}

@@ -176,10 +176,10 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 
 // Supervisor runs a function in a restart loop: on failure it waits an
 // exponentially backed-off delay and tries again, until the function
-// succeeds, the context dies, MaxAttempts is exhausted, or the circuit
-// breaker opens. It is the harness darkvecd runs retraining under — a
-// transient failure (dirty input window, slow disk) retries, a persistent
-// one trips the breaker and the daemon keeps serving its last good model.
+// succeeds, the context dies, or the circuit breaker opens. It is the
+// harness darkvecd runs retraining under — a transient failure (dirty input
+// window, slow disk) retries, a persistent one trips the breaker and the
+// daemon keeps serving its last good model.
 type Supervisor struct {
 	Backoff Backoff
 	// Breaker, when non-nil, is consulted before every attempt and fed the
@@ -187,8 +187,6 @@ type Supervisor struct {
 	// makes Run return ErrGiveUp. Sharing one Breaker across Runs lets
 	// failures accumulate across cycles.
 	Breaker *Breaker
-	// MaxAttempts caps the attempts of a single Run (0 = unlimited).
-	MaxAttempts int
 	// Sleep waits between attempts; nil uses SleepContext. Tests inject a
 	// recording clock so backoff timing is verified without wall-clock
 	// sleeps.
@@ -199,8 +197,7 @@ type Supervisor struct {
 
 // Run invokes fn until it succeeds or the supervisor gives up; name labels
 // log lines. The returned error is nil on success, ctx.Err() on
-// cancellation, an ErrGiveUp wrapper when the breaker is open, or the last
-// attempt's error when MaxAttempts is exhausted.
+// cancellation, or an ErrGiveUp wrapper when the breaker is open.
 func (s *Supervisor) Run(ctx context.Context, name string, fn func(context.Context) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,9 +233,6 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(context.Conte
 			s.Breaker.Failure()
 		}
 		lastErr = err
-		if s.MaxAttempts > 0 && attempt+1 >= s.MaxAttempts {
-			return fmt.Errorf("robust: %s failed after %d attempts: %w", name, attempt+1, err)
-		}
 		d := s.Backoff.Delay(attempt)
 		if s.Logf != nil {
 			s.Logf("%s: attempt %d failed (%v); retrying in %s", name, attempt+1, err, d.Round(time.Millisecond))

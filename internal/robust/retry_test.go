@@ -182,20 +182,6 @@ func TestSupervisorBreakerGivesUp(t *testing.T) {
 	}
 }
 
-func TestSupervisorMaxAttempts(t *testing.T) {
-	fs := &fakeSleep{}
-	s := &Supervisor{MaxAttempts: 2, Sleep: fs.sleep, Backoff: Backoff{Base: time.Millisecond, Jitter: -1}}
-	boom := errors.New("nope")
-	calls := 0
-	err := s.Run(context.Background(), "capped", func(context.Context) error { calls++; return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want wrapped last error", err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d", calls)
-	}
-}
-
 func TestSupervisorContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	br := &Breaker{Threshold: 1}

@@ -365,8 +365,10 @@ func (in *Ingestor) handleConn(conn net.Conn) {
 				in.killedConns.Add(1)
 				in.cfg.Logf("stream: %s idle for %s, cut", name, in.cfg.IdleTimeout)
 			case errors.Is(err, bufio.ErrTooLong):
-				in.killedConns.Add(1)
+				// Skip before the cut counts, so a watcher that sees the
+				// cut also sees the skip.
 				_ = in.report.Skip(in.cfg.Budget, fmt.Errorf("stream: %s: line exceeds %d bytes", name, in.cfg.MaxLineBytes))
+				in.killedConns.Add(1)
 				in.cfg.Logf("stream: %s oversize line, framing lost, cut", name)
 			case in.ctx.Err() != nil || errors.Is(err, net.ErrClosed):
 			default:
